@@ -7,6 +7,8 @@
 #   make bench-smoke — 1-iteration pass through the same pipeline (CI)
 #   make benchdiff   — fresh run vs the committed baseline, ns/op deltas
 #   make bench-gate  — hot-path ns/op ceiling + zero-alloc pins (CI)
+#   make test-filters— every `go test -run` regex in CI and here selects
+#                      at least one test (CI)
 #   make serve       — build and run the swiftdir-serve HTTP front end
 #   make serve-e2e   — boot a server, submit the same batch twice, assert
 #                      the second pass is 100% cache hits, byte-identical
@@ -46,11 +48,12 @@ BENCHFILTER ?= .
 BENCHTAG    ?=
 BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
 
-# benchdiff baseline: the newest committed record by default; override
-# with  make benchdiff BENCHBASE=BENCH_2026-08-05.json
-BENCHBASE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+# benchdiff baseline: the newest committed record by default (skipping
+# the record of the deleted sharded engine's benchmarks); override with
+#   make benchdiff BENCHBASE=BENCH_2026-08-05.json
+BENCHBASE ?= $(lastword $(sort $(filter-out %-shards-final.json,$(wildcard BENCH_*.json))))
 
-.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
+.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate test-filters serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
 
 check: vet test race
 
@@ -102,13 +105,19 @@ benchdiff:
 # result-cache lookup and singleflight leader paths (swiftdir-serve's
 # per-request fast path) are pinned the same way.
 bench-gate:
-	$(GO) test -bench='^BenchmarkAccess|^BenchmarkShardedEngine|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
+	$(GO) test -bench='^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
 	@cat bench.raw
 	$(GO) run ./cmd/bench2json \
-		-ceiling 'BenchmarkAccessMESI=2500,BenchmarkAccessSharded4=7000,BenchmarkShardedEngineSeq=1500,BenchmarkShardedEngineShards4=1500,BenchmarkResultCacheHit=500,BenchmarkSingleflightDo=1000,BenchmarkMeshRoute=500,BenchmarkAccessMesh64=8000' \
-		-zeroalloc '^BenchmarkAccess|^BenchmarkShardedEngine|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' < bench.raw > /dev/null
+		-ceiling 'BenchmarkAccessMESI=2500,BenchmarkResultCacheHit=500,BenchmarkSingleflightDo=1000,BenchmarkMeshRoute=500,BenchmarkAccessMesh64=8000' \
+		-zeroalloc '^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' < bench.raw > /dev/null
 	@rm -f bench.raw
 	@echo "bench gate ok"
+
+# Guard against silently empty test steps: every `go test -run '<regex>'`
+# in the CI workflow and in this Makefile must list at least one test
+# for each |-separated alternative of its regex (see the script).
+test-filters:
+	./scripts/check-test-filters.sh
 
 # Run the simulation service locally. Knobs:
 #   make serve SERVE_ADDR=:9090 SERVE_CACHEDIR=/var/tmp/swiftdir-cache
@@ -147,8 +156,8 @@ soak:
 # cluster-hub busy windows on top of the flat machine's fault classes —
 # with the watchdog armed and the same metamorphic oracle (timing faults
 # must move cycles only). Crash bundles land in SOAK_ARTIFACTS, carry
-# the scaled topology in replay.json, and reproduce at any shard count
-# with `swiftdir-sim -replay <bundle>`.
+# the scaled topology in replay.json, and reproduce with
+# `swiftdir-sim -replay <bundle>`.
 CHAOS_CORES ?= 64
 chaos:
 	$(GO) run -race ./cmd/swiftdir-sim -soak -soakscaled -soakcores $(CHAOS_CORES) \

@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -117,135 +118,6 @@ func benchAccessHit(b *testing.B, p coherence.Policy) {
 func BenchmarkAccessHitMESI(b *testing.B)     { benchAccessHit(b, coherence.MESI) }
 func BenchmarkAccessHitSwiftDir(b *testing.B) { benchAccessHit(b, coherence.SwiftDir) }
 func BenchmarkAccessHitSMESI(b *testing.B)    { benchAccessHit(b, coherence.SMESI) }
-
-// --- Sharded-engine benchmarks -------------------------------------------
-//
-// The speedup pair: BenchmarkShardedEngineSeq is the plain sequential
-// engine, BenchmarkShardedEngineShards4 the same 8-bank event load split
-// across 4 shards running parallel epochs. Their ns/op ratio is the
-// engine-level parallel speedup on this host; it scales with GOMAXPROCS
-// (a single-CPU container shows barrier overhead instead of speedup —
-// see DESIGN.md §5).
-
-// benchBank models one directory bank's event load: per event it does a
-// fixed slice of handler work, reschedules itself, and every fourth event
-// forwards a message to the next bank over the crossbar (delay = the
-// 3-cycle hop, so cross-shard sends respect the lookahead).
-type benchBank struct {
-	eng     *sim.Engine
-	dst     *benchBank
-	dstSh   int
-	left    int
-	counter int
-	state   uint64
-}
-
-func (n *benchBank) Handle(p sim.Payload) {
-	// ~64 rounds of integer mixing: the cost of a realistic protocol
-	// handler (map lookup + state transition), so the benchmark measures
-	// engine orchestration against real work, not empty events.
-	s := n.state
-	for i := 0; i < 64; i++ {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-	}
-	n.state = s
-	if p.Op == 1 {
-		return // absorbed crossbar message
-	}
-	n.left--
-	if n.left <= 0 {
-		return
-	}
-	n.eng.ScheduleEvent(1, n, sim.Payload{})
-	n.counter++
-	if n.counter%4 == 0 {
-		n.eng.SendRemote(n.dstSh, 3, n.dst, sim.Payload{Op: 1})
-	}
-}
-
-// benchBanks wires 8 banks in a forwarding ring, mapped bank*shards/8.
-func benchBanks(engFor func(bank int) (*sim.Engine, int), events int) []*benchBank {
-	const banks = 8
-	nodes := make([]*benchBank, banks)
-	for i := range nodes {
-		e, sh := engFor(i)
-		nodes[i] = &benchBank{eng: e, dstSh: sh, left: events/banks + 1, state: uint64(i) + 1}
-	}
-	for i, n := range nodes {
-		n.dst = nodes[(i+1)%banks]
-		_, n.dstSh = engFor((i + 1) % banks)
-	}
-	return nodes
-}
-
-func BenchmarkShardedEngineSeq(b *testing.B) {
-	eng := sim.NewEngine()
-	nodes := benchBanks(func(int) (*sim.Engine, int) { return eng, 0 }, b.N)
-	b.ResetTimer()
-	for i, n := range nodes {
-		eng.ScheduleEvent(sim.Cycle(1+i), n, sim.Payload{})
-	}
-	eng.Run()
-}
-
-func benchShardedEngine(b *testing.B, shards int) {
-	sh := sim.NewSharded(shards, 3)
-	engFor := func(bank int) (*sim.Engine, int) {
-		s := bank * shards / 8
-		return sh.Shard(s), s
-	}
-	nodes := benchBanks(engFor, b.N)
-	b.ResetTimer()
-	for i, n := range nodes {
-		n.eng.ScheduleEvent(sim.Cycle(1+i), n, sim.Payload{})
-	}
-	sh.Run()
-}
-
-func BenchmarkShardedEngineShards2(b *testing.B) { benchShardedEngine(b, 2) }
-func BenchmarkShardedEngineShards4(b *testing.B) { benchShardedEngine(b, 4) }
-
-// BenchmarkAccessSharded4 is benchAccess on a 4-shard machine: the
-// sequential-stepping path every default sharded run takes. Compare with
-// BenchmarkAccessSwiftDir (the unsharded engine) for the stepping
-// overhead; the gate pins it allocation-free like every access path.
-func BenchmarkAccessSharded4(b *testing.B) {
-	cfg := core.DefaultConfig(2, coherence.SwiftDir)
-	cfg.Shards = 4
-	m := core.MustNewMachine(cfg)
-	proc := m.NewProcess()
-	ctx := proc.AttachContext(0)
-	heap := proc.MmapAnon(1 << 20)
-	for i := 0; i < 8192; i++ { // warm the working set (see benchAccess)
-		ctx.MustAccessSync(heap+mmu.VAddr(i)*64, i%4 == 0, uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.MustAccessSync(heap+mmu.VAddr(i%8192)*64, i%4 == 0, uint64(i))
-	}
-}
-
-// benchShardedWorkload runs a full 4-thread benchmark with parallel
-// epochs unlocked (NoFastPath + Prefault); shards=1 is the sequential
-// control. The pair's ratio is the end-to-end machine-level speedup.
-func benchShardedWorkload(b *testing.B, shards int) {
-	p := workload.PARSEC3()[1].Scale(0.10)
-	p.BarrierEvery = 0
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(4, coherence.SwiftDir)
-		cfg.Shards = shards
-		cfg.NoFastPath = true
-		cfg.Prefault = true
-		if _, _, err := workload.RunDetailed(p, cfg, workload.DerivO3CPU); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShardedWorkloadSeq(b *testing.B)     { benchShardedWorkload(b, 1) }
-func BenchmarkShardedWorkloadShards4(b *testing.B) { benchShardedWorkload(b, 4) }
 
 // --- Mesh + two-level directory benchmarks -------------------------------
 
@@ -385,7 +257,7 @@ func BenchmarkTable4_QualitativeMatrix(b *testing.B) {
 
 func BenchmarkFig6_LatencyCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d := experiments.Fig6(200)
+		d := experiments.Fig6(context.Background(), 200)
 		b.ReportMetric(d.LoadWP.Mean(), "LoadWP-cycles")
 		b.ReportMetric(d.LoadS.Mean(), "LoadS-cycles")
 		b.ReportMetric(d.LoadE.Mean(), "LoadE-cycles")
@@ -432,7 +304,7 @@ func BenchmarkSecurity_SideChannel(b *testing.B) {
 
 func BenchmarkFig7_SPEC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig7(0.02)
+		rows, _ := experiments.Fig7(context.Background(), 0.02)
 		var sw, sm float64
 		for _, r := range rows {
 			sw += r.SwiftDir
@@ -445,7 +317,7 @@ func BenchmarkFig7_SPEC(b *testing.B) {
 
 func BenchmarkFig8_PARSEC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig8(0.02)
+		rows, _ := experiments.Fig8(context.Background(), 0.02)
 		var sw, sm float64
 		for _, r := range rows {
 			sw += r.SwiftDir
@@ -458,7 +330,7 @@ func BenchmarkFig8_PARSEC(b *testing.B) {
 
 func BenchmarkFig9_ReadOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig9([]int{1000, 3000, 5000})
+		rows, _ := experiments.Fig9(context.Background(), []int{1000, 3000, 5000})
 		var sw float64
 		for _, r := range rows {
 			sw += r.SwiftDir
@@ -469,7 +341,7 @@ func BenchmarkFig9_ReadOnly(b *testing.B) {
 
 func BenchmarkFig10a_WAR_InOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig10(workload.TimingSimpleCPU, 1)
+		rows, _ := experiments.Fig10(context.Background(), workload.TimingSimpleCPU, 1)
 		var sm float64
 		for _, r := range rows {
 			sm += r.SMESI
@@ -545,7 +417,7 @@ func BenchmarkStudy_Multiprogram(b *testing.B) {
 
 func BenchmarkFig10b_WAR_OoO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig10(workload.DerivO3CPU, 1)
+		rows, _ := experiments.Fig10(context.Background(), workload.DerivO3CPU, 1)
 		var sm float64
 		for _, r := range rows {
 			sm += r.SMESI
@@ -591,7 +463,7 @@ func benchCampaignFig7(b *testing.B, workers int) {
 	defer campaign.SetWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig7(0.05)
+		rows, _ := experiments.Fig7(context.Background(), 0.05)
 		if len(rows) != 23 {
 			b.Fatal("incomplete suite")
 		}

@@ -10,6 +10,13 @@
 //
 //	go test -bench=. -benchmem -count=6 -run='^$' . | bench2json > BENCH_2026-08-05.json
 //
+// Each record is stamped with the host it was measured on: CPU count,
+// the GOMAXPROCS the benchmarks ran at (the -N name suffix), CPU model,
+// Go version, and the git revision of the working directory. A number
+// means little without its host, so -diff warns when the baseline was
+// measured on a different one. Records written before the stamp existed
+// are plain JSON arrays of entries; both formats are read.
+//
 // With -diff it compares stdin against a committed baseline instead of
 // emitting JSON, printing per-benchmark ns/op deltas (`make benchdiff`).
 // Two gate flags make it a CI tripwire (`make bench-gate`): -ceiling
@@ -33,11 +40,15 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -51,13 +62,34 @@ type Entry struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
+// Host identifies the machine and code a record was measured on.
+type Host struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu,omitempty"`
+	GoVersion  string `json:"go_version"`
+	Revision   string `json:"revision,omitempty"`
+}
+
+// Record is one committed BENCH_*.json file. Host is nil for records
+// written before host stamping (bare arrays of entries).
+type Record struct {
+	Host       *Host    `json:"host,omitempty"`
+	Benchmarks []*Entry `json:"benchmarks"`
+}
+
 func main() {
 	diffPath := flag.String("diff", "", "compare against this baseline JSON instead of emitting JSON")
 	ceilings := flag.String("ceiling", "", "comma-separated name=ns/op budgets that fail the run when exceeded")
 	zeroAlloc := flag.String("zeroalloc", "", "regexp of benchmarks that must report 0 allocs/op")
 	flag.Parse()
 
-	entries, err := parse(bufio.NewScanner(os.Stdin))
+	raw, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench2json: %v\n", err)
+		os.Exit(1)
+	}
+	entries, err := parse(bufio.NewScanner(bytes.NewReader(raw)))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench2json: %v\n", err)
 		os.Exit(1)
@@ -73,14 +105,15 @@ func main() {
 	}
 
 	if *diffPath != "" {
-		if err := printDiff(os.Stdout, *diffPath, entries); err != nil {
+		if err := printDiff(os.Stdout, *diffPath, entries, hostOf(raw)); err != nil {
 			fmt.Fprintf(os.Stderr, "bench2json: %v\n", err)
 			os.Exit(1)
 		}
 	} else {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(entries); err != nil {
+		host := hostOf(raw)
+		if err := enc.Encode(Record{Host: &host, Benchmarks: entries}); err != nil {
 			fmt.Fprintf(os.Stderr, "bench2json: %v\n", err)
 			os.Exit(1)
 		}
@@ -144,18 +177,78 @@ func gate(entries []*Entry, ceilings, zeroAlloc string) []string {
 	return out
 }
 
+// hostOf stamps the current host. GOMAXPROCS is read from the
+// benchmark names' -N suffix (absent when it was 1), so it is the value
+// the benchmarks ran at rather than this process's; the CPU model comes
+// from `go test`'s "cpu:" header.
+func hostOf(raw []byte) Host {
+	h := Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: 1, GoVersion: runtime.Version()}
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			h.CPU = strings.TrimSpace(cpu)
+		}
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "Benchmark") {
+			if i := strings.LastIndexByte(name, '-'); i > 0 {
+				if n, err := strconv.Atoi(name[i+1:]); err == nil {
+					h.GOMAXPROCS = n
+				}
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		h.Revision = strings.TrimSpace(string(out))
+	}
+	return h
+}
+
+// readRecord loads a committed record in either format: the stamped
+// object or the legacy bare array.
+func readRecord(path string) (Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Record{}, err
+	}
+	var rec Record
+	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
+		err = json.Unmarshal(data, &rec.Benchmarks)
+	} else {
+		err = json.Unmarshal(data, &rec)
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, nil
+}
+
+// hostMismatch describes why two hosts' numbers are not comparable, or
+// returns "" when they match. The revision is expected to differ.
+func hostMismatch(base *Host, cur Host) string {
+	if base == nil {
+		return "baseline has no host stamp; it may have been measured on a different machine"
+	}
+	if base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS || base.CPU != cur.CPU || base.GoVersion != cur.GoVersion {
+		return fmt.Sprintf("hosts differ: baseline nproc=%d GOMAXPROCS=%d cpu=%q %s, this run nproc=%d GOMAXPROCS=%d cpu=%q %s",
+			base.NumCPU, base.GOMAXPROCS, base.CPU, base.GoVersion, cur.NumCPU, cur.GOMAXPROCS, cur.CPU, cur.GoVersion)
+	}
+	return ""
+}
+
 // printDiff renders per-benchmark ns/op deltas of entries vs the
-// baseline JSON, in the fresh run's order, then lists baseline
-// benchmarks that no longer exist.
-func printDiff(w *os.File, baselinePath string, entries []*Entry) error {
-	data, err := os.ReadFile(baselinePath)
+// baseline record, in the fresh run's order, then lists baseline
+// benchmarks that no longer exist. A host mismatch is printed first as
+// a warning: the deltas may then measure the machines, not the code.
+func printDiff(w io.Writer, baselinePath string, entries []*Entry, host Host) error {
+	rec, err := readRecord(baselinePath)
 	if err != nil {
 		return err
 	}
-	var baseline []*Entry
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
+	if msg := hostMismatch(rec.Host, host); msg != "" {
+		fmt.Fprintf(w, "WARNING: %s\n", msg)
 	}
+	baseline := rec.Benchmarks
 	base := make(map[string]*Entry, len(baseline))
 	for _, e := range baseline {
 		base[e.Name] = e

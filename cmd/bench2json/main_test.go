@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 const sample = `goos: linux
 goarch: amd64
 pkg: repro
+cpu: Test CPU @ 1.00GHz
 BenchmarkEngineEventThroughput-8   	68719476	        17.44 ns/op	       0 B/op	       0 allocs/op
 BenchmarkEngineEventThroughput-8   	68719476	        18.02 ns/op	       0 B/op	       0 allocs/op
 BenchmarkAccessMESI-8              	 1634336	       703.1 ns/op	       0 B/op	       0 allocs/op
@@ -88,7 +91,7 @@ func TestPrintDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := printDiff(f, baseline, entries); err != nil {
+	if err := printDiff(f, baseline, entries, hostOf([]byte(sample))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -97,9 +100,64 @@ func TestPrintDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := string(text)
-	for _, want := range []string{"-12.1%", "new", "removed", "BenchmarkGone", "BenchmarkEngineEventThroughput"} {
+	for _, want := range []string{"-12.1%", "new", "removed", "BenchmarkGone", "BenchmarkEngineEventThroughput",
+		"WARNING: baseline has no host stamp"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("diff output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+func TestHostOfReadsBenchmarkHeader(t *testing.T) {
+	h := hostOf([]byte(sample))
+	if h.GOMAXPROCS != 8 || h.CPU != "Test CPU @ 1.00GHz" || h.NumCPU < 1 || h.GoVersion == "" {
+		t.Fatalf("host = %+v, want GOMAXPROCS 8 from the -8 suffix and the cpu header", h)
+	}
+	if h := hostOf([]byte("BenchmarkX \t 10 \t 5 ns/op\n")); h.GOMAXPROCS != 1 {
+		t.Fatalf("no -N suffix means GOMAXPROCS 1, got %d", h.GOMAXPROCS)
+	}
+}
+
+// A stamped record round-trips through readRecord, legacy bare arrays
+// still read, and -diff warns only when the hosts differ.
+func TestRecordFormatsAndHostWarning(t *testing.T) {
+	entries, err := parse(bufio.NewScanner(strings.NewReader(sample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := hostOf([]byte(sample))
+	dir := t.TempDir()
+	stamped := dir + "/stamped.json"
+	data, err := json.Marshal(Record{Host: &host, Benchmarks: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stamped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readRecord(stamped)
+	if err != nil || rec.Host == nil || *rec.Host != host || len(rec.Benchmarks) != 3 {
+		t.Fatalf("stamped record = %+v, err %v", rec, err)
+	}
+	legacy, err := readRecord("../../BENCH_2026-08-05.json")
+	if err != nil || legacy.Host != nil || len(legacy.Benchmarks) == 0 {
+		t.Fatalf("legacy record: host %v, %d entries, err %v", legacy.Host, len(legacy.Benchmarks), err)
+	}
+
+	var out bytes.Buffer
+	if err := printDiff(&out, stamped, entries, host); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "WARNING") {
+		t.Fatalf("same host warned:\n%s", out.String())
+	}
+	other := host
+	other.NumCPU++
+	out.Reset()
+	if err := printDiff(&out, stamped, entries, other); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "WARNING: hosts differ") {
+		t.Fatalf("different host did not warn:\n%s", out.String())
 	}
 }

@@ -6,25 +6,24 @@
 // Usage:
 //
 //	swiftdir-attack [-bits n] [-trials n] [-secret text] [-policies a,b,...]
-//	                [-scale] [-shards n]
+//	                [-scale]
 //
 // -policies selects which protocols the exfiltration demo runs against
 // (any names coherence.PolicyByName resolves, e.g. Phase-Priority to show
 // that directory arbitration alone leaves the channel open). -scale
 // appends the machine-scaling study: the covert channel re-run on 16- and
 // 64-core mesh machines with a two-level directory, against both a naive
-// and a calibrating attacker. -shards shards each simulated machine's
-// event engine; every report is byte-identical at any value.
+// and a calibrating attacker.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -38,18 +37,9 @@ func main() {
 	policyList := flag.String("policies", "MESI,SwiftDir",
 		"comma-separated policies for the exfiltration demo")
 	scale := flag.Bool("scale", false, "append the covert-channel scaling study (mesh, two-level directory)")
-	shards := flag.Int("shards", 0, "event-engine shards per machine, 1..64 (0 = $SWIFTDIR_SHARDS, else 1)")
 	var pf prof.Flags
 	pf.Register(flag.CommandLine)
 	flag.Parse()
-
-	nshards, err := campaign.ResolveShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swiftdir-attack: %v\n", err)
-		os.Exit(2)
-	}
-	campaign.SetShards(nshards)
-	defer campaign.SetShards(0)
 
 	stopProf, err := pf.Start()
 	if err != nil {
@@ -72,7 +62,7 @@ func main() {
 		demoPolicies = append(demoPolicies, p)
 	}
 
-	_, _, report := experiments.Security(*bits, *trials)
+	_, _, report := experiments.Security(context.Background(), *bits, *trials)
 	fmt.Println(report)
 
 	// Bonus demo: exfiltrate an actual ASCII secret through the channel.

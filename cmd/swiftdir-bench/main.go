@@ -6,7 +6,7 @@
 //	               |fig7|fig8|fig9|fig10a|fig10b|ablation|traffic|futurework
 //	               |moesi|snoop|multiprogram|lru|prefetch|numa|kernels|sweep
 //	               |msi|overhead|arbitration|scale|scale-attack]
-//	               [-scale f] [-samples n] [-bits n] [-passes n] [-j n] [-shards n] [-out file]
+//	               [-scale f] [-samples n] [-bits n] [-passes n] [-j n] [-out file]
 //	swiftdir-bench -policy
 //
 // -exp also accepts a comma-separated list (e.g. -exp fig6,security);
@@ -29,17 +29,16 @@
 // accounting (wall time, busy time, speedup) goes to stderr so the
 // report stream stays deterministic.
 //
-// -shards shards each simulated machine's event engine (default: the
-// SWIFTDIR_SHARDS environment variable, else 1 — the sequential engine).
-// Reports are byte-identical at every shard count; the per-experiment
-// [shards] engine accounting goes to stderr. Shards compose with -j:
-// each concurrent job runs its own machine on that many shards.
+// A knob an experiment consumes must be positive: a selected experiment
+// that would read a zero-or-negative -scale, -samples, -bits or -passes
+// is a usage error (exit 2), the same rejection the server answers 400.
 //
 // An experiment that diverges (a simulation panic) is reported as FAILED
 // and the sweep continues; the exit status is then 1.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +51,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/proto"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 )
 
@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bits := fs.Int("bits", 1024, "covert-channel bits for security")
 	passes := fs.Int("passes", 4, "measured passes for fig10")
 	jobs := fs.Int("j", 0, "concurrent simulation jobs (0 = $SWIFTDIR_JOBS, else NumCPU)")
-	shards := fs.Int("shards", 0, "event-engine shards per machine, 1..64 (0 = $SWIFTDIR_SHARDS, else 1); reports are byte-identical at every value")
 	outPath := fs.String("out", "", "also append the report to this file")
 	listPolicies := fs.Bool("policy", false,
 		"list the selectable coherence policies with their transition-table sizes, then exit")
@@ -107,6 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// The flag knobs map onto registry Params; Normalize resolves the
+	// knobs each experiment ignores (kernels' working set, overhead's
+	// core count, fig9's sweep points keep their registry defaults, as
+	// they always have in this CLI). Validating through the cache key
+	// rejects exactly what the server rejects.
+	params := experiments.Params{Scale: *scale, Samples: *samples, Bits: *bits, Passes: *passes}
+	for _, name := range selected {
+		if _, err := resultcache.NewKey(name, params); err != nil {
+			fmt.Fprintf(stderr, "swiftdir-bench: %v\n", err)
+			fs.Usage()
+			return 2
+		}
+	}
 
 	stopProf, err := pf.Start()
 	if err != nil {
@@ -119,19 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	nshards, err := campaign.ResolveShards(*shards)
-	if err != nil {
-		fmt.Fprintf(stderr, "swiftdir-bench: %v\n", err)
-		fs.Usage()
-		return 2
-	}
 	campaign.SetWorkers(*jobs)
-	campaign.SetShards(nshards)
 	defer campaign.SetWorkers(0)
-	defer campaign.SetShards(0)
 	campaign.TakeSummaries() // start from a clean accounting slate
 	stats.TakeFastPaths()
-	stats.TakeShards()
 
 	var out io.Writer = stdout
 	if *outPath != "" {
@@ -144,15 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = io.MultiWriter(stdout, f)
 	}
 
-	// The flag knobs map onto registry Params; Normalize resolves the
-	// knobs each experiment ignores (kernels' working set, overhead's
-	// core count, fig9's sweep points keep their registry defaults, as
-	// they always have in this CLI).
-	params := experiments.Params{Scale: *scale, Samples: *samples, Bits: *bits, Passes: *passes}
-
 	var campaignTotal stats.CampaignSummary
 	var fpTotal stats.FastPathSummary
-	var shTotal stats.ShardSummary
 	totalStart := time.Now()
 	failed := 0
 	for _, name := range selected {
@@ -167,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					err = fmt.Errorf("%v", p)
 				}
 			}()
-			return e.Run(params), nil
+			return e.Run(context.Background(), params), nil
 		}()
 		if err != nil {
 			failed++
@@ -199,12 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fpTotal.Fast += fp.Fast
 			fpTotal.Slow += fp.Slow
 		}
-		// And the shard accounting: engine internals, stderr only, so
-		// stdout stays byte-identical at any -shards value.
-		if sh := stats.MergeShards(name, stats.TakeShards()); sh.Shards() > 0 {
-			fmt.Fprintln(stderr, sh.Footer())
-			shTotal = stats.MergeShards("all", []stats.ShardSummary{shTotal, sh})
-		}
 	}
 
 	if len(selected) > 1 && len(campaignTotal.Jobs) > 0 {
@@ -215,9 +205,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(selected) > 1 && fpTotal.Total() > 0 {
 		fpTotal.Label = "all"
 		fmt.Fprintln(stderr, fpTotal.Footer())
-	}
-	if len(selected) > 1 && shTotal.Shards() > 0 {
-		fmt.Fprintln(stderr, shTotal.Footer())
 	}
 	if failed > 0 {
 		return 1

@@ -123,3 +123,19 @@ func TestExperimentNamesAccepted(t *testing.T) {
 		}
 	}
 }
+
+// A non-positive knob is a usage error only for the experiments that
+// consume it, and nothing runs: the same rejection the server answers
+// with 400.
+func TestNonPositiveKnobIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "table5,fig6", "-samples", "-5"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-samples -5 on fig6: exit %d, want 2", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "samples must be positive") {
+		t.Errorf("stdout %q, stderr %q: want no report and the knob named", stdout.String(), stderr.String())
+	}
+	if out := report(t, "-exp", "table5", "-samples", "-5"); !strings.Contains(out, "Table V") {
+		t.Errorf("table5 ignores -samples but was not run:\n%s", out)
+	}
+}

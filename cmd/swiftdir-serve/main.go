@@ -8,7 +8,7 @@
 // Usage:
 //
 //	swiftdir-serve [-addr host:port] [-cachedir dir] [-cachemem n]
-//	               [-workers n] [-queue n] [-j n] [-shards n]
+//	               [-workers n] [-queue n] [-j n]
 //	               [-job-timeout d] [-bundledir dir]
 //
 // Quickstart:
@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 2, "batch worker pool size")
 	queue := fs.Int("queue", 64, "bounded job queue depth (back-pressure beyond it)")
 	jobs := fs.Int("j", 0, "concurrent simulation jobs per experiment (0 = $SWIFTDIR_JOBS, else NumCPU)")
-	shards := fs.Int("shards", 0, "event-engine shards per machine, 1..64 (0 = $SWIFTDIR_SHARDS, else 1)")
 	drainWait := fs.Duration("drainwait", 30*time.Second, "graceful-drain budget on SIGTERM (past it, in-flight jobs abort)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job compute deadline (0 = unbounded; timeout_ms in a spec overrides)")
 	bundleDir := fs.String("bundledir", "", "directory for crash bundles of diverging runs (empty = disabled)")
@@ -99,16 +98,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	nshards, err := campaign.ResolveShards(*shards)
-	if err != nil {
-		logf("%v", err)
-		fs.Usage()
-		return 2
-	}
 	campaign.SetWorkers(*jobs)
-	campaign.SetShards(nshards)
 	defer campaign.SetWorkers(0)
-	defer campaign.SetShards(0)
 
 	st := &stats.CacheStats{}
 	cache := resultcache.New(*cacheMem, *cacheDir, st, logf)

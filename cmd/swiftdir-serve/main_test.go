@@ -123,8 +123,8 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 func TestServeBadFlags(t *testing.T) {
-	if code := run(context.Background(), []string{"-shards", "999"}, io.Discard, io.Discard); code != 2 {
-		t.Errorf("bad -shards: code %d, want 2", code)
+	if code := run(context.Background(), []string{"-shards", "4"}, io.Discard, io.Discard); code != 2 {
+		t.Errorf("removed -shards flag: code %d, want 2", code)
 	}
 	if code := run(context.Background(), []string{"-nope"}, io.Discard, io.Discard); code != 2 {
 		t.Errorf("bad flag: code %d, want 2", code)

@@ -15,12 +15,6 @@
 // concurrent workers (default: $SWIFTDIR_JOBS, else runtime.NumCPU())
 // and print in list order regardless of completion order.
 //
-// -shards (default: $SWIFTDIR_SHARDS, else 1) shards each machine's
-// event engine for parallel simulation; reports are byte-identical at
-// every shard count, and the per-shard engine accounting prints to
-// stderr as a [shards] footer. Shards compose with -j: each concurrent
-// job runs its own machine on that many shards.
-//
 // -soak runs each benchmark under -plans deterministic fault plans
 // (plan 0 is the no-fault control) with the liveness watchdog armed and
 // asserts the architectural results are byte-identical across plans; a
@@ -31,7 +25,7 @@
 // cores) and draws from the scaled plan generator, which adds mesh
 // per-link delay spikes, pinned-link storms, and cluster-hub busy
 // windows to the flat machine's fault classes; bundles carry the scaled
-// topology and replay on it at any shard count.
+// topology and replay on it.
 package main
 
 import (
@@ -47,7 +41,6 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/prof"
 	"repro/internal/soak"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -63,7 +56,6 @@ func main() {
 	dumpConfig := flag.String("dumpconfig", "", "write the default machine configuration to this file and exit")
 	cores := flag.Int("cores", 4, "core count for -dumpconfig")
 	jobs := flag.Int("j", 0, "concurrent benchmark runs for a -bench list (0 = $SWIFTDIR_JOBS, else NumCPU)")
-	shards := flag.Int("shards", 0, "event-engine shards per machine, 1..64 (0 = $SWIFTDIR_SHARDS, else 1); results are byte-identical at every value")
 	verbose := flag.Bool("v", true, "print hierarchy statistics")
 	soakFlag := flag.Bool("soak", false, "fault-injection soak sweep over -bench (see package doc)")
 	soakScaled := flag.Bool("soakscaled", false, "run -soak on the scaled machine (mesh + two-level directory) with mesh/hub fault classes")
@@ -87,14 +79,6 @@ func main() {
 	}()
 
 	campaign.SetWorkers(*jobs)
-	nshards, err := campaign.ResolveShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swiftdir-sim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	campaign.SetShards(nshards)
-	stats.TakeShards() // start from a clean footer slate
 
 	if *list {
 		fmt.Println("SPEC CPU 2017 (single-threaded):")
@@ -160,7 +144,6 @@ func main() {
 		fmt.Printf("kernel       : %s (%d KB working set)\n", res.Benchmark, *kernelKB)
 		fmt.Printf("protocol     : %s on %s\n", res.Protocol, res.CPU)
 		fmt.Printf("instructions : %d in %d cycles (IPC %.4f)\n", res.Instrs, res.ExecCycles, res.IPC)
-		printShardFooters()
 		return
 	}
 
@@ -188,18 +171,8 @@ func main() {
 		}
 		fmt.Print(r)
 	}
-	// Shard accounting carries per-run engine internals, so it goes to
-	// stderr: stdout stays byte-identical at any -shards value.
-	printShardFooters()
 	if err != nil {
 		fatal("%v", err)
-	}
-}
-
-// printShardFooters drains the queued [shards] summaries to stderr.
-func printShardFooters() {
-	for _, s := range stats.TakeShards() {
-		fmt.Fprintln(os.Stderr, s.Footer())
 	}
 }
 
@@ -253,7 +226,6 @@ func runSoak(names []string, protoName string, kind workload.CPUKind,
 				name, len(plans), res.Outcomes[0].Result.MemImageHash)
 		}
 	}
-	printShardFooters()
 	if failed {
 		os.Exit(1)
 	}

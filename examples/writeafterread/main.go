@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 		for _, app := range workload.WARApps() {
 			var cycles []float64
 			for _, p := range []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SMESI} {
-				r, err := workload.RunWAR(app, p, kind, 3)
+				r, err := workload.RunWAR(context.Background(), app, p, kind, 3)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -94,70 +94,6 @@ func Workers() int {
 	return runtime.NumCPU()
 }
 
-// shardOverride holds the SetShards value; 0 means "automatic".
-var shardOverride atomic.Int64
-
-// SetShards pins the event-engine shard count sharding-aware runners
-// (workload.RunDetailed) default to (the CLIs' -shards flag). n <= 0
-// restores automatic resolution (SWIFTDIR_SHARDS, then 1). Shards
-// compose with workers: each of the -j concurrent jobs runs its own
-// machine on Shards() engine shards, so peak goroutine count is roughly
-// their product.
-func SetShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	shardOverride.Store(int64(n))
-}
-
-// Shards reports the shard count a sharding-aware runner would use right
-// now: the SetShards override, else a valid SWIFTDIR_SHARDS, else 1 (the
-// sequential engine).
-func Shards() int {
-	if v := shardOverride.Load(); v > 0 {
-		return int(v)
-	}
-	if n, err := shardsFromEnv(); err == nil && n > 0 {
-		return n
-	}
-	return 1
-}
-
-// shardsFromEnv parses SWIFTDIR_SHARDS; n == 0 means unset.
-func shardsFromEnv() (int, error) {
-	s := os.Getenv("SWIFTDIR_SHARDS")
-	if s == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 || n > 64 {
-		return 0, fmt.Errorf("campaign: SWIFTDIR_SHARDS=%q: want an integer in [1,64]", s)
-	}
-	return n, nil
-}
-
-// ResolveShards validates a CLI -shards value and resolves the effective
-// shard count: flag > 0 wins, flag == 0 falls back to SWIFTDIR_SHARDS,
-// else 1. Out-of-range values — from the flag or the environment — are
-// errors, so the CLIs can fail with usage instead of silently running
-// sequential.
-func ResolveShards(flag int) (int, error) {
-	if flag < 0 || flag > 64 {
-		return 0, fmt.Errorf("campaign: -shards %d out of range [1,64]", flag)
-	}
-	if flag > 0 {
-		return flag, nil
-	}
-	n, err := shardsFromEnv()
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n, nil
-}
-
 // Run executes jobs on a pool of the given size (workers <= 0 uses
 // Workers()) and returns one Result per job in submission order, plus
 // the campaign's timing summary. The summary is also queued for

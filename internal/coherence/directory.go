@@ -101,14 +101,12 @@ type BankStats struct {
 type bank struct {
 	id      int
 	sys     *System
-	engine  *sim.Engine  // home engine (the bank's shard when sharded)
+	engine  *sim.Engine
 	tab     *proto.Table // canonical transition relation (drives dispatch)
 	arr     *cache.Array
 	entries map[cache.Addr]*dirEntry
 	busy    map[cache.Addr]*txn
 	// image is this bank's slice of the shadow memory: blocks homed here.
-	// Partitioning the image per bank lets bank-local events read and write
-	// it from their own shard without synchronization.
 	image map[cache.Addr]uint64
 	// pinned counts in-flight grants (UpgradeAcks) per address. Such a
 	// grant carries no follow-up unblock, so no busy transaction covers
@@ -148,7 +146,7 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 	return &bank{
 		id:      id,
 		sys:     sys,
-		engine:  sys.engineForBank(id),
+		engine:  sys.Eng,
 		tab:     sys.table,
 		arr:     cache.NewArray(params),
 		entries: make(map[cache.Addr]*dirEntry, esz),
@@ -280,9 +278,9 @@ func (b *bank) sharerBit(src int) uint64 {
 	return bit(src)
 }
 
-// unpinNow releases one pin on addr immediately. Driver or barrier-replay
-// context only; mid-epoch releases go through System.unpin.
-func (b *bank) unpinNow(addr cache.Addr) {
+// unpin releases one pin on addr. Pins are taken when a pinned grant
+// leaves the bank and released when it lands at the destination L1.
+func (b *bank) unpin(addr cache.Addr) {
 	if b.pinned[addr]--; b.pinned[addr] <= 0 {
 		delete(b.pinned, addr)
 	}
@@ -294,7 +292,7 @@ func (b *bank) Handle(p sim.Payload) {
 	switch p.Op {
 	case opBankDispatch:
 		m := msgFromPayload(p)
-		b.sys.trace(b.engine, m, DirID)
+		b.sys.trace(m, DirID)
 		b.dispatch(m)
 		if b.sys.ObservePost != nil {
 			b.sys.ObservePost(m, DirID)
@@ -325,27 +323,21 @@ func (b *bank) Handle(p sim.Payload) {
 		p.Op = opHubInv
 		b.sys.net.SendEvent(b.sys.bankPort(b.id), b.sys.hubPort(c), b.sys.hubs[c], p)
 	case opBankDeliverPin:
-		// The crossbar delivered this to the destination L1's port, so when
-		// sharded it executes on that L1's engine, not the bank's; the pin
-		// release defers to the barrier replay mid-epoch (see System.unpin).
+		// The fabric delivered this to the destination L1's port.
 		m := msgFromPayload(p)
 		dst := int(p.Z)
-		e := b.sys.engineForL1(dst)
-		b.sys.unpin(e, b, m.Addr)
-		b.sys.trace(e, m, dst)
+		b.unpin(m.Addr)
+		b.sys.trace(m, dst)
 		b.sys.L1s[dst].Receive(m)
 		if b.sys.ObservePost != nil {
 			b.sys.ObservePost(m, dst)
 		}
 	case opBankFetchIssue:
-		// Runs as a global event (see fetchAndGrant): DRAM port state is
-		// shared across banks, so the access must observe globally ordered
-		// time. The install is global too — it may recall lines from any L1.
 		now := b.eng().Now()
 		done := b.sys.Mem.AccessAt(now, p.A, false)
 		p.Op = opBankInstall
 		p.B = 0 // stall cycles accumulated so far
-		b.eng().ScheduleGlobalEvent(done-now, b, p)
+		b.eng().ScheduleEvent(done-now, b, p)
 	case opBankInstall:
 		b.installAndGrant(cache.Addr(p.A), p.Z != 0, sim.Cycle(p.B))
 	default:
@@ -899,10 +891,8 @@ func (b *bank) fetchAndGrant(m Msg, store bool) {
 	if store {
 		p.Z = 1
 	}
-	// Global event: the fetch touches the shared DRAM model. The LLC tag
-	// latency is at least the lookahead when sharded (Validate enforces it),
-	// so issuing from a mid-epoch dispatch is always legal.
-	b.eng().ScheduleGlobalEvent(b.timing().LLCTag, b, p)
+	// The DRAM fetch issues after the LLC tag lookup.
+	b.eng().ScheduleEvent(b.timing().LLCTag, b, p)
 }
 
 // installAndGrant completes an LLC miss once DRAM has responded. A victim
@@ -936,10 +926,7 @@ func (b *bank) installAndGrant(addr cache.Addr, store bool, stalled sim.Cycle) {
 		if store {
 			p.Z = 1
 		}
-		// Installs run as global events (driver context), so the retry may
-		// use any delay: re-scheduling a global from the driver skips the
-		// lookahead constraint.
-		b.eng().ScheduleGlobalEvent(retry, b, p)
+		b.eng().ScheduleEvent(retry, b, p)
 		return
 	}
 	m := b.busy[addr].req

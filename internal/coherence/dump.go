@@ -95,22 +95,8 @@ func (s *System) DumpState() string {
 		}
 		sb.WriteByte('\n')
 	}
-	if s.sh == nil {
-		fmt.Fprintf(&sb, "-- pending events (%d, execution order) --\n", s.Eng.Pending())
-		s.Eng.ForEachPending(renderEvent)
-	} else {
-		// Merged global execution order — (cycle, key) across every shard
-		// queue, the cross-shard merge buffers, and the global queue. In
-		// stepping mode every key is exact and the clocks are lockstep, so
-		// these bytes are identical to the sequential branch above: a crash
-		// bundle recorded at any shard count replays byte-for-byte at any
-		// other.
-		now := s.sh.Now()
-		fmt.Fprintf(&sb, "-- pending events (%d, execution order) --\n", s.sh.PendingAll())
-		s.sh.ForEachPendingMerged(func(when sim.Cycle, h sim.Handler, p sim.Payload, isClosure bool) {
-			renderEvent(when-now, h, p, isClosure)
-		})
-	}
+	fmt.Fprintf(&sb, "-- pending events (%d, execution order) --\n", s.Eng.Pending())
+	s.Eng.ForEachPending(renderEvent)
 
 	sb.WriteString("-- directory transient transactions --\n")
 	s.ForEachBusy(func(bank int, addr cache.Addr, v TxnView) {
@@ -149,24 +135,6 @@ func (s *System) DumpState() string {
 	for i := start; i < s.msgPos; i++ {
 		sb.WriteString(s.lastMsgs[i&(msgTailN-1)].String())
 		sb.WriteByte('\n')
-	}
-	// Messages delivered inside parallel epochs land in per-shard rings
-	// (diagnostic-only; see traceShard). Render any that exist so a
-	// watchdog trip mid-epoch still shows the freshest traffic.
-	for si := range s.shardTrace {
-		ts := &s.shardTrace[si]
-		if ts.msgPos == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "-- shard %d recent messages (oldest first) --\n", si)
-		start := uint64(0)
-		if ts.msgPos > msgTailN {
-			start = ts.msgPos - msgTailN
-		}
-		for i := start; i < ts.msgPos; i++ {
-			sb.WriteString(ts.lastMsgs[i&(msgTailN-1)].String())
-			sb.WriteByte('\n')
-		}
 	}
 	return sb.String()
 }

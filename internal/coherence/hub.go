@@ -72,7 +72,7 @@ func newHub(id int, sys *System) *hub {
 	h := &hub{
 		id:      id,
 		sys:     sys,
-		engine:  sys.engineForHub(id),
+		engine:  sys.Eng,
 		record:  make(map[cache.Addr]uint64, 256),
 		pending: make(map[cache.Addr]int, 16),
 		upReqs:  make(map[cache.Addr]int, 32),

@@ -191,7 +191,7 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 	return &L1{
 		ID:        id,
 		sys:       sys,
-		eng:       sys.engineForL1(id),
+		eng:       sys.Eng,
 		timing:    sys.Timing,
 		policy:    sys.Policy,
 		tab:       sys.table,
@@ -281,7 +281,7 @@ func (l *L1) Handle(p sim.Payload) {
 	switch p.Op {
 	case opL1Recv:
 		m := msgFromPayload(p)
-		l.sys.trace(l.eng, m, l.ID)
+		l.sys.trace(m, l.ID)
 		l.Receive(m)
 		if l.sys.ObservePost != nil {
 			l.sys.ObservePost(m, l.ID)

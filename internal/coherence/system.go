@@ -60,8 +60,7 @@ type SystemConfig struct {
 	// MeshW, MeshH are the mesh dimensions (required for Topology
 	// "mesh"). MeshPerHop adds latency per inter-router hop, and
 	// MeshLinkOccupancy serializes messages per directed link (the
-	// congestion model; 0 keeps the mesh pure-latency and routable onto
-	// a sharded engine). MeshRouterOf optionally pins each fabric port
+	// congestion model; 0 keeps the mesh pure-latency). MeshRouterOf optionally pins each fabric port
 	// (L1s, then banks, then cluster hubs) to a router; when nil, L1s,
 	// banks, and hubs spread evenly in index order.
 	MeshW, MeshH      int
@@ -84,23 +83,7 @@ type SystemConfig struct {
 	// NoFastPath disables the synchronous hit fast path, forcing every
 	// access through the event engine. The fast path is byte-identical by
 	// construction; the knob exists so equivalence tests can prove it.
-	// Parallel epochs additionally require it (see ParallelSafe): the fast
-	// path reads bank occupancy from the submitting core's shard.
 	NoFastPath bool
-
-	// Shards selects the event-engine layout: 0 or 1 builds the system on
-	// one sequential engine (the default, byte-identical baseline); N > 1
-	// builds it on a sharded engine with lookahead Timing.Hop, the
-	// crossbar's minimum cross-shard interaction latency. Results are
-	// byte-identical for every N — sharding changes wall-clock time only.
-	Shards int
-
-	// ShardOfL1 optionally pins each L1 controller to a shard (len NumL1,
-	// values in [0, Shards)). The core layer uses it to keep a core's data
-	// and instruction L1s on the core's shard; when nil, L1 i maps to
-	// shard i*Shards/NumL1. Banks always map bank b to shard
-	// b*Shards/Banks. Ignored unless Shards > 1.
-	ShardOfL1 []int
 
 	// Faults, if non-nil, threads the fault injector through the timing
 	// layers: extra crossbar occupancy per message (or, on a mesh, extra
@@ -150,9 +133,6 @@ func (c SystemConfig) Validate() error {
 		if c.Timing.SocketCores > 0 || c.Timing.JitterMax > 0 || c.Timing.LinkOccupancy > 0 {
 			return fmt.Errorf("coherence: mesh topology is incompatible with crossbar occupancy, jitter, and socket distance (use MeshLinkOccupancy)")
 		}
-		if c.Shards > 1 && c.MeshLinkOccupancy > 0 {
-			return fmt.Errorf("coherence: a link-occupancy mesh cannot be sharded (per-link FIFO state is engine-global)")
-		}
 	default:
 		return fmt.Errorf("coherence: unknown topology %q", c.Topology)
 	}
@@ -171,30 +151,6 @@ func (c SystemConfig) Validate() error {
 	if c.L1Params.BlockSize != c.LLCParams.BlockSize {
 		return fmt.Errorf("coherence: L1/LLC block size mismatch %d != %d",
 			c.L1Params.BlockSize, c.LLCParams.BlockSize)
-	}
-	if c.Shards < 0 || c.Shards > 64 {
-		return fmt.Errorf("coherence: shard count %d out of range [0,64]", c.Shards)
-	}
-	if c.Shards > 1 {
-		if c.Timing.Hop < 1 {
-			return fmt.Errorf("coherence: sharding requires a nonzero hop latency (the lookahead), got %d", c.Timing.Hop)
-		}
-		if c.Timing.LLCTag < c.Timing.Hop {
-			// Mid-epoch dispatches issue DRAM fetches as global events after
-			// the LLC tag latency; the lookahead bound requires it to be at
-			// least the hop latency.
-			return fmt.Errorf("coherence: sharding requires LLCTag >= Hop (%d < %d)", c.Timing.LLCTag, c.Timing.Hop)
-		}
-		if c.ShardOfL1 != nil {
-			if len(c.ShardOfL1) != c.NumL1 {
-				return fmt.Errorf("coherence: ShardOfL1 has %d entries for %d L1s", len(c.ShardOfL1), c.NumL1)
-			}
-			for i, sh := range c.ShardOfL1 {
-				if sh < 0 || sh >= c.Shards {
-					return fmt.Errorf("coherence: ShardOfL1[%d] = %d out of range [0,%d)", i, sh, c.Shards)
-				}
-			}
-		}
 	}
 	return c.DRAM.Validate()
 }
@@ -224,18 +180,6 @@ type System struct {
 	hubs      []*hub
 	localsPer int
 	twoLevel  bool
-
-	// Sharded-engine state: sh is the sharded driver (nil on one engine),
-	// shardOfL1/shardOfBank/shardOfHub the component-to-shard maps, routed
-	// whether the fabric delivers through the shard Route hook
-	// (pure-latency networks only), shardTrace the per-shard message
-	// accounting used inside parallel epochs.
-	sh          *sim.Sharded
-	shardOfL1   []int
-	shardOfBank []int
-	shardOfHub  []int
-	routed      bool
-	shardTrace  []traceShard
 
 	// lastMsgs is a fixed ring of the most recently delivered coherence
 	// messages; DumpState renders it as the transaction transcript tail of
@@ -282,6 +226,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	s := &System{
+		Eng:    sim.NewEngine(),
 		Timing: cfg.Timing,
 		Policy: cfg.Policy,
 		Mem:    dram.New(cfg.DRAM),
@@ -316,52 +261,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			}
 		}
 	}
-	if cfg.Shards > 1 {
-		// Sharded layout: one engine per shard. Shard 0's engine doubles as
-		// s.Eng, the driver-context handle every synchronous caller uses.
-		s.shardOfL1 = make([]int, cfg.NumL1)
-		for i := range s.shardOfL1 {
-			if cfg.ShardOfL1 != nil {
-				s.shardOfL1[i] = cfg.ShardOfL1[i]
-			} else {
-				s.shardOfL1[i] = i * cfg.Shards / cfg.NumL1
-			}
-		}
-		s.shardOfBank = make([]int, cfg.Banks)
-		for b := range s.shardOfBank {
-			s.shardOfBank[b] = b * cfg.Shards / cfg.Banks
-		}
-		s.shardOfHub = make([]int, numHubs)
-		for c := range s.shardOfHub {
-			// A hub lives on its cluster's shard: with the default
-			// cluster-contiguous L1 map the whole cluster plus its hub
-			// share one shard and intra-cluster traffic never crosses.
-			s.shardOfHub[c] = s.shardOfL1[c*s.localsPer]
-		}
-		// The lookahead is the fabric's minimum cross-shard latency: the
-		// crossbar's hop latency, or on a mesh the smallest distance-
-		// dependent latency between ports on different shards — clamped to
-		// LLCTag, because mid-epoch dispatches issue DRAM fetches as global
-		// events after the LLC tag latency (see fetchAndGrant).
-		la := cfg.Timing.Hop
-		if mesh && cfg.MeshPerHop > 0 {
-			la = meshCrossShardLookahead(cfg, routerOf, func(port int) int {
-				if port < cfg.NumL1 {
-					return s.shardOfL1[port]
-				}
-				if b := port - cfg.NumL1; b < cfg.Banks {
-					return s.shardOfBank[b]
-				}
-				return s.shardOfHub[port-cfg.NumL1-cfg.Banks]
-			})
-		}
-		s.sh = sim.NewSharded(cfg.Shards, la)
-		s.Eng = s.sh.Shard(0)
-		s.sh.OnReplayOp(s.applySideOp)
-		s.shardTrace = make([]traceShard, cfg.Shards)
-	} else {
-		s.Eng = sim.NewEngine()
-	}
 	s.table = tableForPolicy(cfg.Policy)
 	if mesh {
 		mcfg := interconnect.MeshConfig{
@@ -377,26 +276,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			// Mesh fault wiring mirrors the crossbar branch below: the
 			// per-directed-link hook replaces the crossbar's per-message
 			// Extra, and the DRAM/bank/hub hooks are topology-independent.
-			// A non-nil LinkExtra disqualifies the Route fast path, so a
-			// faulted mesh always runs sequential stepping and the
-			// injector's draw order is the global message order.
 			s.faults = cfg.Faults
 			mcfg.LinkExtra = cfg.Faults.MeshDelay
 			s.Mem.Extra = cfg.Faults.DRAMDelay
 			cfg.Faults.Attach(s.Eng)
 			cfg.Faults.Diagnose = s.DumpState
-		}
-		if s.sh != nil && mcfg.LinkOccupancy == 0 && mcfg.LinkExtra == nil {
-			// Pure-latency mesh on a sharded engine: deliver each message
-			// directly onto the destination's home shard with its full
-			// distance-dependent latency. Every latency is at least the hop
-			// latency and every cross-shard latency at least the lookahead
-			// (which was derived from the cross-shard minimum), so mid-epoch
-			// sends are always legal.
-			s.routed = true
-			mcfg.Route = func(src, dst int, lat sim.Cycle, h sim.Handler, p sim.Payload) {
-				s.portEngine(src).SendRemote(s.shardOfPort(dst), lat, h, p)
-			}
 		}
 		net, err := interconnect.NewMesh(s.Eng, mcfg)
 		if err != nil {
@@ -426,19 +310,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			cfg.Faults.Attach(s.Eng)
 			cfg.Faults.Diagnose = s.DumpState
 		}
-		if s.sh != nil && xcfg.Occupancy == 0 && xcfg.JitterMax == 0 && xcfg.Distance == nil && xcfg.Extra == nil {
-			// Pure-latency crossbar on a sharded engine: deliver each message
-			// directly onto the destination's home shard. The delivery latency is
-			// the hop latency — exactly the lookahead — so mid-epoch cross-shard
-			// sends are always legal. Port-time features (occupancy, jitter,
-			// NUMA distance, fault extra) serialize through shared bookkeeping and
-			// keep the closure-free default path; those systems still run sharded,
-			// but only in sequential-stepping mode (see ParallelSafe).
-			s.routed = true
-			xcfg.Route = func(src, dst int, lat sim.Cycle, h sim.Handler, p sim.Payload) {
-				s.portEngine(src).SendRemote(s.shardOfPort(dst), lat, h, p)
-			}
-		}
 		xbar, err := interconnect.New(s.Eng, xcfg)
 		if err != nil {
 			return nil, err
@@ -457,35 +328,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		s.L1s = append(s.L1s, l1)
 	}
 	return s, nil
-}
-
-// meshCrossShardLookahead returns the minimum mesh latency between ports
-// living on different shards, clamped to LLCTag (Validate guarantees
-// LLCTag >= Hop when sharded, so the result is always at least Hop).
-func meshCrossShardLookahead(cfg SystemConfig, routerOf []int, shardOf func(int) int) sim.Cycle {
-	la := cfg.Timing.LLCTag
-	w := cfg.MeshW
-	for a := range routerOf {
-		for b := range routerOf {
-			if shardOf(a) == shardOf(b) {
-				continue
-			}
-			ax, ay := routerOf[a]%w, routerOf[a]/w
-			bx, by := routerOf[b]%w, routerOf[b]/w
-			dx, dy := ax-bx, ay-by
-			if dx < 0 {
-				dx = -dx
-			}
-			if dy < 0 {
-				dy = -dy
-			}
-			lat := cfg.Timing.Hop + cfg.MeshPerHop*sim.Cycle(dx+dy)
-			if lat < la {
-				la = lat
-			}
-		}
-	}
-	return la
 }
 
 // MustNewSystem is NewSystem for static configurations.
@@ -538,9 +380,7 @@ func initialToken(addr cache.Addr) uint64 {
 }
 
 // memRead and memWrite access the shadow memory image. The image is
-// partitioned per bank (a block's image entry lives with its home bank),
-// so bank-local events may touch it from their own shard without
-// synchronization: no two banks ever map the same block.
+// partitioned per bank: a block's image entry lives with its home bank.
 func (s *System) memRead(addr cache.Addr) uint64 {
 	if v, ok := s.bankFor(addr).image[addr]; ok {
 		return v
@@ -550,179 +390,9 @@ func (s *System) memRead(addr cache.Addr) uint64 {
 
 func (s *System) memWrite(addr cache.Addr, v uint64) { s.bankFor(addr).image[addr] = v }
 
-// --- shard facade ---------------------------------------------------------
-//
-// Every synchronous driver (AccessSync, Quiesce, the workload layer)
-// funnels through these. On one engine they are the plain Engine calls; on
-// a sharded engine they step the shards in exact sequential order, which
-// preserves the precise stop cycles the synchronous API promises. Parallel
-// epochs are reserved for the paths that can tolerate barrier-granular
-// stopping (cpu.Run) and satisfy ParallelSafe.
-
-// shardOfPort maps a fabric port (L1s first, then banks, then hubs) to its
-// home shard. Only meaningful when sharded.
-func (s *System) shardOfPort(port int) int {
-	if port < s.numL1 {
-		return s.shardOfL1[port]
-	}
-	if b := port - s.numL1; b < len(s.shardOfBank) {
-		return s.shardOfBank[b]
-	}
-	return s.shardOfHub[port-s.numL1-len(s.shardOfBank)]
-}
-
-// portEngine returns the engine hosting a crossbar port's component.
-func (s *System) portEngine(port int) *sim.Engine {
-	if s.sh == nil {
-		return s.Eng
-	}
-	return s.sh.Shard(s.shardOfPort(port))
-}
-
-// engineForL1 returns the engine L1 id is wired to.
-func (s *System) engineForL1(id int) *sim.Engine {
-	if s.sh == nil {
-		return s.Eng
-	}
-	return s.sh.Shard(s.shardOfL1[id])
-}
-
-// engineForBank returns the engine bank id is wired to.
-func (s *System) engineForBank(id int) *sim.Engine {
-	if s.sh == nil {
-		return s.Eng
-	}
-	return s.sh.Shard(s.shardOfBank[id])
-}
-
-// engineForHub returns the engine cluster hub c is wired to.
-func (s *System) engineForHub(c int) *sim.Engine {
-	if s.sh == nil {
-		return s.Eng
-	}
-	return s.sh.Shard(s.shardOfHub[c])
-}
-
-// EngineForL1 exposes an L1's home engine for the core layer, which must
-// schedule a core's events (translations, submissions) on the core's own
-// shard so parallel epochs stay legal.
-func (s *System) EngineForL1(id int) *sim.Engine { return s.engineForL1(id) }
-
-// ShardedEngine returns the sharded driver, or nil when the system runs on
-// one sequential engine.
-func (s *System) ShardedEngine() *sim.Sharded { return s.sh }
-
-// ExecutedEvents returns the total executed events across all of the
-// system's engines (plus driver-run globals when sharded) — the population
-// the sequential engine's Executed counts.
-func (s *System) ExecutedEvents() uint64 {
-	if s.sh == nil {
-		return s.Eng.Executed()
-	}
-	return s.sh.Executed()
-}
-
-// ParallelSafe reports whether parallel epochs may run: a sharded system
-// with a routed (pure-latency) crossbar, the fast path disabled (it reads
-// bank occupancy from the submitting core's shard), no fault injector
-// (injectors mutate shared plan state per message), and no observation
-// hooks (hooks see messages in delivery order, which mid-epoch is
-// per-shard, not global). Everything else runs sequential-stepping —
-// byte-identical by construction, just not concurrent.
-func (s *System) ParallelSafe() bool {
-	return s.sh != nil && s.routed && s.noFast && s.faults == nil &&
-		s.Record == nil && s.Observe == nil && s.ObserveCPU == nil &&
-		s.ObservePost == nil && s.ObserveCPUPost == nil && s.tracer == nil
-}
-
-// pendingAll reports queued events across the whole system.
-func (s *System) pendingAll() int {
-	if s.sh == nil {
-		return s.Eng.Pending()
-	}
-	return s.sh.Pending()
-}
-
-// runWhile executes events in exact sequential order while cond holds.
-func (s *System) runWhile(cond func() bool) {
-	if s.sh == nil {
-		s.Eng.RunWhile(cond)
-		return
-	}
-	s.sh.StepWhile(cond)
-}
-
-// runTo executes events at or before t and advances every clock to t.
-func (s *System) runTo(t sim.Cycle) {
-	if s.sh == nil {
-		s.Eng.RunTo(t)
-		return
-	}
-	s.sh.StepTo(t)
-}
-
-// RunWhile executes events in exact sequential order while cond holds —
-// the exported synchronous driver the core layer's probe paths use.
-func (s *System) RunWhile(cond func() bool) { s.runWhile(cond) }
-
-// RunTo executes events at or before t and advances every clock to t.
-func (s *System) RunTo(t sim.Cycle) { s.runTo(t) }
-
-// PendingAll reports queued events across the whole system.
-func (s *System) PendingAll() int { return s.pendingAll() }
-
-// ArmWatchdog arms the liveness watchdog: per-engine on one engine;
-// per-shard plus a barrier-time global quiescence check when sharded, so a
-// single wedged shard trips with every shard's pending dump.
-func (s *System) ArmWatchdog(cfg sim.WatchdogConfig, trip func(sim.TripInfo)) {
-	if s.sh != nil {
-		s.sh.ArmWatchdog(cfg, trip)
-		return
-	}
-	s.Eng.ArmWatchdog(cfg, trip)
-}
-
-// ArmCancel arms a cooperative cancellation token on every engine the
-// system drives: once the token fires, the next executed event aborts the
-// run through trip, which receives the same merged pending dump a
-// watchdog trip would.
-func (s *System) ArmCancel(c *sim.Cancel, trip func(sim.CancelInfo)) {
-	if s.sh != nil {
-		s.sh.ArmCancel(c, trip)
-		return
-	}
-	s.Eng.ArmCancel(c, trip)
-}
-
-// sideUnpin is the DeferOp opcode for a deferred pin release (see unpin).
-const sideUnpin uint8 = 1
-
-// applySideOp replays deferred order-dependent shared-state operations in
-// merge order — the sequential call sequence. Installed as the Sharded
-// engine's OnReplayOp hook.
-func (s *System) applySideOp(now sim.Cycle, a, b uint64, op uint8) {
-	switch op {
-	case sideUnpin:
-		s.banks[b].unpinNow(cache.Addr(a))
-	default:
-		panic(fmt.Sprintf("coherence: unknown side op %d", op))
-	}
-}
-
-// unpin releases one pin on addr at bank bk. Pins are taken by the bank
-// (bank-local) but released when the pinned grant lands at the destination
-// L1 — on the L1's shard when sharded. The release itself is
-// fire-and-forget for the L1 but order-dependent for the bank (victim
-// selection reads pin counts), so mid-epoch it defers to the barrier
-// replay; banks only read pin counts at driver time (global install
-// events, crash dumps), which runs after the replay.
-func (s *System) unpin(e *sim.Engine, bk *bank, addr cache.Addr) {
-	if e.InEpoch() {
-		e.DeferOp(uint64(addr), uint64(bk.id), sideUnpin)
-		return
-	}
-	bk.unpinNow(addr)
-}
+// ExecutedEvents returns the total number of events the system's engine
+// has executed.
+func (s *System) ExecutedEvents() uint64 { return s.Eng.Executed() }
 
 // Submit hands an access to port's L1. Completion is reported through
 // a.Done and the system Record hook as the simulation advances.
@@ -773,10 +443,10 @@ func (s *System) Handle(p sim.Payload) {
 // and the protocol tests use.
 func (s *System) AccessSync(port int, addr cache.Addr, write bool, wp bool, value uint64) AccessResult {
 	if r, ok := s.TryFastAccess(port, Access{Addr: addr, Write: write, WP: wp, Value: value}); ok {
-		if s.pendingAll() == 0 {
+		if s.Eng.Pending() == 0 {
 			// Nothing else in flight: skip the event engine entirely and
 			// advance the clock to the completion time.
-			s.runTo(s.Eng.Now() + r.Latency)
+			s.Eng.RunTo(s.Eng.Now() + r.Latency)
 			return r
 		}
 		// In-flight background work (writeback tails, queued wakeups):
@@ -788,7 +458,7 @@ func (s *System) AccessSync(port int, addr cache.Addr, write bool, wp bool, valu
 			s.fpCond = func() bool { return !s.fpDone }
 		}
 		s.Eng.ScheduleEvent(r.Latency, s, sim.Payload{Op: sysOpFastDone})
-		s.runWhile(s.fpCond)
+		s.Eng.RunWhile(s.fpCond)
 		return r
 	}
 	var out AccessResult
@@ -797,27 +467,15 @@ func (s *System) AccessSync(port int, addr cache.Addr, write bool, wp bool, valu
 		Addr: addr, Write: write, WP: wp, Value: value,
 		Done: func(r AccessResult) { out = r; done = true },
 	})
-	s.runWhile(func() bool { return !done })
+	s.Eng.RunWhile(func() bool { return !done })
 	if !done {
 		panic("coherence: access did not complete (event queue drained)")
 	}
 	return out
 }
 
-// Quiesce drains all in-flight activity. On a sharded system it runs
-// parallel epochs when ParallelSafe, falling back to sequential stepping
-// otherwise — both byte-identical to the one-engine drain.
-func (s *System) Quiesce() {
-	if s.sh == nil {
-		s.Eng.Run()
-		return
-	}
-	if s.ParallelSafe() {
-		s.sh.Run()
-		return
-	}
-	s.sh.StepWhile(func() bool { return true })
-}
+// Quiesce drains all in-flight activity.
+func (s *System) Quiesce() { s.Eng.Run() }
 
 // FastPathTotals sums the fast/slow access split over all L1 controllers.
 func (s *System) FastPathTotals() (fast, slow uint64) {

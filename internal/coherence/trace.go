@@ -110,62 +110,29 @@ func (s *System) AttachTracer() *Tracer {
 // DetachTracer stops recording.
 func (s *System) DetachTracer() { s.tracer = nil }
 
-// traceShard is the per-shard message accounting used inside parallel
-// epochs, where workers cannot touch the global counters concurrently.
-// Counts are commutative sums, so the per-kind totals a report reads are
-// byte-identical to the sequential run; the per-shard message rings are
-// diagnostic-only (merged best-effort into crash dumps).
-type traceShard struct {
-	msgCounts [MsgDataFromOwner + 1]uint64
-	lastMsgs  [msgTailN]TraceEvent
-	msgPos    uint64
-}
-
-// trace records a delivered coherence message. e is the engine the
-// delivery executed on: in driver context (sequential, stepping, global
-// events) the global counters, message ring, and hooks advance exactly as
-// they always have; inside a parallel epoch the accounting lands in the
-// executing shard's private buffers (hooks are nil whenever parallel
-// epochs run — see ParallelSafe).
-func (s *System) trace(e *sim.Engine, m Msg, dst int) {
-	if e.InEpoch() {
-		ts := &s.shardTrace[e.ShardID()]
-		ts.msgCounts[m.Kind]++
-		ts.lastMsgs[ts.msgPos&(msgTailN-1)] = TraceEvent{When: e.Now(), Msg: m, Dst: dst}
-		ts.msgPos++
-		return
-	}
+// trace records a delivered coherence message at the current cycle.
+func (s *System) trace(m Msg, dst int) {
+	now := s.Eng.Now()
 	s.msgCounts[m.Kind]++
-	s.lastMsgs[s.msgPos&(msgTailN-1)] = TraceEvent{When: e.Now(), Msg: m, Dst: dst}
+	s.lastMsgs[s.msgPos&(msgTailN-1)] = TraceEvent{When: now, Msg: m, Dst: dst}
 	s.msgPos++
 	if s.Observe != nil {
 		s.Observe(m, dst)
 	}
 	if s.tracer != nil {
-		s.tracer.Events = append(s.tracer.Events, TraceEvent{When: e.Now(), Msg: m, Dst: dst})
+		s.tracer.Events = append(s.tracer.Events, TraceEvent{When: now, Msg: m, Dst: dst})
 	}
 }
 
 // MsgCount returns how many messages of kind have been delivered since
 // construction (coherence traffic accounting).
-func (s *System) MsgCount(kind MsgKind) uint64 {
-	n := s.msgCounts[kind]
-	for i := range s.shardTrace {
-		n += s.shardTrace[i].msgCounts[kind]
-	}
-	return n
-}
+func (s *System) MsgCount(kind MsgKind) uint64 { return s.msgCounts[kind] }
 
 // TotalMessages returns the total delivered coherence messages.
 func (s *System) TotalMessages() uint64 {
 	var n uint64
 	for _, c := range s.msgCounts {
 		n += c
-	}
-	for i := range s.shardTrace {
-		for _, c := range s.shardTrace[i].msgCounts {
-			n += c
-		}
 	}
 	return n
 }

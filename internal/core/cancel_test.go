@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/fault"
@@ -24,7 +27,7 @@ func cancelWorkload(m *Machine) {
 	m.Quiesce()
 }
 
-// A token fired mid-run must abort the machine as a typed KindCancelled
+// A context cancelled mid-run must abort the machine as a typed KindCancelled
 // violation with the full diagnostic, having executed strictly fewer
 // events than the identical uncancelled run — the cancellation analogue
 // of the watchdog's liveness trip.
@@ -38,12 +41,20 @@ func TestMachineCancelAbortsMidRun(t *testing.T) {
 		t.Fatalf("empty control run: %d events, %d cycles", total, horizon)
 	}
 
-	// Identical machine with a token that fires mid-run.
-	tok := sim.NewCancel()
+	// Identical machine whose context is cancelled mid-run. The context
+	// fires the machine's token from its own goroutine; the event waits
+	// for it so the abort lands at a deterministic point.
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
 	cfg := DefaultConfig(1, coherence.SwiftDir)
-	cfg.Cancel = tok
+	cfg.Context = ctx
 	m := MustNewMachine(cfg)
-	m.Engine().Schedule(sim.Cycle(horizon/2), func() { tok.Request("client went away") })
+	m.Engine().Schedule(sim.Cycle(horizon/2), func() {
+		cancel(errors.New("client went away"))
+		for deadline := time.Now().Add(10 * time.Second); !m.cancel.Requested() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	})
 
 	var recovered any
 	func() {
@@ -71,25 +82,37 @@ func TestMachineCancelAbortsMidRun(t *testing.T) {
 	}
 }
 
-// A machine built with no token must run the same workload to completion
-// with nothing armed — cancellation is strictly opt-in.
+// A machine built with no context, or one that can never be cancelled,
+// must run the same workload to completion with nothing armed —
+// cancellation is strictly opt-in.
 func TestMachineCancelAbsentByDefault(t *testing.T) {
 	m := MustNewMachine(DefaultConfig(1, coherence.MESI))
+	cfg := DefaultConfig(1, coherence.MESI)
+	cfg.Context = context.Background()
+	bg := MustNewMachine(cfg)
+	if m.cancel != nil || bg.cancel != nil {
+		t.Fatal("a nil or background context armed a cancel token")
+	}
 	cancelWorkload(m)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// An unfired token must be free: the armed run executes the exact same
-// event count as the unarmed control.
+// A cancellable context that never fires must be free: the armed run
+// executes the exact same event count as the unarmed control.
 func TestMachineCancelUnfiredIsByteIdentical(t *testing.T) {
 	ctrl := MustNewMachine(DefaultConfig(1, coherence.MESI))
 	cancelWorkload(ctrl)
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	cfg := DefaultConfig(1, coherence.MESI)
-	cfg.Cancel = sim.NewCancel()
+	cfg.Context = ctx
 	m := MustNewMachine(cfg)
+	if m.cancel == nil {
+		t.Fatal("a cancellable context did not arm the machine")
+	}
 	cancelWorkload(m)
 
 	if m.Sys.ExecutedEvents() != ctrl.Sys.ExecutedEvents() || m.Now() != ctrl.Now() {

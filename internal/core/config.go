@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -88,8 +89,7 @@ type Config struct {
 
 	// MeshPerHop is the per-link latency added on top of Timing.Hop per
 	// Manhattan hop; MeshLinkOccupancy serializes each link at the given
-	// cycles per message (0 = infinite link bandwidth; incompatible with
-	// Shards > 1).
+	// cycles per message (0 = infinite link bandwidth).
 	MeshPerHop        sim.Cycle
 	MeshLinkOccupancy sim.Cycle
 
@@ -111,23 +111,6 @@ type Config struct {
 	// fast-vs-slow equivalence tests.
 	NoFastPath bool
 
-	// Shards selects the event-engine layout (DESIGN.md §5 "Parallel
-	// discrete-event simulation"): 0 or 1 runs the machine on one
-	// sequential engine; N > 1 shards the engines per core cluster, with
-	// each core's D- and I-cache controllers pinned to the core's shard.
-	// Results are byte-identical for every value — sharding changes
-	// wall-clock simulation time only.
-	Shards int
-
-	// Prefault makes the workload runners fault in every mapped page
-	// before the measured region (Machine.Prefault), removing page-fault
-	// servicing from the timings and freezing the page tables. Combined
-	// with Shards > 1 and NoFastPath it unlocks parallel epochs
-	// (Machine.CanRunParallel); without it sharded machines run in
-	// byte-identical sequential-stepping mode. Like any workload knob it
-	// changes the measured timings, so compare runs with it held fixed.
-	Prefault bool
-
 	// Faults, if non-nil, attaches a deterministic timing-fault injector
 	// to the hierarchy (DESIGN.md §7). Runtime-only: it does not
 	// serialize with the configuration — replays reconstruct it from the
@@ -141,12 +124,15 @@ type Config struct {
 	// dump. Runtime-only, like Faults.
 	Watchdog sim.WatchdogConfig
 
-	// Cancel, if non-nil, arms cooperative cancellation on the machine's
-	// engines: once the token fires (from any goroutine), the next
-	// executed event aborts the run with a *fault.Violation of kind
-	// "cancelled" carrying the full pending-event dump. Runtime-only,
-	// like Faults.
-	Cancel *sim.Cancel
+	// Context, if it can be cancelled, arms cooperative cancellation on
+	// the machine's engine: once the context is done (from any
+	// goroutine), the next executed event aborts the run with a
+	// *fault.Violation of kind "cancelled" carrying the context's cause
+	// and the full pending-event dump. A nil or background context arms
+	// nothing. Scope it to one job and cancel it when the job ends: the
+	// machine's binding to it lives until it is done. Runtime-only, like
+	// Faults.
+	Context context.Context
 }
 
 // MeshDims returns the default near-square mesh for cores tiles:
@@ -232,9 +218,6 @@ func (c Config) Validate() error {
 	if c.ITLBEntries <= 0 || c.DTLBEntries <= 0 {
 		return fmt.Errorf("core: non-positive TLB size")
 	}
-	if c.Shards < 0 || c.Shards > 64 {
-		return fmt.Errorf("core: shard count %d out of range [0,64]", c.Shards)
-	}
 	switch c.Topology {
 	case "", "crossbar", "mesh":
 	default:
@@ -257,10 +240,7 @@ func (c Config) Validate() error {
 
 // coherenceConfig derives the hierarchy configuration. Each core
 // contributes two L1 controllers: port 2i is core i's D-cache and port
-// 2i+1 its I-cache, both coherent peers of the banked LLC. When sharded,
-// both of core i's controllers are pinned to the core's shard, so a
-// core's ticks, translations, and L1 lookups all execute on one event
-// queue and parallel epochs stay legal.
+// 2i+1 its I-cache, both coherent peers of the banked LLC.
 func (c Config) coherenceConfig() coherence.SystemConfig {
 	cfg := coherence.SystemConfig{
 		NumL1:      2 * c.Cores,
@@ -273,7 +253,6 @@ func (c Config) coherenceConfig() coherence.SystemConfig {
 		Prefetch:   c.Prefetch,
 		NoFastPath: c.NoFastPath,
 		Faults:     c.Faults,
-		Shards:     c.Shards,
 		Clusters:   c.Clusters,
 	}
 	if c.Topology == "mesh" {
@@ -284,14 +263,6 @@ func (c Config) coherenceConfig() coherence.SystemConfig {
 		}
 		cfg.MeshPerHop = c.MeshPerHop
 		cfg.MeshLinkOccupancy = c.MeshLinkOccupancy
-	}
-	if c.Shards > 1 {
-		cfg.ShardOfL1 = make([]int, 2*c.Cores)
-		for core := 0; core < c.Cores; core++ {
-			sh := core * c.Shards / c.Cores
-			cfg.ShardOfL1[2*core] = sh
-			cfg.ShardOfL1[2*core+1] = sh
-		}
 	}
 	return cfg
 }

@@ -45,8 +45,6 @@ type configJSON struct {
 	Prefetch string           `json:"prefetch,omitempty"`
 
 	NoFastPath bool `json:"no_fast_path,omitempty"`
-	Shards     int  `json:"shards,omitempty"`
-	Prefault   bool `json:"prefault,omitempty"`
 }
 
 func prefetchFromString(s string) (coherence.PrefetchMode, error) {
@@ -93,12 +91,13 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		Timing: c.Timing, Protocol: proto, DRAM: c.DRAM,
 		Prefetch:   c.Prefetch.String(),
 		NoFastPath: c.NoFastPath,
-		Shards:     c.Shards, Prefault: c.Prefault,
 	})
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Unknown protocol or
 // architecture names are errors; a missing protocol defaults to SwiftDir.
+// Unknown keys are ignored, so configurations written by older builds
+// (which recorded "shards" and "prefault") still load.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var j configJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -133,7 +132,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		Timing: j.Timing, Protocol: proto, DRAM: j.DRAM,
 		Prefetch:   pf,
 		NoFastPath: j.NoFastPath,
-		Shards:     j.Shards, Prefault: j.Prefault,
 	}
 	return nil
 }

@@ -21,11 +21,8 @@ type Machine struct {
 	processes []*Process
 	contexts  []*Context
 
-	// Parallel-epoch eligibility (see CanRunParallel): prefaulted is set by
-	// Prefault, seqOnly by ForceSequential and by machine features whose
-	// shared state parallel epochs cannot touch (KSM scans).
-	prefaulted bool
-	seqOnly    bool
+	// cancel is the token bound to Cfg.Context, nil when unarmed.
+	cancel *sim.Cancel
 }
 
 // NewMachine builds a machine from cfg.
@@ -38,7 +35,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	if cfg.Watchdog.Enabled() {
-		sys.ArmWatchdog(cfg.Watchdog, func(ti sim.TripInfo) {
+		sys.Eng.ArmWatchdog(cfg.Watchdog, func(ti sim.TripInfo) {
 			panic(&fault.Violation{
 				Kind:      fault.KindLiveness,
 				Cycle:     uint64(ti.Now),
@@ -49,8 +46,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 			})
 		})
 	}
-	if cfg.Cancel != nil {
-		sys.ArmCancel(cfg.Cancel, func(ci sim.CancelInfo) {
+	var tok *sim.Cancel
+	if ctx := cfg.Context; ctx != nil && ctx.Done() != nil {
+		// The binding lives until ctx is done; a token that fires after
+		// the machine finished is never observed.
+		tok = sim.CancelFromContext(ctx)
+		sys.Eng.ArmCancel(tok, func(ci sim.CancelInfo) {
 			panic(&fault.Violation{
 				Kind:      fault.KindCancelled,
 				Cycle:     uint64(ci.Now),
@@ -63,10 +64,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	pm := mmu.NewPhysMem(0)
 	return &Machine{
-		Cfg: cfg,
-		Sys: sys,
-		PM:  pm,
-		KSM: mmu.NewKSM(pm),
+		Cfg:    cfg,
+		Sys:    sys,
+		PM:     pm,
+		KSM:    mmu.NewKSM(pm),
+		cancel: tok,
 	}, nil
 }
 
@@ -79,52 +81,14 @@ func MustNewMachine(cfg Config) *Machine {
 	return m
 }
 
-// Engine returns the machine's driver event engine (shard 0 when the
-// machine is sharded). Synchronous callers and cross-core structures
-// (barriers, KSM ticks) schedule here; per-core work goes through
-// Context.Engine.
+// Engine returns the machine's event engine.
 func (m *Machine) Engine() *sim.Engine { return m.Sys.Eng }
 
 // Now returns the current cycle.
 func (m *Machine) Now() sim.Cycle { return m.Sys.Eng.Now() }
 
 // RunWhile executes events in exact sequential order while cond holds.
-func (m *Machine) RunWhile(cond func() bool) { m.Sys.RunWhile(cond) }
-
-// Prefault faults in every mapped page of every process up front —
-// demand faults, then write faults on writable pages so the Dirty bits
-// are set — leaving the page tables read-only for the rest of the run
-// (copy-on-write pages stay write-protected; a store to one still
-// duplicates mid-run). Run before the measured region, it removes
-// page-fault servicing from the timings and is what makes parallel
-// epochs legal at machine level: concurrent per-core walks then only
-// read MMU state. Byte-identity across shard counts needs the same
-// Prefault decision on both sides, like any other workload knob.
-func (m *Machine) Prefault() error {
-	for _, p := range m.processes {
-		if err := p.AS.Prefault(); err != nil {
-			return err
-		}
-	}
-	m.prefaulted = true
-	return nil
-}
-
-// ForceSequential pins the machine to exact sequential event order even
-// when sharded (stepping mode). Workloads whose cross-core structures
-// mutate shared state mid-run outside the coherence fabric — trace
-// barriers, KSM scans — must call it; CanRunParallel then reports false.
-func (m *Machine) ForceSequential() { m.seqOnly = true }
-
-// CanRunParallel reports whether cpu.Run may drive this machine with
-// parallel epochs: a parallel-safe hierarchy (sharded, routed crossbar,
-// no fast path, no fault injector or observation hooks), page tables
-// frozen by Prefault, and no sequential-only machine feature armed.
-// When false, sharded machines still run — in byte-identical
-// sequential-stepping mode.
-func (m *Machine) CanRunParallel() bool {
-	return m.Sys.ParallelSafe() && m.prefaulted && !m.seqOnly
-}
+func (m *Machine) RunWhile(cond func() bool) { m.Sys.Eng.RunWhile(cond) }
 
 // Process is an OS process: one address space, any number of contexts
 // (threads) pinned to cores.
@@ -313,13 +277,9 @@ func (c *Context) putFastDone(done func(coherence.AccessResult), r coherence.Acc
 	return int32(len(c.fds) - 1)
 }
 
-// Engine returns this core's home event engine (for CPU models built on
-// this context): the shard hosting the core's L1 controllers when the
-// machine is sharded, else the machine engine. Everything a core
-// schedules for itself — ticks, translation delays, submissions — goes
-// here, so a parallel epoch keeps the whole core-local chain on one
-// shard.
-func (c *Context) Engine() *sim.Engine { return c.m.Sys.EngineForL1(c.dataPort()) }
+// Engine returns the machine's event engine, which CPU models built on
+// this context schedule their ticks on.
+func (c *Context) Engine() *sim.Engine { return c.m.Sys.Eng }
 
 // Machine returns the owning machine.
 func (c *Context) Machine() *Machine { return c.m }
@@ -379,8 +339,8 @@ func (c *Context) fastSubmit(port int, res mmu.Result, write bool, value uint64,
 	if !ok {
 		return false
 	}
-	if sync && c.m.Sys.PendingAll() == 0 {
-		c.m.Sys.RunTo(c.m.Now() + r.Latency)
+	if sync && c.m.Sys.Eng.Pending() == 0 {
+		c.m.Sys.Eng.RunTo(c.m.Now() + r.Latency)
 		if done != nil {
 			done(r)
 		}
@@ -449,9 +409,7 @@ func (c *Context) walkAndSubmit(v mmu.VAddr, port int, res mmu.Result, write boo
 	if done != nil {
 		wrapped = func(r coherence.AccessResult) {
 			// The L1 measured only the final access; report the full
-			// walk-inclusive latency the core observed. Clocks are read on
-			// the core's own engine: inside a parallel epoch the machine
-			// clock is a foreign shard's.
+			// walk-inclusive latency the core observed.
 			r.Latency = c.Engine().Now() - t0
 			done(r)
 		}
@@ -484,7 +442,7 @@ func (c *Context) AccessSync(v mmu.VAddr, write bool, value uint64) (coherence.A
 	if err != nil {
 		return coherence.AccessResult{}, err
 	}
-	c.m.Sys.RunWhile(c.syncCond)
+	c.m.Sys.Eng.RunWhile(c.syncCond)
 	if !c.syncDone {
 		panic("core: access did not complete")
 	}
@@ -505,10 +463,6 @@ func (c *Context) MustAccessSync(v mmu.VAddr, write bool, value uint64) coherenc
 // after a scan that merged pages (the kernel's TLB shootdown after
 // write_protect_page). A bounded count keeps the event queue drainable.
 func (m *Machine) ScheduleKSMScans(period sim.Cycle, count int) {
-	// Scans mutate every address space and flush every TLB from one
-	// closure: inherently cross-shard, so the machine drops to sequential
-	// stepping when sharded.
-	m.ForceSequential()
 	var tick func(remaining int)
 	tick = func(remaining int) {
 		if remaining == 0 {

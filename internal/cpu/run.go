@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -15,28 +13,16 @@ type CPU interface {
 
 // Run starts every CPU and drives the machine until all traces commit,
 // returning the wall-clock execution time (the paper's multi-threaded
-// metric: ROI execution time).
-//
-// On a machine eligible for parallel epochs (core.Machine.CanRunParallel)
-// the shards run concurrently and the stop condition is only checked at
-// epoch barriers, so the engine may execute past the last commit before
-// stopping; the returned time is therefore measured to the latest
-// per-thread FinishCycle, which both modes stamp at the exact commit
-// event, keeping the result byte-identical to the sequential run.
+// metric: ROI execution time), measured to the latest per-thread
+// FinishCycle.
 func Run(m *core.Machine, cpus []CPU) sim.Cycle {
 	start := m.Now()
-	var remaining atomic.Int64
-	remaining.Store(int64(len(cpus)))
+	remaining := len(cpus)
 	for _, c := range cpus {
-		c.Start(func() { remaining.Add(-1) })
+		c.Start(func() { remaining-- })
 	}
-	cond := func() bool { return remaining.Load() > 0 }
-	if sh := m.Sys.ShardedEngine(); sh != nil && m.CanRunParallel() {
-		sh.RunWhile(cond)
-	} else {
-		m.RunWhile(cond)
-	}
-	if remaining.Load() > 0 {
+	m.RunWhile(func() bool { return remaining > 0 })
+	if remaining > 0 {
 		panic("cpu: threads did not finish (deadlock or missing barrier party)")
 	}
 	end := start

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/attack"
@@ -45,7 +46,7 @@ func warMetrics(label string, apps []workload.WARApp, protos []coherence.Policy,
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: fmt.Sprintf("%s/war/%s/%s", label, app.Name, p.Name()),
 				Run: func() (float64, error) {
-					r, err := workload.RunWAR(app, p, kind, passes)
+					r, err := workload.RunWAR(context.Background(), app, p, kind, passes)
 					if err != nil {
 						return 0, err
 					}

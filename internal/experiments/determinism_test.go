@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/campaign"
@@ -18,12 +19,12 @@ func TestParallelReportsMatchSequential(t *testing.T) {
 		heavy bool // skipped under -short
 		run   func() string
 	}{
-		{"fig7", true, func() string { _, s := Fig7(0.02); return s }},
-		{"fig8", true, func() string { _, s := Fig8(0.02); return s }},
-		{"fig9", false, func() string { _, s := Fig9([]int{1000, 2000}); return s }},
-		{"fig10a", false, func() string { _, s := Fig10(workload.TimingSimpleCPU, 1); return s }},
-		{"fig10b", false, func() string { _, s := Fig10(workload.DerivO3CPU, 1); return s }},
-		{"security", false, func() string { _, _, s := Security(64, 64); return s }},
+		{"fig7", true, func() string { _, s := Fig7(context.Background(), 0.02); return s }},
+		{"fig8", true, func() string { _, s := Fig8(context.Background(), 0.02); return s }},
+		{"fig9", false, func() string { _, s := Fig9(context.Background(), []int{1000, 2000}); return s }},
+		{"fig10a", false, func() string { _, s := Fig10(context.Background(), workload.TimingSimpleCPU, 1); return s }},
+		{"fig10b", false, func() string { _, s := Fig10(context.Background(), workload.DerivO3CPU, 1); return s }},
+		{"security", false, func() string { _, _, s := Security(context.Background(), 64, 64); return s }},
 		{"multiprogram", true, func() string { _, s := Multiprogram(0.02); return s }},
 		{"sweep", false, TimingSweep},
 		{"lru", true, func() string { return AblationLRU(0.05) }},

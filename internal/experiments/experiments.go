@@ -97,13 +97,9 @@ type Fig6Data struct {
 
 // Fig6 measures coherence-request latencies: SwiftDir's Load_WP of shared
 // data against MESI's Load of S-state data (both LLC-served, ~17 cycles),
-// plus MESI's E-state path for contrast.
-func Fig6(samples int) Fig6Data { return Fig6Ctx(nil, samples) }
-
-// Fig6Ctx is Fig6 with a cooperative cancellation token armed on its
-// machines; a nil token is Fig6 exactly. A fired token aborts the
+// plus MESI's E-state path for contrast. A done ctx aborts the
 // measurement loop mid-simulation with a "cancelled" violation.
-func Fig6Ctx(c *sim.Cancel, samples int) Fig6Data {
+func Fig6(ctx context.Context, samples int) Fig6Data {
 	d := Fig6Data{
 		LoadWP: &stats.Histogram{},
 		LoadS:  &stats.Histogram{},
@@ -113,7 +109,7 @@ func Fig6Ctx(c *sim.Cancel, samples int) Fig6Data {
 	// SwiftDir: every cross-core load of write-protected shared data.
 	{
 		cfg := core.DefaultConfig(2, coherence.SwiftDir)
-		cfg.Cancel = c
+		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		proc := m.NewProcess()
 		c0, c1 := proc.AttachContext(0), proc.AttachContext(1)
@@ -131,7 +127,7 @@ func Fig6Ctx(c *sim.Cancel, samples int) Fig6Data {
 	// MESI: S-state loads (two prior sharers) and E-state loads.
 	{
 		cfg := core.DefaultConfig(4, coherence.MESI)
-		cfg.Cancel = c
+		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		proc := m.NewProcess()
 		c0, c1, c2 := proc.AttachContext(0), proc.AttachContext(1), proc.AttachContext(2)
@@ -172,12 +168,8 @@ func Fig6Ctx(c *sim.Cancel, samples int) Fig6Data {
 // the paper's gem5 measurements show — "centralized around 17 cycles"
 // rather than a point mass. The security conclusion is unchanged: the
 // Load_WP and Load(S) distributions coincide; only MESI's E-state path is
-// shifted.
-func Fig6Jitter(samples int) Fig6Data { return Fig6JitterCtx(nil, samples) }
-
-// Fig6JitterCtx is Fig6Jitter with a cooperative cancellation token
-// armed on its machines; a nil token is Fig6Jitter exactly.
-func Fig6JitterCtx(c *sim.Cancel, samples int) Fig6Data {
+// shifted. A done ctx aborts the run as in Fig6.
+func Fig6Jitter(ctx context.Context, samples int) Fig6Data {
 	d := Fig6Data{
 		LoadWP: &stats.Histogram{},
 		LoadS:  &stats.Histogram{},
@@ -186,7 +178,7 @@ func Fig6JitterCtx(c *sim.Cancel, samples int) Fig6Data {
 	measure := func(p coherence.Policy, wp bool, h *stats.Histogram, makeShared bool) {
 		cfg := core.DefaultConfig(4, p)
 		cfg.Timing.LinkOccupancy = 2
-		cfg.Cancel = c
+		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		proc := m.NewProcess()
 		lib := mmu.NewFile("fig6j.so", 0x616)
@@ -233,7 +225,7 @@ func Fig6JitterCtx(c *sim.Cancel, samples int) Fig6Data {
 	measureWP := func(h *stats.Histogram) {
 		cfg := core.DefaultConfig(4, coherence.SwiftDir)
 		cfg.Timing.LinkOccupancy = 2
-		cfg.Cancel = c
+		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		proc := m.NewProcess()
 		lib := mmu.NewFile("fig6j-wp.so", 0x617)
@@ -278,16 +270,10 @@ func Fig6JitterCtx(c *sim.Cancel, samples int) Fig6Data {
 // Security runs the covert- and side-channel attacks on all protocols.
 // Each protocol's attack is an independent campaign job; the rendered
 // report concatenates the per-protocol chunks in the paper's protocol
-// order, so the output is identical at any worker count.
-func Security(bits, trials int) (results []attack.Result, sides []attack.SideResult, rendered string) {
-	return SecurityCtx(context.Background(), nil, bits, trials)
-}
-
-// SecurityCtx is Security with end-to-end cancellation: the token is
-// armed on every attack machine (mid-simulation abort) and ctx gates the
-// campaign grid (jobs not yet started are skipped once it fires). A
-// background ctx with a nil token is Security exactly.
-func SecurityCtx(ctx context.Context, c *sim.Cancel, bits, trials int) (results []attack.Result, sides []attack.SideResult, rendered string) {
+// order, so the output is identical at any worker count. A done ctx
+// aborts the attack machines mid-simulation and skips jobs not yet
+// started.
+func Security(ctx context.Context, bits, trials int) (results []attack.Result, sides []attack.SideResult, rendered string) {
 	var b strings.Builder
 	b.WriteString("Security: E/S coherence timing-channel attacks (§V-A)\n\n")
 	b.WriteString("Covert channel (sender modulates E/S, receiver times loads):\n")
@@ -302,7 +288,7 @@ func SecurityCtx(ctx context.Context, c *sim.Cancel, bits, trials int) (results 
 			Name: "security/covert/" + p.Name(),
 			Run: func() (covertOut, error) {
 				cfg := core.DefaultConfig(4, p)
-				cfg.Cancel = c
+				cfg.Context = ctx
 				ch, err := attack.NewChannel(cfg, bits)
 				if err != nil {
 					return covertOut{}, err
@@ -334,7 +320,7 @@ func SecurityCtx(ctx context.Context, c *sim.Cancel, bits, trials int) (results 
 			Name: "security/textchannel/" + p.Name(),
 			Run: func() (string, error) {
 				cfg := core.DefaultConfig(4, p)
-				cfg.Cancel = c
+				cfg.Context = ctx
 				tc, err := attack.NewTextChannel(cfg, bits/4)
 				if err != nil {
 					return "", err
@@ -358,7 +344,7 @@ func SecurityCtx(ctx context.Context, c *sim.Cancel, bits, trials int) (results 
 			Name: "security/side/" + p.Name(),
 			Run: func() (attack.SideResult, error) {
 				cfg := core.DefaultConfig(4, p)
-				cfg.Cancel = c
+				cfg.Context = ctx
 				sc, err := attack.NewSideChannel(cfg, trials)
 				if err != nil {
 					return attack.SideResult{}, err
@@ -387,14 +373,9 @@ type SuiteRow struct {
 // (IPC: higher is better; exec time: lower is better) against MESI.
 // Every benchmark×protocol cell is an independent simulation, so the
 // whole grid fans out over the campaign pool; normalization happens
-// after collection, on results in submission order.
-func runSuite(profiles []workload.Profile, kind workload.CPUKind, useIPC bool, scale float64) []SuiteRow {
-	return runSuiteCtx(context.Background(), nil, profiles, kind, useIPC, scale)
-}
-
-// runSuiteCtx is runSuite with end-to-end cancellation: the token is
-// armed on every benchmark machine and ctx gates the campaign grid.
-func runSuiteCtx(ctx context.Context, c *sim.Cancel, profiles []workload.Profile, kind workload.CPUKind, useIPC bool, scale float64) []SuiteRow {
+// after collection, on results in submission order. A done ctx aborts
+// every benchmark machine and skips jobs not yet started.
+func runSuite(ctx context.Context, profiles []workload.Profile, kind workload.CPUKind, useIPC bool, scale float64) []SuiteRow {
 	var jobs []campaign.Job[float64]
 	for _, p := range profiles {
 		sp := p.Scale(scale)
@@ -402,7 +383,7 @@ func runSuiteCtx(ctx context.Context, c *sim.Cancel, profiles []workload.Profile
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: p.Name + "/" + proto.Name(),
 				Run: func() (float64, error) {
-					r, err := workload.RunCancel(sp, proto, kind, c)
+					r, err := workload.Run(ctx, sp, proto, kind)
 					if err != nil {
 						return 0, err
 					}
@@ -443,11 +424,8 @@ func renderSuite(title, metric string, rows []SuiteRow) string {
 
 // Fig7 reproduces the single-threaded SPEC comparison (normalized IPC,
 // higher is better). scale shrinks instruction counts for quick runs.
-func Fig7(scale float64) ([]SuiteRow, string) { return Fig7Ctx(context.Background(), nil, scale) }
-
-// Fig7Ctx is Fig7 with end-to-end cancellation (see runSuiteCtx).
-func Fig7Ctx(ctx context.Context, c *sim.Cancel, scale float64) ([]SuiteRow, string) {
-	rows := runSuiteCtx(ctx, c, workload.SPEC2017(), workload.DerivO3CPU, true, scale)
+func Fig7(ctx context.Context, scale float64) ([]SuiteRow, string) {
+	rows := runSuite(ctx, workload.SPEC2017(), workload.DerivO3CPU, true, scale)
 	return rows, renderSuite(
 		"Figure 7: Single-threaded SPEC CPU 2017 - normalized IPC (higher is better)",
 		"IPC", rows)
@@ -455,11 +433,8 @@ func Fig7Ctx(ctx context.Context, c *sim.Cancel, scale float64) ([]SuiteRow, str
 
 // Fig8 reproduces the multi-threaded PARSEC comparison (normalized ROI
 // execution time, lower is better).
-func Fig8(scale float64) ([]SuiteRow, string) { return Fig8Ctx(context.Background(), nil, scale) }
-
-// Fig8Ctx is Fig8 with end-to-end cancellation (see runSuiteCtx).
-func Fig8Ctx(ctx context.Context, c *sim.Cancel, scale float64) ([]SuiteRow, string) {
-	rows := runSuiteCtx(ctx, c, workload.PARSEC3(), workload.DerivO3CPU, false, scale)
+func Fig8(ctx context.Context, scale float64) ([]SuiteRow, string) {
+	rows := runSuite(ctx, workload.PARSEC3(), workload.DerivO3CPU, false, scale)
 	return rows, renderSuite(
 		"Figure 8: Multi-threaded PARSEC 3.0 - normalized ROI execution time (lower is better)",
 		"execution time", rows)
@@ -470,19 +445,14 @@ var Fig9Amounts = []int{1000, 2000, 3000, 4000, 5000}
 
 // Fig9 reproduces the read-only shared-data sweep (normalized execution
 // time, lower is better).
-func Fig9(amounts []int) ([]SuiteRow, string) {
-	return Fig9Ctx(context.Background(), nil, amounts)
-}
-
-// Fig9Ctx is Fig9 with end-to-end cancellation (see runSuiteCtx).
-func Fig9Ctx(ctx context.Context, c *sim.Cancel, amounts []int) ([]SuiteRow, string) {
+func Fig9(ctx context.Context, amounts []int) ([]SuiteRow, string) {
 	var jobs []campaign.Job[float64]
 	for _, n := range amounts {
 		for _, proto := range protocols {
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: fmt.Sprintf("fig9/%d/%s", n, proto.Name()),
 				Run: func() (float64, error) {
-					r, err := workload.RunReadOnlyCancel(n, proto, workload.DerivO3CPU, c)
+					r, err := workload.RunReadOnly(ctx, n, proto, workload.DerivO3CPU)
 					if err != nil {
 						return 0, err
 					}
@@ -511,12 +481,7 @@ func Fig9Ctx(ctx context.Context, c *sim.Cancel, amounts []int) ([]SuiteRow, str
 // Fig10 reproduces the write-after-read intensive applications under one
 // CPU model (normalized execution time, lower is better). The paper's
 // Figure 10(a) uses TimingSimpleCPU and 10(b) DerivO3CPU.
-func Fig10(kind workload.CPUKind, passes int) ([]SuiteRow, string) {
-	return Fig10Ctx(context.Background(), nil, kind, passes)
-}
-
-// Fig10Ctx is Fig10 with end-to-end cancellation (see runSuiteCtx).
-func Fig10Ctx(ctx context.Context, c *sim.Cancel, kind workload.CPUKind, passes int) ([]SuiteRow, string) {
+func Fig10(ctx context.Context, kind workload.CPUKind, passes int) ([]SuiteRow, string) {
 	apps := workload.WARApps()
 	var jobs []campaign.Job[float64]
 	for _, app := range apps {
@@ -524,7 +489,7 @@ func Fig10Ctx(ctx context.Context, c *sim.Cancel, kind workload.CPUKind, passes 
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: fmt.Sprintf("fig10/%s/%s", app.Name, proto.Name()),
 				Run: func() (float64, error) {
-					r, err := workload.RunWARCancel(app, proto, kind, passes, c)
+					r, err := workload.RunWAR(ctx, app, proto, kind, passes)
 					if err != nil {
 						return 0, err
 					}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 // concentrate at the constant LLC latency (17 cycles under the calibrated
 // timing); MESI's E-state path is strictly slower.
 func TestFig6Shape(t *testing.T) {
-	d := Fig6(200)
+	d := Fig6(context.Background(), 200)
 	if d.LoadWP.Count() != 200 || d.LoadS.Count() != 200 || d.LoadE.Count() != 200 {
 		t.Fatal("sample counts wrong")
 	}
@@ -63,7 +64,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestSecurityReport(t *testing.T) {
-	results, sides, rendered := Security(64, 64)
+	results, sides, rendered := Security(context.Background(), 64, 64)
 	if len(results) != 3 || len(sides) != 3 {
 		t.Fatalf("results %d sides %d", len(results), len(sides))
 	}
@@ -82,8 +83,8 @@ func TestSecurityReport(t *testing.T) {
 // Figure 10 shape at small scale: SwiftDir == MESI (100), S-MESI > 100 for
 // every app, amplified under the O3 model for the serialized app.
 func TestFig10Shape(t *testing.T) {
-	rowsA, renderedA := Fig10(workload.TimingSimpleCPU, 1)
-	rowsB, _ := Fig10(workload.DerivO3CPU, 1)
+	rowsA, renderedA := Fig10(context.Background(), workload.TimingSimpleCPU, 1)
+	rowsB, _ := Fig10(context.Background(), workload.DerivO3CPU, 1)
 	if len(rowsA) != 3 || len(rowsB) != 3 {
 		t.Fatal("want 3 apps")
 	}
@@ -102,7 +103,7 @@ func TestFig10Shape(t *testing.T) {
 
 // Figure 9 shape at small scale: both defenses at or below MESI.
 func TestFig9Shape(t *testing.T) {
-	rows, rendered := Fig9([]int{1000, 2000})
+	rows, rendered := Fig9(context.Background(), []int{1000, 2000})
 	if len(rows) != 2 {
 		t.Fatal("want 2 sweep points")
 	}
@@ -126,7 +127,7 @@ func TestFig7And8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite runs are slow")
 	}
-	rows7, r7 := Fig7(0.02)
+	rows7, r7 := Fig7(context.Background(), 0.02)
 	if len(rows7) != 23 || !strings.Contains(r7, "average") {
 		t.Fatalf("Fig7: %d rows", len(rows7))
 	}
@@ -135,7 +136,7 @@ func TestFig7And8Smoke(t *testing.T) {
 			t.Errorf("Fig7 %s: SwiftDir %.2f implausible", r.Benchmark, r.SwiftDir)
 		}
 	}
-	rows8, r8 := Fig8(0.02)
+	rows8, r8 := Fig8(context.Background(), 0.02)
 	if len(rows8) != 13 || !strings.Contains(r8, "PARSEC") {
 		t.Fatalf("Fig8: %d rows", len(rows8))
 	}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -61,22 +61,23 @@ const (
 
 // Experiment is one registry entry: a named, parameterized, deterministic
 // report generator. Run renders the same bytes for the same normalized
-// Params at any worker/shard count (the repo's headline guarantee), which
-// is what makes memoizing on (Name, Normalize(p)) sound.
+// Params at any worker count (the repo's headline guarantee), which is
+// what makes memoizing on (Name, Normalize(p)) sound.
 type Experiment struct {
 	Name  string
 	Title string // one-line description for listings
 	uses  paramUse
-	run   func(Params) string
 
-	// runCtx, when set, is the cancellation-aware variant: it receives
-	// the caller's context plus a cancel token already bound to it, and
-	// arms the token on every machine it builds (core.Config.Cancel), so
-	// a fired context aborts the simulations mid-run with a typed
-	// "cancelled" violation. Experiments without runCtx run to
-	// completion once started; their results stay valid, the caller just
-	// stops waiting.
-	runCtx func(ctx context.Context, c *sim.Cancel, p Params) string
+	// min holds the smallest accepted value of a consumed integer knob
+	// where the experiment needs more than 1 (zero fields mean 1).
+	min Params
+
+	// run renders the report for normalized Params. Cancellation-aware
+	// experiments hand ctx to every machine they build
+	// (core.Config.Context), so a done context aborts the simulations
+	// mid-run with a typed "cancelled" violation; the others ignore ctx
+	// and run to completion once started (the caller just stops waiting).
+	run func(ctx context.Context, p Params) string
 }
 
 // Normalize canonicalizes p for this experiment: fields the experiment
@@ -139,103 +140,130 @@ func (e Experiment) Normalize(p Params) Params {
 	return n
 }
 
-// Run normalizes p and renders the experiment's report. It panics on a
-// diverging simulation (the package's convention); frontends recover.
-func (e Experiment) Run(p Params) string {
-	return e.run(e.Normalize(p))
+// Validate normalizes p and rejects any knob the experiment consumes
+// that is not positive — every fig9 amount included — or below the
+// experiment's own minimum. Defaults fill only zero values, so a
+// negative knob survives normalization and would reach the simulator
+// as a nonsense run. There are no upper bounds: request deadlines
+// already bound the compute.
+func (e Experiment) Validate(p Params) error {
+	n := e.Normalize(p)
+	if e.uses&usesScale != 0 && !(n.Scale > 0) {
+		return &InvalidParamsError{Experiment: e.Name, Field: "scale", Value: n.Scale, Min: "positive"}
+	}
+	for _, k := range []struct {
+		use        paramUse
+		field      string
+		value, min int
+	}{
+		{usesSamples, "samples", n.Samples, e.min.Samples},
+		{usesBits, "bits", n.Bits, e.min.Bits},
+		{usesTrials, "trials", n.Trials, e.min.Trials},
+		{usesPasses, "passes", n.Passes, e.min.Passes},
+		{usesWSKB, "ws_kb", n.WSKB, e.min.WSKB},
+		{usesCores, "cores", n.Cores, e.min.Cores},
+	} {
+		if e.uses&k.use == 0 || k.value >= max(k.min, 1) {
+			continue
+		}
+		want := "positive"
+		if k.min > 1 {
+			want = fmt.Sprintf("at least %d", k.min)
+		}
+		return &InvalidParamsError{Experiment: e.Name, Field: k.field, Value: k.value, Min: want}
+	}
+	for _, a := range n.Amounts {
+		if a <= 0 {
+			return &InvalidParamsError{Experiment: e.Name, Field: "amounts", Value: a, Min: "positive"}
+		}
+	}
+	return nil
 }
 
-// RunCtx is Run with end-to-end cancellation: when ctx can be cancelled
-// and the experiment is cancellation-aware, a fired context aborts the
-// underlying simulations at their next executed event — surfacing as a
-// panic with a *fault.Violation of kind "cancelled" (the package's
-// divergence convention, so existing recover fences classify it). The
-// rendered report of an uncancelled RunCtx is byte-identical to Run's:
-// the token rides the engines' existing watchdog check and injects no
-// events of its own.
-func (e Experiment) RunCtx(ctx context.Context, p Params) string {
-	if e.runCtx == nil || ctx == nil || ctx.Done() == nil {
-		return e.run(e.Normalize(p))
-	}
-	c, stop := sim.CancelFromContext(ctx)
-	defer stop()
-	return e.runCtx(ctx, c, e.Normalize(p))
+// InvalidParamsError names a consumed knob whose value the experiment
+// cannot run with.
+type InvalidParamsError struct {
+	Experiment string
+	Field      string // the JSON name of the knob
+	Value      any
+	Min        string // the accepted range: "positive" or "at least N"
+}
+
+func (e *InvalidParamsError) Error() string {
+	return fmt.Sprintf("experiment %s: %s must be %s, got %v", e.Experiment, e.Field, e.Min, e.Value)
+}
+
+// Run normalizes p and renders the experiment's report. It panics on a
+// diverging simulation (the package's convention); frontends recover. A
+// done ctx aborts cancellation-aware experiments at their next executed
+// event, as a panic with a *fault.Violation of kind "cancelled" — the
+// same convention, so existing recover fences classify it. The report of
+// an uncancelled run is byte-identical whatever ctx is: the cancel token
+// rides the engine's existing watchdog check and injects no events.
+func (e Experiment) Run(ctx context.Context, p Params) string {
+	return e.run(ctx, e.Normalize(p))
 }
 
 // registry lists every experiment in report order — the order
 // `swiftdir-bench -exp all` prints and the only dispatch table: the
 // bench CLI, the HTTP server, and the cache key derivation all read it.
 var registry = []Experiment{
-	{Name: "table5", Title: "Table V: experiment setup", run: func(Params) string { return Table5() }},
+	{Name: "table5", Title: "Table V: experiment setup", run: func(context.Context, Params) string { return Table5() }},
 	{Name: "table4", Title: "Table IV: qualitative E-state handling matrix",
-		run: func(Params) string { _, s := Table4(); return s }},
-	{Name: "fig4", Title: "Figure 4: directory organizations", run: func(Params) string { return Fig4() }},
-	{Name: "fig5", Title: "Figure 5: cache architectures", run: func(Params) string { return Fig5() }},
+		run: func(context.Context, Params) string { _, s := Table4(); return s }},
+	{Name: "fig4", Title: "Figure 4: directory organizations", run: func(context.Context, Params) string { return Fig4() }},
+	{Name: "fig5", Title: "Figure 5: cache architectures", run: func(context.Context, Params) string { return Fig5() }},
 	{Name: "fig6", Title: "Figure 6: coherence-request latency CDF", uses: usesSamples,
-		run:    func(p Params) string { return Fig6(p.Samples).Rendered },
-		runCtx: func(_ context.Context, c *sim.Cancel, p Params) string { return Fig6Ctx(c, p.Samples).Rendered }},
+		run: func(ctx context.Context, p Params) string { return Fig6(ctx, p.Samples).Rendered }},
 	{Name: "fig6jitter", Title: "Figure 6 on a contended interconnect", uses: usesSamples,
-		run:    func(p Params) string { return Fig6Jitter(p.Samples / 4).Rendered },
-		runCtx: func(_ context.Context, c *sim.Cancel, p Params) string { return Fig6JitterCtx(c, p.Samples/4).Rendered }},
+		run: func(ctx context.Context, p Params) string { return Fig6Jitter(ctx, p.Samples/4).Rendered }},
 	{Name: "security", Title: "covert/side-channel attack suite", uses: usesBits | usesTrials,
-		run: func(p Params) string { _, _, s := Security(p.Bits, p.Trials); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string {
-			_, _, s := SecurityCtx(ctx, c, p.Bits, p.Trials)
-			return s
-		}},
+		run: func(ctx context.Context, p Params) string { _, _, s := Security(ctx, p.Bits, p.Trials); return s }},
 	{Name: "fig7", Title: "Figure 7: SPEC 2017 normalized IPC", uses: usesScale,
-		run:    func(p Params) string { _, s := Fig7(p.Scale); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string { _, s := Fig7Ctx(ctx, c, p.Scale); return s }},
+		run: func(ctx context.Context, p Params) string { _, s := Fig7(ctx, p.Scale); return s }},
 	{Name: "fig8", Title: "Figure 8: PARSEC 3.0 normalized execution time", uses: usesScale,
-		run:    func(p Params) string { _, s := Fig8(p.Scale); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string { _, s := Fig8Ctx(ctx, c, p.Scale); return s }},
+		run: func(ctx context.Context, p Params) string { _, s := Fig8(ctx, p.Scale); return s }},
 	{Name: "fig9", Title: "Figure 9: read-only shared-data sweep", uses: usesAmounts,
-		run: func(p Params) string { _, s := Fig9(p.Amounts); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string {
-			_, s := Fig9Ctx(ctx, c, p.Amounts)
-			return s
-		}},
+		run: func(ctx context.Context, p Params) string { _, s := Fig9(ctx, p.Amounts); return s }},
 	{Name: "fig10a", Title: "Figure 10(a): WAR apps, TimingSimpleCPU", uses: usesPasses,
-		run: func(p Params) string { _, s := Fig10(workload.TimingSimpleCPU, p.Passes); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string {
-			_, s := Fig10Ctx(ctx, c, workload.TimingSimpleCPU, p.Passes)
+		run: func(ctx context.Context, p Params) string {
+			_, s := Fig10(ctx, workload.TimingSimpleCPU, p.Passes)
 			return s
 		}},
 	{Name: "fig10b", Title: "Figure 10(b): WAR apps, DerivO3CPU", uses: usesPasses,
-		run: func(p Params) string { _, s := Fig10(workload.DerivO3CPU, p.Passes); return s },
-		runCtx: func(ctx context.Context, c *sim.Cancel, p Params) string {
-			_, s := Fig10Ctx(ctx, c, workload.DerivO3CPU, p.Passes)
+		run: func(ctx context.Context, p Params) string {
+			_, s := Fig10(ctx, workload.DerivO3CPU, p.Passes)
 			return s
 		}},
 	{Name: "ablation", Title: "E_wp and WAR ablations", uses: usesBits | usesPasses,
-		run: func(p Params) string { return AblationEwp(p.Bits) + "\n" + AblationWAR(p.Passes) }},
-	{Name: "traffic", Title: "interconnect message breakdown", run: func(Params) string { return Traffic() }},
-	{Name: "futurework", Title: "fast CoW sharing study", uses: usesBits,
-		run: func(p Params) string { return FutureWork(p.Bits / 4) }},
+		run: func(_ context.Context, p Params) string { return AblationEwp(p.Bits) + "\n" + AblationWAR(p.Passes) }},
+	{Name: "traffic", Title: "interconnect message breakdown", run: func(context.Context, Params) string { return Traffic() }},
+	{Name: "futurework", Title: "fast CoW sharing study", uses: usesBits, min: Params{Bits: 4},
+		run: func(_ context.Context, p Params) string { return FutureWork(p.Bits / 4) }},
 	{Name: "moesi", Title: "MOESI/MESIF family study", uses: usesBits | usesPasses,
-		run: func(p Params) string { return MOESIStudy(p.Bits/4, p.Passes) }},
+		run: func(_ context.Context, p Params) string { return MOESIStudy(p.Bits/4, p.Passes) }},
 	{Name: "snoop", Title: "snooping-bus comparison", uses: usesBits,
-		run: func(p Params) string { return SnoopStudy(p.Bits / 4) }},
+		run: func(_ context.Context, p Params) string { return SnoopStudy(p.Bits / 4) }},
 	{Name: "multiprogram", Title: "multiprogrammed mixes", uses: usesScale,
-		run: func(p Params) string { _, s := Multiprogram(p.Scale); return s }},
+		run: func(_ context.Context, p Params) string { _, s := Multiprogram(p.Scale); return s }},
 	{Name: "lru", Title: "replacement-policy ablation", uses: usesScale,
-		run: func(p Params) string { return AblationLRU(p.Scale) }},
+		run: func(_ context.Context, p Params) string { return AblationLRU(p.Scale) }},
 	{Name: "prefetch", Title: "prefetcher interaction study", uses: usesBits,
-		run: func(p Params) string { return Prefetch(p.Bits / 4) }},
-	{Name: "numa", Title: "NUMA latency study", run: func(Params) string { return NUMA() }},
-	{Name: "kernels", Title: "compute-kernel study", uses: usesWSKB,
-		run: func(p Params) string { return KernelStudy(p.WSKB) }},
-	{Name: "sweep", Title: "timing-parameter sweep", run: func(Params) string { return TimingSweep() }},
+		run: func(_ context.Context, p Params) string { return Prefetch(p.Bits / 4) }},
+	{Name: "numa", Title: "NUMA latency study", run: func(context.Context, Params) string { return NUMA() }},
+	{Name: "kernels", Title: "compute-kernel study", uses: usesWSKB, min: Params{WSKB: 4},
+		run: func(_ context.Context, p Params) string { return KernelStudy(p.WSKB) }},
+	{Name: "sweep", Title: "timing-parameter sweep", run: func(context.Context, Params) string { return TimingSweep() }},
 	{Name: "msi", Title: "MSI downgrade study", uses: usesBits | usesPasses,
-		run: func(p Params) string { return MSIStudy(p.Bits/4, p.Passes) }},
+		run: func(_ context.Context, p Params) string { return MSIStudy(p.Bits/4, p.Passes) }},
 	{Name: "overhead", Title: "hardware cost table", uses: usesCores,
-		run: func(p Params) string { return Overhead(p.Cores) }},
+		run: func(_ context.Context, p Params) string { return Overhead(p.Cores) }},
 	{Name: "arbitration", Title: "phase-priority arbitration study", uses: usesBits,
-		run: func(p Params) string { return Arbitration(p.Bits / 4) }},
+		run: func(_ context.Context, p Params) string { return Arbitration(p.Bits / 4) }},
 	{Name: "scale", Title: "machine-scaling study: mesh + two-level directory",
-		run: func(Params) string { return Scale() }},
+		run: func(context.Context, Params) string { return Scale() }},
 	{Name: "scale-attack", Title: "covert channel vs machine scale", uses: usesBits,
-		run: func(p Params) string { return ScaleAttack(p.Bits / 8) }},
+		run: func(_ context.Context, p Params) string { return ScaleAttack(p.Bits / 8) }},
 }
 
 // Registry returns every experiment in report order. The slice is

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,11 +117,11 @@ func TestParseNames(t *testing.T) {
 // functions directly, and both must pin the same bytes.
 func TestRegistryRunMatchesDirectCall(t *testing.T) {
 	e, _ := Lookup("overhead")
-	if got, want := e.Run(Params{}), Overhead(4); got != want {
+	if got, want := e.Run(context.Background(), Params{}), Overhead(4); got != want {
 		t.Errorf("overhead via registry differs from direct call")
 	}
 	k, _ := Lookup("kernels")
-	if got, want := k.Run(Params{WSKB: 64}), KernelStudy(64); got != want {
+	if got, want := k.Run(context.Background(), Params{WSKB: 64}), KernelStudy(64); got != want {
 		t.Errorf("kernels via registry differs from direct call")
 	}
 }

@@ -53,7 +53,6 @@ func scaleSystem(p coherence.Policy, g scaleGeom) *coherence.System {
 		Policy:    p,
 		DRAM:      dram.DDR3_1600_8x8(),
 		Clusters:  g.clusters,
-		Shards:    campaign.Shards(),
 	}
 	if g.topology == "mesh" {
 		cfg.Topology = "mesh"
@@ -198,7 +197,6 @@ func Scale() string {
 func scaleAttackConfig(cores int, p coherence.Policy) core.Config {
 	cfg := core.DefaultScaledConfig(cores, p)
 	cfg.L2Bank.SizeBytes = 256 << 10
-	cfg.Shards = campaign.Shards()
 	return cfg
 }
 

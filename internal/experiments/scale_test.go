@@ -9,24 +9,20 @@ import (
 	"repro/internal/coherence"
 )
 
-// TestScaleShardedEquivalence: both scaling reports are byte-identical
-// whether the machines run on one event engine or four shards, under one
-// campaign worker or four — the repository's headline guarantee, now
-// covering 256-core mesh machines with a two-level directory.
-func TestScaleShardedEquivalence(t *testing.T) {
+// TestScaleWorkerEquivalence: both scaling reports are byte-identical
+// under one campaign worker or four — the repository's headline
+// guarantee, covering 256-core mesh machines with a two-level directory.
+func TestScaleWorkerEquivalence(t *testing.T) {
 	defer campaign.SetWorkers(0)
-	defer campaign.SetShards(0)
 	campaign.SetWorkers(1)
-	campaign.SetShards(1)
 	s1, a1 := Scale(), ScaleAttack(64)
 	campaign.SetWorkers(4)
-	campaign.SetShards(4)
 	s4, a4 := Scale(), ScaleAttack(64)
 	if s1 != s4 {
-		t.Errorf("Scale differs between 1 and 4 shards/workers:\n--- sequential ---\n%s\n--- sharded ---\n%s", s1, s4)
+		t.Errorf("Scale differs between 1 and 4 workers:\n--- j1 ---\n%s\n--- j4 ---\n%s", s1, s4)
 	}
 	if a1 != a4 {
-		t.Errorf("ScaleAttack differs between 1 and 4 shards/workers:\n--- sequential ---\n%s\n--- sharded ---\n%s", a1, a4)
+		t.Errorf("ScaleAttack differs between 1 and 4 workers:\n--- j1 ---\n%s\n--- j4 ---\n%s", a1, a4)
 	}
 	if len(s1) == 0 || len(a1) == 0 {
 		t.Error("empty report")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,7 @@ func TestAblationLRUShape(t *testing.T) {
 }
 
 func TestFig6JitterSpread(t *testing.T) {
-	d := Fig6Jitter(100)
+	d := Fig6Jitter(context.Background(), 100)
 	if d.LoadWP.Count() != 100 {
 		t.Fatal("sample count")
 	}

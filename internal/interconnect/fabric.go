@@ -19,8 +19,6 @@ type Fabric interface {
 
 	// MinLatency returns the unloaded traversal latency for a (src, dst)
 	// pair: the base latency plus any topology distance, with no queueing.
-	// The sharded engine derives its conservative lookahead from the
-	// minimum over cross-shard pairs — no message can cross shards faster.
 	MinLatency(src, dst int) sim.Cycle
 
 	// MessageCount returns the number of messages admitted so far.

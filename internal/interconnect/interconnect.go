@@ -10,7 +10,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -39,26 +38,12 @@ type Config struct {
 	// per-port-pair delivery order: a perturbed network is still a legal
 	// network.
 	Extra func(src, dst int, now sim.Cycle) sim.Cycle
-
-	// Route, if non-nil, takes over event delivery entirely: SendEvent
-	// hands the hook the (src, dst, base latency, handler, payload) tuple
-	// and performs no scheduling of its own. The sharded coherence model
-	// installs it to land each message on the destination's home shard
-	// (sim.Engine.SendRemote). Routing is only legal on a pure-latency
-	// crossbar — every port-time feature reads and writes shared
-	// bookkeeping that per-shard delivery cannot serialize — so Validate
-	// rejects Route combined with Occupancy, JitterMax, Distance, or
-	// Extra.
-	Route func(src, dst int, lat sim.Cycle, h sim.Handler, p sim.Payload)
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Ports <= 0 {
 		return fmt.Errorf("interconnect: non-positive port count %d", c.Ports)
-	}
-	if c.Route != nil && (c.Occupancy > 0 || c.JitterMax > 0 || c.Distance != nil || c.Extra != nil) {
-		return fmt.Errorf("interconnect: Route requires a pure-latency crossbar (no occupancy, jitter, distance, or extra hooks)")
 	}
 	return nil
 }
@@ -145,27 +130,14 @@ func (x *Crossbar) admit(src, dst int) sim.Cycle {
 }
 
 // Send schedules deliver after the message traverses src -> dst: base
-// latency plus any queueing at the two ports. Closure delivery cannot
-// ride the Route hook (it carries no handler), so a routed crossbar
-// rejects it.
+// latency plus any queueing at the two ports.
 func (x *Crossbar) Send(src, dst int, deliver func()) {
-	if x.cfg.Route != nil {
-		panic("interconnect: closure Send on a routed crossbar")
-	}
 	x.eng.ScheduleAt(x.admit(src, dst), deliver)
 }
 
 // SendEvent is Send for a (handler, payload) event: the zero-allocation
-// delivery path coherence messages ride. On a routed crossbar the Route
-// hook owns scheduling; only the message count is maintained here, with
-// an atomic add because shard workers deliver concurrently (the count is
-// a commutative sum, so the total stays byte-identical).
+// delivery path coherence messages ride.
 func (x *Crossbar) SendEvent(src, dst int, h sim.Handler, p sim.Payload) {
-	if x.cfg.Route != nil {
-		atomic.AddUint64(&x.Messages, 1)
-		x.cfg.Route(src, dst, x.cfg.Latency, h, p)
-		return
-	}
 	x.eng.ScheduleEventAt(x.admit(src, dst), h, p)
 }
 
@@ -177,10 +149,8 @@ func (x *Crossbar) AvgQueueing() float64 {
 	return float64(x.QueuedCycles) / float64(x.Messages)
 }
 
-// MessageCount returns the number of messages admitted so far. The atomic
-// load pairs with the routed SendEvent path's atomic add; on the
-// sequential paths it is equivalent to a plain read.
-func (x *Crossbar) MessageCount() uint64 { return atomic.LoadUint64(&x.Messages) }
+// MessageCount returns the number of messages admitted so far.
+func (x *Crossbar) MessageCount() uint64 { return x.Messages }
 
 // MinLatency returns the unloaded src -> dst traversal latency: the base
 // latency plus the NUMA distance, with no port queueing.

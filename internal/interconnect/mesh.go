@@ -2,7 +2,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -22,8 +21,7 @@ type MeshConfig struct {
 	PerHop  sim.Cycle // additional latency per inter-router hop
 
 	// LinkOccupancy is the per-link (and per-endpoint-port) occupancy per
-	// message. 0 models infinite bandwidth: the mesh is pure-latency and
-	// routable onto a sharded engine.
+	// message. 0 models infinite bandwidth: the mesh is pure-latency.
 	LinkOccupancy sim.Cycle
 
 	// RouterOf maps each port to its router in [0, W*H). nil spreads the
@@ -40,14 +38,6 @@ type MeshConfig struct {
 	// bookkeeping even at zero occupancy, so the hook's draw sequence is
 	// a deterministic function of the message sequence.
 	LinkExtra func(link int, now sim.Cycle) sim.Cycle
-
-	// Route, if non-nil, takes over event delivery exactly like the
-	// crossbar hook: SendEvent hands it (src, dst, latency, handler,
-	// payload) — with the mesh's full distance-dependent latency — and
-	// performs no scheduling of its own. Only legal on a pure-latency
-	// mesh (LinkOccupancy == 0, no LinkExtra): link state is shared
-	// bookkeeping that per-shard delivery cannot serialize.
-	Route func(src, dst int, lat sim.Cycle, h sim.Handler, p sim.Payload)
 }
 
 // Validate checks the configuration.
@@ -70,9 +60,6 @@ func (c MeshConfig) Validate() error {
 				return fmt.Errorf("interconnect: RouterOf[%d] = %d out of range [0,%d)", p, r, c.W*c.H)
 			}
 		}
-	}
-	if c.Route != nil && (c.LinkOccupancy > 0 || c.LinkExtra != nil) {
-		return fmt.Errorf("interconnect: Route requires a pure-latency mesh (no link occupancy or extra hook)")
 	}
 	return nil
 }
@@ -262,39 +249,23 @@ func (m *Mesh) note(queued sim.Cycle) {
 
 // Send schedules deliver after the message traverses src -> dst.
 func (m *Mesh) Send(src, dst int, deliver func()) {
-	if m.cfg.Route != nil {
-		panic("interconnect: closure Send on a routed mesh")
-	}
 	m.eng.ScheduleAt(m.admit(src, dst), deliver)
 }
 
-// SendEvent is Send for a (handler, payload) event. On a routed mesh the
-// Route hook owns scheduling and receives the full distance-dependent
-// latency; only the message count is maintained here (atomically — shard
-// workers deliver concurrently, and the count is a commutative sum).
+// SendEvent is Send for a (handler, payload) event.
 func (m *Mesh) SendEvent(src, dst int, h sim.Handler, p sim.Payload) {
-	if m.cfg.Route != nil {
-		d := m.dist(m.routerOf[src], m.routerOf[dst])
-		atomic.AddUint64(&m.Messages, 1)
-		atomic.AddUint64(&m.HopsTotal, uint64(d))
-		m.cfg.Route(src, dst, m.cfg.Latency+m.cfg.PerHop*sim.Cycle(d), h, p)
-		return
-	}
 	m.eng.ScheduleEventAt(m.admit(src, dst), h, p)
 }
 
 // MessageCount returns the number of messages admitted so far.
-func (m *Mesh) MessageCount() uint64 { return atomic.LoadUint64(&m.Messages) }
+func (m *Mesh) MessageCount() uint64 { return m.Messages }
 
-// AvgHops returns the mean inter-router hop count per message. Both
-// counters are commutative sums over the (deterministic) message set, so
-// the value is identical at every shard count.
+// AvgHops returns the mean inter-router hop count per message.
 func (m *Mesh) AvgHops() float64 {
-	n := atomic.LoadUint64(&m.Messages)
-	if n == 0 {
+	if m.Messages == 0 {
 		return 0
 	}
-	return float64(atomic.LoadUint64(&m.HopsTotal)) / float64(n)
+	return float64(m.HopsTotal) / float64(m.Messages)
 }
 
 // AvgQueueing returns mean queueing delay per message beyond the

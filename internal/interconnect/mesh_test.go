@@ -28,10 +28,6 @@ func TestMeshConfigValidate(t *testing.T) {
 	if (MeshConfig{Ports: 2, W: 2, H: 2, RouterOf: []int{0, 4}}).Validate() == nil {
 		t.Fatal("out-of-range router accepted")
 	}
-	if (MeshConfig{Ports: 2, W: 2, H: 2, LinkOccupancy: 1,
-		Route: func(int, int, sim.Cycle, sim.Handler, sim.Payload) {}}).Validate() == nil {
-		t.Fatal("Route with link occupancy accepted")
-	}
 	if (MeshConfig{Ports: 4, W: 2, H: 2}).Validate() != nil {
 		t.Fatal("valid config rejected")
 	}

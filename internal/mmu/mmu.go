@@ -319,13 +319,8 @@ func (as *AddressSpace) Translate(v VAddr, isWrite bool) (Result, error) {
 		as.copyOnWrite(pte)
 		res.CoW = true
 	}
-	// Set the A/D bits only when clear: after Prefault has set them, the
-	// hot translation path never writes the PTE, so concurrent walks from
-	// sharded cores are pure reads.
-	if !pte.Accessed {
-		pte.Accessed = true
-	}
-	if isWrite && !pte.Dirty {
+	pte.Accessed = true
+	if isWrite {
 		pte.Dirty = true
 	}
 	res.PAddr = PAddr(pte.PFN*PageSize) + PAddr(uint64(v)%PageSize)
@@ -369,30 +364,6 @@ func (as *AddressSpace) ReadPage(v VAddr) (uint64, error) {
 		return 0, err
 	}
 	return as.pm.Content(as.table[vpn(v)].PFN), nil
-}
-
-// Prefault faults in every page of every mapping, then takes a write
-// fault on each page whose PTE came up writable so its Dirty bit is set
-// too. Copy-on-write and write-protected pages are only read-faulted:
-// pre-copying them would change their R/W bit — the very property
-// SwiftDir's protection scope keys on. After Prefault, translations of
-// resident pages read the page table without writing it, which is what
-// lets sharded cores walk concurrently (core.Machine.Prefault).
-func (as *AddressSpace) Prefault() error {
-	for i := range as.vmas {
-		v := as.vmas[i]
-		for p := v.start; p < v.end; p += PageSize {
-			if _, err := as.Translate(p, false); err != nil {
-				return err
-			}
-			if pte := as.table[vpn(p)]; pte.Writable {
-				if _, err := as.Translate(p, true); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Munmap removes the mapping(s) overlapping [addr, addr+length), as

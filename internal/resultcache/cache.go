@@ -17,7 +17,7 @@ import (
 // Entry is one memoized experiment execution. Report is the
 // deterministic artifact — the exact bytes a fresh run would render.
 // Sidecar carries the producing run's stderr-style accounting (campaign
-// speedup, fast-path split, shard counts): informational only, never
+// speedup, fast-path split): informational only, never
 // part of the key or the report stream. Wall is the producing run's
 // compute time, the number a hit saves.
 type Entry struct {

@@ -6,9 +6,8 @@
 //
 // The soundness argument is the repository's determinism guarantee: an
 // experiment's report bytes are a pure function of that tuple — golden
-// hashes pin them across engine rewrites, and the j1-vs-jN and
-// shards-1-vs-N equivalence suites prove worker and shard counts cannot
-// leak in. A cache hit is therefore provably byte-identical to a re-run,
+// hashes pin them across engine rewrites, and the j1-vs-jN equivalence
+// suites prove the worker count cannot leak in. A cache hit is therefore provably byte-identical to a re-run,
 // which is what lets swiftdir-serve turn O(grid) repeat traffic into
 // O(1) lookups without weakening any result.
 //
@@ -69,11 +68,16 @@ type Key struct {
 
 // NewKey builds the normalized key for running experiment name with p
 // under the current build. Unknown names are rejected with the registry
-// vocabulary.
+// vocabulary, and non-positive consumed knobs with an
+// *experiments.InvalidParamsError, so a malformed request never reaches
+// the simulator or the cache.
 func NewKey(name string, p experiments.Params) (Key, error) {
 	e, ok := experiments.Lookup(name)
 	if !ok {
 		return Key{}, &experiments.UnknownExperimentError{Name: name}
+	}
+	if err := e.Validate(p); err != nil {
+		return Key{}, err
 	}
 	return Key{
 		Experiment:  e.Name,

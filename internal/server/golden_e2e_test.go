@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -121,7 +122,7 @@ func TestServerAblationMatchesInProcessRun(t *testing.T) {
 		t.Fatalf("run: %d %s", w.Code, w.Body)
 	}
 	exp, _ := experiments.Lookup("ablation")
-	if fresh := exp.Run(p); w.Body.String() != fresh {
+	if fresh := exp.Run(context.Background(), p); w.Body.String() != fresh {
 		t.Errorf("server bytes differ from in-process run:\n--- server ---\n%s\n--- fresh ---\n%s", w.Body, fresh)
 	}
 	hit := postJSON(h, "/v1/run", Spec{Experiment: "ablation", Params: p})

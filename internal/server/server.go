@@ -358,7 +358,7 @@ func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultc
 				err = s.classifyPanic(ctx, key, p)
 			}
 		}()
-		return exp.RunCtx(ctx, key.Params), nil
+		return exp.Run(ctx, key.Params), nil
 	}()
 	wall := time.Since(start)
 	var side strings.Builder
@@ -368,9 +368,6 @@ func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultc
 	}
 	if fp := stats.MergeFastPaths(key.Experiment, stats.TakeFastPaths()); fp.Total() > 0 {
 		side.WriteString(fp.Footer() + "\n")
-	}
-	if sh := stats.MergeShards(key.Experiment, stats.TakeShards()); sh.Shards() > 0 {
-		side.WriteString(sh.Footer() + "\n")
 	}
 	if err != nil {
 		return nil, err

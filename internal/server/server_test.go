@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -443,5 +444,59 @@ func TestStatszAndExperiments(t *testing.T) {
 	}
 	if len(items) != len(experiments.Names()) {
 		t.Errorf("experiments endpoint lists %d names, registry has %d", len(items), len(experiments.Names()))
+	}
+}
+
+// Request bodies whose params normalize to a knob the experiment cannot
+// run with. Without validation the first three, and the two below an
+// experiment's own minimum, reach the simulator and panic (a 500
+// "diverged" with a crash bundle); the other three render a nonsense
+// report that would be cached.
+var malformedSpecs = []struct{ name, field, body string }{
+	{"fig9", "amounts", `{"experiment":"fig9","params":{"amounts":[-3]}}`},
+	{"kernels", "ws_kb", `{"experiment":"kernels","params":{"ws_kb":-1}}`},
+	{"fig10a", "passes", `{"experiment":"fig10a","params":{"passes":-2}}`},
+	{"fig6", "samples", `{"experiment":"fig6","params":{"samples":-5}}`},
+	{"fig7", "scale", `{"experiment":"fig7","params":{"scale":-1}}`},
+	{"security", "bits", `{"experiment":"security","params":{"bits":-8}}`},
+	{"kernels-min", "ws_kb", `{"experiment":"kernels","params":{"ws_kb":3}}`},
+	{"futurework-min", "bits", `{"experiment":"futurework","params":{"bits":3}}`},
+}
+
+// A malformed spec is a client error on both endpoints: 400 naming the
+// knob, no simulation, no cache entry, no crash bundle. The server runs
+// the real registry runner, so a spec that slipped through would run.
+func TestMalformedParamsRejected(t *testing.T) {
+	dir := t.TempDir()
+	st := &stats.CacheStats{}
+	cache := resultcache.New(32, "", st, discardLog)
+	s := New(Config{Cache: cache, Logf: discardLog, BundleDir: dir})
+	t.Cleanup(func() { drainNow(t, s) })
+	h := s.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return w
+	}
+	for _, tc := range malformedSpecs {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, w := range []*httptest.ResponseRecorder{
+				post("/v1/run", tc.body),
+				post("/v1/batch", `{"specs":[`+tc.body+`]}`),
+			} {
+				if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.field) {
+					t.Errorf("got %d %q, want 400 naming %s", w.Code, w.Body, tc.field)
+				}
+			}
+		})
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("%d cache entries after malformed specs, want 0", n)
+	}
+	if snap := st.Snapshot(); snap.Runs != 0 {
+		t.Errorf("%d simulations started, want 0", snap.Runs)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("bundle dir holds %d entries (err %v), want none", len(entries), err)
 	}
 }

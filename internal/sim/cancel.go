@@ -62,9 +62,8 @@ type CancelInfo struct {
 	Reason   string
 	Executed uint64 // events executed before the abort took effect
 	Pending  int
-	// PendingDump renders every pending event in execution order — the
-	// same format (and on a sharded engine the same merged view) as
-	// TripInfo.PendingDump.
+	// PendingDump renders every pending event in execution order, in the
+	// same format as TripInfo.PendingDump.
 	PendingDump string
 }
 
@@ -113,66 +112,4 @@ func (e *Engine) fireCancel(wd *watchdog) {
 		Pending:     e.pending,
 		PendingDump: e.renderPending(),
 	})
-}
-
-// shardCancelMark is the sentinel panic a shard's cancel trip raises
-// mid-epoch so the worker's recover can hand the abort to the driver —
-// the cancellation analogue of shardTripMark.
-type shardCancelMark struct{}
-
-// ArmCancel arms a cancellation token on every shard. Whichever shard's
-// per-event check observes the fired token first surfaces the abort: in
-// an epoch worker the shard records its CancelInfo and unwinds to the
-// barrier, where the driver fires one combined trip with the merged
-// pending dump (byte-compatible with the sequential engine's); under
-// sequential stepping the trip fires directly in driver context.
-func (sh *Sharded) ArmCancel(c *Cancel, trip func(CancelInfo)) {
-	if c == nil {
-		sh.cxl, sh.cxlTrip = nil, nil
-		for _, e := range sh.shards {
-			e.ArmCancel(nil, nil)
-		}
-		return
-	}
-	if trip == nil {
-		panic("sim: ArmCancel with nil trip callback")
-	}
-	sh.cxl, sh.cxlTrip = c, trip
-	for _, e := range sh.shards {
-		ss := e.ss
-		e.ArmCancel(c, func(ci CancelInfo) {
-			if ss.inEpoch {
-				ss.cancelInfo = ci
-				ss.cancelled = true
-				panic(shardCancelMark{})
-			}
-			// Driver context (sequential stepping): fire the combined
-			// trip with the merged dump directly.
-			ss.sh.fireCancelAll(ci)
-		})
-	}
-}
-
-// fireCancelAll disarms the token on every shard and invokes the
-// combined trip with the merged pending view (live queues, merge
-// buffers, global queue) — the cancellation analogue of fireTrip.
-func (sh *Sharded) fireCancelAll(src CancelInfo) {
-	for _, e := range sh.shards {
-		if wd := e.wd; wd != nil {
-			wd.cancel, wd.cancelTrip = nil, nil
-			if !wd.cfg.Enabled() {
-				e.wd = nil
-			}
-		}
-	}
-	trip := sh.cxlTrip
-	sh.cxl, sh.cxlTrip = nil, nil
-	if trip == nil {
-		return
-	}
-	src.Now = sh.Now()
-	src.Executed = sh.Executed()
-	src.Pending = sh.PendingAll()
-	src.PendingDump = sh.renderPending()
-	trip(src)
 }

@@ -150,78 +150,9 @@ func TestCancelComposesWithWatchdog(t *testing.T) {
 	}
 }
 
-// Sharded epoch mode: the token fires inside a worker epoch, the driver
-// surfaces one combined trip, and the run stops having executed strictly
-// fewer events than the uncancelled run.
-func TestCancelAbortsShardedEpochRun(t *testing.T) {
-	build := func(c *Cancel) (*Sharded, []*tickHandler, *CancelInfo, *bool) {
-		sh := NewSharded(2, 4)
-		var info CancelInfo
-		fired := false
-		if c != nil {
-			sh.ArmCancel(c, func(ci CancelInfo) { info = ci; fired = true; panic(cancelAbort{}) })
-		}
-		hs := make([]*tickHandler, 2)
-		for i := range hs {
-			e := sh.Shard(i)
-			hs[i] = &tickHandler{eng: e}
-			e.ScheduleEvent(Cycle(i), hs[i], Payload{Op: uint8(i)})
-		}
-		return sh, hs, &info, &fired
-	}
-
-	// Control: bounded run to a fixed horizon.
-	shc, ctrl, _, _ := build(nil)
-	shc.RunWhile(func() bool { return shc.Now() < 500 })
-	total := ctrl[0].n + ctrl[1].n
-
-	c := NewCancel()
-	sh, hs, info, fired := build(c)
-	sh.Shard(0).Schedule(40, func() { c.Request("drain") })
-	func() {
-		defer recoverCancelAbort(t)
-		sh.RunWhile(func() bool { return sh.Now() < 500 })
-	}()
-	if !*fired {
-		t.Fatal("sharded cancel never tripped")
-	}
-	if info.Reason != "drain" {
-		t.Errorf("reason = %q", info.Reason)
-	}
-	got := hs[0].n + hs[1].n
-	if got == 0 || got >= total {
-		t.Errorf("cancelled run executed %d ticks, control %d; want 0 < got < control", got, total)
-	}
-	if !strings.Contains(info.PendingDump, "tickHandler") {
-		t.Errorf("merged pending dump missing parked work:\n%s", info.PendingDump)
-	}
-}
-
-// Sequential-stepping mode (the path faulted and barrier-coupled systems
-// take): the trip fires in driver context with the merged view.
-func TestCancelAbortsShardedSteppingRun(t *testing.T) {
-	sh := NewSharded(2, 4)
-	c := NewCancel()
-	var info *CancelInfo
-	sh.ArmCancel(c, func(ci CancelInfo) { info = &ci })
-	for i := 0; i < 2; i++ {
-		e := sh.Shard(i)
-		e.ScheduleEvent(Cycle(i), &tickHandler{eng: e}, Payload{})
-	}
-	sh.Shard(1).Schedule(30, func() { c.Request("stepped abort") })
-	sh.StepWhile(func() bool { return sh.Now() < 500 })
-	if info == nil {
-		t.Fatal("stepping-mode cancel never tripped")
-	}
-	if info.Reason != "stepped abort" || info.Executed == 0 {
-		t.Errorf("trip = %+v", info)
-	}
-}
-
 func TestCancelFromContext(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	c, stop := CancelFromContext(ctx)
-	defer stop()
+	c := CancelFromContext(ctx)
 	if c.Requested() {
 		t.Fatal("token fired before the context")
 	}
@@ -235,14 +166,5 @@ func TestCancelFromContext(t *testing.T) {
 	}
 	if got := c.Reason(); !strings.Contains(got, "job deadline exceeded") {
 		t.Errorf("reason = %q, want the context cause", got)
-	}
-
-	// stop() before cancellation must release the binding.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	c2, stop2 := CancelFromContext(ctx2)
-	stop2()
-	cancel2()
-	if c2.Requested() {
-		t.Error("stopped binding still fired the token")
 	}
 }

@@ -3,22 +3,20 @@ package sim
 import "context"
 
 // CancelFromContext binds a fresh Cancel token to ctx: when ctx is done,
-// the token fires with the context's error as the reason. The returned
-// stop function releases the binding (idempotent); callers must invoke
-// it once the run completes so a long-lived request context does not pin
-// the token's watcher.
+// the token fires with the context's cause as the reason. The binding
+// lives until ctx is done, so ctx should be scoped to one job.
 //
-// The token is an ordinary *Cancel — arm it on any number of machines
-// via core.Config.Cancel; every engine observing it aborts at its next
-// executed event.
-func CancelFromContext(ctx context.Context) (*Cancel, func()) {
+// core.NewMachine calls it once per machine whose Config.Context can be
+// cancelled and arms the token on the machine's engine, which then
+// aborts at its next executed event.
+func CancelFromContext(ctx context.Context) *Cancel {
 	c := &Cancel{}
-	stop := context.AfterFunc(ctx, func() {
+	context.AfterFunc(ctx, func() {
 		reason := "context cancelled"
 		if err := context.Cause(ctx); err != nil {
 			reason = err.Error()
 		}
 		c.Request(reason)
 	})
-	return c, func() { stop() }
+	return c
 }

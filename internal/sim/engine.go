@@ -101,11 +101,6 @@ type Engine struct {
 	// wd is the armed liveness watchdog, or nil. See watchdog.go. Kept as
 	// a single pointer so the disarmed hot path pays one nil check.
 	wd *watchdog
-
-	// ss is non-nil iff this engine is one shard of a Sharded engine (see
-	// sharded.go). Like wd it is a single pointer, so the sequential hot
-	// path pays one nil check per schedule and nothing else.
-	ss *shardState
 }
 
 // NewEngine returns an engine with time set to cycle 0.
@@ -126,10 +121,6 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
-	}
-	if e.ss != nil {
-		e.ss.schedule(e, event{when: e.now + delay, fn: fn})
-		return
 	}
 	e.seq++
 	e.scheduled++
@@ -152,10 +143,6 @@ func (e *Engine) ScheduleAt(when Cycle, fn func()) {
 func (e *Engine) ScheduleEvent(delay Cycle, h Handler, p Payload) {
 	if h == nil {
 		panic("sim: ScheduleEvent called with nil handler")
-	}
-	if e.ss != nil {
-		e.ss.schedule(e, event{when: e.now + delay, h: h, p: p})
-		return
 	}
 	e.seq++
 	e.scheduled++
@@ -185,17 +172,6 @@ func (e *Engine) enqueueNear(ev event) {
 	idx := uint32(ev.when) & ringMask
 	b := &e.ring[idx]
 	b.evs = append(b.evs, ev)
-	if e.ss != nil {
-		// Shard engines receive barrier-time insertions whose merge keys
-		// may be smaller than events already queued for the cycle, so the
-		// bucket FIFO invariant (append order == seq order) does not hold
-		// for free. Restore it by insertion from the tail; mid-epoch
-		// inserts carry monotone provisional keys, so this degenerates to
-		// a single comparison on the hot path.
-		for i := len(b.evs) - 1; i > b.head && eventLess(&b.evs[i], &b.evs[i-1]); i-- {
-			b.evs[i], b.evs[i-1] = b.evs[i-1], b.evs[i]
-		}
-	}
 	e.occ[idx>>6] |= 1 << (idx & 63)
 }
 
@@ -309,55 +285,19 @@ func (e *Engine) Step() bool { return e.step() }
 // be mutated during iteration. Model checkers use this to fold the event
 // queue into a canonical state fingerprint.
 func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload, isClosure bool)) {
-	e.ForEachPendingAbs(func(when Cycle, _ uint64, h Handler, p Payload, isClosure bool) {
-		fn(when-e.now, h, p, isClosure)
-	})
-}
-
-// ForEachPendingAbs is ForEachPending reporting absolute timestamps and
-// merge keys instead of relative delays. On a shard engine the keys let a
-// caller merge several shards' queues into the global execution order —
-// outside epochs every key is exact (drawn from the shared sequential
-// counter), so the merged (when, key) order IS the order one Engine would
-// execute; mid-epoch, merge-buffer events appear under their provisional
-// keys, which is where the barrier merge would slot them.
-func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p Payload, isClosure bool)) {
-	deferred := 0
-	if ss := e.ss; ss != nil {
-		for i := range ss.born {
-			if ss.born[i].kind != bornLive {
-				deferred++
-			}
-		}
-	}
-	if e.pending+deferred == 0 {
+	if e.pending == 0 {
 		return
 	}
-	evs := make([]event, 0, e.pending+deferred)
+	evs := make([]event, 0, e.pending)
 	for i := range e.ring {
 		b := &e.ring[i]
 		evs = append(evs, b.evs[b.head:]...)
 	}
 	evs = append(evs, e.overflow...)
-	if ss := e.ss; ss != nil {
-		// Mid-epoch, events bound for other shards (and deferred locals)
-		// sit in the born buffer awaiting the barrier merge. They are
-		// pending work all the same: watchdog dumps and crash bundles
-		// must see them.
-		for i := range ss.born {
-			br := &ss.born[i]
-			if br.kind == bornLive {
-				continue
-			}
-			ev := br.ev
-			ev.seq = provisionalBase + uint64(i)
-			evs = append(evs, ev)
-		}
-	}
 	sortEvents(evs)
 	for i := range evs {
 		ev := &evs[i]
-		fn(ev.when, ev.seq, ev.h, ev.p, ev.fn != nil)
+		fn(ev.when-e.now, ev.h, ev.p, ev.fn != nil)
 	}
 }
 

@@ -95,20 +95,6 @@ func (e *Engine) Progress() {
 		wd.lastCycle = e.now
 		wd.lastEvents = e.executed
 	}
-	if ss := e.ss; ss != nil && !ss.inEpoch {
-		// Driver context on a sharded engine (sequential stepping): progress
-		// is a global property, so reset every shard's budget — the exact
-		// semantics of the sequential engine's single watchdog. Mid-epoch
-		// the mark stays shard-local (workers must not touch peers) and the
-		// barrier broadcast propagates it.
-		ss.sh.progressGlobals = ss.sh.globalsRun
-		for _, pe := range ss.sh.shards {
-			if wd := pe.wd; wd != nil {
-				wd.lastCycle = pe.now
-				wd.lastEvents = pe.executed
-			}
-		}
-	}
 }
 
 // checkWatchdog runs after each executed event while a watchdog frame is
@@ -121,19 +107,6 @@ func (e *Engine) checkWatchdog() {
 	}
 	events := e.executed - wd.lastEvents
 	cycles := e.now - wd.lastCycle
-	if ss := e.ss; ss != nil && !ss.inEpoch {
-		// Sequential stepping: the budget is global, exactly as on one
-		// Engine. Clocks are lockstep and Progress resets every shard, so
-		// summing per-shard events since their marks (plus driver-run
-		// globals) reproduces the sequential events-since-progress count —
-		// the trip fires at the identical event.
-		events = ss.sh.globalsRun - ss.sh.progressGlobals
-		for _, pe := range ss.sh.shards {
-			if pwd := pe.wd; pwd != nil {
-				events += pe.executed - pwd.lastEvents
-			}
-		}
-	}
 	if (wd.cfg.MaxEvents == 0 || events < wd.cfg.MaxEvents) &&
 		(wd.cfg.MaxCycles == 0 || cycles < wd.cfg.MaxCycles) {
 		return

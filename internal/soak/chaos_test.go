@@ -1,9 +1,13 @@
 package soak
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/campaign"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
@@ -65,23 +69,16 @@ func TestScaledChaosSweepMetamorphic(t *testing.T) {
 	}
 }
 
-// A failure recorded on the scaled machine at shards=4 must replay
-// byte-identically at shards=1: the replay spec now carries the scaled
-// topology, and mesh-faulted systems always run sequential stepping, so
-// the injector's draw order is the global message order at every shard
-// count.
-func TestScaledBundleReplaysAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
+// recordScaledFailure sweeps one forced-failure plan on the scaled
+// machine and returns the crash bundle it wrote with its violation.
+func recordScaledFailure(t *testing.T) (string, *fault.Violation) {
+	t.Helper()
 	plans := []fault.Plan{
 		{Name: "scaled-forced", Seed: 11, FailAt: 2_000,
 			MeshSpikeProb: 0.05, MeshSpikeMax: 8,
 			HubBusyProb: 0.05, HubBusyMax: 8},
 	}
-	base := scaledChaosBase("SwiftDir")
-
-	campaign.SetShards(4)
-	res := Sweep(base, plans, dir, 1)
-	campaign.SetShards(0)
+	res := Sweep(scaledChaosBase("SwiftDir"), plans, t.TempDir(), 1)
 	if res.Err == nil {
 		t.Fatal("forced plan did not fail the sweep")
 	}
@@ -96,26 +93,67 @@ func TestScaledBundleReplaysAcrossShardCounts(t *testing.T) {
 	if recorded.Kind != fault.KindForced {
 		t.Fatalf("bundled violation kind %q, want forced", recorded.Kind)
 	}
+	return po.Bundle, recorded
+}
 
-	campaign.SetShards(1)
-	defer campaign.SetShards(0)
-	out, err := Replay(po.Bundle)
+// checkReplay replays a bundle and requires the recorded failure back:
+// same kind, cycle, message and component, on the scaled topology, with
+// a byte-identical diagnostic dump.
+func checkReplay(t *testing.T, bundle string, recorded *fault.Violation) {
+	t.Helper()
+	out, err := Replay(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Violation == nil {
-		t.Fatalf("sequential replay did not reproduce the violation (err=%v)", out.Err)
+		t.Fatalf("replay did not reproduce the violation (err=%v)", out.Err)
 	}
 	if !out.Spec.Scaled || out.Spec.Cores != 64 {
 		t.Fatalf("replay spec lost the scaled topology: %+v", out.Spec)
 	}
 	if out.Violation.Kind != recorded.Kind || out.Violation.Cycle != recorded.Cycle ||
 		out.Violation.Msg != recorded.Msg || out.Violation.Component != recorded.Component {
-		t.Errorf("sequential replay differs from sharded recording:\n  bundled:  %s\n  replayed: %s",
+		t.Errorf("replay differs from the recording:\n  bundled:  %s\n  replayed: %s",
 			recorded.Error(), out.Violation.Error())
 	}
 	if out.Violation.Dump != recorded.Dump {
 		t.Errorf("replayed diagnostic is not byte-identical (%d vs %d bytes)",
 			len(out.Violation.Dump), len(recorded.Dump))
 	}
+}
+
+// A failure recorded on the scaled machine replays byte-identically: the
+// replay spec carries the scaled topology, and the injector's draw order
+// is the message order, so the rerun reaches the same violation with the
+// same diagnostic dump.
+func TestScaledBundleReplays(t *testing.T) {
+	bundle, recorded := recordScaledFailure(t)
+	checkReplay(t, bundle, recorded)
+}
+
+// Bundles written by older builds record "shards" and "prefault" in
+// config.json. Those keys name a removed engine mode that never changed
+// results, so such a bundle must still decode and replay.
+func TestLegacyShardedBundleReplays(t *testing.T) {
+	bundle, recorded := recordScaledFailure(t)
+	path := filepath.Join(bundle, fault.BundleConfigFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(data, []byte("{"), []byte(`{"shards":4,"prefault":true,`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatal("config.json has no object to extend")
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cfg core.Config
+	if err := json.Unmarshal(legacy, &cfg); err != nil {
+		t.Fatalf("legacy config.json does not decode: %v", err)
+	}
+	if cfg.Cores != 64 || cfg.Protocol != coherence.SwiftDir {
+		t.Errorf("legacy config decoded %d cores of %v, want 64 of SwiftDir", cfg.Cores, cfg.Protocol)
+	}
+	checkReplay(t, bundle, recorded)
 }

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -15,11 +16,11 @@ func Example() {
 	prof, _ := workload.ProfileByName("mcf")
 	prof = prof.Scale(0.02)
 
-	base, err := workload.Run(prof, coherence.MESI, workload.DerivO3CPU)
+	base, err := workload.Run(context.Background(), prof, coherence.MESI, workload.DerivO3CPU)
 	if err != nil {
 		panic(err)
 	}
-	swift, err := workload.Run(prof, coherence.SwiftDir, workload.DerivO3CPU)
+	swift, err := workload.Run(context.Background(), prof, coherence.SwiftDir, workload.DerivO3CPU)
 	if err != nil {
 		panic(err)
 	}

@@ -99,7 +99,7 @@ func RunKernel(k Kernel, protocol coherence.Policy, kind CPUKind, bytes int) (Re
 	if bytes < 4096 {
 		return Result{}, fmt.Errorf("workload: kernel working set %d too small", bytes)
 	}
-	m, err := core.NewMachine(shardedDefault(core.DefaultConfig(1, protocol)))
+	m, err := core.NewMachine(core.DefaultConfig(1, protocol))
 	if err != nil {
 		return Result{}, err
 	}
@@ -113,7 +113,6 @@ func RunKernel(k Kernel, protocol coherence.Policy, kind CPUKind, bytes int) (Re
 		return Result{}, err
 	}
 	publishFastPath(k.Name, protocol.Name(), m)
-	publishShards(k.Name, protocol.Name(), m)
 	res := Result{
 		Benchmark:  k.Name,
 		Protocol:   protocol.Name(),

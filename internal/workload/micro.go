@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -15,19 +16,14 @@ import (
 // cache lines. Thread 0 loads the whole region, both threads synchronize,
 // then thread 1 re-accesses every line cross-core. Under MESI the
 // re-access loads hit E-state blocks and take the three-hop path; under
-// S-MESI and SwiftDir they are served from the LLC.
-func RunReadOnly(amount int, protocol coherence.Policy, kind CPUKind) (Result, error) {
-	return RunReadOnlyCancel(amount, protocol, kind, nil)
-}
-
-// RunReadOnlyCancel is RunReadOnly with a cooperative cancellation token
-// armed on the machine; a nil token is RunReadOnly exactly.
-func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *sim.Cancel) (Result, error) {
+// S-MESI and SwiftDir they are served from the LLC. A done ctx aborts the
+// simulation (see core.Config.Context).
+func RunReadOnly(ctx context.Context, amount int, protocol coherence.Policy, kind CPUKind) (Result, error) {
 	if amount <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive shared-data amount %d", amount)
 	}
-	cfg := shardedDefault(core.DefaultConfig(2, protocol))
-	cfg.Cancel = c
+	cfg := core.DefaultConfig(2, protocol)
+	cfg.Context = ctx
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, err
@@ -52,7 +48,6 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 	}
 
 	bar := cpu.NewBarrier(m.Engine(), 2)
-	m.ForceSequential()
 	accessor := loop()
 	accessor.Instrs = append(accessor.Instrs, cpu.Instr{Op: cpu.OpBarrier})
 	reaccessor := &cpu.SliceTrace{Instrs: append([]cpu.Instr{{Op: cpu.OpBarrier}}, loop().Instrs...)}
@@ -64,7 +59,6 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 		return Result{}, err
 	}
 	publishFastPath(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
-	publishShards(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
 	return Result{
 		Benchmark:  fmt.Sprintf("readonly-%d", amount),
 		Protocol:   protocol.Name(),
@@ -166,19 +160,14 @@ func WARApps() []WARApp {
 const WARArrayKB = 64
 
 // RunWAR executes one Figure 10 application: a warm pass (cold misses)
-// followed by `passes` measured passes, single-threaded.
-func RunWAR(app WARApp, protocol coherence.Policy, kind CPUKind, passes int) (Result, error) {
-	return RunWARCancel(app, protocol, kind, passes, nil)
-}
-
-// RunWARCancel is RunWAR with a cooperative cancellation token armed on
-// the machine; a nil token is RunWAR exactly.
-func RunWARCancel(app WARApp, protocol coherence.Policy, kind CPUKind, passes int, tok *sim.Cancel) (Result, error) {
+// followed by `passes` measured passes, single-threaded. A done ctx
+// aborts the simulation (see core.Config.Context).
+func RunWAR(ctx context.Context, app WARApp, protocol coherence.Policy, kind CPUKind, passes int) (Result, error) {
 	if passes <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive pass count")
 	}
-	cfg := shardedDefault(core.DefaultConfig(1, protocol))
-	cfg.Cancel = tok
+	cfg := core.DefaultConfig(1, protocol)
+	cfg.Context = ctx
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, err
@@ -190,20 +179,19 @@ func RunWARCancel(app WARApp, protocol coherence.Policy, kind CPUKind, passes in
 
 	// Warm pass: demand paging + memory fetches, excluded from timing.
 	warm := &cpu.SliceTrace{Instrs: app.trace(heap, blocks, rng)}
-	ctx := proc.AttachContext(0)
-	cpu.Run(m, []cpu.CPU{newCPU(kind, ctx, warm, nil)})
+	hw := proc.AttachContext(0)
+	cpu.Run(m, []cpu.CPU{newCPU(kind, hw, warm, nil)})
 
 	var instrs []cpu.Instr
 	for p := 0; p < passes; p++ {
 		instrs = append(instrs, app.trace(heap, blocks, rng)...)
 	}
-	c := newCPU(kind, ctx, &cpu.SliceTrace{Instrs: instrs}, nil)
+	c := newCPU(kind, hw, &cpu.SliceTrace{Instrs: instrs}, nil)
 	cycles := cpu.Run(m, []cpu.CPU{c})
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
 	publishFastPath(app.Name, protocol.Name(), m)
-	publishShards(app.Name, protocol.Name(), m)
 	return Result{
 		Benchmark:  app.Name,
 		Protocol:   protocol.Name(),

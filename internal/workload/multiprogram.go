@@ -26,7 +26,7 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 	for cores < len(profiles) {
 		cores *= 2
 	}
-	m, err := core.NewMachine(shardedDefault(core.DefaultConfig(cores, protocol)))
+	m, err := core.NewMachine(core.DefaultConfig(cores, protocol))
 	if err != nil {
 		return Result{}, err
 	}
@@ -64,7 +64,6 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 			strings.Join(names, ","), protocol.Name(), err)
 	}
 	publishFastPath("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
-	publishShards("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "mix(" + strings.Join(names, "+") + ")",
 		Protocol:   protocol.Name(),

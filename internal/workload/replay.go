@@ -27,7 +27,7 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 	for cores < len(threads) {
 		cores *= 2
 	}
-	m, err := core.NewMachine(shardedDefault(core.DefaultConfig(cores, protocol)))
+	m, err := core.NewMachine(core.DefaultConfig(cores, protocol))
 	if err != nil {
 		return Result{}, err
 	}
@@ -93,7 +93,6 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 		for _, ins := range instrs {
 			if ins.Op == cpu.OpBarrier {
 				bar = cpu.NewBarrier(m.Engine(), len(threads))
-				m.ForceSequential()
 			}
 		}
 		if bar != nil {
@@ -111,7 +110,6 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 		return Result{}, err
 	}
 	publishFastPath("replay", protocol.Name(), m)
-	publishShards("replay", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "replay",
 		Protocol:   protocol.Name(),

@@ -1,9 +1,9 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -21,34 +21,6 @@ func publishFastPath(benchmark, protocol string, m *core.Machine) {
 	stats.AddFastPath(stats.FastPathSummary{
 		Label: benchmark + "/" + protocol, Fast: fast, Slow: slow,
 	})
-}
-
-// publishShards queues a sharded run's engine accounting (per-shard
-// executed events, driver-run globals, epoch barriers) for the CLI
-// [shards] stderr footers; a no-op on one-engine machines. Like the
-// fast-path split it is observability only: the report stream is
-// byte-identical at every shard count.
-func publishShards(benchmark, protocol string, m *core.Machine) {
-	sh := m.Sys.ShardedEngine()
-	if sh == nil {
-		return
-	}
-	stats.AddShards(stats.ShardSummary{
-		Label:    benchmark + "/" + protocol,
-		Executed: sh.ExecutedPerShard(),
-		Globals:  sh.GlobalsRun(),
-		Barriers: sh.Barriers(),
-	})
-}
-
-// shardedDefault applies the campaign-wide -shards / SWIFTDIR_SHARDS
-// setting to a runner-built machine configuration; an explicit
-// Config.Shards wins.
-func shardedDefault(cfg core.Config) core.Config {
-	if cfg.Shards == 0 {
-		cfg.Shards = campaign.Shards()
-	}
-	return cfg
 }
 
 // CPUKind selects the execution model.
@@ -84,20 +56,15 @@ type Result struct {
 // Run executes profile p on a fresh machine with the given protocol and
 // CPU model and returns the measured result. Threads are pinned to cores
 // 0..Threads-1 of a machine sized to the thread count (min 1 core,
-// rounded up to a power of two), mirroring the paper's setup.
-func Run(p Profile, protocol coherence.Policy, kind CPUKind) (Result, error) {
-	return RunCancel(p, protocol, kind, nil)
-}
-
-// RunCancel is Run with a cooperative cancellation token armed on the
-// machine; a nil token is Run exactly.
-func RunCancel(p Profile, protocol coherence.Policy, kind CPUKind, c *sim.Cancel) (Result, error) {
+// rounded up to a power of two), mirroring the paper's setup. A done
+// ctx aborts the simulation (see core.Config.Context).
+func Run(ctx context.Context, p Profile, protocol coherence.Policy, kind CPUKind) (Result, error) {
 	cores := 1
 	for cores < p.Threads {
 		cores *= 2
 	}
 	cfg := core.DefaultConfig(cores, protocol)
-	cfg.Cancel = c
+	cfg.Context = ctx
 	r, _, err := RunDetailed(p, cfg, kind)
 	return r, err
 }
@@ -113,7 +80,6 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		return Result{}, nil, fmt.Errorf("workload %s: %d threads need >= as many cores, have %d",
 			p.Name, p.Threads, cfg.Cores)
 	}
-	cfg = shardedDefault(cfg)
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, nil, err
@@ -129,9 +95,6 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 	var bar *cpu.Barrier
 	if p.Threads > 1 && p.BarrierEvery > 0 {
 		bar = cpu.NewBarrier(m.Engine(), p.Threads)
-		// Trace barriers mutate one shared waiter list from every core:
-		// sharded machines must stay in sequential-stepping mode.
-		m.ForceSequential()
 	}
 
 	cpus := make([]cpu.CPU, 0, p.Threads)
@@ -147,18 +110,11 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		cpus = append(cpus, newCPU(kind, ctx, gen, bar))
 	}
 
-	if cfg.Prefault {
-		if err := m.Prefault(); err != nil {
-			return Result{}, nil, fmt.Errorf("workload %s: prefault: %w", p.Name, err)
-		}
-	}
-
 	cycles := cpu.Run(m, cpus)
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", p.Name, cfg.Protocol.Name(), err)
 	}
 	publishFastPath(p.Name, cfg.Protocol.Name(), m)
-	publishShards(p.Name, cfg.Protocol.Name(), m)
 
 	res := Result{
 		Benchmark:  p.Name,
@@ -178,7 +134,7 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 
 // MustRun is Run for callers with static inputs.
 func MustRun(p Profile, protocol coherence.Policy, kind CPUKind) Result {
-	r, err := Run(p, protocol, kind)
+	r, err := Run(context.Background(), p, protocol, kind)
 	if err != nil {
 		panic(err)
 	}

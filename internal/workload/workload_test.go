@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/coherence"
@@ -205,7 +206,7 @@ func TestGeneratorBarrierCadence(t *testing.T) {
 func TestRunSingleThreadedSmoke(t *testing.T) {
 	p := SPEC2017()[0].Scale(0.02) // 4000 instrs
 	for _, proto := range coherence.Policies {
-		r, err := Run(p, proto, DerivO3CPU)
+		r, err := Run(context.Background(), p, proto, DerivO3CPU)
 		if err != nil {
 			t.Fatalf("%s: %v", proto.Name(), err)
 		}
@@ -220,7 +221,7 @@ func TestRunSingleThreadedSmoke(t *testing.T) {
 
 func TestRunMultiThreadedSmoke(t *testing.T) {
 	p := PARSEC3()[3].Scale(0.03) // dedup, ~3600 instrs/thread
-	r, err := Run(p, coherence.SwiftDir, DerivO3CPU)
+	r, err := Run(context.Background(), p, coherence.SwiftDir, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +247,13 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunRejectsInvalidProfile(t *testing.T) {
 	p := SPEC2017()[0]
 	p.MemFrac = 2
-	if _, err := Run(p, coherence.MESI, DerivO3CPU); err == nil {
+	if _, err := Run(context.Background(), p, coherence.MESI, DerivO3CPU); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
-	if _, err := RunReadOnly(0, coherence.MESI, DerivO3CPU); err == nil {
+	if _, err := RunReadOnly(context.Background(), 0, coherence.MESI, DerivO3CPU); err == nil {
 		t.Fatal("zero amount accepted")
 	}
-	if _, err := RunWAR(WARApps()[0], coherence.MESI, DerivO3CPU, 0); err == nil {
+	if _, err := RunWAR(context.Background(), WARApps()[0], coherence.MESI, DerivO3CPU, 0); err == nil {
 		t.Fatal("zero passes accepted")
 	}
 }
@@ -260,15 +261,15 @@ func TestRunRejectsInvalidProfile(t *testing.T) {
 // Figure 9's shape: the read-only re-access is faster under SwiftDir and
 // S-MESI than under MESI.
 func TestReadOnlySharedFasterUnderDefenses(t *testing.T) {
-	mesi, err := RunReadOnly(1000, coherence.MESI, DerivO3CPU)
+	mesi, err := RunReadOnly(context.Background(), 1000, coherence.MESI, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swift, err := RunReadOnly(1000, coherence.SwiftDir, DerivO3CPU)
+	swift, err := RunReadOnly(context.Background(), 1000, coherence.SwiftDir, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smesi, err := RunReadOnly(1000, coherence.SMESI, DerivO3CPU)
+	smesi, err := RunReadOnly(context.Background(), 1000, coherence.SMESI, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,15 +286,15 @@ func TestReadOnlySharedFasterUnderDefenses(t *testing.T) {
 func TestWARAppsShape(t *testing.T) {
 	for _, kind := range []CPUKind{TimingSimpleCPU, DerivO3CPU} {
 		for _, app := range WARApps() {
-			mesi, err := RunWAR(app, coherence.MESI, kind, 2)
+			mesi, err := RunWAR(context.Background(), app, coherence.MESI, kind, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			swift, err := RunWAR(app, coherence.SwiftDir, kind, 2)
+			swift, err := RunWAR(context.Background(), app, coherence.SwiftDir, kind, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			smesi, err := RunWAR(app, coherence.SMESI, kind, 2)
+			smesi, err := RunWAR(context.Background(), app, coherence.SMESI, kind, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
