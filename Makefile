@@ -177,13 +177,15 @@ mcheck: build
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -coverage -artifacts '$(MCHECK_ARTIFACTS)'
 
 # Single-source-of-truth gate for the table-driven protocol engine:
-#   1. proto package invariants — every table total (no unclassified
+#   1. proto package invariants over every policy's table (iterating
+#      coherence.ExtendedPolicies) — every table total (no unclassified
 #      cells), the pre-refactor relations preserved verbatim,
 #      Phase-Priority structurally identical to MESI, lookups 0-alloc;
 #   2. the differential conformance harness — golden transcripts and
-#      table-vs-controller dispatch parity in internal/coherence, plus
-#      the steady-state/fast-path 0-alloc pins the refactor must not
-#      regress;
+#      table-vs-controller dispatch parity in internal/coherence, the
+#      policy truth table pinning the answers each policy's features
+#      give, plus the steady-state/fast-path 0-alloc pins the refactor
+#      must not regress;
 #   3. the checker-side completeness and shared-instance tests and the
 #      4-policy transition-coverage matrix;
 #   4. a brief run of the table-dispatch fuzzer (regression corpus runs
@@ -191,7 +193,7 @@ mcheck: build
 #   5. the exhaustive model check of all four policies (see mcheck).
 proto-verify: build
 	$(GO) test -count=1 ./internal/proto
-	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
+	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyTruthTable|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
 	$(GO) test -count=1 -run 'TestTablesComplete|TestTablesAreSharedWithDispatch|TestTransitionCoverage' ./internal/mcheck
 	$(GO) test -run=^$$ -fuzz=FuzzTableDispatch -fuzztime=$(FUZZTIME) ./internal/mcheck
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -artifacts '$(MCHECK_ARTIFACTS)'

@@ -360,7 +360,7 @@ func BenchmarkFig5_CacheArchitectures(b *testing.B) {
 
 func BenchmarkTraffic_MessageBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.Traffic(); len(out) == 0 {
+		if out := experiments.Traffic(context.Background()); len(out) == 0 {
 			b.Fatal("empty traffic report")
 		}
 	}
@@ -368,7 +368,7 @@ func BenchmarkTraffic_MessageBreakdown(b *testing.B) {
 
 func BenchmarkAblation_Ewp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.AblationEwp(64); len(out) == 0 {
+		if out := experiments.AblationEwp(context.Background(), 64); len(out) == 0 {
 			b.Fatal("empty ablation")
 		}
 	}
@@ -384,7 +384,7 @@ func BenchmarkFutureWork_FastCoW(b *testing.B) {
 
 func BenchmarkStudy_MOESIFamilies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.MOESIStudy(64, 1); len(out) == 0 {
+		if out := experiments.MOESIStudy(context.Background(), 64, 1); len(out) == 0 {
 			b.Fatal("empty study")
 		}
 	}
@@ -392,7 +392,7 @@ func BenchmarkStudy_MOESIFamilies(b *testing.B) {
 
 func BenchmarkStudy_Snoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.SnoopStudy(64); len(out) == 0 {
+		if out := experiments.SnoopStudy(context.Background(), 64); len(out) == 0 {
 			b.Fatal("empty study")
 		}
 	}
@@ -408,7 +408,7 @@ func BenchmarkStudy_Prefetch(b *testing.B) {
 
 func BenchmarkStudy_Multiprogram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Multiprogram(0.02)
+		rows, _ := experiments.Multiprogram(context.Background(), 0.02)
 		if len(rows) != 5 {
 			b.Fatal("mix count")
 		}
@@ -428,7 +428,7 @@ func BenchmarkFig10b_WAR_OoO(b *testing.B) {
 
 func BenchmarkStudy_TimingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.TimingSweep(); len(out) == 0 {
+		if out := experiments.TimingSweep(context.Background()); len(out) == 0 {
 			b.Fatal("empty study")
 		}
 	}
@@ -436,7 +436,7 @@ func BenchmarkStudy_TimingSweep(b *testing.B) {
 
 func BenchmarkStudy_MSI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.MSIStudy(64, 1); len(out) == 0 {
+		if out := experiments.MSIStudy(context.Background(), 64, 1); len(out) == 0 {
 			b.Fatal("empty study")
 		}
 	}

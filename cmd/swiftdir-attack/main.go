@@ -95,7 +95,7 @@ func main() {
 
 	if *scale {
 		fmt.Println()
-		fmt.Println(experiments.ScaleAttack(*bits / 8))
+		fmt.Println(experiments.ScaleAttack(context.Background(), *bits/8))
 	}
 }
 

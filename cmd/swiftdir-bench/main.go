@@ -50,7 +50,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/prof"
-	"repro/internal/proto"
 	"repro/internal/resultcache"
 	"repro/internal/stats"
 )
@@ -88,12 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *listPolicies {
 		for _, p := range coherence.ExtendedPolicies {
-			pt := proto.TableFor(p.Name())
-			if pt == nil {
-				fmt.Fprintf(stdout, "%-16s (no transition table)\n", p.Name())
-				continue
-			}
-			defined, defensive, impossible, illegal := pt.Counts()
+			defined, defensive, impossible, illegal := p.Table().Counts()
 			fmt.Fprintf(stdout, "%-16s table: %3d defined, %3d defensive, %3d impossible, %3d illegal\n",
 				p.Name(), defined, defensive, impossible, illegal)
 		}

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -164,7 +165,7 @@ func main() {
 			},
 		})
 	}
-	reports, err := campaign.Collect(0, benchJobs)
+	reports, err := campaign.Collect(context.Background(), 0, benchJobs)
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println(strings.Repeat("-", 60))

@@ -173,67 +173,31 @@ func runPanicHook(hook func(*PanicError), pe *PanicError) (err error) {
 	return nil
 }
 
-// RunCtx is Run with cooperative cancellation: once ctx is done, jobs
-// not yet picked up by a worker are skipped — their Result carries the
-// context's cause as Err and a zero Wall — while jobs already running
-// finish (or abort themselves, when their machines carry a cancel
-// token). Submission order of the results is unchanged, so a cancelled
-// campaign still reads like a partial prefix of the full grid.
-func RunCtx[T any](ctx context.Context, workers int, jobs []Job[T]) ([]Result[T], stats.CampaignSummary) {
-	if ctx == nil || ctx.Done() == nil {
-		return Run(workers, jobs)
-	}
-	guarded := make([]Job[T], len(jobs))
-	for i, j := range jobs {
-		run := j.Run
-		guarded[i] = Job[T]{
-			Name:    j.Name,
-			OnPanic: j.OnPanic,
-			Run: func() (T, error) {
-				if err := ctx.Err(); err != nil {
-					var zero T
-					if cause := context.Cause(ctx); cause != nil {
-						err = cause
-					}
-					return zero, fmt.Errorf("skipped: %w", err)
-				}
-				return run()
-			},
-		}
-	}
-	return Run(workers, guarded)
-}
-
-// CollectCtx is Collect with RunCtx's cancellation semantics.
-func CollectCtx[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error) {
-	results, _ := RunCtx(ctx, workers, jobs)
-	values := make([]T, len(results))
-	var errs []error
-	for i, r := range results {
-		values[i] = r.Value
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("job %q: %w", r.Name, r.Err))
-		}
-	}
-	return values, errors.Join(errs...)
-}
-
-// MustCollectCtx is CollectCtx under the experiments' panic-on-error
-// convention: a cancelled campaign panics with the joined per-job
-// errors, which the frontends' recover fences classify.
-func MustCollectCtx[T any](ctx context.Context, workers int, jobs []Job[T]) []T {
-	values, err := CollectCtx(ctx, workers, jobs)
-	if err != nil {
-		panic(err)
-	}
-	return values
-}
-
 // Collect runs jobs and returns just the values in submission order.
 // Failures (including captured panics) are joined into one error
 // labelled with the failing jobs' names — after every job has finished,
 // so one diverging simulation cannot strand the rest of the grid.
-func Collect[T any](workers int, jobs []Job[T]) ([]T, error) {
+//
+// Cancellation is cooperative: once ctx is done, jobs not yet picked up
+// by a worker are skipped — their error carries the context's cause —
+// while jobs already running finish (or abort themselves, when their
+// machines carry a cancel token).
+func Collect[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error) {
+	if ctx.Done() != nil {
+		guarded := make([]Job[T], len(jobs))
+		for i, j := range jobs {
+			run := j.Run
+			j.Run = func() (T, error) {
+				if ctx.Err() != nil {
+					var zero T
+					return zero, fmt.Errorf("skipped: %w", context.Cause(ctx))
+				}
+				return run()
+			}
+			guarded[i] = j
+		}
+		jobs = guarded
+	}
 	results, _ := Run(workers, jobs)
 	values := make([]T, len(results))
 	var errs []error
@@ -247,9 +211,11 @@ func Collect[T any](workers int, jobs []Job[T]) ([]T, error) {
 }
 
 // MustCollect is Collect for the experiment functions, which follow the
-// package's panic-on-error convention.
-func MustCollect[T any](workers int, jobs []Job[T]) []T {
-	values, err := Collect(workers, jobs)
+// package's panic-on-error convention: a failed or cancelled campaign
+// panics with the joined per-job errors, which the frontends' recover
+// fences classify.
+func MustCollect[T any](ctx context.Context, workers int, jobs []Job[T]) []T {
+	values, err := Collect(ctx, workers, jobs)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -84,7 +85,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("summary failed = %d, want 1", sum.Failed())
 	}
 
-	_, err := Collect(4, jobs)
+	_, err := Collect(context.Background(), 4, jobs)
 	if err == nil || !strings.Contains(err.Error(), `"diverges"`) {
 		t.Fatalf("Collect error not labelled: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestCollectValuesAndErrors(t *testing.T) {
 		{Name: "b", Run: func() (string, error) { return "", errors.New("boom") }},
 		{Name: "c", Run: func() (string, error) { return "C", nil }},
 	}
-	values, err := Collect(2, jobs)
+	values, err := Collect(context.Background(), 2, jobs)
 	if err == nil || !strings.Contains(err.Error(), `job "b"`) {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,7 +110,7 @@ func TestCollectValuesAndErrors(t *testing.T) {
 			t.Fatal("MustCollect did not panic on job error")
 		}
 	}()
-	MustCollect(2, jobs)
+	MustCollect(context.Background(), 2, jobs)
 }
 
 func TestWorkersResolution(t *testing.T) {
@@ -142,7 +143,7 @@ func TestEmptyAndSingleJobCampaigns(t *testing.T) {
 	if len(results) != 0 || len(sum.Jobs) != 0 {
 		t.Fatalf("empty campaign: %d results", len(results))
 	}
-	values := MustCollect(8, squareJobs(1, false, nil))
+	values := MustCollect(context.Background(), 8, squareJobs(1, false, nil))
 	if len(values) != 1 || values[0] != 0 {
 		t.Fatalf("single job: %v", values)
 	}
@@ -158,6 +159,26 @@ func TestTakeSummariesDrains(t *testing.T) {
 	}
 	if len(TakeSummaries()) != 0 {
 		t.Fatal("second drain not empty")
+	}
+}
+
+// TestCollectSkipsJobsAfterCancel: once ctx is done, jobs not yet started
+// are skipped with the context's cause, while the job already running
+// finishes.
+func TestCollectSkipsJobsAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	jobs := squareJobs(4, false, nil)
+	first := jobs[0].Run
+	jobs[0].Run = func() (int, error) {
+		cancel()
+		return first()
+	}
+	_, err := Collect(ctx, 1, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Collect error %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), `job "sq-3": skipped`) || strings.Contains(err.Error(), `"sq-0"`) {
+		t.Fatalf("error %v: want sq-0 run and the queued jobs skipped", err)
 	}
 }
 

@@ -123,10 +123,10 @@ type bank struct {
 	lastAddr cache.Addr
 	lastEnt  *dirEntry
 
-	// arb, when the policy implements Arbiter, orders each transaction's
-	// queued requests by arbitration class (see enqueue). nil keeps the
+	// arb, set for a phase-priority policy, orders each transaction's
+	// queued requests by arbitration class (see enqueue). Unset keeps the
 	// plain FIFO append, byte-identical to a build without arbitration.
-	arb Arbiter
+	arb bool
 
 	// arbPromotions counts queued requests that were inserted ahead of at
 	// least one earlier arrival (kept outside BankStats: report surfaces
@@ -142,18 +142,17 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 	if esz < 256 {
 		esz = 256
 	}
-	arb, _ := sys.Policy.(Arbiter)
 	return &bank{
 		id:      id,
 		sys:     sys,
 		engine:  sys.Eng,
-		tab:     sys.table,
+		tab:     sys.Policy.table,
 		arr:     cache.NewArray(params),
 		entries: make(map[cache.Addr]*dirEntry, esz),
 		busy:    make(map[cache.Addr]*txn, 256),
 		pinned:  make(map[cache.Addr]int, 64),
 		image:   make(map[cache.Addr]uint64),
-		arb:     arb,
+		arb:     sys.Policy.phasePriority,
 	}
 }
 
@@ -291,12 +290,7 @@ func (b *bank) unpin(addr cache.Addr) {
 func (b *bank) Handle(p sim.Payload) {
 	switch p.Op {
 	case opBankDispatch:
-		m := msgFromPayload(p)
-		b.sys.trace(m, DirID)
-		b.dispatch(m)
-		if b.sys.ObservePost != nil {
-			b.sys.ObservePost(m, DirID)
-		}
+		b.sys.deliver(msgFromPayload(p), DirID)
 	case opBankSendStage:
 		dst := int(p.Z)
 		if b.sys.twoLevel {
@@ -325,13 +319,8 @@ func (b *bank) Handle(p sim.Payload) {
 	case opBankDeliverPin:
 		// The fabric delivered this to the destination L1's port.
 		m := msgFromPayload(p)
-		dst := int(p.Z)
 		b.unpin(m.Addr)
-		b.sys.trace(m, dst)
-		b.sys.L1s[dst].Receive(m)
-		if b.sys.ObservePost != nil {
-			b.sys.ObservePost(m, dst)
-		}
+		b.sys.deliver(m, int(p.Z))
 	case opBankFetchIssue:
 		now := b.eng().Now()
 		done := b.sys.Mem.AccessAt(now, p.A, false)
@@ -479,22 +468,22 @@ func (b *bank) onInvAck(m Msg) {
 }
 
 // enqueue parks a request behind addr's in-flight transaction. Without
-// an arbiter this is a FIFO append. With one, the request is inserted by
-// arbitration class (stable within a class), except that it never
+// phase-priority arbitration this is a FIFO append. With it, the request
+// is inserted by arbitration class (stable within a class), except that it never
 // overtakes an earlier request from the same source: per-source order is
 // load-bearing — replaying a core's GETX ahead of its own still-queued
 // PUTX for the block would make the directory see its owner re-request
 // the block, a protocol violation.
 func (b *bank) enqueue(t *txn, m Msg) {
-	if b.arb == nil {
+	if !b.arb {
 		t.queued = append(t.queued, m)
 		return
 	}
-	c := b.arb.QueueClass(m.Kind)
+	c := queueClass(m.Kind)
 	i := len(t.queued)
 	for i > 0 {
 		prev := t.queued[i-1]
-		if prev.Src == m.Src || b.arb.QueueClass(prev.Kind) <= c {
+		if prev.Src == m.Src || queueClass(prev.Kind) <= c {
 			break
 		}
 		i--
@@ -507,6 +496,22 @@ func (b *bank) enqueue(t *txn, m Msg) {
 	t.queued = append(t.queued, Msg{})
 	copy(t.queued[i+1:], t.queued[i:])
 	t.queued[i] = m
+}
+
+// queueClass is the phase-priority arbitration class of a request kind
+// (lower wins): Upgrades (a sharer finishing its store) beat GETX (a new
+// writer), which beat loads; PUTS/PUTX keep their arrival order at the
+// back.
+func queueClass(k MsgKind) uint8 {
+	switch k {
+	case MsgUpgrade:
+		return 0
+	case MsgGETX:
+		return 1
+	case MsgGETS, MsgGETSWP:
+		return 2
+	}
+	return 3
 }
 
 // onLoadShared implements GETS/GETS_WP at DirShared (Figure 1(b)/4(b)):

@@ -197,16 +197,6 @@ func (s *System) ForEachHubState(fn func(hub int, addr cache.Addr, record uint64
 // NumClusters returns the hub count (0 for a flat system).
 func (s *System) NumClusters() int { return len(s.hubs) }
 
-// MSHRStateOf returns the transient state of port's outstanding
-// transaction for block, if one exists.
-func (l *L1) MSHRStateOf(block cache.Addr) (Transient, bool) {
-	ms, ok := l.mshrs[block]
-	if !ok {
-		return 0, false
-	}
-	return ms.state, true
-}
-
 // ForEachMSHR visits every outstanding MSHR in ascending block order. The
 // pending slice aliases live controller state and must not be mutated or
 // retained across engine steps.

@@ -194,7 +194,7 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		eng:       sys.Eng,
 		timing:    sys.Timing,
 		policy:    sys.Policy,
-		tab:       sys.table,
+		tab:       sys.Policy.table,
 		arr:       cache.NewArray(params),
 		mshrs:     make(map[cache.Addr]*mshr, msz),
 		wb:        make(map[cache.Addr]wbEntry, 64),
@@ -280,12 +280,7 @@ func (l *L1) freeMSHR(ms *mshr) {
 func (l *L1) Handle(p sim.Payload) {
 	switch p.Op {
 	case opL1Recv:
-		m := msgFromPayload(p)
-		l.sys.trace(m, l.ID)
-		l.Receive(m)
-		if l.sys.ObservePost != nil {
-			l.sys.ObservePost(m, l.ID)
-		}
+		l.sys.deliver(msgFromPayload(p), l.ID)
 	case opL1Process:
 		l.process(l.takeAccess(int32(p.A)))
 	case opL1ProcessMiss:
@@ -430,13 +425,13 @@ func (l *L1) applyStore(ln *cache.Line, block cache.Addr, a *Access) {
 // entry point for accesses that were queued behind an MSHR.
 func (l *L1) process(a Access) {
 	block := l.arr.BlockAddr(a.Addr)
-	if l.sys.ObserveCPU != nil {
-		l.sys.ObserveCPU(l.ID, block, a.Write)
+	if l.sys.Observe == nil {
+		l.examine(block, a)
+		return
 	}
+	pre := l.protoState(block)
 	l.examine(block, a)
-	if l.sys.ObserveCPUPost != nil {
-		l.sys.ObserveCPUPost(l.ID, block, a.Write)
-	}
+	l.sys.Observe(Transition{Ctrl: l.ID, Block: block, Ev: cpuEvent(a.Write), Pre: uint8(pre), Post: uint8(l.protoState(block))})
 }
 
 // l1Entry is the generic dispatch step shared by CPU examinations and

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -215,5 +216,28 @@ func TestMESIFConcurrentStress(t *testing.T) {
 	s.Eng.RunBounded(50_000_000)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsWPForwardUnderSwiftDirMESIF: the WP-never-exclusive
+// invariant asks the policy, so it covers SwiftDir-MESIF too, whose
+// write-protected data must get neither E nor F. A WP line forced into F
+// (with the directory agreeing, so no other invariant trips) must fail.
+func TestCheckInvariantsWPForwardUnderSwiftDirMESIF(t *testing.T) {
+	s := newTestSystem(t, SwiftDirMESIF, 2)
+	s.AccessSync(0, blockA, false, true, 0)
+	s.Quiesce()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("clean system: %v", err)
+	}
+	ln := s.L1s[0].Array().Lookup(blockA)
+	if ln == nil || !ln.WP || ln.State != cache.Shared {
+		t.Fatalf("setup: WP load left line %+v, want a write-protected S copy", ln)
+	}
+	ln.State = cache.Forward
+	s.bankFor(blockA).entries[blockA].forwarder = 0
+	err := s.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "write-protected") {
+		t.Fatalf("WP line in F under SwiftDir-MESIF: CheckInvariants = %v, want a write-protected violation", err)
 	}
 }

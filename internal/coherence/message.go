@@ -2,8 +2,8 @@
 // coherence protocols the paper studies: the MESI baseline, the S-MESI
 // defense (Yao et al.), and SwiftDir. One shared state-machine
 // implementation — a per-core L1 controller and a banked LLC/directory
-// controller — is specialized by a small Policy interface that captures
-// exactly the three behavioural differences of Table IV:
+// controller — is specialized by a Policy, a value of feature settings
+// that captures exactly the three behavioural differences of Table IV:
 //
 //   - whether a store to an E-state L1 line upgrades silently (MESI,
 //     SwiftDir) or must synchronize the M state with the LLC (S-MESI);
@@ -115,7 +115,7 @@ const (
 
 	// Two-level directory routing (cluster hubs). Hub events are pure
 	// routing plus exact-local-set bookkeeping: they never resolve a
-	// protocol table entry and are invisible to the Observe hooks.
+	// protocol table entry and are invisible to the Observe hook.
 	opHubUp            // L1 -> hub: filter/forward a request toward the home bank
 	opHubDown          // bank/owner -> hub: record and deliver a message to a local L1 (Z = dst)
 	opHubDownPin       // like opHubDown for a pinned grant (forwards opBankDeliverPin)

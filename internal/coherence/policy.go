@@ -1,253 +1,164 @@
 package coherence
 
-// Policy captures the protocol-specific decisions (Table IV). Everything
-// else — the transaction structure, transient states, forwarding,
-// invalidation, writebacks — is shared across protocols.
-type Policy interface {
-	// Name identifies the protocol in reports.
-	Name() string
+import "repro/internal/proto"
 
-	// SilentUpgrade reports whether a store hitting an E-state L1 line
-	// (whose write-protection marking is lineWP) may transition to M
-	// locally without notifying the LLC. MESI and SwiftDir keep this
-	// speedup unconditionally; S-MESI revokes it (Figure 3); the E_wp
-	// ablation must revoke it for E_wp lines or the LLC would serve
-	// stale data (the hazard that makes E_wp "complicated").
-	SilentUpgrade(lineWP bool) bool
+// Protocol is one coherence policy, defined entirely by data: a name, the
+// proto.Features on which the protocols differ (Table IV), and whether
+// the directory arbitrates its queued requests by phase. Everything else
+// — the transaction structure, transient states, forwarding,
+// invalidation, writebacks — is shared across protocols. The transition
+// relation is built from the features once, when the policy is defined,
+// and every controller and the model checker read that one instance.
+type Protocol struct {
+	name     string
+	features proto.Features
+	table    *proto.Table
 
-	// LoadRequest returns the coherence request an L1 load miss emits,
-	// given the access's write-protection bit. SwiftDir (and the E_wp
-	// ablation) emit GETS_WP for write-protected data.
-	LoadRequest(wp bool) MsgKind
-
-	// GrantExclusiveOnLoad reports whether the directory grants
-	// exclusivity (I→E) for an initial load. SwiftDir answers false for
-	// write-protected data, enforcing the I→S transition of Figure 4(a).
-	GrantExclusiveOnLoad(wp bool) bool
-
-	// ServeExclusiveFromLLC reports whether a GETS hitting a
-	// directory-Exclusive block may be served directly from the LLC,
-	// given whether the block was write-protected when granted. S-MESI
-	// answers true unconditionally (its explicit upgrades make E
-	// provably clean); the E_wp ablation answers true only for
-	// write-protected blocks (which cannot have been silently modified);
-	// MESI and SwiftDir must forward.
-	ServeExclusiveFromLLC(blockWP bool) bool
-
-	// OwnershipTransfer reports whether the protocol uses MOESI's Owned
-	// state: a dirty owner answering a forwarded GETS keeps its dirty
-	// copy in state O and supplies sharers directly, instead of writing
-	// back to the LLC and downgrading to S.
-	OwnershipTransfer() bool
-
-	// ForwardStateFor reports whether the protocol designates a MESIF
-	// Forward holder among the sharers of a (possibly write-protected)
-	// block, so shared reads are served cache-to-cache by the forwarder
-	// rather than by the LLC. The SwiftDir adaptation answers false for
-	// write-protected data, keeping their service at the LLC constant.
-	ForwardStateFor(wp bool) bool
+	// phasePriority installs a priority discipline on the directory's
+	// per-transaction request queues (see queueClass): queued requests are
+	// kept sorted by class, stably, except that a request never overtakes
+	// an earlier request from the same source (a core's eviction notice
+	// must stay ahead of its own re-request for the block, or the
+	// directory would see the owner re-request its own block).
+	phasePriority bool
 }
 
-type mesiPolicy struct{}
+// Policy is how the rest of the repository names a protocol: a pointer to
+// its one definition, so policies compare with ==.
+type Policy = *Protocol
 
-func (mesiPolicy) Name() string                    { return "MESI" }
-func (mesiPolicy) SilentUpgrade(bool) bool         { return true }
-func (mesiPolicy) LoadRequest(bool) MsgKind        { return MsgGETS }
-func (mesiPolicy) GrantExclusiveOnLoad(bool) bool  { return true }
-func (mesiPolicy) ServeExclusiveFromLLC(bool) bool { return false }
+// NewPolicy defines a protocol from its features. The shipped policies
+// are the package variables below; NewPolicy exists for experimental
+// variants such as a deliberately broken policy under the model checker.
+func NewPolicy(name string, f proto.Features) Policy {
+	return &Protocol{name: name, features: f, table: proto.Build(name, f)}
+}
 
-type smesiPolicy struct{}
+// Name identifies the protocol in reports.
+func (p *Protocol) Name() string { return p.name }
 
-func (smesiPolicy) Name() string                    { return "S-MESI" }
-func (smesiPolicy) SilentUpgrade(bool) bool         { return false }
-func (smesiPolicy) LoadRequest(bool) MsgKind        { return MsgGETS }
-func (smesiPolicy) GrantExclusiveOnLoad(bool) bool  { return true }
-func (smesiPolicy) ServeExclusiveFromLLC(bool) bool { return true }
+// Features returns the feature values that define the protocol.
+func (p *Protocol) Features() proto.Features { return p.features }
 
-type swiftDirPolicy struct{}
+// Table returns the protocol's transition relation: the instance both
+// controllers dispatch from and the model checker verifies against.
+func (p *Protocol) Table() *proto.Table { return p.table }
 
-func (swiftDirPolicy) Name() string            { return "SwiftDir" }
-func (swiftDirPolicy) SilentUpgrade(bool) bool { return true }
+// SilentUpgrade reports whether a store hitting an E-state L1 line (whose
+// write-protection marking is lineWP) may transition to M locally without
+// notifying the LLC. MESI and SwiftDir keep this speedup unconditionally;
+// S-MESI revokes it (Figure 3); the E_wp ablation must revoke it for E_wp
+// lines or the LLC would serve stale data (the hazard that makes E_wp
+// "complicated").
+func (p *Protocol) SilentUpgrade(lineWP bool) bool { return p.features.SilentE.For(lineWP) }
 
-func (swiftDirPolicy) LoadRequest(wp bool) MsgKind {
-	if wp {
+// LoadRequest returns the coherence request an L1 load miss emits, given
+// the access's write-protection bit. SwiftDir (and the E_wp ablation)
+// emit GETS_WP for write-protected data.
+func (p *Protocol) LoadRequest(wp bool) MsgKind {
+	if wp && p.features.WPLoads {
 		return MsgGETSWP
 	}
 	return MsgGETS
 }
 
-func (swiftDirPolicy) GrantExclusiveOnLoad(wp bool) bool { return !wp }
-func (swiftDirPolicy) ServeExclusiveFromLLC(bool) bool   { return false }
+// GrantExclusiveOnLoad reports whether the directory grants exclusivity
+// (I→E) for an initial load. SwiftDir answers false for write-protected
+// data, enforcing the I→S transition of Figure 4(a).
+func (p *Protocol) GrantExclusiveOnLoad(wp bool) bool { return p.features.Exclusive.For(wp) }
 
-// swiftDirEwpPolicy is the alternative design the paper considers and
-// rejects in §III-B3: instead of eliminating the E state for
-// write-protected data, introduce a specialized E_wp state that keeps
-// exclusivity but lets the LLC serve remote loads directly (E_wp blocks
-// are write-protected, hence provably unmodified). It is equally secure
-// but complicates the protocol — an extra stable state at the directory
-// and a Downgrade flow — which is exactly why SwiftDir prefers the I→S
-// simplification. Kept here as an executable ablation.
-type swiftDirEwpPolicy struct{}
+// ServeExclusiveFromLLC reports whether a GETS hitting a
+// directory-Exclusive block may be served directly from the LLC, given
+// whether the block was write-protected when granted. S-MESI answers true
+// unconditionally (its explicit upgrades make E provably clean); the E_wp
+// ablation answers true only for write-protected blocks (which cannot
+// have been silently modified); MESI and SwiftDir must forward.
+func (p *Protocol) ServeExclusiveFromLLC(blockWP bool) bool { return p.features.LLCServeE.For(blockWP) }
 
-func (swiftDirEwpPolicy) Name() string                   { return "SwiftDir-Ewp" }
-func (swiftDirEwpPolicy) SilentUpgrade(lineWP bool) bool { return !lineWP }
+// OwnershipTransfer reports whether the protocol uses MOESI's Owned
+// state: a dirty owner answering a forwarded GETS keeps its dirty copy in
+// state O and supplies sharers directly, instead of writing back to the
+// LLC and downgrading to S.
+func (p *Protocol) OwnershipTransfer() bool { return p.features.Owned }
 
-func (swiftDirEwpPolicy) LoadRequest(wp bool) MsgKind {
-	if wp {
-		return MsgGETSWP
-	}
-	return MsgGETS
-}
-
-func (swiftDirEwpPolicy) GrantExclusiveOnLoad(bool) bool          { return true }
-func (swiftDirEwpPolicy) ServeExclusiveFromLLC(blockWP bool) bool { return blockWP }
-
-func (mesiPolicy) OwnershipTransfer() bool        { return false }
-func (smesiPolicy) OwnershipTransfer() bool       { return false }
-func (swiftDirPolicy) OwnershipTransfer() bool    { return false }
-func (swiftDirEwpPolicy) OwnershipTransfer() bool { return false }
-
-func (mesiPolicy) ForwardStateFor(bool) bool        { return false }
-func (smesiPolicy) ForwardStateFor(bool) bool       { return false }
-func (swiftDirPolicy) ForwardStateFor(bool) bool    { return false }
-func (swiftDirEwpPolicy) ForwardStateFor(bool) bool { return false }
-
-// moesiPolicy is the MOESI baseline (AMD Opteron family, §II-A2): MESI
-// plus the Owned state, so dirty data migrate cache-to-cache without LLC
-// writebacks. The E/S (and O/S) timing channel exists here exactly as in
-// MESI.
-type moesiPolicy struct{}
-
-func (moesiPolicy) Name() string                    { return "MOESI" }
-func (moesiPolicy) SilentUpgrade(bool) bool         { return true }
-func (moesiPolicy) LoadRequest(bool) MsgKind        { return MsgGETS }
-func (moesiPolicy) GrantExclusiveOnLoad(bool) bool  { return true }
-func (moesiPolicy) ServeExclusiveFromLLC(bool) bool { return false }
-func (moesiPolicy) OwnershipTransfer() bool         { return true }
-func (moesiPolicy) ForwardStateFor(bool) bool       { return false }
-
-// swiftDirMoesiPolicy applies SwiftDir's I→S rule on top of MOESI,
-// demonstrating that the defense is orthogonal to the ownership-transfer
-// optimization: write-protected data never reach E, M, or O, so every
-// access to them is the constant LLC service.
-type swiftDirMoesiPolicy struct{}
-
-func (swiftDirMoesiPolicy) Name() string            { return "SwiftDir-MOESI" }
-func (swiftDirMoesiPolicy) SilentUpgrade(bool) bool { return true }
-
-func (swiftDirMoesiPolicy) LoadRequest(wp bool) MsgKind {
-	if wp {
-		return MsgGETSWP
-	}
-	return MsgGETS
-}
-
-func (swiftDirMoesiPolicy) GrantExclusiveOnLoad(wp bool) bool { return !wp }
-func (swiftDirMoesiPolicy) ServeExclusiveFromLLC(bool) bool   { return false }
-func (swiftDirMoesiPolicy) OwnershipTransfer() bool           { return true }
-func (swiftDirMoesiPolicy) ForwardStateFor(bool) bool         { return false }
-
-// mesifPolicy is the MESIF baseline (Intel QPI-era point-to-point
-// interconnects): among the clean sharers of a block, the most recent
-// requestor holds the Forward state and answers shared reads
-// cache-to-cache. In a two-level inclusive hierarchy this turns S-state
-// service into a three-hop path whenever a forwarder exists, leaving a
-// residual forwarder-present/absent timing channel.
-type mesifPolicy struct{}
-
-func (mesifPolicy) Name() string                    { return "MESIF" }
-func (mesifPolicy) SilentUpgrade(bool) bool         { return true }
-func (mesifPolicy) LoadRequest(bool) MsgKind        { return MsgGETS }
-func (mesifPolicy) GrantExclusiveOnLoad(bool) bool  { return true }
-func (mesifPolicy) ServeExclusiveFromLLC(bool) bool { return false }
-func (mesifPolicy) OwnershipTransfer() bool         { return false }
-func (mesifPolicy) ForwardStateFor(bool) bool       { return true }
-
-// swiftDirMesifPolicy applies SwiftDir to MESIF: write-protected data get
-// neither E nor F, so every access to them is the constant LLC service;
-// unprotected data keep the forwarder optimization.
-type swiftDirMesifPolicy struct{}
-
-func (swiftDirMesifPolicy) Name() string            { return "SwiftDir-MESIF" }
-func (swiftDirMesifPolicy) SilentUpgrade(bool) bool { return true }
-
-func (swiftDirMesifPolicy) LoadRequest(wp bool) MsgKind {
-	if wp {
-		return MsgGETSWP
-	}
-	return MsgGETS
-}
-
-func (swiftDirMesifPolicy) GrantExclusiveOnLoad(wp bool) bool { return !wp }
-func (swiftDirMesifPolicy) ServeExclusiveFromLLC(bool) bool   { return false }
-func (swiftDirMesifPolicy) OwnershipTransfer() bool           { return false }
-func (swiftDirMesifPolicy) ForwardStateFor(wp bool) bool      { return !wp }
-
-// msiPolicy is the three-state baseline that predates MESI: no Exclusive
-// state at all, so a first reader installs Shared and *every* store to a
-// previously-loaded line pays an explicit Upgrade round trip. It closes
-// the E/S channel trivially (there is no E to distinguish) — it is the
-// naive "just drop the E state" fix — but it taxes every private
-// read-then-write, which is precisely the cost the E state was invented
-// to remove (§II-A1) and which S-MESI only partially reintroduces.
-type msiPolicy struct{}
-
-func (msiPolicy) Name() string                    { return "MSI" }
-func (msiPolicy) SilentUpgrade(bool) bool         { return false }
-func (msiPolicy) LoadRequest(bool) MsgKind        { return MsgGETS }
-func (msiPolicy) GrantExclusiveOnLoad(bool) bool  { return false }
-func (msiPolicy) ServeExclusiveFromLLC(bool) bool { return false }
-func (msiPolicy) OwnershipTransfer() bool         { return false }
-func (msiPolicy) ForwardStateFor(bool) bool       { return false }
-
-// Arbiter is an optional policy extension: a policy that also implements
-// it installs a priority discipline on the directory's per-transaction
-// request queues. QueueClass maps a request kind to its arbitration
-// class (lower wins); queued requests are kept sorted by class, stably,
-// with one soundness constraint the bank enforces regardless of class: a
-// request never overtakes an earlier request from the same source (a
-// core's eviction notice must stay ahead of its own re-request for the
-// block, or the directory would see the owner re-request its own block).
-type Arbiter interface {
-	QueueClass(k MsgKind) uint8
-}
-
-// phasePriorityPolicy is MESI plus phase-priority directory arbitration
-// (after the at-memory request-priority schemes of arXiv:1305.3038):
-// requests that retire an already-started coherence phase drain before
-// requests that would open a new one. Upgrades (a sharer finishing its
-// store) beat GETX (a new writer), which beat loads. The transition
-// relation is exactly MESI's — arbitration only reorders the replay of
-// queued requests, which is not an externally observable event — so the
-// model checker verifies it against the MESI-shaped table for free.
-type phasePriorityPolicy struct{ mesiPolicy }
-
-func (phasePriorityPolicy) Name() string { return "Phase-Priority" }
-
-func (phasePriorityPolicy) QueueClass(k MsgKind) uint8 {
-	switch k {
-	case MsgUpgrade:
-		return 0
-	case MsgGETX:
-		return 1
-	case MsgGETS, MsgGETSWP:
-		return 2
-	}
-	return 3 // PUTS/PUTX keep their arrival order at the back
-}
+// ForwardStateFor reports whether the protocol designates a MESIF Forward
+// holder among the sharers of a (possibly write-protected) block, so
+// shared reads are served cache-to-cache by the forwarder rather than by
+// the LLC. The SwiftDir adaptation answers false for write-protected
+// data, keeping their service at the LLC constant.
+func (p *Protocol) ForwardStateFor(wp bool) bool { return p.features.Forward.For(wp) }
 
 // The protocols under evaluation.
 var (
-	MESI          Policy = mesiPolicy{}
-	SMESI         Policy = smesiPolicy{}
-	SwiftDir      Policy = swiftDirPolicy{}
-	SwiftDirEwp   Policy = swiftDirEwpPolicy{}
-	MOESI         Policy = moesiPolicy{}
-	SwiftDirMOESI Policy = swiftDirMoesiPolicy{}
-	MESIF         Policy = mesifPolicy{}
-	SwiftDirMESIF Policy = swiftDirMesifPolicy{}
-	MSI           Policy = msiPolicy{}
-	PhasePriority Policy = phasePriorityPolicy{}
+	MESI = NewPolicy("MESI", proto.Features{
+		Exclusive: proto.TriAlways, SilentE: proto.TriAlways,
+	})
+	// SwiftDir is MESI with one decision changed: write-protected loads
+	// request GETS_WP and are never granted E (the I→S rule, §III).
+	SwiftDir = NewPolicy("SwiftDir", proto.Features{
+		WPLoads: true, Exclusive: proto.TriNoWP, SilentE: proto.TriAlways,
+	})
+	// SMESI revokes silent E→M upgrades, so E is provably clean and the
+	// LLC serves loads on E blocks directly (Figure 3).
+	SMESI = NewPolicy("S-MESI", proto.Features{
+		Exclusive: proto.TriAlways, SilentE: proto.TriNever, LLCServeE: proto.TriAlways,
+	})
+	// SwiftDirEwp is the alternative design the paper considers and
+	// rejects in §III-B3: instead of eliminating the E state for
+	// write-protected data, a specialized E_wp state keeps exclusivity but
+	// lets the LLC serve remote loads directly (E_wp blocks are
+	// write-protected, hence provably unmodified). It is equally secure
+	// but complicates the protocol — an extra stable state at the
+	// directory and a Downgrade flow — which is exactly why SwiftDir
+	// prefers the I→S simplification. Kept as an executable ablation.
+	SwiftDirEwp = NewPolicy("SwiftDir-Ewp", proto.Features{
+		WPLoads: true, Exclusive: proto.TriAlways, SilentE: proto.TriNoWP, LLCServeE: proto.TriWPOnly,
+	})
+	// MOESI is the MOESI baseline (AMD Opteron family, §II-A2): MESI plus
+	// the Owned state, so dirty data migrate cache-to-cache without LLC
+	// writebacks. The E/S (and O/S) timing channel exists here exactly as
+	// in MESI.
+	MOESI = NewPolicy("MOESI", proto.Features{
+		Exclusive: proto.TriAlways, SilentE: proto.TriAlways, Owned: true,
+	})
+	// SwiftDirMOESI applies SwiftDir's I→S rule on top of MOESI: the
+	// defense is orthogonal to ownership transfer, since write-protected
+	// data never reach E, M, or O.
+	SwiftDirMOESI = NewPolicy("SwiftDir-MOESI", proto.Features{
+		WPLoads: true, Exclusive: proto.TriNoWP, SilentE: proto.TriAlways, Owned: true,
+	})
+	// MESIF is the MESIF baseline (Intel QPI-era point-to-point
+	// interconnects): among the clean sharers of a block, the most recent
+	// requestor holds the Forward state and answers shared reads
+	// cache-to-cache, leaving a residual forwarder-present/absent timing
+	// channel.
+	MESIF = NewPolicy("MESIF", proto.Features{
+		Exclusive: proto.TriAlways, SilentE: proto.TriAlways, Forward: proto.TriAlways,
+	})
+	// SwiftDirMESIF applies SwiftDir to MESIF: write-protected data get
+	// neither E nor F, so every access to them is the constant LLC
+	// service; unprotected data keep the forwarder optimization.
+	SwiftDirMESIF = NewPolicy("SwiftDir-MESIF", proto.Features{
+		WPLoads: true, Exclusive: proto.TriNoWP, SilentE: proto.TriAlways, Forward: proto.TriNoWP,
+	})
+	// MSI is the three-state baseline that predates MESI: no Exclusive
+	// state at all, so every store to a previously-loaded line pays an
+	// explicit Upgrade round trip. It closes the E/S channel trivially —
+	// the naive "just drop the E state" fix — but taxes every private
+	// read-then-write, the cost the E state was invented to remove
+	// (§II-A1).
+	MSI = NewPolicy("MSI", proto.Features{})
+	// PhasePriority is MESI plus phase-priority directory arbitration
+	// (after the at-memory request-priority schemes of arXiv:1305.3038):
+	// requests that retire an already-started coherence phase drain before
+	// requests that would open a new one. The transition relation is
+	// exactly MESI's — arbitration only reorders the replay of queued
+	// requests, which is not an externally observable event.
+	PhasePriority = func() Policy {
+		p := NewPolicy("Phase-Priority", MESI.features)
+		p.phasePriority = true
+		return p
+	}()
 )
 
 // Policies lists the paper's three protocols in its comparison order.

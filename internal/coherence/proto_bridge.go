@@ -50,41 +50,11 @@ func (b *bank) protoDirState(addr cache.Addr) proto.DirState {
 	return proto.DirI
 }
 
-// ProtoTable returns the system policy's canonical transition relation.
-// Dispatch in both controllers is driven by this table, so it is always
-// non-nil: registered policies resolve by name, and an unregistered
-// policy (an experiment or a deliberately buggy test double) gets a
-// table derived from its Policy interface answers.
-func (s *System) ProtoTable() *proto.Table { return s.table }
-
-// tableForPolicy resolves the canonical table for a policy, deriving one
-// from the interface for policies outside the registry. The derivation
-// asks the same questions the controllers ask at runtime, so the derived
-// relation matches what the action bodies will actually do — including
-// for deliberately broken policies, whose bugs manifest as protocol
-// invariant violations (SWMR, stale data), not as dispatch gaps.
-func tableForPolicy(p Policy) *proto.Table {
-	if t := proto.TableFor(p.Name()); t != nil {
-		return t
+// ctrlState returns a controller's transition-table state for a block:
+// the L1's protoState, or the home bank's protoDirState for DirID.
+func (s *System) ctrlState(ctrl int, block cache.Addr) uint8 {
+	if ctrl == DirID {
+		return uint8(s.bankFor(block).protoDirState(block))
 	}
-	tri := func(plain, wp bool) proto.Tri {
-		switch {
-		case plain && wp:
-			return proto.TriAlways
-		case plain:
-			return proto.TriNoWP
-		case wp:
-			return proto.TriWPOnly
-		default:
-			return proto.TriNever
-		}
-	}
-	return proto.Build(p.Name(), proto.Features{
-		WPLoads:   p.LoadRequest(true) == MsgGETSWP,
-		HasE:      p.GrantExclusiveOnLoad(false) || p.GrantExclusiveOnLoad(true),
-		SilentE:   tri(p.SilentUpgrade(false), p.SilentUpgrade(true)),
-		LLCServeE: tri(p.ServeExclusiveFromLLC(false), p.ServeExclusiveFromLLC(true)),
-		Owned:     p.OwnershipTransfer(),
-		Forward:   tri(p.ForwardStateFor(false), p.ForwardStateFor(true)),
-	})
+	return uint8(s.L1s[ctrl].protoState(block))
 }

@@ -66,55 +66,52 @@ func TestProtoStateAlignment(t *testing.T) {
 	}
 }
 
-// TestProtoPolicyLinkage: each policy's feature-derived table agrees with
-// what its Policy implementation actually does — the vocabulary contains
-// GETS_WP iff write-protected loads request it, the (E, Store) next
-// states match SilentUpgrade, and DirE loads match ServeExclusiveFromLLC.
-func TestProtoPolicyLinkage(t *testing.T) {
-	for _, p := range ExtendedPolicies {
-		tab := proto.TableFor(p.Name())
-		if tab == nil {
-			t.Errorf("%s: no proto table registered", p.Name())
-			continue
+// TestPolicyTruthTable pins the six runtime questions every policy
+// answers, derived from its features, to a literal table of the answers
+// the protocols gave when each was a hand-written implementation. It is
+// the reference that keeps the feature encoding honest now that the
+// features are the only definition.
+func TestPolicyTruthTable(t *testing.T) {
+	type row struct {
+		name                                          string
+		wp                                            bool
+		load                                          MsgKind
+		silent, grantE, llcServe, ownership, fwdState bool
+	}
+	want := []row{
+		{"MESI", false, MsgGETS, true, true, false, false, false},
+		{"MESI", true, MsgGETS, true, true, false, false, false},
+		{"SwiftDir", false, MsgGETS, true, true, false, false, false},
+		{"SwiftDir", true, MsgGETSWP, true, false, false, false, false},
+		{"S-MESI", false, MsgGETS, false, true, true, false, false},
+		{"S-MESI", true, MsgGETS, false, true, true, false, false},
+		{"SwiftDir-Ewp", false, MsgGETS, true, true, false, false, false},
+		{"SwiftDir-Ewp", true, MsgGETSWP, false, true, true, false, false},
+		{"MOESI", false, MsgGETS, true, true, false, true, false},
+		{"MOESI", true, MsgGETS, true, true, false, true, false},
+		{"SwiftDir-MOESI", false, MsgGETS, true, true, false, true, false},
+		{"SwiftDir-MOESI", true, MsgGETSWP, true, false, false, true, false},
+		{"MESIF", false, MsgGETS, true, true, false, false, true},
+		{"MESIF", true, MsgGETS, true, true, false, false, true},
+		{"SwiftDir-MESIF", false, MsgGETS, true, true, false, false, true},
+		{"SwiftDir-MESIF", true, MsgGETSWP, true, false, false, false, false},
+		{"MSI", false, MsgGETS, false, false, false, false, false},
+		{"MSI", true, MsgGETS, false, false, false, false, false},
+		{"Phase-Priority", false, MsgGETS, true, true, false, false, false},
+		{"Phase-Priority", true, MsgGETS, true, true, false, false, false},
+	}
+	if len(want) != 2*len(ExtendedPolicies) {
+		t.Fatalf("truth table has %d rows for %d policies", len(want), len(ExtendedPolicies))
+	}
+	for _, w := range want {
+		p := PolicyByName(w.name)
+		if p == nil {
+			t.Fatalf("%s: no such policy", w.name)
 		}
-		wantWP := p.LoadRequest(true) == MsgGETSWP
-		gotWP := tab.Dir[proto.DirI][proto.EvGETSWP].Class == proto.Defined
-		if wantWP != gotWP {
-			t.Errorf("%s: GETS_WP in vocabulary=%v, policy uses it=%v",
-				p.Name(), gotWP, wantWP)
-		}
-		hasE := p.GrantExclusiveOnLoad(false)
-		if gotE := tab.L1[proto.L1E][proto.EvLoad].Class == proto.Defined; gotE != hasE {
-			t.Errorf("%s: L1 E row live=%v, policy grants E=%v", p.Name(), gotE, hasE)
-		}
-		if hasE {
-			ent := tab.L1[proto.L1E][proto.EvStore]
-			silentPlain := p.SilentUpgrade(false)
-			silentWP := p.SilentUpgrade(true) && p.GrantExclusiveOnLoad(true)
-			wantM := silentPlain || silentWP
-			wantEMA := !silentPlain || (p.GrantExclusiveOnLoad(true) && !p.SilentUpgrade(true))
-			if got := proto.HasL1(ent.Next, proto.L1M); got != wantM {
-				t.Errorf("%s: (E,Store) admits M=%v, policy silent-upgrades=%v",
-					p.Name(), got, wantM)
-			}
-			if got := proto.HasL1(ent.Next, proto.L1EMA); got != wantEMA {
-				t.Errorf("%s: (E,Store) admits EM^A=%v, policy needs it=%v",
-					p.Name(), got, wantEMA)
-			}
-			llcServe := p.ServeExclusiveFromLLC(false) || p.ServeExclusiveFromLLC(true)
-			if got := tab.L1[proto.L1I][proto.EvDowngrade].Class == proto.Defined; got != llcServe {
-				t.Errorf("%s: Downgrade in vocabulary=%v, policy LLC-serves E=%v",
-					p.Name(), got, llcServe)
-			}
-		}
-		owned := p.OwnershipTransfer()
-		if got := tab.Dir[proto.DirO][proto.EvGETX].Class == proto.Defined; got != owned {
-			t.Errorf("%s: DirO row live=%v, policy transfers ownership=%v",
-				p.Name(), got, owned)
-		}
-		fwd := p.ForwardStateFor(false) || p.ForwardStateFor(true)
-		if got := tab.L1[proto.L1F][proto.EvLoad].Class == proto.Defined; got != fwd {
-			t.Errorf("%s: L1 F row live=%v, policy uses Forward=%v", p.Name(), got, fwd)
+		got := row{w.name, w.wp, p.LoadRequest(w.wp), p.SilentUpgrade(w.wp), p.GrantExclusiveOnLoad(w.wp),
+			p.ServeExclusiveFromLLC(w.wp), p.OwnershipTransfer(), p.ForwardStateFor(w.wp)}
+		if got != w {
+			t.Errorf("%s wp=%v: got %+v, want %+v", w.name, w.wp, got, w)
 		}
 	}
 }

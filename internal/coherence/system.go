@@ -114,7 +114,7 @@ func (c SystemConfig) Validate() error {
 		if c.Timing.SocketCores > 0 {
 			return fmt.Errorf("coherence: two-level directory is incompatible with NUMA socket distance")
 		}
-		if _, ok := c.Policy.(Arbiter); ok {
+		if c.Policy != nil && c.Policy.phasePriority {
 			// A bank arbiter may promote a queued request ahead of an older
 			// eviction notice from the same cluster, reordering the hub's
 			// emission order at the home and invalidating the hub's
@@ -165,7 +165,6 @@ type System struct {
 	Mem    *dram.Memory
 
 	banks     []*bank
-	table     *proto.Table // canonical transition relation driving dispatch
 	mapper    *cache.BankMapper
 	tracer    *Tracer
 	msgCounts [MsgDataFromOwner + 1]uint64
@@ -194,30 +193,25 @@ type System struct {
 	// Record, if set, observes every completed access (for latency CDFs).
 	Record func(port int, r AccessResult)
 
-	// Observe, if set, sees every coherence message at delivery time,
-	// before the receiving controller (dst L1 id, or DirID) processes it,
-	// so the receiver's pre-event state is still inspectable. The model
-	// checker uses it to validate every (state, event) pair against the
-	// protocol transition relation.
-	Observe func(m Msg, dst int)
+	// Observe, if set, sees every controller transition once the receiver
+	// has dispatched it: each delivered coherence message, and each CPU
+	// access an L1 examines (replays of accesses queued behind an MSHR are
+	// examined, and observed, again). Dispatch can nest — a data grant
+	// synchronously replays merged accesses — and the inner transitions
+	// are observed first. The transcript recorder and the model checker
+	// validate each transition against the policy's table.
+	Observe func(Transition)
+}
 
-	// ObserveCPU, if set, sees every CPU access at the moment an L1
-	// examines it (after the tag-lookup latency, before any state
-	// mutation). Replays of accesses that were queued behind an MSHR are
-	// observed again — each examination is a transition-table event.
-	ObserveCPU func(port int, block cache.Addr, write bool)
-
-	// ObservePost, if set, fires after the receiving controller has fully
-	// processed a message Observe saw, with the receiver's post-event
-	// state inspectable. Processing can nest (a data grant synchronously
-	// replays merged accesses, which re-enter ObserveCPU): the Post hooks
-	// unwind in strict LIFO order relative to their pre-hooks, so a
-	// recorder can bracket each transition with a stack. The transcript
-	// recorder and the model checker's next-state conformance use these.
-	ObservePost func(m Msg, dst int)
-
-	// ObserveCPUPost is ObservePost for CPU examinations.
-	ObserveCPUPost func(port int, block cache.Addr, write bool)
+// Transition is one observed controller transition: the receiver (an L1
+// id, or DirID), the block, the table event, and the receiver's
+// transition-table state before and after dispatch. Pre and Post hold a
+// proto.L1State for an L1 and a proto.DirState for the directory.
+type Transition struct {
+	Ctrl      int
+	Block     cache.Addr
+	Ev        proto.Event
+	Pre, Post uint8
 }
 
 // NewSystem builds and wires a hierarchy on a fresh engine.
@@ -261,7 +255,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			}
 		}
 	}
-	s.table = tableForPolicy(cfg.Policy)
 	if mesh {
 		mcfg := interconnect.MeshConfig{
 			Ports:         ports,
@@ -505,7 +498,7 @@ func (s *System) BankStatsTotal() BankStats {
 
 // ArbPromotions sums, over all banks, the queued requests the arbiter
 // inserted ahead of at least one earlier arrival. Always 0 unless the
-// policy implements Arbiter.
+// policy arbitrates by phase.
 func (s *System) ArbPromotions() uint64 {
 	var n uint64
 	for _, b := range s.banks {
@@ -537,8 +530,9 @@ func (s *System) L1StateOf(port int, addr cache.Addr) cache.LineState {
 //   - SWMR: at most one L1 holds a block E/M, and then no L1 holds it S;
 //   - inclusion: every L1-resident block is LLC-resident;
 //   - directory agreement: owner/sharer records match L1 contents;
-//   - WP-never-exclusive: under SwiftDir a write-protected line is never
-//     E or M in any L1 (the security property, structurally).
+//   - WP-never-exclusive: under a policy that never grants E to
+//     write-protected loads (the SwiftDir family), a write-protected line
+//     is only ever S in any L1 (the security property, structurally).
 //
 // It must be called with no in-flight transactions and returns the first
 // violation found.
@@ -561,6 +555,7 @@ func (s *System) CheckInvariants() error {
 		shared    []int
 	}
 	byBlock := make(map[cache.Addr]*holders)
+	wpShared := !s.Policy.GrantExclusiveOnLoad(true)
 	for _, l1 := range s.L1s {
 		id := l1.ID
 		var err error
@@ -580,7 +575,7 @@ func (s *System) CheckInvariants() error {
 			case cache.Shared:
 				h.shared = append(h.shared, id)
 			}
-			if (s.Policy == SwiftDir || s.Policy == SwiftDirMOESI) && ln.WP && ln.State != cache.Shared {
+			if wpShared && ln.WP && ln.State != cache.Shared {
 				err = fmt.Errorf("L1 %d: write-protected block %#x in state %v under %s",
 					id, addr, ln.State, s.Policy.Name())
 			}

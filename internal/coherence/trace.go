@@ -116,12 +116,31 @@ func (s *System) trace(m Msg, dst int) {
 	s.msgCounts[m.Kind]++
 	s.lastMsgs[s.msgPos&(msgTailN-1)] = TraceEvent{When: now, Msg: m, Dst: dst}
 	s.msgPos++
-	if s.Observe != nil {
-		s.Observe(m, dst)
-	}
 	if s.tracer != nil {
 		s.tracer.Events = append(s.tracer.Events, TraceEvent{When: now, Msg: m, Dst: dst})
 	}
+}
+
+// deliver hands a coherence message to its receiver (an L1 id, or DirID
+// for the block's home bank): it traces the delivery, dispatches it, and
+// reports the transition to the Observe hook when one is set.
+func (s *System) deliver(m Msg, dst int) {
+	s.trace(m, dst)
+	if s.Observe == nil {
+		s.receive(m, dst)
+		return
+	}
+	pre := s.ctrlState(dst, m.Addr)
+	s.receive(m, dst)
+	s.Observe(Transition{Ctrl: dst, Block: m.Addr, Ev: protoEvent(m.Kind), Pre: pre, Post: s.ctrlState(dst, m.Addr)})
+}
+
+func (s *System) receive(m Msg, dst int) {
+	if dst == DirID {
+		s.bankFor(m.Addr).dispatch(m)
+		return
+	}
+	s.L1s[dst].Receive(m)
 }
 
 // MsgCount returns how many messages of kind have been delivered since

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// configJSON is the serialized form of Config: the Policy interface is
-// replaced by its name, and CacheArch by its string.
+// configJSON is the serialized form of Config: the Policy is replaced by
+// its name, and CacheArch by its string.
 type configJSON struct {
 	Cores      int     `json:"cores"`
 	FreqGHz    float64 `json:"freq_ghz"`

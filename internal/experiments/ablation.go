@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/cache"
@@ -17,13 +18,13 @@ import (
 // write-protected data and therefore needs an extra stable state, a
 // Downgrade flow, and a restriction on silent upgrade for E_wp lines —
 // protection by complication instead of simplification.
-func AblationEwp(bits int) string {
+func AblationEwp(ctx context.Context, bits int) string {
 	var b strings.Builder
 	b.WriteString("Ablation (§III-B3): SwiftDir vs the rejected E_wp design\n\n")
 
 	// Security: both must close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(0, covertJobs(
+	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(
 		[]coherence.Policy{coherence.SwiftDir, coherence.SwiftDirEwp}, "ablation", bits, 0xEE)) {
 		b.WriteString(line)
 	}
@@ -47,7 +48,7 @@ func AblationEwp(bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -88,7 +89,7 @@ func trafficSystem(p coherence.Policy) *coherence.System {
 // under all protocols (including E_wp), quantifying the paper's
 // qualitative traffic arguments: S-MESI adds Upgrade round trips; MESI
 // adds forwards and owner writebacks; SwiftDir adds neither.
-func Traffic() string {
+func Traffic(ctx context.Context) string {
 	tb := stats.NewTable(
 		"Coherence traffic: messages delivered on a mixed shared-read + WAR workload",
 		"protocol", "GETS", "GETS_WP", "Upgrade", "Upgrade_ACK", "Fwd_GETS", "WB_Data", "Downgrade", "total")
@@ -110,7 +111,7 @@ func Traffic() string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
 		tb.AddRowF(row...)
 	}
 	return tb.Render()
@@ -119,13 +120,13 @@ func Traffic() string {
 // AblationWAR extends Figure 10 with the E_wp protocol, verifying that the
 // rejected design also avoids the WAR slowdown (its cost is complexity and
 // traffic, not WAR latency).
-func AblationWAR(passes int) string {
+func AblationWAR(ctx context.Context, passes int) string {
 	tb := stats.NewTable(
 		"Ablation: WAR execution time normalized to MESI (DerivO3CPU)",
 		"application", "MESI", "SwiftDir", "SwiftDir-Ewp", "S-MESI")
 	apps := workload.WARApps()
 	protos := []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SwiftDirEwp, coherence.SMESI}
-	metrics := warMetrics("ablation", apps, protos, workload.DerivO3CPU, passes)
+	metrics := warMetrics(ctx, "ablation", apps, protos, workload.DerivO3CPU, passes)
 	for i, app := range apps {
 		tb.AddRowF(normalizedWARRow(app.Name, metrics[i*len(protos):(i+1)*len(protos)])...)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestFig5AllArchitecturesSecure(t *testing.T) {
 }
 
 func TestTrafficOrdering(t *testing.T) {
-	out := Traffic()
+	out := Traffic(context.Background())
 	if !strings.Contains(out, "SwiftDir-Ewp") {
 		t.Fatal("traffic table missing E_wp")
 	}
@@ -60,14 +61,14 @@ func TestTrafficOrdering(t *testing.T) {
 }
 
 func TestAblationEwpSecureAndCostlier(t *testing.T) {
-	out := AblationEwp(64)
+	out := AblationEwp(context.Background(), 64)
 	if strings.Count(out, "CHANNEL CLOSED") != 2 {
 		t.Fatalf("both SwiftDir and E_wp must close the channel:\n%s", out)
 	}
 }
 
 func TestAblationWARParity(t *testing.T) {
-	out := AblationWAR(1)
+	out := AblationWAR(context.Background(), 1)
 	// All three rows must show SwiftDir and E_wp at parity with MESI.
 	lines := strings.Split(out, "\n")
 	found := 0

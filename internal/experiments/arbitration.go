@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,7 +23,7 @@ import (
 // writer/reader contention the discipline shortens store latency by
 // letting pending owners drain before the next wave of readers re-shares
 // the line.
-func Arbitration(bits int) string {
+func Arbitration(ctx context.Context, bits int) string {
 	var b strings.Builder
 	b.WriteString("Phase-priority directory arbitration (table-shared MESI variant)\n\n")
 
@@ -31,7 +32,7 @@ func Arbitration(bits int) string {
 	// not. Protection lives in the transition relation alone.
 	b.WriteString("Covert channel (arbitration is security-orthogonal):\n")
 	protos := []coherence.Policy{coherence.MESI, coherence.PhasePriority, coherence.SwiftDir}
-	for _, line := range campaign.MustCollect(0, covertJobs(protos, "arbitration", bits, 0x9AB)) {
+	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(protos, "arbitration", bits, 0x9AB)) {
 		b.WriteString(line)
 	}
 
@@ -52,7 +53,7 @@ func Arbitration(bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())

@@ -39,14 +39,14 @@ func covertJobs(protos []coherence.Policy, label string, bits int, seed uint64) 
 // warMetrics fans the write-after-read app×protocol grid out over the
 // campaign pool and returns exec-cycle metrics in grid order (apps
 // outer, protocols inner).
-func warMetrics(label string, apps []workload.WARApp, protos []coherence.Policy, kind workload.CPUKind, passes int) []float64 {
+func warMetrics(ctx context.Context, label string, apps []workload.WARApp, protos []coherence.Policy, kind workload.CPUKind, passes int) []float64 {
 	var jobs []campaign.Job[float64]
 	for _, app := range apps {
 		for _, p := range protos {
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: fmt.Sprintf("%s/war/%s/%s", label, app.Name, p.Name()),
 				Run: func() (float64, error) {
-					r, err := workload.RunWAR(context.Background(), app, p, kind, passes)
+					r, err := workload.RunWAR(ctx, app, p, kind, passes)
 					if err != nil {
 						return 0, err
 					}
@@ -55,7 +55,7 @@ func warMetrics(label string, apps []workload.WARApp, protos []coherence.Policy,
 			})
 		}
 	}
-	return campaign.MustCollect(0, jobs)
+	return campaign.MustCollect(ctx, 0, jobs)
 }
 
 // normalizedWARRow converts one app's slice of the warMetrics grid into

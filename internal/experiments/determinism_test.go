@@ -25,18 +25,18 @@ func TestParallelReportsMatchSequential(t *testing.T) {
 		{"fig10a", false, func() string { _, s := Fig10(context.Background(), workload.TimingSimpleCPU, 1); return s }},
 		{"fig10b", false, func() string { _, s := Fig10(context.Background(), workload.DerivO3CPU, 1); return s }},
 		{"security", false, func() string { _, _, s := Security(context.Background(), 64, 64); return s }},
-		{"multiprogram", true, func() string { _, s := Multiprogram(0.02); return s }},
-		{"sweep", false, TimingSweep},
-		{"lru", true, func() string { return AblationLRU(0.05) }},
-		{"ablation-ewp", false, func() string { return AblationEwp(32) }},
-		{"ablation-war", false, func() string { return AblationWAR(1) }},
-		{"traffic", false, Traffic},
-		{"msi", false, func() string { return MSIStudy(32, 1) }},
-		{"moesi", false, func() string { return MOESIStudy(32, 1) }},
-		{"snoop", false, func() string { return SnoopStudy(32) }},
-		{"kernels", false, func() string { return KernelStudy(64) }},
-		{"scale", false, Scale},
-		{"scale-attack", false, func() string { return ScaleAttack(64) }},
+		{"multiprogram", true, func() string { _, s := Multiprogram(context.Background(), 0.02); return s }},
+		{"sweep", false, func() string { return TimingSweep(context.Background()) }},
+		{"lru", true, func() string { return AblationLRU(context.Background(), 0.05) }},
+		{"ablation-ewp", false, func() string { return AblationEwp(context.Background(), 32) }},
+		{"ablation-war", false, func() string { return AblationWAR(context.Background(), 1) }},
+		{"traffic", false, func() string { return Traffic(context.Background()) }},
+		{"msi", false, func() string { return MSIStudy(context.Background(), 32, 1) }},
+		{"moesi", false, func() string { return MOESIStudy(context.Background(), 32, 1) }},
+		{"snoop", false, func() string { return SnoopStudy(context.Background(), 32) }},
+		{"kernels", false, func() string { return KernelStudy(context.Background(), 64) }},
+		{"scale", false, func() string { return Scale(context.Background()) }},
+		{"scale-attack", false, func() string { return ScaleAttack(context.Background(), 64) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

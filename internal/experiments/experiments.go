@@ -308,7 +308,7 @@ func Security(ctx context.Context, bits, trials int) (results []attack.Result, s
 			},
 		})
 	}
-	for _, out := range campaign.MustCollectCtx(ctx, 0, covertJobs) {
+	for _, out := range campaign.MustCollect(ctx, 0, covertJobs) {
 		results = append(results, out.res)
 		b.WriteString(out.text)
 	}
@@ -333,7 +333,7 @@ func Security(ctx context.Context, bits, trials int) (results []attack.Result, s
 			},
 		})
 	}
-	for _, line := range campaign.MustCollectCtx(ctx, 0, textJobs) {
+	for _, line := range campaign.MustCollect(ctx, 0, textJobs) {
 		b.WriteString(line)
 	}
 
@@ -353,7 +353,7 @@ func Security(ctx context.Context, bits, trials int) (results []attack.Result, s
 			},
 		})
 	}
-	for _, r := range campaign.MustCollectCtx(ctx, 0, sideJobs) {
+	for _, r := range campaign.MustCollect(ctx, 0, sideJobs) {
 		sides = append(sides, r)
 		b.WriteString("  " + r.Describe() + "\n")
 	}
@@ -395,7 +395,7 @@ func runSuite(ctx context.Context, profiles []workload.Profile, kind workload.CP
 			})
 		}
 	}
-	metrics := campaign.MustCollectCtx(ctx, 0, jobs)
+	metrics := campaign.MustCollect(ctx, 0, jobs)
 
 	var rows []SuiteRow
 	for i, p := range profiles {
@@ -461,7 +461,7 @@ func Fig9(ctx context.Context, amounts []int) ([]SuiteRow, string) {
 			})
 		}
 	}
-	metrics := campaign.MustCollectCtx(ctx, 0, jobs)
+	metrics := campaign.MustCollect(ctx, 0, jobs)
 
 	var rows []SuiteRow
 	for i, n := range amounts {
@@ -498,7 +498,7 @@ func Fig10(ctx context.Context, kind workload.CPUKind, passes int) ([]SuiteRow, 
 			})
 		}
 	}
-	metrics := campaign.MustCollectCtx(ctx, 0, jobs)
+	metrics := campaign.MustCollect(ctx, 0, jobs)
 
 	var rows []SuiteRow
 	for i, app := range apps {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/campaign"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -14,7 +16,7 @@ import (
 // single-core workloads, so the three columns also serve as a regression
 // check that the defenses add no single-core overhead. The kernel×protocol
 // grid runs as one campaign.
-func KernelStudy(wsKB int) string {
+func KernelStudy(ctx context.Context, wsKB int) string {
 	tb := stats.NewTable(
 		"Memory kernels: IPC by protocol (single core, DerivO3CPU)",
 		"kernel", "MESI", "SwiftDir", "S-MESI")
@@ -34,7 +36,7 @@ func KernelStudy(wsKB int) string {
 			})
 		}
 	}
-	ipc := campaign.MustCollect(0, jobs)
+	ipc := campaign.MustCollect(ctx, 0, jobs)
 	for i, k := range kernels {
 		tb.AddRowF(k.Name, ipc[i*len(protocols)], ipc[i*len(protocols)+1], ipc[i*len(protocols)+2])
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -18,7 +19,7 @@ import (
 // effect must disappear when the LLC's replacement policy ignores recency.
 // We re-run the memory-bound SPEC benchmarks with an LRU LLC and a Random
 // LLC and compare S-MESI's normalized IPC under each.
-func AblationLRU(scale float64) string {
+func AblationLRU(ctx context.Context, scale float64) string {
 	memBound := []string{"mcf", "bwaves", "cactuBSSN", "lbm", "wrf", "cam4"}
 
 	normIPC := func(name string, repl cache.ReplPolicy, proto coherence.Policy) float64 {
@@ -58,7 +59,7 @@ func AblationLRU(scale float64) string {
 			})
 		}
 	}
-	ipc := campaign.MustCollect(0, jobs)
+	ipc := campaign.MustCollect(ctx, 0, jobs)
 
 	tb := stats.NewTable(
 		"Ablation (§V-B): S-MESI's LRU-retention side effect, normalized IPC over MESI (x100)",

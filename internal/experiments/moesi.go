@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/campaign"
@@ -14,12 +15,12 @@ import (
 // and MESIF (Intel). The E/S channel exists on both — MOESI adds an O/S
 // flavour, MESIF a forwarder-present flavour — and SwiftDir's I→S rule
 // composes with either optimization unchanged.
-func MOESIStudy(bits, passes int) string {
+func MOESIStudy(ctx context.Context, bits, passes int) string {
 	var b strings.Builder
 	b.WriteString("Protocol-family study: the channel and the defense on MOESI and MESIF\n\n")
 
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(0, covertJobs(
+	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(
 		[]coherence.Policy{coherence.MOESI, coherence.SwiftDirMOESI, coherence.MESIF, coherence.SwiftDirMESIF},
 		"moesi", bits, 0x30E5)) {
 		b.WriteString(line)
@@ -29,7 +30,7 @@ func MOESIStudy(bits, passes int) string {
 	tb := stats.NewTable("", "application", "MOESI", "SwiftDir-MOESI", "MESI")
 	apps := workload.WARApps()
 	warProtos := []coherence.Policy{coherence.MOESI, coherence.SwiftDirMOESI, coherence.MESI}
-	metrics := warMetrics("moesi", apps, warProtos, workload.DerivO3CPU, passes)
+	metrics := warMetrics(ctx, "moesi", apps, warProtos, workload.DerivO3CPU, passes)
 	for i, app := range apps {
 		tb.AddRowF(normalizedWARRow(app.Name, metrics[i*len(warProtos):(i+1)*len(warProtos)])...)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/cache"
@@ -18,14 +19,14 @@ import (
 // an Upgrade round trip, for all data, forever. S-MESI narrows that tax
 // to first-write-after-read; SwiftDir narrows it to zero by scoping the
 // state change to data that cannot be written at all.
-func MSIStudy(bits, passes int) string {
+func MSIStudy(ctx context.Context, bits, passes int) string {
 	protos := []coherence.Policy{coherence.MESI, coherence.MSI, coherence.SMESI, coherence.SwiftDir}
 	var b strings.Builder
 	b.WriteString("MSI baseline: dropping the E state vs scoping it (SwiftDir)\n\n")
 
 	// 1. Security: all three defenses close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(0, covertJobs(protos, "msi", bits, 0x351)) {
+	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(protos, "msi", bits, 0x351)) {
 		b.WriteString(line)
 	}
 
@@ -46,7 +47,7 @@ func MSIStudy(bits, passes int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(0, rmwJobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, rmwJobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -56,7 +57,7 @@ func MSIStudy(bits, passes int) string {
 	wt := stats.NewTable("", "application", "MESI", "MSI", "S-MESI", "SwiftDir")
 	apps := workload.WARApps()
 	warProtos := []coherence.Policy{coherence.MESI, coherence.MSI, coherence.SMESI, coherence.SwiftDir}
-	metrics := warMetrics("msi", apps, warProtos, workload.DerivO3CPU, passes)
+	metrics := warMetrics(ctx, "msi", apps, warProtos, workload.DerivO3CPU, passes)
 	for i, app := range apps {
 		wt.AddRowF(normalizedWARRow(app.Name, metrics[i*len(warProtos):(i+1)*len(warProtos)])...)
 	}

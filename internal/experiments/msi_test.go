@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestMSIStudyRenders(t *testing.T) {
-	out := MSIStudy(64, 1)
+	out := MSIStudy(context.Background(), 64, 1)
 	for _, want := range []string{"MSI", "S-MESI", "SwiftDir", "Upgrade msgs", "normalized to MESI"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

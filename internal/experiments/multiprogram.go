@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/campaign"
@@ -13,7 +14,7 @@ import (
 // paper's introduction motivates for shared memory (dynamically linked
 // libraries across programs). Normalized mix execution time over MESI,
 // lower is better. Every mix×protocol run is an independent campaign job.
-func Multiprogram(scale float64) ([]SuiteRow, string) {
+func Multiprogram(ctx context.Context, scale float64) ([]SuiteRow, string) {
 	mixes := workload.SPECRateMixes()
 	names := make([]string, 0, len(mixes))
 	for n := range mixes {
@@ -40,7 +41,7 @@ func Multiprogram(scale float64) ([]SuiteRow, string) {
 			})
 		}
 	}
-	metrics := campaign.MustCollect(0, jobs)
+	metrics := campaign.MustCollect(ctx, 0, jobs)
 
 	var rows []SuiteRow
 	for i, name := range names {

@@ -75,8 +75,9 @@ type Experiment struct {
 	// run renders the report for normalized Params. Cancellation-aware
 	// experiments hand ctx to every machine they build
 	// (core.Config.Context), so a done context aborts the simulations
-	// mid-run with a typed "cancelled" violation; the others ignore ctx
-	// and run to completion once started (the caller just stops waiting).
+	// mid-run with a typed "cancelled" violation. Every experiment that
+	// fans out over the campaign pool also skips its queued jobs once ctx
+	// is done; a job already running finishes.
 	run func(ctx context.Context, p Params) string
 }
 
@@ -236,34 +237,36 @@ var registry = []Experiment{
 			return s
 		}},
 	{Name: "ablation", Title: "E_wp and WAR ablations", uses: usesBits | usesPasses,
-		run: func(_ context.Context, p Params) string { return AblationEwp(p.Bits) + "\n" + AblationWAR(p.Passes) }},
-	{Name: "traffic", Title: "interconnect message breakdown", run: func(context.Context, Params) string { return Traffic() }},
+		run: func(ctx context.Context, p Params) string {
+			return AblationEwp(ctx, p.Bits) + "\n" + AblationWAR(ctx, p.Passes)
+		}},
+	{Name: "traffic", Title: "interconnect message breakdown", run: func(ctx context.Context, _ Params) string { return Traffic(ctx) }},
 	{Name: "futurework", Title: "fast CoW sharing study", uses: usesBits, min: Params{Bits: 4},
 		run: func(_ context.Context, p Params) string { return FutureWork(p.Bits / 4) }},
 	{Name: "moesi", Title: "MOESI/MESIF family study", uses: usesBits | usesPasses,
-		run: func(_ context.Context, p Params) string { return MOESIStudy(p.Bits/4, p.Passes) }},
+		run: func(ctx context.Context, p Params) string { return MOESIStudy(ctx, p.Bits/4, p.Passes) }},
 	{Name: "snoop", Title: "snooping-bus comparison", uses: usesBits,
-		run: func(_ context.Context, p Params) string { return SnoopStudy(p.Bits / 4) }},
+		run: func(ctx context.Context, p Params) string { return SnoopStudy(ctx, p.Bits/4) }},
 	{Name: "multiprogram", Title: "multiprogrammed mixes", uses: usesScale,
-		run: func(_ context.Context, p Params) string { _, s := Multiprogram(p.Scale); return s }},
+		run: func(ctx context.Context, p Params) string { _, s := Multiprogram(ctx, p.Scale); return s }},
 	{Name: "lru", Title: "replacement-policy ablation", uses: usesScale,
-		run: func(_ context.Context, p Params) string { return AblationLRU(p.Scale) }},
+		run: func(ctx context.Context, p Params) string { return AblationLRU(ctx, p.Scale) }},
 	{Name: "prefetch", Title: "prefetcher interaction study", uses: usesBits,
 		run: func(_ context.Context, p Params) string { return Prefetch(p.Bits / 4) }},
 	{Name: "numa", Title: "NUMA latency study", run: func(context.Context, Params) string { return NUMA() }},
 	{Name: "kernels", Title: "compute-kernel study", uses: usesWSKB, min: Params{WSKB: 4},
-		run: func(_ context.Context, p Params) string { return KernelStudy(p.WSKB) }},
-	{Name: "sweep", Title: "timing-parameter sweep", run: func(context.Context, Params) string { return TimingSweep() }},
+		run: func(ctx context.Context, p Params) string { return KernelStudy(ctx, p.WSKB) }},
+	{Name: "sweep", Title: "timing-parameter sweep", run: func(ctx context.Context, _ Params) string { return TimingSweep(ctx) }},
 	{Name: "msi", Title: "MSI downgrade study", uses: usesBits | usesPasses,
-		run: func(_ context.Context, p Params) string { return MSIStudy(p.Bits/4, p.Passes) }},
+		run: func(ctx context.Context, p Params) string { return MSIStudy(ctx, p.Bits/4, p.Passes) }},
 	{Name: "overhead", Title: "hardware cost table", uses: usesCores,
 		run: func(_ context.Context, p Params) string { return Overhead(p.Cores) }},
 	{Name: "arbitration", Title: "phase-priority arbitration study", uses: usesBits,
-		run: func(_ context.Context, p Params) string { return Arbitration(p.Bits / 4) }},
+		run: func(ctx context.Context, p Params) string { return Arbitration(ctx, p.Bits/4) }},
 	{Name: "scale", Title: "machine-scaling study: mesh + two-level directory",
-		run: func(context.Context, Params) string { return Scale() }},
+		run: func(ctx context.Context, _ Params) string { return Scale(ctx) }},
 	{Name: "scale-attack", Title: "covert channel vs machine scale", uses: usesBits,
-		run: func(_ context.Context, p Params) string { return ScaleAttack(p.Bits / 8) }},
+		run: func(ctx context.Context, p Params) string { return ScaleAttack(ctx, p.Bits/8) }},
 }
 
 // Registry returns every experiment in report order. The slice is

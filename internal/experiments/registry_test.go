@@ -121,7 +121,7 @@ func TestRegistryRunMatchesDirectCall(t *testing.T) {
 		t.Errorf("overhead via registry differs from direct call")
 	}
 	k, _ := Lookup("kernels")
-	if got, want := k.Run(context.Background(), Params{WSKB: 64}), KernelStudy(64); got != want {
+	if got, want := k.Run(context.Background(), Params{WSKB: 64}), KernelStudy(context.Background(), 64); got != want {
 		t.Errorf("kernels via registry differs from direct call")
 	}
 }

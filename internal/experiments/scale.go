@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -133,7 +134,7 @@ func runScaleWorkload(s *coherence.System, cores int) scaleRow {
 // two-level directory keeps invalidation latency growing with the mesh
 // diameter rather than the core count, and SwiftDir's traffic advantage
 // survives scaling.
-func Scale() string {
+func Scale(ctx context.Context) string {
 	type cell struct {
 		geom scaleGeom
 		p    coherence.Policy
@@ -162,7 +163,7 @@ func Scale() string {
 		"Mean latency (cycles) and interconnect traffic by machine size",
 		"cores", "network", "directory", "protocol",
 		"WP read", "shared read", "shared store", "messages", "msg/access", "avg hops")
-	for _, c := range campaign.MustCollect(0, jobs) {
+	for _, c := range campaign.MustCollect(ctx, 0, jobs) {
 		g, r := c.geom, c.row
 		network := g.topology
 		if g.topology == "mesh" {
@@ -210,7 +211,7 @@ func scaleAttackConfig(cores int, p coherence.Policy) core.Config {
 // thresholds, restoring the MESI channel at every scale. SwiftDir's
 // probes carry no E/S signal at any distance, so calibration does not
 // help: scale is noise, not a defense.
-func ScaleAttack(bits int) string {
+func ScaleAttack(ctx context.Context, bits int) string {
 	const seed = 0xA77AC4
 	sizes := []int{4, 16, 64}
 	type cell struct {
@@ -263,7 +264,7 @@ func ScaleAttack(bits int) string {
 		"Bit error rate by attacker sophistication",
 		"cores", "network", "protocol", "gap (cyc)",
 		"BER naive", "BER calibrated", "Kbps@3GHz", "verdict")
-	for _, c := range campaign.MustCollect(0, jobs) {
+	for _, c := range campaign.MustCollect(ctx, 0, jobs) {
 		w, h := core.MeshDims(c.cores)
 		verdict := "CLOSED"
 		if c.r.Leaked {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 func TestScaleWorkerEquivalence(t *testing.T) {
 	defer campaign.SetWorkers(0)
 	campaign.SetWorkers(1)
-	s1, a1 := Scale(), ScaleAttack(64)
+	s1, a1 := Scale(context.Background()), ScaleAttack(context.Background(), 64)
 	campaign.SetWorkers(4)
-	s4, a4 := Scale(), ScaleAttack(64)
+	s4, a4 := Scale(context.Background()), ScaleAttack(context.Background(), 64)
 	if s1 != s4 {
 		t.Errorf("Scale differs between 1 and 4 workers:\n--- j1 ---\n%s\n--- j4 ---\n%s", s1, s4)
 	}
@@ -87,7 +88,7 @@ func TestScaleAttackCalibrationAt64Cores(t *testing.T) {
 // TestScaleReportShape sanity-checks the rendered sweep: every geometry
 // row is present for every protocol.
 func TestScaleReportShape(t *testing.T) {
-	report := Scale()
+	report := Scale(context.Background())
 	for _, want := range []string{"crossbar", "mesh 4x4", "mesh 8x8", "mesh 16x16", "2-level/32"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

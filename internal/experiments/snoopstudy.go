@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -19,7 +20,7 @@ import (
 // are always granted Shared, so the probe latency no longer depends on the
 // sender's access pattern. Each protocol's bus is independent, so both
 // loops fan out as campaigns.
-func SnoopStudy(bits int) string {
+func SnoopStudy(ctx context.Context, bits int) string {
 	var b strings.Builder
 	b.WriteString("Snooping-bus study (§II-A3): the channel on the other architecture\n\n")
 
@@ -50,7 +51,7 @@ func SnoopStudy(bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(0, probeJobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, probeJobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -89,7 +90,7 @@ func SnoopStudy(bits int) string {
 			},
 		})
 	}
-	for _, line := range campaign.MustCollect(0, berJobs) {
+	for _, line := range campaign.MustCollect(ctx, 0, berJobs) {
 		b.WriteString(line)
 	}
 	return b.String()

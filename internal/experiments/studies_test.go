@@ -7,7 +7,7 @@ import (
 )
 
 func TestMOESIStudyShape(t *testing.T) {
-	out := MOESIStudy(64, 1)
+	out := MOESIStudy(context.Background(), 64, 1)
 	if strings.Count(out, "CHANNEL CLOSED") != 3 {
 		t.Fatalf("want MOESI open + 3 closed:\n%s", out)
 	}
@@ -22,7 +22,7 @@ func TestMOESIStudyShape(t *testing.T) {
 }
 
 func TestSnoopStudyShape(t *testing.T) {
-	out := SnoopStudy(64)
+	out := SnoopStudy(context.Background(), 64)
 	if !strings.Contains(out, "OPEN (inverted: E faster than S)") {
 		t.Fatalf("MESI-snoop channel not open:\n%s", out)
 	}
@@ -42,7 +42,7 @@ func TestFutureWorkShape(t *testing.T) {
 }
 
 func TestMultiprogramShape(t *testing.T) {
-	rows, out := Multiprogram(0.02)
+	rows, out := Multiprogram(context.Background(), 0.02)
 	if len(rows) != 5 {
 		t.Fatalf("mixes = %d", len(rows))
 	}
@@ -77,7 +77,7 @@ func TestPrefetchStudyShape(t *testing.T) {
 }
 
 func TestAblationLRUShape(t *testing.T) {
-	out := AblationLRU(0.05)
+	out := AblationLRU(context.Background(), 0.05)
 	for _, want := range []string{"mcf", "Random LLC", "average"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
@@ -109,7 +109,7 @@ func TestNUMAStudyShape(t *testing.T) {
 }
 
 func TestKernelStudyShape(t *testing.T) {
-	out := KernelStudy(128)
+	out := KernelStudy(context.Background(), 128)
 	for _, want := range []string{"stream-triad", "gups", "pointer-chase"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -21,7 +22,7 @@ import (
 // parameters — faster networks cannot hide it, larger ones widen it —
 // while SwiftDir's stays identically zero because write-protected loads
 // never take the 3-hop path at all.
-func TimingSweep() string {
+func TimingSweep(ctx context.Context) string {
 	var b strings.Builder
 	b.WriteString("Timing-sensitivity sweep: E/S gap (cycles) across hierarchy calibrations\n")
 	b.WriteString("gap = remote-exclusive probe latency - shared probe latency\n\n")
@@ -47,7 +48,7 @@ func TimingSweep() string {
 			})
 		}
 	}
-	for _, row := range campaign.MustCollect(0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())

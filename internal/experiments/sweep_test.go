@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestTimingSweepGaps(t *testing.T) {
 }
 
 func TestTimingSweepRenders(t *testing.T) {
-	out := TimingSweep()
+	out := TimingSweep(context.Background())
 	if !strings.Contains(out, "MESI gap") || !strings.Contains(out, "SwiftDir gap") {
 		t.Fatalf("missing columns:\n%s", out)
 	}

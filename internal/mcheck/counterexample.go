@@ -42,10 +42,9 @@ func (cx *Counterexample) String() string {
 func (c *checker) counterexample(actions []Action, v *Violation) *Counterexample {
 	r := c.newRunner()
 	// The replay must not double-report into the shared observation
-	// state, and must not stop at the table violation (we want the
-	// transcript up to and including the bad delivery).
-	r.observed = nil
-	r.table = nil
+	// state, and needs no table checks (we want the transcript up to and
+	// including the bad delivery).
+	r.sys.Observe = nil
 	tr := r.sys.AttachTracer()
 	for _, a := range actions {
 		r.apply(a)

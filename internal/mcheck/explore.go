@@ -10,6 +10,7 @@ import (
 type checker struct {
 	cfg      Config
 	sysCfg   coherence.SystemConfig
+	table    *Table
 	observed map[Pair]bool
 	ops      []Op
 }

@@ -56,11 +56,7 @@ func FuzzTableDispatch(f *testing.F) {
 		if err := cfg.fill(); err != nil {
 			t.Fatal(err)
 		}
-		c := &checker{cfg: cfg, sysCfg: cfg.sysConfig(), observed: make(map[Pair]bool)}
-		c.ops = []Op{OpLoad, OpStore}
-		if cfg.wpEnabled() {
-			c.ops = append(c.ops, OpLoadWP)
-		}
+		c := newChecker(cfg)
 		if len(seq) > 96 {
 			seq = seq[:96]
 		}

@@ -97,11 +97,6 @@ type Config struct {
 	// accesses do not count against Depth.
 	Prelude []Inject
 
-	// Table overrides the transition relation (nil: TableFor(Policy)).
-	// If the policy has no table, unexpected-transition checking is
-	// disabled and only the semantic invariants run.
-	Table *Table
-
 	// WPLoads controls write-protected loads in the alphabet.
 	WPLoads WPOpt
 }
@@ -147,9 +142,6 @@ func (c *Config) fill() error {
 		if in.Core < 0 || in.Core >= c.Cores || in.Line < 0 || in.Line >= c.Lines {
 			return fmt.Errorf("mcheck: prelude access %+v out of range", in)
 		}
-	}
-	if c.Table == nil {
-		c.Table = TableFor(c.Policy)
 	}
 	return nil
 }
@@ -223,7 +215,7 @@ type Result struct {
 
 	// Observed is every (state, event) pair the controllers exhibited.
 	Observed map[Pair]bool
-	// Table is the transition relation checked against (nil if none).
+	// Table is the transition relation checked against.
 	Table *Table
 
 	Elapsed time.Duration
@@ -232,13 +224,11 @@ type Result struct {
 // Coverage builds the transition-relation coverage report: which table
 // entries the exploration exercised, which it never reached, and any
 // observed pairs outside the table (the latter can only be non-empty if
-// the run was checked without a table or ended early on a violation).
+// the run ended early on a violation).
 func (r *Result) Coverage() *stats.Coverage {
 	cov := &stats.Coverage{Name: fmt.Sprintf("%s transition coverage", r.Policy)}
-	if r.Table != nil {
-		for _, p := range r.Table.Pairs() {
-			cov.Declare(p.String())
-		}
+	for _, p := range r.Table.Pairs() {
+		cov.Declare(p.String())
 	}
 	for p := range r.Observed {
 		cov.Hit(p.String())
@@ -253,20 +243,27 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	c := &checker{
-		cfg:      cfg,
-		sysCfg:   cfg.sysConfig(),
-		observed: make(map[Pair]bool),
-	}
-	c.ops = []Op{OpLoad, OpStore}
-	if cfg.wpEnabled() {
-		c.ops = append(c.ops, OpLoadWP)
-	}
+	c := newChecker(cfg)
 	start := time.Now()
 	res := c.explore()
 	res.Policy = cfg.Policy.Name()
 	res.Observed = c.observed
-	res.Table = cfg.Table
+	res.Table = c.table
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// newChecker prepares the exploration of a filled configuration.
+func newChecker(cfg Config) *checker {
+	c := &checker{
+		cfg:      cfg,
+		sysCfg:   cfg.sysConfig(),
+		table:    TableFor(cfg.Policy),
+		observed: make(map[Pair]bool),
+		ops:      []Op{OpLoad, OpStore},
+	}
+	if cfg.wpEnabled() {
+		c.ops = append(c.ops, OpLoadWP)
+	}
+	return c
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/coherence"
+	"repro/internal/proto"
 )
 
 // TestExhaustiveDefault is the headline acceptance check: the full
@@ -71,20 +72,18 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // buggyPolicy seeds a real protocol bug: plain MESI (silent E->M
-// upgrades) but with S-MESI's ServeExclusiveFromLLC short-circuit, which
-// is only sound when silent upgrades are revoked. The directory will
-// serve a load exclusively from a stale LLC copy while the silent owner
-// holds modified data — the checker must find it and produce a
-// counterexample.
-type buggyPolicy struct {
-	coherence.Policy
-}
-
-func (buggyPolicy) Name() string                    { return "MESI-bug" }
-func (buggyPolicy) ServeExclusiveFromLLC(bool) bool { return true }
+// upgrades) but with S-MESI's LLC serve of E blocks, which is only sound
+// when silent upgrades are revoked. The directory will serve a load
+// exclusively from a stale LLC copy while the silent owner holds modified
+// data — the checker must find it and produce a counterexample.
+var buggyPolicy = func() coherence.Policy {
+	f := coherence.MESI.Features()
+	f.LLCServeE = proto.TriAlways
+	return coherence.NewPolicy("MESI-bug", f)
+}()
 
 func TestSeededBugFound(t *testing.T) {
-	res, err := Run(Config{Policy: buggyPolicy{coherence.MESI}})
+	res, err := Run(Config{Policy: buggyPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestSeededBugFound(t *testing.T) {
 // schedule must be minimal — rerunning the checker with Depth set just
 // below the counterexample's injection count must find nothing.
 func TestCounterexampleMinimal(t *testing.T) {
-	res, err := Run(Config{Policy: buggyPolicy{coherence.MESI}})
+	res, err := Run(Config{Policy: buggyPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestCounterexampleMinimal(t *testing.T) {
 	if injects < 2 {
 		t.Skipf("counterexample uses %d access(es); nothing to shrink", injects)
 	}
-	shrunk, err := Run(Config{Policy: buggyPolicy{coherence.MESI}, Depth: injects - 1})
+	shrunk, err := Run(Config{Policy: buggyPolicy, Depth: injects - 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,27 +44,10 @@ type runner struct {
 	perCore   []int        // per core: accesses injected so far (token stream)
 	injected  int
 
-	table    *Table        // nil disables unexpected-transition checking
-	observed map[Pair]bool // shared across runners; nil disables recording
-
-	// frames brackets in-flight deliveries for next-state conformance:
-	// the pre-observation hook pushes the receiver's state and the proto
-	// table cell, the post hook pops and checks the post-dispatch state
-	// against the cell's next-state mask. Deliveries nest LIFO (a data
-	// grant synchronously replays a merged store), so a stack suffices.
-	frames []postFrame
+	table    *Table
+	observed map[Pair]bool // shared across runners
 
 	vio *Violation // first violation raised
-}
-
-// postFrame is one bracketed delivery awaiting its post-state check.
-type postFrame struct {
-	dir   bool
-	id    int
-	addr  cache.Addr
-	l1St  proto.L1State
-	dirSt proto.DirState
-	ev    proto.Event
 }
 
 // tokenFor derives the unique value core's idx-th store writes. The bias
@@ -82,19 +65,14 @@ func (c *checker) newRunner() *runner {
 		committed: make([]uint64, c.cfg.Lines),
 		out:       make([][]*pendAcc, c.cfg.Cores),
 		perCore:   make([]int, c.cfg.Cores),
-		table:     c.cfg.Table,
+		table:     c.table,
 		observed:  c.observed,
 	}
 	for i := range r.addrs {
 		r.addrs[i] = cache.Addr(i * blockBytes)
 		r.committed[i] = coherence.InitialToken(r.addrs[i])
 	}
-	sys.Observe = r.observeMsg
-	sys.ObserveCPU = r.observeCPU
-	if r.table != nil && r.table.Proto != nil {
-		sys.ObservePost = r.observeMsgPost
-		sys.ObserveCPUPost = r.observeCPUPost
-	}
+	sys.Observe = r.observe
 	r.runPrelude(c.cfg.Prelude)
 	return r
 }
@@ -221,122 +199,35 @@ func fmtTokens(set map[uint64]bool) string {
 	return s + "}"
 }
 
-// l1ProtoState is an L1's transition-relation state for a block: the
-// MSHR transient state if a transaction is outstanding, else the stable
-// line state (I when not resident). The proto enums mirror the coherence
-// enums by construction (asserted on the coherence side), so the labels
-// recorded from them match the controllers' own state names.
-func (r *runner) l1ProtoState(id int, block cache.Addr) proto.L1State {
-	if st, ok := r.sys.L1s[id].MSHRStateOf(block); ok {
-		return proto.L1ISD + proto.L1State(st)
-	}
-	if ln := r.sys.L1s[id].Array().Lookup(block); ln != nil {
-		return proto.L1State(ln.State)
-	}
-	return proto.L1I
-}
-
-// dirProtoState is the directory's transition-relation state for a
-// block: DirBusy if a blocking transaction is in flight, else the entry
-// state (DirI when absent).
-func (r *runner) dirProtoState(addr cache.Addr) proto.DirState {
-	if r.sys.BankBusy(addr) {
-		return proto.DirBusy
-	}
-	return proto.DirState(r.sys.DirStateOf(addr))
-}
-
-// observeMsg is the System.Observe hook: it labels the receiver's
-// pre-delivery state, validates the (state, event) pair, and brackets
-// the delivery for the post-state check.
-func (r *runner) observeMsg(m coherence.Msg, dst int) {
-	f := postFrame{addr: m.Addr, ev: proto.EvGETS + proto.Event(m.Kind)}
-	if dst == coherence.DirID {
-		f.dir = true
-		f.dirSt = r.dirProtoState(m.Addr)
-		r.record(Pair{CtrlDir, f.dirSt.String(), m.Kind.String()})
-	} else {
-		f.id = dst
-		f.l1St = r.l1ProtoState(dst, m.Addr)
-		r.record(Pair{CtrlL1, f.l1St.String(), m.Kind.String()})
-	}
-	if r.table != nil && r.table.Proto != nil {
-		r.frames = append(r.frames, f)
-	}
-}
-
-// observeCPU is the System.ObserveCPU hook: CPU examinations are
-// transition-relation events too ("Load"/"Store").
-func (r *runner) observeCPU(port int, block cache.Addr, write bool) {
-	ev := proto.EvLoad
-	if write {
-		ev = proto.EvStore
-	}
-	st := r.l1ProtoState(port, block)
-	r.record(Pair{CtrlL1, st.String(), ev.String()})
-	if r.table != nil && r.table.Proto != nil {
-		r.frames = append(r.frames, postFrame{id: port, addr: block, l1St: st, ev: ev})
-	}
-}
-
-// observeMsgPost / observeCPUPost close the bracket opened by the pre
-// hooks: the receiver has fully dispatched the event, so its state must
-// now be inside the table cell's next-state mask.
-func (r *runner) observeMsgPost(m coherence.Msg, dst int) {
-	r.closeFrame(dst == coherence.DirID, max(dst, 0), m.Addr,
-		proto.EvGETS+proto.Event(m.Kind))
-}
-
-func (r *runner) observeCPUPost(port int, block cache.Addr, write bool) {
-	ev := proto.EvLoad
-	if write {
-		ev = proto.EvStore
-	}
-	r.closeFrame(false, port, block, ev)
-}
-
-func (r *runner) closeFrame(dir bool, id int, addr cache.Addr, ev proto.Event) {
-	if len(r.frames) == 0 {
-		return
-	}
-	f := r.frames[len(r.frames)-1]
-	r.frames = r.frames[:len(r.frames)-1]
-	if f.dir != dir || (!dir && f.id != id) || f.addr != addr || f.ev != ev {
-		// The bracketing only breaks after a recovered dispatch panic,
-		// which has already been recorded as a violation; stop matching
-		// rather than cascade spurious next-state failures.
-		r.frames = r.frames[:0]
-		return
-	}
+// observe is the System.Observe hook, fired after every dispatch: it
+// records the receiver's pre-dispatch (state, event) pair, checks it for
+// membership in the Defined relation, and checks the post-dispatch state
+// against the table cell's next-state mask. An Illegal or Impossible pair
+// never reaches the hook: dispatch raises a protocol violation first.
+func (r *runner) observe(t coherence.Transition) {
 	pt := r.table.Proto
-	if f.dir {
-		ent := &pt.Dir[f.dirSt][f.ev]
-		if ent.Class != proto.Defined && ent.Class != proto.Defensive {
-			return // the membership check already failed this pair
-		}
-		if post := r.dirProtoState(addr); !proto.HasDir(ent.Next, post) {
+	if t.Ctrl == coherence.DirID {
+		pre, post := proto.DirState(t.Pre), proto.DirState(t.Post)
+		r.record(Pair{CtrlDir, pre.String(), t.Ev.String()})
+		if !proto.HasDir(pt.Dir[pre][t.Ev].Next, post) {
 			r.fail("next-state", fmt.Sprintf(
 				"Dir[%s] <- %s dispatched to %s, outside the %s next-state mask",
-				f.dirSt, f.ev, post, r.table.Policy))
+				pre, t.Ev, post, r.table.Policy))
 		}
 		return
 	}
-	ent := &pt.L1[f.l1St][f.ev]
-	if ent.Class != proto.Defined && ent.Class != proto.Defensive {
-		return
-	}
-	if post := r.l1ProtoState(f.id, addr); !proto.HasL1(ent.Next, post) {
+	pre, post := proto.L1State(t.Pre), proto.L1State(t.Post)
+	r.record(Pair{CtrlL1, pre.String(), t.Ev.String()})
+	if !proto.HasL1(pt.L1[pre][t.Ev].Next, post) {
 		r.fail("next-state", fmt.Sprintf(
 			"L1(%d)[%s] <- %s dispatched to %s, outside the %s next-state mask",
-			f.id, f.l1St, f.ev, post, r.table.Policy))
+			t.Ctrl, pre, t.Ev, post, r.table.Policy))
 	}
 }
 
 func (r *runner) record(p Pair) {
-	if r.observed != nil {
-		r.observed[p] = true
-	}
-	if r.table != nil && !r.table.Allowed[p] {
+	r.observed[p] = true
+	if !r.table.Allowed[p] {
 		r.fail("unexpected-transition", fmt.Sprintf(
 			"%s not in the %s transition relation", p, r.table.Policy))
 	}
@@ -405,7 +296,8 @@ func (r *runner) checkSWMR() {
 		}
 		// SwiftDir's security invariant, checked in every state: a
 		// policy that refuses exclusive grants for write-protected data
-		// must never produce a non-Shared write-protected line.
+		// must never produce a non-Shared write-protected line (the same
+		// predicate System.CheckInvariants applies at quiescence).
 		if !r.cfg.Policy.GrantExclusiveOnLoad(true) {
 			for id := range r.sys.L1s {
 				ln := r.sys.L1s[id].Array().Lookup(addr)

@@ -105,14 +105,6 @@ func (t *Table) Pairs() []Pair {
 	return out
 }
 
-// TableFor returns the transition relation for a policy — a view over the
-// same proto.Table its controllers dispatch from — or nil for ad-hoc
-// policies without a registered table (the semantic invariants still run;
-// only membership checking, next-state conformance, and coverage are
-// disabled).
-func TableFor(p coherence.Policy) *Table {
-	if pt := proto.TableFor(p.Name()); pt != nil {
-		return fromProto(pt)
-	}
-	return nil
-}
+// TableFor returns the transition relation for a policy: a view over the
+// same proto.Table its controllers dispatch from.
+func TableFor(p coherence.Policy) *Table { return fromProto(p.Table()) }

@@ -10,14 +10,12 @@ import (
 // TestTablesAreSharedWithDispatch pins the single-source-of-truth
 // property: for every shipped policy the checker's relation is a view
 // over the SAME proto.Table instance the runtime controllers dispatch
-// from, and Allowed is exactly its Defined cells.
+// from (the one the policy built when it was defined), and Allowed is
+// exactly its Defined cells.
 func TestTablesAreSharedWithDispatch(t *testing.T) {
 	for _, p := range coherence.ExtendedPolicies {
 		tb := TableFor(p)
-		if tb == nil {
-			t.Fatalf("%s: no transition relation", p.Name())
-		}
-		pt := proto.TableFor(p.Name())
+		pt := p.Table()
 		if tb.Proto != pt {
 			t.Errorf("%s: checker table is not the dispatch table instance", p.Name())
 		}
@@ -39,8 +37,8 @@ func TestTablesAreSharedWithDispatch(t *testing.T) {
 // cell a controller could fall through, and every cell outside the
 // relation is typed (defensive, impossible, or illegal).
 func TestTablesComplete(t *testing.T) {
-	for _, name := range proto.Names() {
-		pt := proto.TableFor(name)
+	for _, p := range coherence.ExtendedPolicies {
+		name, pt := p.Name(), p.Table()
 		for s := proto.L1State(0); s < proto.NumL1States; s++ {
 			for e := proto.Event(0); e < proto.NumEvents; e++ {
 				if pt.L1[s][e].Class == proto.Unclassified {

@@ -1,10 +1,13 @@
-package proto
+package proto_test
 
 import (
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/coherence"
+	"repro/internal/proto"
 )
 
 // TestTablesTotal is the table-completeness proof: every (state, event)
@@ -14,39 +17,36 @@ import (
 // left unclassified, and the classification determines exactly whether
 // the cell carries an action and a next-state mask.
 func TestTablesTotal(t *testing.T) {
-	for _, name := range Names() {
-		tab := TableFor(name)
-		if tab == nil {
-			t.Fatalf("%s: no table", name)
-		}
-		for s := L1State(0); s < NumL1States; s++ {
-			for e := Event(0); e < NumEvents; e++ {
+	for _, p := range coherence.ExtendedPolicies {
+		name, tab := p.Name(), p.Table()
+		for s := proto.L1State(0); s < proto.NumL1States; s++ {
+			for e := proto.Event(0); e < proto.NumEvents; e++ {
 				checkCell(t, name, fmt.Sprintf("L1[%v][%v]", s, e),
-					tab.L1[s][e].Class, tab.L1[s][e].Act != L1ActNone,
+					tab.L1[s][e].Class, tab.L1[s][e].Act != proto.L1ActNone,
 					tab.L1[s][e].Next)
 			}
 		}
-		for s := DirState(0); s < NumDirStates; s++ {
-			for e := Event(0); e < NumEvents; e++ {
+		for s := proto.DirState(0); s < proto.NumDirStates; s++ {
+			for e := proto.Event(0); e < proto.NumEvents; e++ {
 				checkCell(t, name, fmt.Sprintf("Dir[%v][%v]", s, e),
-					tab.Dir[s][e].Class, tab.Dir[s][e].Act != DirActNone,
+					tab.Dir[s][e].Class, tab.Dir[s][e].Act != proto.DirActNone,
 					tab.Dir[s][e].Next)
 			}
 		}
 	}
 }
 
-func checkCell(t *testing.T, policy, cell string, c Class, hasAct bool, next uint16) {
+func checkCell(t *testing.T, policy, cell string, c proto.Class, hasAct bool, next uint16) {
 	t.Helper()
 	switch c {
-	case Defined, Defensive:
+	case proto.Defined, proto.Defensive:
 		if !hasAct {
 			t.Errorf("%s: %s is %v but has no action", policy, cell, c)
 		}
 		if next == 0 {
 			t.Errorf("%s: %s is %v but has an empty next-state mask", policy, cell, c)
 		}
-	case Impossible, Illegal:
+	case proto.Impossible, proto.Illegal:
 		if hasAct || next != 0 {
 			t.Errorf("%s: %s is %v but carries an action or mask", policy, cell, c)
 		}
@@ -59,18 +59,18 @@ func checkCell(t *testing.T, policy, cell string, c Class, hasAct bool, next uin
 // enum value (guards against a skew between the tables and the hook
 // arrays the controllers index with them).
 func TestActionsInRange(t *testing.T) {
-	for _, name := range Names() {
-		tab := TableFor(name)
-		for s := L1State(0); s < NumL1States; s++ {
-			for e := Event(0); e < NumEvents; e++ {
-				if a := tab.L1[s][e].Act; a >= NumL1Actions {
+	for _, p := range coherence.ExtendedPolicies {
+		name, tab := p.Name(), p.Table()
+		for s := proto.L1State(0); s < proto.NumL1States; s++ {
+			for e := proto.Event(0); e < proto.NumEvents; e++ {
+				if a := tab.L1[s][e].Act; a >= proto.NumL1Actions {
 					t.Errorf("%s: L1[%v][%v] action %d out of range", name, s, e, a)
 				}
 			}
 		}
-		for s := DirState(0); s < NumDirStates; s++ {
-			for e := Event(0); e < NumEvents; e++ {
-				if a := tab.Dir[s][e].Act; a >= NumDirActions {
+		for s := proto.DirState(0); s < proto.NumDirStates; s++ {
+			for e := proto.Event(0); e < proto.NumEvents; e++ {
+				if a := tab.Dir[s][e].Act; a >= proto.NumDirActions {
 					t.Errorf("%s: Dir[%v][%v] action %d out of range", name, s, e, a)
 				}
 			}
@@ -80,18 +80,18 @@ func TestActionsInRange(t *testing.T) {
 
 // definedSet renders a table's Defined relation as sorted "Ctrl state ev"
 // strings for comparison against the pinned paper relations.
-func definedSet(tab *Table) []string {
+func definedSet(tab *proto.Table) []string {
 	var out []string
-	for s := L1State(0); s < NumL1States; s++ {
-		for e := Event(0); e < NumEvents; e++ {
-			if tab.L1[s][e].Class == Defined {
+	for s := proto.L1State(0); s < proto.NumL1States; s++ {
+		for e := proto.Event(0); e < proto.NumEvents; e++ {
+			if tab.L1[s][e].Class == proto.Defined {
 				out = append(out, fmt.Sprintf("L1 %v %v", s, e))
 			}
 		}
 	}
-	for s := DirState(0); s < NumDirStates; s++ {
-		for e := Event(0); e < NumEvents; e++ {
-			if tab.Dir[s][e].Class == Defined {
+	for s := proto.DirState(0); s < proto.NumDirStates; s++ {
+		for e := proto.Event(0); e < proto.NumEvents; e++ {
+			if tab.Dir[s][e].Class == proto.Defined {
 				out = append(out, fmt.Sprintf("Dir %v %v", s, e))
 			}
 		}
@@ -179,7 +179,7 @@ func expandLegacy(lines []string) []string {
 func TestLegacyRelationsPreserved(t *testing.T) {
 	for name, lines := range legacyRelations {
 		want := expandLegacy(lines)
-		got := definedSet(TableFor(name))
+		got := definedSet(coherence.PolicyByName(name).Table())
 		if len(got) != len(want) {
 			t.Errorf("%s: %d defined pairs, legacy had %d", name, len(got), len(want))
 		}
@@ -208,8 +208,8 @@ func TestLegacyRelationsPreserved(t *testing.T) {
 // directory's pending queues; queued replays are not observable events,
 // so the relation must be exactly MESI's.
 func TestPhasePriorityRelationIsMESI(t *testing.T) {
-	mesi := definedSet(TableFor("MESI"))
-	pp := definedSet(TableFor("Phase-Priority"))
+	mesi := definedSet(coherence.MESI.Table())
+	pp := definedSet(coherence.PhasePriority.Table())
 	if len(mesi) != len(pp) {
 		t.Fatalf("Phase-Priority defines %d pairs, MESI %d", len(pp), len(mesi))
 	}
@@ -224,15 +224,15 @@ func TestPhasePriorityRelationIsMESI(t *testing.T) {
 // rely on: a table lookup is two array indexings, no map access, no
 // allocation.
 func TestLookupAllocationFree(t *testing.T) {
-	tab := TableFor("SwiftDir")
+	tab := coherence.SwiftDir.Table()
 	var sink uint64
 	n := testing.AllocsPerRun(1000, func() {
-		for s := L1State(0); s < NumL1States; s++ {
-			e := tab.L1[s][EvStore]
+		for s := proto.L1State(0); s < proto.NumL1States; s++ {
+			e := tab.L1[s][proto.EvStore]
 			sink += uint64(e.Next) + uint64(e.Act)
 		}
-		for s := DirState(0); s < NumDirStates; s++ {
-			e := tab.Dir[s][EvGETX]
+		for s := proto.DirState(0); s < proto.NumDirStates; s++ {
+			e := tab.Dir[s][proto.EvGETX]
 			sink += uint64(e.Next) + uint64(e.Act)
 		}
 	})
@@ -244,51 +244,50 @@ func TestLookupAllocationFree(t *testing.T) {
 
 // TestMaskHelpers sanity-checks the bitmask helpers the checker uses.
 func TestMaskHelpers(t *testing.T) {
-	m := L1Mask(L1I, L1SMA)
-	if !HasL1(m, L1I) || !HasL1(m, L1SMA) || HasL1(m, L1M) {
+	m := proto.L1Mask(proto.L1I, proto.L1SMA)
+	if !proto.HasL1(m, proto.L1I) || !proto.HasL1(m, proto.L1SMA) || proto.HasL1(m, proto.L1M) {
 		t.Fatal("L1Mask/HasL1 broken")
 	}
-	d := DirMask(DirP, DirBusy)
-	if !HasDir(d, DirP) || !HasDir(d, DirBusy) || HasDir(d, DirM) {
+	d := proto.DirMask(proto.DirP, proto.DirBusy)
+	if !proto.HasDir(d, proto.DirP) || !proto.HasDir(d, proto.DirBusy) || proto.HasDir(d, proto.DirM) {
 		t.Fatal("DirMask/HasDir broken")
 	}
-	all := DirMaskAll()
-	for s := DirState(0); s < NumDirStates; s++ {
-		if !HasDir(all, s) {
+	all := proto.DirMaskAll()
+	for s := proto.DirState(0); s < proto.NumDirStates; s++ {
+		if !proto.HasDir(all, s) {
 			t.Fatalf("DirMaskAll missing %v", s)
 		}
 	}
 }
 
-// TestNames: the registry is stable, complete, and nil for strangers.
+// TestNames: the policy list is stable and complete, every policy's table
+// carries its name, and strangers resolve to nil.
 func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) != 10 {
-		t.Fatalf("expected 10 registered policies, got %d: %v", len(names), names)
+	if n := len(coherence.ExtendedPolicies); n != 10 {
+		t.Fatalf("expected 10 policies, got %d: %v", n, coherence.PolicyNames())
 	}
 	seen := make(map[string]bool)
-	for _, n := range names {
+	for _, p := range coherence.ExtendedPolicies {
+		n := p.Name()
 		if seen[n] {
 			t.Fatalf("duplicate policy name %q", n)
 		}
 		seen[n] = true
-		if TableFor(n) == nil {
-			t.Fatalf("TableFor(%q) = nil", n)
-		}
-		if TableFor(n).Policy != n {
-			t.Fatalf("TableFor(%q).Policy = %q", n, TableFor(n).Policy)
+		if p.Table().Policy != n {
+			t.Fatalf("%s: table names policy %q", n, p.Table().Policy)
 		}
 	}
-	if TableFor("MOESIFZ") != nil {
-		t.Fatal("TableFor should return nil for unregistered policies")
+	if coherence.PolicyByName("MOESIFZ") != nil {
+		t.Fatal("PolicyByName should return nil for unknown policies")
 	}
 }
 
 // TestCounts: classification totals cover the whole space.
 func TestCounts(t *testing.T) {
-	total := int(NumL1States)*int(NumEvents) + int(NumDirStates)*int(NumEvents)
-	for _, name := range Names() {
-		def, dfn, imp, ill := TableFor(name).Counts()
+	total := int(proto.NumL1States)*int(proto.NumEvents) + int(proto.NumDirStates)*int(proto.NumEvents)
+	for _, p := range coherence.ExtendedPolicies {
+		name := p.Name()
+		def, dfn, imp, ill := p.Table().Counts()
 		if def+dfn+imp+ill != total {
 			t.Errorf("%s: counts %d+%d+%d+%d != %d cells",
 				name, def, dfn, imp, ill, total)

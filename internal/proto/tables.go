@@ -1,7 +1,7 @@
 package proto
 
-// Tri is a three-way policy feature knob whose meaning is local to each
-// feature (see the Features fields).
+// Tri is a policy feature that may hold for every line, for none, or
+// only for lines on one side of the write-protection bit.
 type Tri uint8
 
 const (
@@ -11,19 +11,33 @@ const (
 	TriWPOnly // applies only to write-protected lines
 )
 
-// Features captures the policy axes that change the shape of the
-// transition relation. Everything else (timings, grant payload details)
-// lives in the action bodies and does not alter which pairs exist.
-// Registered policies get their tables from featuresOf; Build lets an
-// unregistered (experimental or fault-seeded) policy derive one from the
-// same axes.
+// For reports whether the feature applies to a line whose
+// write-protection bit is wp.
+func (t Tri) For(wp bool) bool {
+	switch t {
+	case TriAlways:
+		return true
+	case TriNoWP:
+		return !wp
+	case TriWPOnly:
+		return wp
+	}
+	return false
+}
+
+// Features is a policy's complete definition: the axes on which the
+// protocols differ (Table IV). They decide both the controllers' runtime
+// choices and the shape of the transition relation Build derives.
+// Everything else (timings, grant payload details) lives in the action
+// bodies and does not alter which pairs exist.
 type Features struct {
 	// WPLoads: write-protected loads use the dedicated GETS_WP request
 	// kind (the SwiftDir family).
 	WPLoads bool
-	// HasE: the protocol grants Exclusive on unshared loads at all
-	// (false collapses the design to MSI: no L1 E, no DirE).
-	HasE bool
+	// Exclusive: the directory grants E on an unshared load always, only
+	// for non-write-protected data (SwiftDir's I->S rule), or never (MSI:
+	// no L1 E, no DirE).
+	Exclusive Tri
 	// SilentE: a store hitting an E line upgrades silently to M
 	// (TriAlways), goes through an explicit EM^A upgrade (TriNever), or
 	// is silent only for non-write-protected lines (TriNoWP).
@@ -41,8 +55,11 @@ type Features struct {
 	Forward Tri
 }
 
+// hasE: the E state exists at all.
+func (f Features) hasE() bool { return f.Exclusive != TriNever }
+
 // emaReachable: EM^A exists only when stores on E are not always silent.
-func (f Features) emaReachable() bool { return f.HasE && f.SilentE != TriAlways }
+func (f Features) emaReachable() bool { return f.hasE() && f.SilentE != TriAlways }
 
 // Build constructs a policy's full relation from its feature set in three
 // passes: vocabulary (whole-column Impossible), reachability (whole-row
@@ -68,7 +85,7 @@ func Build(name string, f Features) *Table {
 	}
 
 	// --- reachability: states the policy can never construct.
-	if !f.HasE {
+	if !f.hasE() {
 		t.l1RowImpossible(L1E)
 		t.dirRowImpossible(DirE)
 	}
@@ -98,7 +115,7 @@ func buildL1(t *Table, f Features) {
 	live := func(s L1State) bool {
 		switch s {
 		case L1E:
-			return f.HasE
+			return f.hasE()
 		case L1O:
 			return f.Owned
 		case L1F:
@@ -129,7 +146,7 @@ func buildL1(t *Table, f Features) {
 		}
 	}
 	t.l1(Defined, L1M, EvStore, L1ActStoreHitM, L1M)
-	if f.HasE {
+	if f.hasE() {
 		switch f.SilentE {
 		case TriAlways:
 			t.l1(Defined, L1E, EvStore, L1ActStoreHitE, L1M)
@@ -165,7 +182,7 @@ func buildL1(t *Table, f Features) {
 		eGrant = append(eGrant, L1EMA)
 	}
 	exClass := Defined
-	if !f.HasE {
+	if !f.hasE() {
 		// MSI never grants E on a load, but the handler still installs
 		// an exclusive payload sanely if one were ever delivered.
 		exClass = Defensive
@@ -212,7 +229,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1I, EvFwdGETS, L1ActFwdGETS, L1I)
 	t.l1(Defined, L1ISD, EvFwdGETS, L1ActFwdGETS, L1ISD)
 	t.l1(Defined, L1IMD, EvFwdGETS, L1ActFwdGETS, L1IMD)
-	if f.HasE {
+	if f.hasE() {
 		cl := Defined
 		if f.LLCServeE == TriAlways {
 			cl = Defensive
@@ -249,7 +266,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1I, EvFwdGETX, L1ActFwdGETX, L1I)
 	t.l1(Defined, L1ISD, EvFwdGETX, L1ActFwdGETX, L1ISD)
 	t.l1(Defined, L1IMD, EvFwdGETX, L1ActFwdGETX, L1IMD)
-	if f.HasE {
+	if f.hasE() {
 		t.l1(Defined, L1E, EvFwdGETX, L1ActFwdGETX, L1I)
 	}
 	t.l1(Defined, L1M, EvFwdGETX, L1ActFwdGETX, L1I)
@@ -302,7 +319,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1ISD, EvWBAck, L1ActWBAck, L1ISD)
 	t.l1(Defined, L1IMD, EvWBAck, L1ActWBAck, L1IMD)
 	for _, st := range []L1State{L1S, L1E, L1M, L1O, L1F, L1SMA, L1EMA} {
-		if st == L1E && !f.HasE || st == L1O && !f.Owned ||
+		if st == L1E && !f.hasE() || st == L1O && !f.Owned ||
 			st == L1F && f.Forward == TriNever ||
 			st == L1EMA && !f.emaReachable() {
 			continue
@@ -330,7 +347,7 @@ func buildDir(t *Table, f Features) {
 		t.dir(Defined, DirI, e, DirActFetchLoad, DirBusy)
 		t.dir(Defined, DirP, e, DirActGrantLoadP, DirBusy)
 		t.dir(Defined, DirS, e, DirActLoadS, DirBusy)
-		if f.HasE {
+		if f.hasE() {
 			t.dir(Defined, DirE, e, DirActLoadE, DirBusy)
 		}
 		t.dir(Defined, DirM, e, DirActLoadOwner, DirBusy)
@@ -342,7 +359,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvGETX, DirActFetchStore, DirBusy)
 	t.dir(Defined, DirP, EvGETX, DirActGrantStoreP, DirBusy)
 	t.dir(Defined, DirS, EvGETX, DirActStoreS, DirBusy)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvGETX, DirActStoreOwner, DirBusy)
 	}
 	t.dir(Defined, DirM, EvGETX, DirActStoreOwner, DirBusy)
@@ -357,7 +374,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvUpgrade, DirActUpgradeMiss, DirBusy)
 	t.dir(Defensive, DirP, EvUpgrade, DirActUpgradeMiss, DirBusy)
 	t.dir(Defined, DirS, EvUpgrade, DirActUpgradeS, DirM, DirBusy)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvUpgrade, DirActUpgradeOwner, DirM, DirBusy)
 	}
 	t.dir(Defined, DirM, EvUpgrade, DirActUpgradeOwner, DirM, DirBusy)
@@ -371,7 +388,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvPUTS, DirActPUTSStale, DirI)
 	t.dir(Defined, DirP, EvPUTS, DirActPUTS, DirP)
 	t.dir(Defined, DirS, EvPUTS, DirActPUTS, DirS, DirP)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defensive, DirE, EvPUTS, DirActPUTS, DirE)
 	}
 	t.dir(Defensive, DirM, EvPUTS, DirActPUTS, DirM)
@@ -382,7 +399,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvPUTX, DirActPUTXStale, DirI)
 	t.dir(Defensive, DirP, EvPUTX, DirActPUTX, DirP)
 	t.dir(Defined, DirS, EvPUTX, DirActPUTX, DirS, DirP)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvPUTX, DirActPUTX, DirP, DirE)
 	}
 	t.dir(Defined, DirM, EvPUTX, DirActPUTX, DirP, DirM)
@@ -399,54 +416,9 @@ func buildDir(t *Table, f Features) {
 	// A late Inv_Ack for a transaction that already completed is
 	// tolerated (dropped) at every idle state.
 	for _, s := range []DirState{DirI, DirP, DirS, DirE, DirM, DirO} {
-		if s == DirE && !f.HasE || s == DirO && !f.Owned {
+		if s == DirE && !f.hasE() || s == DirO && !f.Owned {
 			continue
 		}
 		t.dir(Defensive, s, EvInvAck, DirActInvAckStale, s)
 	}
-}
-
-// featuresOf maps each policy name to its feature set. The axes mirror
-// the coherence.Policy interface; a linkage test on the coherence side
-// asserts the two agree.
-var featuresOf = map[string]Features{
-	"MESI":           {HasE: true, SilentE: TriAlways},
-	"SwiftDir":       {WPLoads: true, HasE: true, SilentE: TriAlways},
-	"S-MESI":         {HasE: true, SilentE: TriNever, LLCServeE: TriAlways},
-	"SwiftDir-Ewp":   {WPLoads: true, HasE: true, SilentE: TriNoWP, LLCServeE: TriWPOnly},
-	"MOESI":          {HasE: true, SilentE: TriAlways, Owned: true},
-	"SwiftDir-MOESI": {WPLoads: true, HasE: true, SilentE: TriAlways, Owned: true},
-	"MESIF":          {HasE: true, SilentE: TriAlways, Forward: TriAlways},
-	"SwiftDir-MESIF": {WPLoads: true, HasE: true, SilentE: TriAlways, Forward: TriNoWP},
-	"MSI":            {},
-	// Phase-priority arbitration reorders the directory's request queues;
-	// the transition relation is exactly MESI's (queued replays are not
-	// externally observable events).
-	"Phase-Priority": {HasE: true, SilentE: TriAlways},
-}
-
-// tableNames is the registration order, for deterministic listings.
-var tableNames = []string{
-	"MESI", "SwiftDir", "S-MESI", "SwiftDir-Ewp",
-	"MOESI", "SwiftDir-MOESI", "MESIF", "SwiftDir-MESIF", "MSI",
-	"Phase-Priority",
-}
-
-var tables = func() map[string]*Table {
-	m := make(map[string]*Table, len(tableNames))
-	for _, name := range tableNames {
-		m[name] = Build(name, featuresOf[name])
-	}
-	return m
-}()
-
-// TableFor returns the transition relation for a policy name, or nil if
-// the policy has no registered table.
-func TableFor(policy string) *Table {
-	return tables[policy]
-}
-
-// Names returns every registered policy name in registration order.
-func Names() []string {
-	return append([]string(nil), tableNames...)
 }
