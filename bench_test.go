@@ -19,6 +19,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/interconnect"
@@ -118,6 +119,64 @@ func benchAccessHit(b *testing.B, p coherence.Policy) {
 func BenchmarkAccessHitMESI(b *testing.B)     { benchAccessHit(b, coherence.MESI) }
 func BenchmarkAccessHitSwiftDir(b *testing.B) { benchAccessHit(b, coherence.SwiftDir) }
 func BenchmarkAccessHitSMESI(b *testing.B)    { benchAccessHit(b, coherence.SMESI) }
+
+// --- MMU, workload generation and the O3 core ----------------------------
+
+// benchTLB translates over distinct pages through a 64-entry TLB (Table
+// V's DTB), every page faulted in before the timer: 16 pages keep every
+// access a hit; 256 pages cycled in order make every access a miss that
+// walks the page table and evicts the LRU entry. The gate pins both
+// allocation-free.
+func benchTLB(b *testing.B, pages int) {
+	as := mmu.NewAddressSpace(mmu.NewPhysMem(0))
+	base, err := as.Mmap(pages*mmu.PageSize, mmu.ProtRead|mmu.ProtWrite, mmu.MapPrivate|mmu.MapAnonymous, nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tlb := mmu.NewTLB(64)
+	for i := 0; i < pages; i++ {
+		tlb.Translate(as, base+mmu.VAddr(i)*mmu.PageSize, false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tlb.Translate(as, base+mmu.VAddr(i%pages)*mmu.PageSize, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTLBTranslateHit(b *testing.B)  { benchTLB(b, 16) }
+func BenchmarkTLBTranslateMiss(b *testing.B) { benchTLB(b, 256) }
+
+// BenchmarkGeneratorNext measures workload generation per instruction on
+// xalancbmk's stream, the SPEC stand-in with the most write-after-read
+// pairs (each pair's store is held back for the following Next). The gate
+// pins it allocation-free.
+func BenchmarkGeneratorNext(b *testing.B) {
+	p, _ := workload.ProfileByName("xalancbmk")
+	p.Instrs = b.N
+	tr := workload.NewTrace(p, 0x4000_0000, 0x7000_0000_0000, p.Seed)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Next()
+	}
+}
+
+// BenchmarkO3Instr measures the out-of-order core per instruction on the
+// Figure 7 job shape: mcf's stream on the 1-core Table V machine under
+// SwiftDir, so an op carries its share of the L1 misses, directory, DRAM
+// and TLB work mcf causes. Machine construction is outside the timer.
+func BenchmarkO3Instr(b *testing.B) {
+	p, _ := workload.ProfileByName("mcf")
+	p.Instrs = b.N
+	m := core.MustNewMachine(core.DefaultConfig(1, coherence.SwiftDir))
+	proc := m.NewProcess()
+	shared := proc.MmapLibrary(mmu.NewFile(p.Name+".so", p.Seed), p.SharedKB*1024)
+	heap := proc.MmapAnon(p.WorkingSetKB * 1024)
+	c := cpu.NewOutOfOrder(proc.AttachContext(0), workload.NewTrace(p, heap, shared, p.Seed), nil)
+	b.ResetTimer()
+	cpu.Run(m, []cpu.CPU{c})
+}
 
 // --- Mesh + two-level directory benchmarks -------------------------------
 

@@ -22,8 +22,7 @@ func TestSteadyStateL1HitZeroAlloc(t *testing.T) {
 
 	// Warm: install the line (load) and drive it to M (store), then pump
 	// hits until the clock has swept the engine's whole calendar ring, so
-	// every bucket along the hit path's stride has grown its slot and every
-	// pool has reached steady state.
+	// the engine's slab and every pool have reached steady state.
 	s.AccessSync(0, addr, false, false, 0)
 	s.AccessSync(0, addr, true, false, 1)
 	start := s.Eng.Now()

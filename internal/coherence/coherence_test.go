@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -501,5 +503,35 @@ func TestDeterminism(t *testing.T) {
 	c2, r2 := run()
 	if c1 != c2 || r1 != r2 {
 		t.Fatalf("nondeterministic: (%d,%d) vs (%d,%d)", c1, r1, c2, r2)
+	}
+}
+
+// TestCheckInvariantsReportsLowestViolation: with two blocks forced into
+// an SWMR violation (each Modified in both L1s), CheckInvariants names the
+// lower address, and the same state gives the same text on every call.
+// The report ends up verbatim in model-checker counterexamples.
+func TestCheckInvariantsReportsLowestViolation(t *testing.T) {
+	s := newTestSystem(t, MESI, 2)
+	blocks := []cache.Addr{blockA + 5*64, blockA}
+	for _, a := range blocks {
+		s.AccessSync(0, a, true, false, 1)
+	}
+	s.Quiesce()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("clean system: %v", err)
+	}
+	arr := s.L1s[1].Array()
+	for _, a := range blocks {
+		arr.Install(arr.Victim(a), a, cache.Modified)
+	}
+	first := s.CheckInvariants()
+	want := fmt.Sprintf("SWMR: block %#x exclusive in L1s [0 1]", blockA)
+	if first == nil || !strings.Contains(first.Error(), want) {
+		t.Fatalf("CheckInvariants = %v, want %q", first, want)
+	}
+	for i := 1; i < 50; i++ {
+		if err := s.CheckInvariants(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d reported %v, first call %v", i+1, err, first)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -525,6 +527,23 @@ func (s *System) L1StateOf(port int, addr cache.Addr) cache.LineState {
 	return cache.Invalid
 }
 
+// lowestViolation runs check on every entry of an address-keyed map and
+// returns the error of the lowest failing address, so a map walk reports
+// the same violation on every call without sorting the keys.
+func lowestViolation[V any](m map[cache.Addr]V, check func(cache.Addr, V) error) error {
+	var first error
+	var at cache.Addr
+	for addr, v := range m {
+		if first != nil && addr > at {
+			continue
+		}
+		if err := check(addr, v); err != nil {
+			first, at = err, addr
+		}
+	}
+	return first
+}
+
 // CheckInvariants validates the quiesced system:
 //
 //   - SWMR: at most one L1 holds a block E/M, and then no L1 holds it S;
@@ -534,8 +553,10 @@ func (s *System) L1StateOf(port int, addr cache.Addr) cache.LineState {
 //     write-protected loads (the SwiftDir family), a write-protected line
 //     is only ever S in any L1 (the security property, structurally).
 //
-// It must be called with no in-flight transactions and returns the first
-// violation found.
+// It must be called with no in-flight transactions. It returns the first
+// violation found. Every walk visits blocks in a fixed order — each L1
+// array in set/way order, the per-block and map walks in ascending address
+// order — so the same state always yields the same report.
 func (s *System) CheckInvariants() error {
 	for _, b := range s.banks {
 		if len(b.busy) != 0 {
@@ -548,24 +569,49 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 
-	type holders struct {
-		exclusive []int
-		owned     []int
-		forward   []int
-		shared    []int
+	// Every resident L1 line as (block, L1, state), grouped by block in
+	// ascending address order below, so the first violation reported is
+	// the same on every call. One growing slice rather than an object per
+	// block: this runs at the end of every workload job.
+	type resident struct {
+		addr  cache.Addr
+		id    int
+		state cache.LineState
 	}
-	byBlock := make(map[cache.Addr]*holders)
+	var lines []resident
 	wpShared := !s.Policy.GrantExclusiveOnLoad(true)
 	for _, l1 := range s.L1s {
 		id := l1.ID
 		var err error
 		l1.Array().ForEachValid(func(addr cache.Addr, ln *cache.Line) {
-			h := byBlock[addr]
-			if h == nil {
-				h = &holders{}
-				byBlock[addr] = h
+			lines = append(lines, resident{addr: addr, id: id, state: ln.State})
+			switch {
+			case err != nil:
+			case wpShared && ln.WP && ln.State != cache.Shared:
+				err = fmt.Errorf("L1 %d: write-protected block %#x in state %v under %s",
+					id, addr, ln.State, s.Policy.Name())
+			default:
+				e, ok := s.bankFor(addr).entries[addr]
+				switch {
+				case !ok: // inclusion
+					err = fmt.Errorf("L1 %d: block %#x resident but absent from LLC (inclusion)", id, addr)
+				case e.state == DirPresent && (ln.State == cache.Exclusive || ln.State == cache.Modified || ln.State == cache.Shared):
+					err = fmt.Errorf("dir: block %#x DirPresent but cached in L1s", addr)
+				}
 			}
-			switch ln.State {
+		})
+		if err != nil {
+			return err
+		}
+	}
+	// Stable, so each block's holders stay in L1 order.
+	slices.SortStableFunc(lines, func(a, b resident) int { return cmp.Compare(a.addr, b.addr) })
+	var h struct{ exclusive, owned, forward, shared []int }
+	for i := 0; i < len(lines); {
+		addr := lines[i].addr
+		h.exclusive, h.owned, h.forward, h.shared = h.exclusive[:0], h.owned[:0], h.forward[:0], h.shared[:0]
+		for ; i < len(lines) && lines[i].addr == addr; i++ {
+			switch id := lines[i].id; lines[i].state {
 			case cache.Exclusive, cache.Modified:
 				h.exclusive = append(h.exclusive, id)
 			case cache.Owned:
@@ -575,20 +621,7 @@ func (s *System) CheckInvariants() error {
 			case cache.Shared:
 				h.shared = append(h.shared, id)
 			}
-			if wpShared && ln.WP && ln.State != cache.Shared {
-				err = fmt.Errorf("L1 %d: write-protected block %#x in state %v under %s",
-					id, addr, ln.State, s.Policy.Name())
-			}
-			// Inclusion.
-			if _, ok := s.bankFor(addr).entries[addr]; !ok {
-				err = fmt.Errorf("L1 %d: block %#x resident but absent from LLC (inclusion)", id, addr)
-			}
-		})
-		if err != nil {
-			return err
 		}
-	}
-	for addr, h := range byBlock {
 		if len(h.exclusive) > 1 {
 			return fmt.Errorf("SWMR: block %#x exclusive in L1s %v", addr, h.exclusive)
 		}
@@ -625,7 +658,7 @@ func (s *System) CheckInvariants() error {
 			lid := uint(l1.ID - c*s.localsPer)
 			var err error
 			l1.Array().ForEachValid(func(addr cache.Addr, ln *cache.Line) {
-				if s.hubs[c].record[addr]&(1<<lid) == 0 {
+				if err == nil && s.hubs[c].record[addr]&(1<<lid) == 0 {
 					err = fmt.Errorf("hub %d: L1 %d holds %#x but its record bit is clear", c, l1.ID, addr)
 				}
 			})
@@ -634,7 +667,7 @@ func (s *System) CheckInvariants() error {
 			}
 		}
 		for _, h := range s.hubs {
-			for addr, rec := range h.record {
+			err := lowestViolation(h.record, func(addr cache.Addr, rec uint64) error {
 				for lid := 0; rec != 0; lid++ {
 					if rec&1 != 0 {
 						id := h.id*s.localsPer + lid
@@ -644,12 +677,16 @@ func (s *System) CheckInvariants() error {
 					}
 					rec >>= 1
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
 	// Directory agreement.
 	for _, b := range s.banks {
-		for addr, e := range b.entries {
+		err := lowestViolation(b.entries, func(addr cache.Addr, e *dirEntry) error {
 			switch e.state {
 			case DirExclusive, DirModifiedL1:
 				st := s.L1StateOf(e.owner, addr)
@@ -709,12 +746,11 @@ func (s *System) CheckInvariants() error {
 					}
 					sh >>= 1
 				}
-			case DirPresent:
-				h := byBlock[addr]
-				if h != nil && (len(h.exclusive) > 0 || len(h.shared) > 0) {
-					return fmt.Errorf("dir: block %#x DirPresent but cached in L1s", addr)
-				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -28,12 +28,18 @@ type OutOfOrder struct {
 
 	robSize, lqSize, sqSize, width int
 
-	rob     []o3Entry
-	head    uint64 // global index of the oldest in-flight instruction
-	tail    uint64 // next global index to fetch
-	eof     bool
-	ready   []int            // slots whose dependences are resolved
-	waiters map[uint64][]int // producer idx -> dependent slots
+	rob   []o3Entry
+	head  uint64 // global index of the oldest in-flight instruction
+	tail  uint64 // next global index to fetch
+	eof   bool
+	ready []int // slots whose dependences are resolved
+	// waiters[s] lists the slots waiting on the producer in ROB slot s;
+	// markDone consumes and truncates it, so a slot's list is empty
+	// before the slot is refilled.
+	waiters [][]int
+	// memDone[s] is the completion callback of the memory op in ROB slot
+	// s, built once so issuing a memory op allocates nothing.
+	memDone []func(coherence.AccessResult)
 
 	loadsInFlight int
 
@@ -41,15 +47,17 @@ type OutOfOrder struct {
 	// order, with up to drainDepth distinct-block transactions
 	// overlapping; stores to a block that already has an in-flight store
 	// coalesce into its transaction for free (write combining). storeOrder
-	// holds un-issued store indices in fetch order; sqOcc counts stores
-	// occupying the SQ (fetched but not completed).
-	storeOrder    []uint64
-	storeBlocks   map[mmu.VAddr]int // in-flight stores per block
-	storesDrained int               // distinct blocks with in-flight stores
-	drainDepth    int
-	blockMask     mmu.VAddr
-	sqOcc         int
-	stash         *Instr // fetched instruction deferred by a full SQ
+	// holds un-issued store indices in fetch order; storeBlocks holds one
+	// (block, in-flight stores) pair per block with in-flight stores, at
+	// most drainDepth of them; sqOcc counts stores occupying the SQ
+	// (fetched but not completed).
+	storeOrder  []uint64
+	storeBlocks []storeBlock
+	drainDepth  int
+	blockMask   mmu.VAddr
+	sqOcc       int
+	stash       Instr // fetched instruction deferred by a full SQ
+	stashed     bool
 
 	// Mispredict handling: fetch stalls from the moment a mispredicted
 	// branch is dispatched until it resolves plus the redirect penalty.
@@ -105,11 +113,17 @@ type o3Entry struct {
 	arrived     bool // barrier reached its rendezvous
 }
 
+// storeBlock counts the in-flight stores to one block.
+type storeBlock struct {
+	block mmu.VAddr
+	n     int
+}
+
 // NewOutOfOrder builds the core using the machine configuration's ROB,
 // LQ/SQ, and width.
 func NewOutOfOrder(ctx *core.Context, trace TraceSource, bar *Barrier) *OutOfOrder {
 	cfg := ctx.Machine().Cfg
-	return &OutOfOrder{
+	c := &OutOfOrder{
 		ctx: ctx, trace: trace, bar: bar,
 		robSize:     cfg.ROBEntries,
 		lqSize:      cfg.LQEntries,
@@ -118,9 +132,14 @@ func NewOutOfOrder(ctx *core.Context, trace TraceSource, bar *Barrier) *OutOfOrd
 		drainDepth:  cfg.StoreDrainDepth,
 		blockMask:   ^mmu.VAddr(cfg.L1.BlockSize - 1),
 		rob:         make([]o3Entry, cfg.ROBEntries),
-		waiters:     make(map[uint64][]int),
-		storeBlocks: make(map[mmu.VAddr]int),
+		waiters:     make([][]int, cfg.ROBEntries),
+		memDone:     make([]func(coherence.AccessResult), cfg.ROBEntries),
+		storeBlocks: make([]storeBlock, 0, cfg.StoreDrainDepth),
 	}
+	for s := range c.memDone {
+		c.memDone[s] = func(coherence.AccessResult) { c.memComplete(s) }
+	}
+	return c
 }
 
 // Start begins execution; done runs when the trace has fully committed.
@@ -198,10 +217,18 @@ func (c *OutOfOrder) canDrainStore(idx uint64) bool {
 		return false
 	}
 	block := c.rob[c.slot(idx)].instr.Addr & c.blockMask
-	if c.storeBlocks[block] > 0 {
-		return true
+	return c.storeBlockIndex(block) >= 0 || len(c.storeBlocks) < c.drainDepth
+}
+
+// storeBlockIndex returns block's position in storeBlocks, or -1 if the
+// block has no in-flight store.
+func (c *OutOfOrder) storeBlockIndex(block mmu.VAddr) int {
+	for i := range c.storeBlocks {
+		if c.storeBlocks[i].block == block {
+			return i
+		}
 	}
-	return c.storesDrained < c.drainDepth
+	return -1
 }
 
 func (c *OutOfOrder) commit() int {
@@ -220,7 +247,6 @@ func (c *OutOfOrder) commit() int {
 		case OpBarrier:
 			c.stats.Barriers++
 		}
-		delete(c.waiters, e.idx)
 		c.head++
 		n++
 	}
@@ -253,19 +279,20 @@ func (c *OutOfOrder) issue() int {
 				continue
 			}
 			c.loadsInFlight++
-			c.issueMem(e, false)
+			c.issueMem(s)
 		case OpStore:
 			if !c.canDrainStore(e.idx) {
 				remaining = append(remaining, s)
 				continue
 			}
 			block := e.instr.Addr & c.blockMask
-			if c.storeBlocks[block] == 0 {
-				c.storesDrained++
+			if i := c.storeBlockIndex(block); i >= 0 {
+				c.storeBlocks[i].n++
+			} else {
+				c.storeBlocks = append(c.storeBlocks, storeBlock{block: block, n: 1})
 			}
-			c.storeBlocks[block]++
-			c.storeOrder = c.storeOrder[1:]
-			c.issueMem(e, true)
+			c.storeOrder = append(c.storeOrder[:0], c.storeOrder[1:]...)
+			c.issueMem(s)
 		default:
 			e.status = stIssued
 			c.ctx.Engine().ScheduleEvent(e.instr.latency(), c, sim.Payload{Op: o3OpMarkDone, A: e.idx})
@@ -276,26 +303,32 @@ func (c *OutOfOrder) issue() int {
 	return issued
 }
 
-func (c *OutOfOrder) issueMem(e *o3Entry, write bool) {
+// issueMem sends the memory op in ROB slot s to the hierarchy.
+func (c *OutOfOrder) issueMem(s int) {
+	e := &c.rob[s]
 	e.status = stIssued
-	idx := e.idx
-	err := c.ctx.Access(e.instr.Addr, write, e.instr.Value, func(coherence.AccessResult) {
-		if write {
-			block := e.instr.Addr & c.blockMask
-			c.storeBlocks[block]--
-			if c.storeBlocks[block] == 0 {
-				delete(c.storeBlocks, block)
-				c.storesDrained--
-			}
-			c.sqOcc--
-		} else {
-			c.loadsInFlight--
-		}
-		c.markDone(idx)
-	})
+	err := c.ctx.Access(e.instr.Addr, e.instr.Op == OpStore, e.instr.Value, c.memDone[s])
 	if err != nil {
 		panic(fmt.Sprintf("cpu: o3 mem op %#x: %v", uint64(e.instr.Addr), err))
 	}
+}
+
+// memComplete retires the hierarchy side of the memory op in ROB slot s.
+// The slot cannot have been refilled: it commits only after markDone.
+func (c *OutOfOrder) memComplete(s int) {
+	e := &c.rob[s]
+	if e.instr.Op == OpStore {
+		i := c.storeBlockIndex(e.instr.Addr & c.blockMask)
+		if c.storeBlocks[i].n--; c.storeBlocks[i].n == 0 {
+			last := len(c.storeBlocks) - 1
+			c.storeBlocks[i] = c.storeBlocks[last]
+			c.storeBlocks = c.storeBlocks[:last]
+		}
+		c.sqOcc--
+	} else {
+		c.loadsInFlight--
+	}
+	c.markDone(e.idx)
 }
 
 // checkBarrierAtHead releases a barrier instruction once it is the oldest
@@ -330,7 +363,8 @@ func (c *OutOfOrder) markDone(idx uint64) {
 		c.redirectPending = true
 		c.ctx.Engine().ScheduleEvent(MispredictPenalty, c, sim.Payload{Op: o3OpRedirect})
 	}
-	for _, depSlot := range c.waiters[idx] {
+	s := c.slot(idx)
+	for _, depSlot := range c.waiters[s] {
 		d := &c.rob[depSlot]
 		d.pendingDeps--
 		if d.pendingDeps == 0 && d.status == stWaiting {
@@ -341,7 +375,7 @@ func (c *OutOfOrder) markDone(idx uint64) {
 			}
 		}
 	}
-	delete(c.waiters, idx)
+	c.waiters[s] = c.waiters[s][:0]
 	c.ensureTick()
 }
 
@@ -352,12 +386,12 @@ func (c *OutOfOrder) fetch() int {
 	fetched := 0
 	for !c.eof && c.count() < c.robSize && fetched < c.width {
 		var ins Instr
-		if c.stash != nil {
-			ins = *c.stash
+		if c.stashed {
+			ins = c.stash
 			if ins.Op == OpStore && c.sqOcc >= c.sqSize {
 				break // SQ still full
 			}
-			c.stash = nil
+			c.stashed = false
 		} else {
 			var ok bool
 			ins, ok = c.trace.Next()
@@ -367,7 +401,7 @@ func (c *OutOfOrder) fetch() int {
 			}
 			if ins.Op == OpStore && c.sqOcc >= c.sqSize {
 				// SQ full: stall dispatch until a store completes.
-				c.stash = &ins
+				c.stash, c.stashed = ins, true
 				break
 			}
 		}
@@ -385,7 +419,7 @@ func (c *OutOfOrder) fetch() int {
 		s := c.slot(idx)
 		c.rob[s] = o3Entry{instr: ins, idx: idx}
 		e := &c.rob[s]
-		for _, d := range []int{ins.Dep1, ins.Dep2} {
+		for _, d := range [2]int{ins.Dep1, ins.Dep2} {
 			if d <= 0 || uint64(d) > idx {
 				continue
 			}
@@ -393,10 +427,10 @@ func (c *OutOfOrder) fetch() int {
 			if pidx < c.head {
 				continue // producer already retired
 			}
-			p := &c.rob[c.slot(pidx)]
-			if p.idx == pidx && p.status != stDone {
+			ps := c.slot(pidx)
+			if p := &c.rob[ps]; p.idx == pidx && p.status != stDone {
 				e.pendingDeps++
-				c.waiters[pidx] = append(c.waiters[pidx], s)
+				c.waiters[ps] = append(c.waiters[ps], s)
 			}
 		}
 		if e.pendingDeps == 0 {

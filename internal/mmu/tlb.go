@@ -5,9 +5,16 @@ package mmu
 // cache the translated frame and the R/W bit so the write-protection
 // information reaches the cache hierarchy even on TLB hits without
 // re-walking the page table (§IV-B).
+//
+// Resident entries live in a fixed array of slots, found through a map from
+// virtual page number to slot; a miss that finds the array full overwrites
+// the slot with the smallest LRU stamp. Stamps come from one counter bumped
+// on every hit and fill, so that slot is unique and the eviction order is
+// the same however the slots are arranged.
 type TLB struct {
 	capacity int
-	entries  map[uint64]*tlbEntry
+	slots    []tlbEntry
+	index    map[uint64]int32 // vpn -> position in slots
 	clock    uint64
 
 	Hits, Misses uint64
@@ -15,9 +22,9 @@ type TLB struct {
 }
 
 type tlbEntry struct {
+	vpn      uint64
 	pfn      uint64
 	writable bool
-	cow      bool
 	lru      uint64
 }
 
@@ -26,46 +33,69 @@ func NewTLB(entries int) *TLB {
 	if entries <= 0 {
 		panic("mmu: TLB must have at least one entry")
 	}
-	return &TLB{capacity: entries, entries: make(map[uint64]*tlbEntry, entries)}
+	return &TLB{
+		capacity: entries,
+		slots:    make([]tlbEntry, 0, entries),
+		index:    make(map[uint64]int32, entries),
+	}
 }
 
 // Capacity returns the entry count.
 func (t *TLB) Capacity() int { return t.capacity }
 
 // Size returns the number of resident entries.
-func (t *TLB) Size() int { return len(t.entries) }
+func (t *TLB) Size() int { return len(t.slots) }
 
 func (t *TLB) lookup(vp uint64) *tlbEntry {
-	e := t.entries[vp]
-	if e != nil {
-		t.clock++
-		e.lru = t.clock
+	i, ok := t.index[vp]
+	if !ok {
+		return nil
 	}
+	e := &t.slots[i]
+	t.clock++
+	e.lru = t.clock
 	return e
 }
 
-func (t *TLB) insert(vp uint64, pfn uint64, writable, cow bool) {
-	if len(t.entries) >= t.capacity {
-		var victim uint64
-		var oldest uint64 = ^uint64(0)
-		for k, e := range t.entries {
-			if e.lru < oldest {
-				oldest = e.lru
-				victim = k
-			}
-		}
-		delete(t.entries, victim)
-	}
+func (t *TLB) insert(vp uint64, pfn uint64, writable bool) {
 	t.clock++
-	t.entries[vp] = &tlbEntry{pfn: pfn, writable: writable, cow: cow, lru: t.clock}
+	ent := tlbEntry{vpn: vp, pfn: pfn, writable: writable, lru: t.clock}
+	if len(t.slots) < t.capacity {
+		t.index[vp] = int32(len(t.slots))
+		t.slots = append(t.slots, ent)
+		return
+	}
+	victim := 0
+	for i := 1; i < len(t.slots); i++ {
+		if t.slots[i].lru < t.slots[victim].lru {
+			victim = i
+		}
+	}
+	delete(t.index, t.slots[victim].vpn)
+	t.slots[victim] = ent
+	t.index[vp] = int32(victim)
 }
 
 // InvalidatePage drops the entry for the page containing v, if any.
-func (t *TLB) InvalidatePage(v VAddr) { delete(t.entries, vpn(v)) }
+func (t *TLB) InvalidatePage(v VAddr) {
+	vp := vpn(v)
+	i, ok := t.index[vp]
+	if !ok {
+		return
+	}
+	delete(t.index, vp)
+	last := int32(len(t.slots) - 1)
+	if i != last {
+		t.slots[i] = t.slots[last]
+		t.index[t.slots[i].vpn] = i
+	}
+	t.slots = t.slots[:last]
+}
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	t.entries = make(map[uint64]*tlbEntry, t.capacity)
+	clear(t.index)
+	t.slots = t.slots[:0]
 	t.Flushes++
 }
 
@@ -94,6 +124,6 @@ func (t *TLB) Translate(as *AddressSpace, v VAddr, isWrite bool) (Result, bool, 
 		return res, false, err
 	}
 	pte := as.PTEOf(v)
-	t.insert(vp, pte.PFN, pte.Writable, pte.CoW)
+	t.insert(vp, pte.PFN, pte.Writable)
 	return res, false, nil
 }

@@ -27,7 +27,7 @@ func (s *selfTicker) Handle(p Payload) {
 func TestScheduleEventZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	tick := &selfTicker{e: e}
-	// Warm the bucket free lists.
+	// Warm the slab.
 	tick.n = 2 * ringSize
 	e.ScheduleEvent(1, tick, Payload{})
 	e.Run()
@@ -47,8 +47,8 @@ func TestScheduleEventZeroAlloc(t *testing.T) {
 func TestOverflowSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	r := &selfTicker{e: e}
-	// Warm the overflow heap's capacity, then every ring bucket's slot
-	// (migrated events land in buckets that slide forward each run).
+	// Warm the overflow heap's capacity, then the slab (migrated events
+	// take slab slots as they enter the ring).
 	for i := 0; i < 64; i++ {
 		e.ScheduleEvent(ringSize+Cycle(i), r, Payload{})
 	}
@@ -66,5 +66,24 @@ func TestOverflowSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("overflow schedule+migrate allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestFreshEngineAllocs pins a fresh engine's allocations to its peak
+// number of pending events rather than its ring size: 24 self-rescheduling
+// handlers put 24 events in every cycle for two full turns of the ring, so
+// every bucket fills twice. Storage that grows per bucket allocates in
+// each of the 1024 buckets (6144 times); the slab grows a few times, and
+// the rest is the engine and the handlers themselves.
+func TestFreshEngineAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < 24; i++ {
+			e.ScheduleEvent(1, &selfTicker{e: e, n: 2 * ringSize}, Payload{})
+		}
+		e.Run()
+	})
+	if allocs > 64 {
+		t.Fatalf("fresh engine allocates %.0f times for 24 events/cycle over two ring turns, want <= 64", allocs)
 	}
 }

@@ -19,11 +19,12 @@
 //
 // Storage is a calendar queue: a ring of per-cycle FIFO buckets covering
 // the near future, with a slice-backed binary min-heap as the overflow
-// tier for events more than ringSize cycles out. Bucket slots and heap
-// slots are recycled in place (the free list is the retained capacity of
-// each bucket), so steady-state execution performs no allocation and no
-// interface boxing — unlike the previous container/heap implementation,
-// which boxed every event through `any`.
+// tier for events more than ringSize cycles out. Every ring event lives in
+// one slab; a bucket is a linked list of slab slots, and released slots go
+// to a free list threaded through the same links. The slab grows with the
+// peak number of pending events, not with the ring size or the run's
+// length, so a fresh engine allocates a handful of times and steady-state
+// execution performs no allocation and no interface boxing.
 package sim
 
 import (
@@ -73,25 +74,31 @@ const (
 	ringWord = ringSize / 64
 )
 
-// bucket is the FIFO of events for one cycle of the near-future ring.
-// head indexes the next unexecuted event; the slice's retained capacity is
-// the bucket's free list.
+// bucket is the FIFO of events for one cycle of the near-future ring: the
+// slab slots of its first and last events, linked through Engine.next.
+// Slot 0 is the nil sentinel, so the zero bucket is empty.
 type bucket struct {
-	head int
-	evs  []event
+	head, tail int32
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use; time starts at cycle 0.
 type Engine struct {
-	now       Cycle
-	seq       uint64
-	executed  uint64
-	scheduled uint64
-	pending   int
+	now      Cycle
+	seq      uint64
+	executed uint64
+	pending  int
 
 	ring [ringSize]bucket
 	occ  [ringWord]uint64 // occupancy bitmap: bit i set iff ring[i] has unexecuted events
+
+	// slab holds every ring event; next links each slot to its successor
+	// in its bucket or in the free list headed by free. Slot 0 is the nil
+	// sentinel, and both slices are created on first use so the zero
+	// Engine stays usable. Free slots are kept zeroed.
+	slab []event
+	next []int32
+	free int32
 
 	// overflow holds events scheduled >= ringSize cycles out, as a binary
 	// min-heap ordered by (when, seq). Events migrate into the ring as the
@@ -123,9 +130,14 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 		panic("sim: Schedule called with nil function")
 	}
 	e.seq++
-	e.scheduled++
 	e.pending++
-	e.insert(event{when: e.now + delay, seq: e.seq, fn: fn})
+	when := e.now + delay
+	if delay >= ringSize {
+		e.overflowPush(event{when: when, seq: e.seq, fn: fn})
+		return
+	}
+	ev := e.enqueueNear(when)
+	ev.when, ev.seq, ev.fn = when, e.seq, fn
 }
 
 // ScheduleAt enqueues fn at an absolute cycle, which must not be in the
@@ -145,9 +157,14 @@ func (e *Engine) ScheduleEvent(delay Cycle, h Handler, p Payload) {
 		panic("sim: ScheduleEvent called with nil handler")
 	}
 	e.seq++
-	e.scheduled++
 	e.pending++
-	e.insert(event{when: e.now + delay, seq: e.seq, h: h, p: p})
+	when := e.now + delay
+	if delay >= ringSize {
+		e.overflowPush(event{when: when, seq: e.seq, h: h, p: p})
+		return
+	}
+	ev := e.enqueueNear(when)
+	ev.when, ev.seq, ev.h, ev.p = when, e.seq, h, p
 }
 
 // ScheduleEventAt is ScheduleEvent at an absolute cycle, which must not be
@@ -159,20 +176,33 @@ func (e *Engine) ScheduleEventAt(when Cycle, h Handler, p Payload) {
 	e.ScheduleEvent(when-e.now, h, p)
 }
 
-// insert routes an event to the ring (near future) or the overflow heap.
-func (e *Engine) insert(ev event) {
-	if ev.when-e.now < ringSize {
-		e.enqueueNear(ev)
+// enqueueNear links a zeroed slab slot at the tail of when's bucket and
+// returns it for the caller to fill in place. The pointer is valid until
+// the next enqueueNear, which may grow the slab.
+func (e *Engine) enqueueNear(when Cycle) *event {
+	i := e.free
+	if i != 0 {
+		e.free = e.next[i]
+		e.next[i] = 0
 	} else {
-		e.overflowPush(ev)
+		if len(e.slab) == 0 {
+			e.slab = make([]event, 1, 64)
+			e.next = make([]int32, 1, 64)
+		}
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, event{})
+		e.next = append(e.next, 0)
 	}
-}
-
-func (e *Engine) enqueueNear(ev event) {
-	idx := uint32(ev.when) & ringMask
+	idx := uint32(when) & ringMask
 	b := &e.ring[idx]
-	b.evs = append(b.evs, ev)
-	e.occ[idx>>6] |= 1 << (idx & 63)
+	if b.tail == 0 {
+		b.head = i
+		e.occ[idx>>6] |= 1 << (idx & 63)
+	} else {
+		e.next[b.tail] = i
+	}
+	b.tail = i
+	return &e.slab[i]
 }
 
 // nextTime returns the timestamp of the earliest pending event. Ring
@@ -229,24 +259,27 @@ func (e *Engine) advanceTo(t Cycle) {
 	}
 	e.now = t
 	for len(e.overflow) > 0 && e.overflow[0].when-t < ringSize {
-		e.enqueueNear(e.overflowPop())
+		ev := e.overflowPop()
+		*e.enqueueNear(ev.when) = ev
 	}
 }
 
 // popRun executes the next event of the current cycle's bucket. The
-// executed slot is zeroed immediately so no fn/handler reference outlives
-// its event.
+// executed slot is zeroed and freed before the event runs, so no
+// fn/handler reference outlives its event.
 func (e *Engine) popRun() {
 	idx := uint32(e.now) & ringMask
 	b := &e.ring[idx]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{}
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	i := b.head
+	ev := e.slab[i]
+	e.slab[i] = event{}
+	b.head = e.next[i]
+	if b.head == 0 {
+		b.tail = 0
 		e.occ[idx>>6] &^= 1 << (idx & 63)
 	}
+	e.next[i] = e.free
+	e.free = i
 	e.pending--
 	e.executed++
 	if ev.fn != nil {
@@ -290,8 +323,9 @@ func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload, isClosu
 	}
 	evs := make([]event, 0, e.pending)
 	for i := range e.ring {
-		b := &e.ring[i]
-		evs = append(evs, b.evs[b.head:]...)
+		for j := e.ring[i].head; j != 0; j = e.next[j] {
+			evs = append(evs, e.slab[j])
+		}
 	}
 	evs = append(evs, e.overflow...)
 	sortEvents(evs)

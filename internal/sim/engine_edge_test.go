@@ -194,8 +194,9 @@ func TestRunUntilMigratesOverflow(t *testing.T) {
 }
 
 // Executed slots must be zeroed: a drained engine retains no function or
-// handler references in its ring buckets or overflow heap (they would pin
-// otherwise-dead object graphs for the lifetime of the engine).
+// handler references in its slab or overflow heap (they would pin
+// otherwise-dead object graphs for the lifetime of the engine), and every
+// bucket is empty.
 func TestReleasedSlotsAreZeroed(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
@@ -209,21 +210,23 @@ func TestReleasedSlotsAreZeroed(t *testing.T) {
 	}
 	e.Run()
 	for idx := range e.ring {
-		b := &e.ring[idx]
-		if len(b.evs) != 0 || b.head != 0 {
-			t.Fatalf("bucket %d not reset: len=%d head=%d", idx, len(b.evs), b.head)
-		}
-		full := b.evs[:cap(b.evs)]
-		for j := range full {
-			if full[j].fn != nil || full[j].h != nil {
-				t.Fatalf("bucket %d slot %d retains a reference after release", idx, j)
-			}
-			if full[j].when != 0 || full[j].seq != 0 || full[j].p != (Payload{}) {
-				t.Fatalf("bucket %d slot %d not zeroed: %+v", idx, j, full[j])
-			}
+		if b := e.ring[idx]; b != (bucket{}) {
+			t.Fatalf("bucket %d not reset: head=%d tail=%d", idx, b.head, b.tail)
 		}
 	}
-	full := e.overflow[:cap(e.overflow)]
+	if len(e.slab) < 1+600 {
+		t.Fatalf("slab holds %d slots, want the sentinel plus 600 ring events", len(e.slab))
+	}
+	full := e.slab[:cap(e.slab)]
+	for j := range full {
+		if full[j].fn != nil || full[j].h != nil {
+			t.Fatalf("slab slot %d retains a reference after release", j)
+		}
+		if full[j].when != 0 || full[j].seq != 0 || full[j].p != (Payload{}) {
+			t.Fatalf("slab slot %d not zeroed: %+v", j, full[j])
+		}
+	}
+	full = e.overflow[:cap(e.overflow)]
 	for j := range full {
 		if full[j].fn != nil || full[j].h != nil {
 			t.Fatalf("overflow slot %d retains a reference after release", j)

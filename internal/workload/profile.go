@@ -91,10 +91,11 @@ type generator struct {
 	sharedBase   mmu.VAddr
 	sharedBlocks int
 
-	cursor    int // sequential-walk position in the private region
-	emitted   int
-	pending   []cpu.Instr
-	lastValue uint64
+	cursor     int // sequential-walk position in the private region
+	emitted    int
+	pending    cpu.Instr // second half of a write-after-read pair
+	hasPending bool
+	lastValue  uint64
 }
 
 // newGenerator builds a thread's trace. The caller supplies mapped
@@ -111,6 +112,13 @@ func newGenerator(p Profile, heap, shared mmu.VAddr, seed uint64) *generator {
 }
 
 var _ cpu.TraceSource = (*generator)(nil)
+
+// NewTrace returns the instruction stream one thread of p executes: the
+// generator RunDetailed drives each core with, over a private heap mapped
+// at heap and p's shared region at shared.
+func NewTrace(p Profile, heap, shared mmu.VAddr, seed uint64) cpu.TraceSource {
+	return newGenerator(p, heap, shared, seed)
+}
 
 // privateAddr returns the next private-region address: a sequential walk
 // with probability SeqFrac, a uniform jump otherwise.
@@ -136,10 +144,9 @@ func (g *generator) dep() int {
 
 // Next implements cpu.TraceSource.
 func (g *generator) Next() (cpu.Instr, bool) {
-	if len(g.pending) > 0 {
-		ins := g.pending[0]
-		g.pending = g.pending[1:]
-		return ins, true
+	if g.hasPending {
+		g.hasPending = false
+		return g.pending, true
 	}
 	if g.emitted >= g.p.Instrs {
 		return cpu.Instr{}, false
@@ -157,8 +164,8 @@ func (g *generator) Next() (cpu.Instr, bool) {
 			if g.rng.Bool(g.p.WARFrac) {
 				// Write-after-read pair: the pattern whose E->M
 				// upgrade cost separates the protocols.
-				g.pending = append(g.pending,
-					cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: 1})
+				g.pending = cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: 1}
+				g.hasPending = true
 				return cpu.Instr{Op: cpu.OpLoad, Addr: addr}, true
 			}
 			return cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: g.dep()}, true
