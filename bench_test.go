@@ -518,17 +518,17 @@ func BenchmarkStudy_Overhead(b *testing.B) {
 // differ.
 
 func benchCampaignFig7(b *testing.B, workers int) {
-	campaign.SetWorkers(workers)
-	defer campaign.SetWorkers(0)
+	rec := &stats.Recorder{Workers: workers}
+	ctx := stats.WithRecorder(context.Background(), rec)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig7(context.Background(), 0.05)
+		rows, _ := experiments.Fig7(ctx, 0.05)
 		if len(rows) != 23 {
 			b.Fatal("incomplete suite")
 		}
 	}
 	b.StopTimer()
-	if sums := campaign.TakeSummaries(); len(sums) > 0 {
+	if sums := rec.Campaigns(); len(sums) > 0 {
 		merged := stats.MergeCampaigns("fig7", sums)
 		b.ReportMetric(merged.Speedup(), "campaign-speedup")
 	}
@@ -549,6 +549,4 @@ func BenchmarkCampaignPoolOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		campaign.Run(4, jobs)
 	}
-	b.StopTimer()
-	campaign.TakeSummaries()
 }

@@ -23,11 +23,11 @@
 // 200k/120k instructions per thread); the protocol comparison is stable
 // well below that.
 //
-// -j sets the number of concurrent simulation jobs (default: the
-// SWIFTDIR_JOBS environment variable, else runtime.NumCPU()). Reports are
-// byte-identical at every worker count; the per-experiment campaign
-// accounting (wall time, busy time, speedup) goes to stderr so the
-// report stream stays deterministic.
+// -j sets the number of concurrent simulation jobs (default:
+// runtime.NumCPU()). Reports are byte-identical at every worker count;
+// the per-experiment campaign accounting (wall time, busy time, speedup)
+// and fast-path split go to stderr so the report stream stays
+// deterministic.
 //
 // A knob an experiment consumes must be positive: a selected experiment
 // that would read a zero-or-negative -scale, -samples, -bits or -passes
@@ -46,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/prof"
@@ -75,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	samples := fs.Int("samples", 2000, "latency samples for fig6")
 	bits := fs.Int("bits", 1024, "covert-channel bits for security")
 	passes := fs.Int("passes", 4, "measured passes for fig10")
-	jobs := fs.Int("j", 0, "concurrent simulation jobs (0 = $SWIFTDIR_JOBS, else NumCPU)")
+	jobs := fs.Int("j", 0, "concurrent simulation jobs (0 = NumCPU)")
 	outPath := fs.String("out", "", "also append the report to this file")
 	listPolicies := fs.Bool("policy", false,
 		"list the selectable coherence policies with their transition-table sizes, then exit")
@@ -125,11 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	campaign.SetWorkers(*jobs)
-	defer campaign.SetWorkers(0)
-	campaign.TakeSummaries() // start from a clean accounting slate
-	stats.TakeFastPaths()
-
 	var out io.Writer = stdout
 	if *outPath != "" {
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
@@ -147,6 +141,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	failed := 0
 	for _, name := range selected {
 		e, _ := experiments.Lookup(name)
+		rec := &stats.Recorder{Workers: *jobs}
+		ctx := stats.WithRecorder(context.Background(), rec)
 		start := time.Now()
 		report, err := func() (r string, err error) {
 			// The experiment functions panic on error (including labelled
@@ -157,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					err = fmt.Errorf("%v", p)
 				}
 			}()
-			return e.Run(context.Background(), params), nil
+			return e.Run(ctx, params), nil
 		}()
 		if err != nil {
 			failed++
@@ -172,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(out, strings.Repeat("=", 78))
 		// The campaign footer carries wall-clock measurements, so it goes
 		// to stderr: stdout stays byte-identical at any -j.
-		sum := stats.MergeCampaigns(name, campaign.TakeSummaries())
+		sum := stats.MergeCampaigns(name, rec.Campaigns())
 		sum.Wall = time.Since(start)
 		if len(sum.Jobs) > 0 {
 			fmt.Fprintln(stderr, sum.Footer())
@@ -184,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Same rule for the fast-path split: observability only, stderr
 		// only, so stdout stays byte-identical with the fast path on or
 		// off (and at any -j).
-		if fp := stats.MergeFastPaths(name, stats.TakeFastPaths()); fp.Total() > 0 {
+		if fp := stats.MergeFastPaths(name, rec.FastPaths()); fp.Total() > 0 {
 			fmt.Fprintln(stderr, fp.Footer())
 			fpTotal.Fast += fp.Fast
 			fpTotal.Slow += fp.Slow

@@ -41,18 +41,29 @@ func TestSecurityByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// Campaign accounting goes to stderr only: stdout must carry no
-// wall-clock text, stderr must carry the footer.
+// Campaign and fast-path accounting go to stderr only: stdout must carry
+// no wall-clock text, stderr must carry the footers, with the -j worker
+// count reaching the campaign through the experiment's recorder.
 func TestCampaignFooterOnStderrOnly(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "sweep", "-j", "2"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d", code)
-	}
-	if strings.Contains(stdout.String(), "[campaign") {
-		t.Fatal("campaign footer leaked onto the report stream")
-	}
-	if !strings.Contains(stderr.String(), "[campaign sweep]") || !strings.Contains(stderr.String(), "speedup") {
-		t.Fatalf("stderr missing campaign footer: %q", stderr.String())
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-exp", "sweep", "-j", "2"}, []string{"[campaign sweep]", "speedup"}},
+		{[]string{"-exp", "kernels", "-j", "2"}, []string{"[campaign kernels]", "on 2 workers", "[fastpath kernels]"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d", tc.args, code)
+		}
+		if strings.Contains(stdout.String(), "[campaign") || strings.Contains(stdout.String(), "[fastpath") {
+			t.Fatalf("%v: footer leaked onto the report stream", tc.args)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("%v: stderr missing %q: %q", tc.args, w, stderr.String())
+			}
+		}
 	}
 }
 

@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/prof"
 	"repro/internal/resultcache"
 	"repro/internal/server"
@@ -73,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cacheMem := fs.Int("cachemem", 1024, "in-memory result-cache entries (LRU)")
 	workers := fs.Int("workers", 2, "batch worker pool size")
 	queue := fs.Int("queue", 64, "bounded job queue depth (back-pressure beyond it)")
-	jobs := fs.Int("j", 0, "concurrent simulation jobs per experiment (0 = $SWIFTDIR_JOBS, else NumCPU)")
+	jobs := fs.Int("j", 0, "concurrent simulation jobs per experiment (0 = NumCPU)")
 	drainWait := fs.Duration("drainwait", 30*time.Second, "graceful-drain budget on SIGTERM (past it, in-flight jobs abort)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job compute deadline (0 = unbounded; timeout_ms in a spec overrides)")
 	bundleDir := fs.String("bundledir", "", "directory for crash bundles of diverging runs (empty = disabled)")
@@ -98,14 +97,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	campaign.SetWorkers(*jobs)
-	defer campaign.SetWorkers(0)
-
 	st := &stats.CacheStats{}
 	cache := resultcache.New(*cacheMem, *cacheDir, st, logf)
 	srv := server.New(server.Config{
 		Cache:      cache,
 		Workers:    *workers,
+		SimWorkers: *jobs,
 		QueueDepth: *queue,
 		JobTimeout: *jobTimeout,
 		BundleDir:  *bundleDir,

@@ -12,8 +12,9 @@
 //	swiftdir-sim -replay soak-bundles/plan-03-forced-c41288
 //
 // -bench accepts a comma-separated list; the runs fan out over -j
-// concurrent workers (default: $SWIFTDIR_JOBS, else runtime.NumCPU())
-// and print in list order regardless of completion order.
+// concurrent workers (default: runtime.NumCPU()) and print in list
+// order regardless of completion order. -soak fans its plans out the
+// same way.
 //
 // -soak runs each benchmark under -plans deterministic fault plans
 // (plan 0 is the no-fault control) with the liveness watchdog armed and
@@ -42,6 +43,7 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/prof"
 	"repro/internal/soak"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -56,7 +58,7 @@ func main() {
 	configPath := flag.String("config", "", "machine configuration JSON (overrides -protocol)")
 	dumpConfig := flag.String("dumpconfig", "", "write the default machine configuration to this file and exit")
 	cores := flag.Int("cores", 4, "core count for -dumpconfig")
-	jobs := flag.Int("j", 0, "concurrent benchmark runs for a -bench list (0 = $SWIFTDIR_JOBS, else NumCPU)")
+	jobs := flag.Int("j", 0, "concurrent runs for a -bench list or -soak plans (0 = NumCPU)")
 	verbose := flag.Bool("v", true, "print hierarchy statistics")
 	soakFlag := flag.Bool("soak", false, "fault-injection soak sweep over -bench (see package doc)")
 	soakScaled := flag.Bool("soakscaled", false, "run -soak on the scaled machine (mesh + two-level directory) with mesh/hub fault classes")
@@ -78,8 +80,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "swiftdir-sim: profile: %v\n", err)
 		}
 	}()
-
-	campaign.SetWorkers(*jobs)
 
 	if *list {
 		fmt.Println("SPEC CPU 2017 (single-threaded):")
@@ -125,7 +125,7 @@ func main() {
 
 	if *soakFlag {
 		runSoak(strings.Split(*bench, ","), *protoName, workload.CPUKind(*cpuKind),
-			*scale, *plansN, *planSeed, *bundleDir, *soakScaled, *soakCores)
+			*scale, *plansN, *planSeed, *bundleDir, *soakScaled, *soakCores, *jobs)
 		return
 	}
 
@@ -138,7 +138,7 @@ func main() {
 		if proto == nil {
 			fatal("unknown protocol %q", *protoName)
 		}
-		res, err := workload.RunKernel(k, proto, workload.CPUKind(*cpuKind), *kernelKB<<10)
+		res, err := workload.RunKernel(context.Background(), k, proto, workload.CPUKind(*cpuKind), *kernelKB<<10)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -165,7 +165,8 @@ func main() {
 			},
 		})
 	}
-	reports, err := campaign.Collect(context.Background(), 0, benchJobs)
+	ctx := stats.WithRecorder(context.Background(), &stats.Recorder{Workers: *jobs})
+	reports, err := campaign.Collect(ctx, benchJobs)
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println(strings.Repeat("-", 60))
@@ -181,7 +182,7 @@ func main() {
 // plans with the watchdog armed and fails loudly if any plan crashes or
 // moves an architectural result.
 func runSoak(names []string, protoName string, kind workload.CPUKind,
-	scale float64, plansN int, planSeed uint64, bundleDir string, scaled bool, cores int) {
+	scale float64, plansN int, planSeed uint64, bundleDir string, scaled bool, cores, workers int) {
 	var plans []fault.Plan
 	if scaled {
 		w, h := core.MeshDims(cores)
@@ -207,7 +208,7 @@ func runSoak(names []string, protoName string, kind workload.CPUKind,
 		if scaled {
 			base.Cores = cores
 		}
-		res := soak.Sweep(base, plans, bundleDir, 0)
+		res := soak.Sweep(base, plans, bundleDir, workers)
 		for _, po := range res.Outcomes {
 			status := "ok"
 			if po.Err != nil {

@@ -1,33 +1,29 @@
 // Package campaign is the worker-pool job scheduler behind the
 // evaluation. Every experiment in internal/experiments is a grid of
 // independent simulations (benchmark × protocol × CPU model); campaign
-// fans those jobs out across runtime.NumCPU() goroutines by default and
-// hands the results back in deterministic submission order regardless of
-// completion order, so a rendered report is byte-identical to a
-// sequential run at any worker count.
+// fans those jobs out across a pool of goroutines and hands the results
+// back in deterministic submission order regardless of completion
+// order, so a rendered report is byte-identical to a sequential run at
+// any worker count.
 //
-// The worker count resolves, in priority order: the explicit workers
-// argument to Run/Collect, SetWorkers (the CLIs' -j flag), the
-// SWIFTDIR_JOBS environment variable, and finally runtime.NumCPU().
+// Collect sizes its pool from the stats.Recorder on its context (the
+// CLIs' -j flag, the server's per-job setting), else runtime.NumCPU(),
+// and appends its timing summary to that recorder, which the frontends
+// read to print speedup footers (on stderr, keeping report output
+// deterministic). Without a recorder nothing is retained.
 //
 // A job that panics does not kill the campaign: the panic is captured as
 // a labelled *PanicError on that job's Result while every other job runs
-// to completion. Per-job wall times are recorded as
-// stats.CampaignSummary values, which the CLIs drain via TakeSummaries
-// to print speedup footers (on stderr, keeping report output
-// deterministic).
+// to completion.
 package campaign
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -69,39 +65,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("campaign job %q panicked: %v\n%s", e.Job, e.Value, e.Stack)
 }
 
-// workerOverride holds the SetWorkers value; 0 means "automatic".
-var workerOverride atomic.Int64
-
-// SetWorkers pins the default pool size (the CLIs' -j flag). n <= 0
-// restores automatic sizing (SWIFTDIR_JOBS, then runtime.NumCPU()).
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerOverride.Store(int64(n))
-}
-
-// Workers reports the pool size a workers<=0 Run would use right now.
-func Workers() int {
-	if v := workerOverride.Load(); v > 0 {
-		return int(v)
-	}
-	if s := os.Getenv("SWIFTDIR_JOBS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.NumCPU()
-}
-
 // Run executes jobs on a pool of the given size (workers <= 0 uses
-// Workers()) and returns one Result per job in submission order, plus
-// the campaign's timing summary. The summary is also queued for
-// TakeSummaries so CLI frontends can report it without threading it
-// through every experiment signature.
+// runtime.NumCPU()) and returns one Result per job in submission order,
+// plus the campaign's timing summary.
 func Run[T any](workers int, jobs []Job[T]) ([]Result[T], stats.CampaignSummary) {
 	if workers <= 0 {
-		workers = Workers()
+		workers = runtime.NumCPU()
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -134,9 +103,6 @@ func Run[T any](workers int, jobs []Job[T]) ([]Result[T], stats.CampaignSummary)
 		summary.Jobs = append(summary.Jobs, stats.JobTiming{
 			Name: r.Name, Wall: r.Wall, Failed: r.Err != nil,
 		})
-	}
-	if len(jobs) > 0 {
-		record(summary)
 	}
 	return results, summary
 }
@@ -173,16 +139,18 @@ func runPanicHook(hook func(*PanicError), pe *PanicError) (err error) {
 	return nil
 }
 
-// Collect runs jobs and returns just the values in submission order.
-// Failures (including captured panics) are joined into one error
-// labelled with the failing jobs' names — after every job has finished,
-// so one diverging simulation cannot strand the rest of the grid.
+// Collect runs jobs on a pool sized by the stats.Recorder on ctx, records
+// the campaign's summary there, and returns just the values in
+// submission order. Failures (including captured panics) are joined into
+// one error labelled with the failing jobs' names — after every job has
+// finished, so one diverging simulation cannot strand the rest of the
+// grid.
 //
 // Cancellation is cooperative: once ctx is done, jobs not yet picked up
 // by a worker are skipped — their error carries the context's cause —
 // while jobs already running finish (or abort themselves, when their
 // machines carry a cancel token).
-func Collect[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error) {
+func Collect[T any](ctx context.Context, jobs []Job[T]) ([]T, error) {
 	if ctx.Done() != nil {
 		guarded := make([]Job[T], len(jobs))
 		for i, j := range jobs {
@@ -198,7 +166,13 @@ func Collect[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error
 		}
 		jobs = guarded
 	}
-	results, _ := Run(workers, jobs)
+	rec := stats.RecorderFrom(ctx)
+	workers := 0 // runtime.NumCPU()
+	if rec != nil {
+		workers = rec.Workers
+	}
+	results, summary := Run(workers, jobs)
+	rec.RecordCampaign(summary)
 	values := make([]T, len(results))
 	var errs []error
 	for i, r := range results {
@@ -214,39 +188,16 @@ func Collect[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error
 // package's panic-on-error convention: a failed or cancelled campaign
 // panics with the joined per-job errors, which the frontends' recover
 // fences classify.
-func MustCollect[T any](ctx context.Context, workers int, jobs []Job[T]) []T {
-	values, err := Collect(ctx, workers, jobs)
+func MustCollect[T any](ctx context.Context, jobs []Job[T]) []T {
+	values, err := Collect(ctx, jobs)
 	if err != nil {
 		panic(err)
 	}
 	return values
 }
 
-// pending accumulates summaries of completed campaigns until a frontend
-// drains them.
-var (
-	pendingMu sync.Mutex
-	pending   []stats.CampaignSummary
-)
-
-func record(s stats.CampaignSummary) {
-	pendingMu.Lock()
-	defer pendingMu.Unlock()
-	pending = append(pending, s)
-	// An unattended frontend (tests, library use) must not leak summaries
-	// without bound; keep the most recent window.
-	const keep = 4096
-	if len(pending) > keep {
-		pending = append(pending[:0], pending[len(pending)-keep:]...)
-	}
-}
-
-// TakeSummaries drains and returns the summaries of campaigns completed
-// since the previous drain, in completion order.
-func TakeSummaries() []stats.CampaignSummary {
-	pendingMu.Lock()
-	defer pendingMu.Unlock()
-	out := pending
-	pending = nil
-	return out
-}
+// TakeSummaries returns nil: campaign summaries go to the
+// stats.Recorder on the run's context. It remains only because
+// benchmark/sim.go, which the repository benchmark builds from this
+// tree, still calls it; delete it together with that call.
+func TakeSummaries() []stats.CampaignSummary { return nil }

@@ -5,10 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
+
+// withWorkers returns a context whose recorder sizes Collect's pool at n.
+func withWorkers(n int) context.Context {
+	return stats.WithRecorder(context.Background(), &stats.Recorder{Workers: n})
+}
 
 // squareJobs builds n jobs returning i*i, optionally jittering their
 // runtime so completion order scrambles relative to submission order.
@@ -85,7 +94,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("summary failed = %d, want 1", sum.Failed())
 	}
 
-	_, err := Collect(context.Background(), 4, jobs)
+	_, err := Collect(withWorkers(4), jobs)
 	if err == nil || !strings.Contains(err.Error(), `"diverges"`) {
 		t.Fatalf("Collect error not labelled: %v", err)
 	}
@@ -97,7 +106,7 @@ func TestCollectValuesAndErrors(t *testing.T) {
 		{Name: "b", Run: func() (string, error) { return "", errors.New("boom") }},
 		{Name: "c", Run: func() (string, error) { return "C", nil }},
 	}
-	values, err := Collect(context.Background(), 2, jobs)
+	values, err := Collect(withWorkers(2), jobs)
 	if err == nil || !strings.Contains(err.Error(), `job "b"`) {
 		t.Fatalf("err = %v", err)
 	}
@@ -110,31 +119,56 @@ func TestCollectValuesAndErrors(t *testing.T) {
 			t.Fatal("MustCollect did not panic on job error")
 		}
 	}()
-	MustCollect(context.Background(), 2, jobs)
+	MustCollect(withWorkers(2), jobs)
 }
 
-func TestWorkersResolution(t *testing.T) {
-	defer SetWorkers(0)
+// Collect sizes its pool from the recorder on its context: the
+// recorder's Workers when positive, else runtime.NumCPU(), clamped to
+// the job count as Run does.
+func TestCollectPoolSizeFromRecorder(t *testing.T) {
+	for _, tc := range []struct{ workers, jobs, want int }{
+		{3, 8, 3},
+		{5, 2, 2},
+		{0, 64, min(runtime.NumCPU(), 64)},
+		{-1, 64, min(runtime.NumCPU(), 64)},
+	} {
+		rec := &stats.Recorder{Workers: tc.workers}
+		MustCollect(stats.WithRecorder(context.Background(), rec), squareJobs(tc.jobs, false, nil))
+		sums := rec.Campaigns()
+		if len(sums) != 1 || sums[0].Workers != tc.want {
+			t.Errorf("Workers %d over %d jobs: recorded %+v, want one summary on %d workers",
+				tc.workers, tc.jobs, sums, tc.want)
+		}
+	}
+}
 
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("SetWorkers(3): Workers() = %d", Workers())
+// With no recorder on its context Collect runs runtime.NumCPU() jobs at
+// a time: the first NumCPU jobs rendezvous, every job then holds its
+// worker briefly, and no more than NumCPU are ever in flight.
+func TestCollectWithoutRecorderUsesNumCPU(t *testing.T) {
+	n := int64(runtime.NumCPU())
+	var inflight, peak atomic.Int64
+	jobs := make([]Job[int], 2*n)
+	for i := range jobs {
+		jobs[i] = Job[int]{Name: fmt.Sprintf("probe-%d", i), Run: func() (int, error) {
+			cur := inflight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			for deadline := time.Now().Add(time.Second); peak.Load() < n && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(2 * time.Millisecond)
+			inflight.Add(-1)
+			return 0, nil
+		}}
 	}
-
-	SetWorkers(0)
-	t.Setenv("SWIFTDIR_JOBS", "5")
-	if Workers() != 5 {
-		t.Fatalf("SWIFTDIR_JOBS=5: Workers() = %d", Workers())
-	}
-	// An explicit SetWorkers beats the environment.
-	SetWorkers(2)
-	if Workers() != 2 {
-		t.Fatalf("SetWorkers over env: Workers() = %d", Workers())
-	}
-	SetWorkers(0)
-	t.Setenv("SWIFTDIR_JOBS", "not-a-number")
-	if Workers() < 1 {
-		t.Fatalf("garbage env: Workers() = %d", Workers())
+	MustCollect(context.Background(), jobs)
+	if got := peak.Load(); got != n {
+		t.Fatalf("peak concurrency %d, want runtime.NumCPU() = %d", got, n)
 	}
 }
 
@@ -143,22 +177,26 @@ func TestEmptyAndSingleJobCampaigns(t *testing.T) {
 	if len(results) != 0 || len(sum.Jobs) != 0 {
 		t.Fatalf("empty campaign: %d results", len(results))
 	}
-	values := MustCollect(context.Background(), 8, squareJobs(1, false, nil))
+	values := MustCollect(withWorkers(8), squareJobs(1, false, nil))
 	if len(values) != 1 || values[0] != 0 {
 		t.Fatalf("single job: %v", values)
 	}
 }
 
-func TestTakeSummariesDrains(t *testing.T) {
-	TakeSummaries() // reset whatever earlier tests queued
-	Run(2, squareJobs(4, false, nil))
-	Run(2, squareJobs(2, false, nil))
-	got := TakeSummaries()
+// Every Collect call records exactly one summary on its recorder, in
+// completion order; Run records nothing.
+func TestCollectRecordsOneSummaryPerCall(t *testing.T) {
+	rec := &stats.Recorder{Workers: 2}
+	ctx := stats.WithRecorder(context.Background(), rec)
+	MustCollect(ctx, squareJobs(4, false, nil))
+	Run(2, squareJobs(3, false, nil))
+	MustCollect(ctx, squareJobs(2, false, nil))
+	got := rec.Campaigns()
 	if len(got) != 2 || len(got[0].Jobs) != 4 || len(got[1].Jobs) != 2 {
-		t.Fatalf("summaries = %+v", got)
+		t.Fatalf("summaries = %+v, want 4 jobs then 2", got)
 	}
-	if len(TakeSummaries()) != 0 {
-		t.Fatal("second drain not empty")
+	if got[0].Jobs[0].Name != "sq-0" {
+		t.Errorf("first job %q, want sq-0", got[0].Jobs[0].Name)
 	}
 }
 
@@ -173,7 +211,7 @@ func TestCollectSkipsJobsAfterCancel(t *testing.T) {
 		cancel()
 		return first()
 	}
-	_, err := Collect(ctx, 1, jobs)
+	_, err := Collect(stats.WithRecorder(ctx, &stats.Recorder{Workers: 1}), jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Collect error %v, want context.Canceled", err)
 	}

@@ -137,20 +137,15 @@ type bank struct {
 }
 
 func newBank(id int, sys *System, params cache.Params) *bank {
-	lines := params.SizeBytes / params.BlockSize
-	esz := lines / 4
-	if esz < 256 {
-		esz = 256
-	}
 	return &bank{
 		id:      id,
 		sys:     sys,
 		engine:  sys.Eng,
 		tab:     sys.Policy.table,
 		arr:     cache.NewArray(params),
-		entries: make(map[cache.Addr]*dirEntry, esz),
-		busy:    make(map[cache.Addr]*txn, 256),
-		pinned:  make(map[cache.Addr]int, 64),
+		entries: make(map[cache.Addr]*dirEntry, params.SizeBytes/params.BlockSize/4),
+		busy:    make(map[cache.Addr]*txn),
+		pinned:  make(map[cache.Addr]int),
 		image:   make(map[cache.Addr]uint64),
 		arb:     sys.Policy.phasePriority,
 	}

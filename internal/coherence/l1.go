@@ -183,11 +183,7 @@ type L1 struct {
 
 // newL1 wires a controller into its owning system.
 func newL1(id int, sys *System, params cache.Params) *L1 {
-	lines := params.SizeBytes / params.BlockSize
-	msz := lines / 4
-	if msz < 16 {
-		msz = 16
-	}
+	msz := params.SizeBytes / params.BlockSize / 4
 	return &L1{
 		ID:        id,
 		sys:       sys,
@@ -197,7 +193,7 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		tab:       sys.Policy.table,
 		arr:       cache.NewArray(params),
 		mshrs:     make(map[cache.Addr]*mshr, msz),
-		wb:        make(map[cache.Addr]wbEntry, 64),
+		wb:        make(map[cache.Addr]wbEntry),
 		storeSeqs: make(map[cache.Addr]uint64, msz),
 	}
 }

@@ -24,7 +24,7 @@ func AblationEwp(ctx context.Context, bits int) string {
 
 	// Security: both must close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(
+	for _, line := range campaign.MustCollect(ctx, covertJobs(
 		[]coherence.Policy{coherence.SwiftDir, coherence.SwiftDirEwp}, "ablation", bits, 0xEE)) {
 		b.WriteString(line)
 	}
@@ -48,7 +48,7 @@ func AblationEwp(ctx context.Context, bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -111,7 +111,7 @@ func Traffic(ctx context.Context) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, jobs) {
 		tb.AddRowF(row...)
 	}
 	return tb.Render()

@@ -32,7 +32,7 @@ func Arbitration(ctx context.Context, bits int) string {
 	// not. Protection lives in the transition relation alone.
 	b.WriteString("Covert channel (arbitration is security-orthogonal):\n")
 	protos := []coherence.Policy{coherence.MESI, coherence.PhasePriority, coherence.SwiftDir}
-	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(protos, "arbitration", bits, 0x9AB)) {
+	for _, line := range campaign.MustCollect(ctx, covertJobs(protos, "arbitration", bits, 0x9AB)) {
 		b.WriteString(line)
 	}
 
@@ -53,7 +53,7 @@ func Arbitration(ctx context.Context, bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())

@@ -55,7 +55,7 @@ func warMetrics(ctx context.Context, label string, apps []workload.WARApp, proto
 			})
 		}
 	}
-	return campaign.MustCollect(ctx, 0, jobs)
+	return campaign.MustCollect(ctx, jobs)
 }
 
 // normalizedWARRow converts one app's slice of the warMetrics grid into

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/workload"
 )
 
@@ -23,24 +22,24 @@ import (
 var goldenCases = []struct {
 	name  string
 	heavy bool // skipped under -short
-	run   func() string
+	run   func(ctx context.Context) string
 }{
-	{"fig7", true, func() string { _, s := Fig7(context.Background(), 0.02); return s }},
-	{"fig8", true, func() string { _, s := Fig8(context.Background(), 0.02); return s }},
-	{"fig9", false, func() string { _, s := Fig9(context.Background(), []int{1000, 2000}); return s }},
-	{"fig10a", false, func() string { _, s := Fig10(context.Background(), workload.TimingSimpleCPU, 1); return s }},
-	{"fig10b", false, func() string { _, s := Fig10(context.Background(), workload.DerivO3CPU, 1); return s }},
-	{"security", false, func() string { _, _, s := Security(context.Background(), 64, 64); return s }},
-	{"multiprogram", true, func() string { _, s := Multiprogram(context.Background(), 0.02); return s }},
-	{"sweep", false, func() string { return TimingSweep(context.Background()) }},
-	{"lru", true, func() string { return AblationLRU(context.Background(), 0.05) }},
-	{"ablation-ewp", false, func() string { return AblationEwp(context.Background(), 32) }},
-	{"ablation-war", false, func() string { return AblationWAR(context.Background(), 1) }},
-	{"traffic", false, func() string { return Traffic(context.Background()) }},
-	{"msi", false, func() string { return MSIStudy(context.Background(), 32, 1) }},
-	{"moesi", false, func() string { return MOESIStudy(context.Background(), 32, 1) }},
-	{"snoop", false, func() string { return SnoopStudy(context.Background(), 32) }},
-	{"kernels", false, func() string { return KernelStudy(context.Background(), 64) }},
+	{"fig7", true, func(ctx context.Context) string { _, s := Fig7(ctx, 0.02); return s }},
+	{"fig8", true, func(ctx context.Context) string { _, s := Fig8(ctx, 0.02); return s }},
+	{"fig9", false, func(ctx context.Context) string { _, s := Fig9(ctx, []int{1000, 2000}); return s }},
+	{"fig10a", false, func(ctx context.Context) string { _, s := Fig10(ctx, workload.TimingSimpleCPU, 1); return s }},
+	{"fig10b", false, func(ctx context.Context) string { _, s := Fig10(ctx, workload.DerivO3CPU, 1); return s }},
+	{"security", false, func(ctx context.Context) string { _, _, s := Security(ctx, 64, 64); return s }},
+	{"multiprogram", true, func(ctx context.Context) string { _, s := Multiprogram(ctx, 0.02); return s }},
+	{"sweep", false, func(ctx context.Context) string { return TimingSweep(ctx) }},
+	{"lru", true, func(ctx context.Context) string { return AblationLRU(ctx, 0.05) }},
+	{"ablation-ewp", false, func(ctx context.Context) string { return AblationEwp(ctx, 32) }},
+	{"ablation-war", false, func(ctx context.Context) string { return AblationWAR(ctx, 1) }},
+	{"traffic", false, func(ctx context.Context) string { return Traffic(ctx) }},
+	{"msi", false, func(ctx context.Context) string { return MSIStudy(ctx, 32, 1) }},
+	{"moesi", false, func(ctx context.Context) string { return MOESIStudy(ctx, 32, 1) }},
+	{"snoop", false, func(ctx context.Context) string { return SnoopStudy(ctx, 32) }},
+	{"kernels", false, func(ctx context.Context) string { return KernelStudy(ctx, 64) }},
 }
 
 const goldenPath = "testdata/golden_reports.json"
@@ -64,9 +63,7 @@ func TestGoldenReportEquivalence(t *testing.T) {
 		}
 	}
 
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-
+	ctx := workersCtx(1)
 	got := map[string]string{}
 	for _, tc := range goldenCases {
 		tc := tc
@@ -74,7 +71,7 @@ func TestGoldenReportEquivalence(t *testing.T) {
 			if tc.heavy && testing.Short() {
 				t.Skip("suite runs are slow")
 			}
-			report := tc.run()
+			report := tc.run(ctx)
 			if len(report) == 0 {
 				t.Fatalf("%s: empty report", tc.name)
 			}

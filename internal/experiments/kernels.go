@@ -27,7 +27,7 @@ func KernelStudy(ctx context.Context, wsKB int) string {
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: "kernels/" + k.Name + "/" + p.Name(),
 				Run: func() (float64, error) {
-					r, err := workload.RunKernel(k, p, workload.DerivO3CPU, wsKB<<10)
+					r, err := workload.RunKernel(ctx, k, p, workload.DerivO3CPU, wsKB<<10)
 					if err != nil {
 						return 0, err
 					}
@@ -36,7 +36,7 @@ func KernelStudy(ctx context.Context, wsKB int) string {
 			})
 		}
 	}
-	ipc := campaign.MustCollect(ctx, 0, jobs)
+	ipc := campaign.MustCollect(ctx, jobs)
 	for i, k := range kernels {
 		tb.AddRowF(k.Name, ipc[i*len(protocols)], ipc[i*len(protocols)+1], ipc[i*len(protocols)+2])
 	}

@@ -28,6 +28,7 @@ func AblationLRU(ctx context.Context, scale float64) string {
 			panic("unknown benchmark " + name)
 		}
 		cfg := core.DefaultConfig(1, proto)
+		cfg.Context = ctx
 		cfg.L2Bank.Replacement = repl
 		// The mem-bound working sets (384-512 KB) must overflow the LLC
 		// for replacement policy to matter at this scale; a 256 KB bank
@@ -59,7 +60,7 @@ func AblationLRU(ctx context.Context, scale float64) string {
 			})
 		}
 	}
-	ipc := campaign.MustCollect(ctx, 0, jobs)
+	ipc := campaign.MustCollect(ctx, jobs)
 
 	tb := stats.NewTable(
 		"Ablation (§V-B): S-MESI's LRU-retention side effect, normalized IPC over MESI (x100)",

@@ -20,7 +20,7 @@ func MOESIStudy(ctx context.Context, bits, passes int) string {
 	b.WriteString("Protocol-family study: the channel and the defense on MOESI and MESIF\n\n")
 
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(
+	for _, line := range campaign.MustCollect(ctx, covertJobs(
 		[]coherence.Policy{coherence.MOESI, coherence.SwiftDirMOESI, coherence.MESIF, coherence.SwiftDirMESIF},
 		"moesi", bits, 0x30E5)) {
 		b.WriteString(line)

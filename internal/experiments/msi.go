@@ -26,7 +26,7 @@ func MSIStudy(ctx context.Context, bits, passes int) string {
 
 	// 1. Security: all three defenses close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(ctx, 0, covertJobs(protos, "msi", bits, 0x351)) {
+	for _, line := range campaign.MustCollect(ctx, covertJobs(protos, "msi", bits, 0x351)) {
 		b.WriteString(line)
 	}
 
@@ -47,7 +47,7 @@ func MSIStudy(ctx context.Context, bits, passes int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, rmwJobs) {
+	for _, row := range campaign.MustCollect(ctx, rmwJobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())

@@ -32,7 +32,7 @@ func Multiprogram(ctx context.Context, scale float64) ([]SuiteRow, string) {
 			jobs = append(jobs, campaign.Job[float64]{
 				Name: "multiprogram/" + name + "/" + proto.Name(),
 				Run: func() (float64, error) {
-					r, err := workload.RunMultiprogram(progs, proto, workload.DerivO3CPU)
+					r, err := workload.RunMultiprogram(ctx, progs, proto, workload.DerivO3CPU)
 					if err != nil {
 						return 0, err
 					}
@@ -41,7 +41,7 @@ func Multiprogram(ctx context.Context, scale float64) ([]SuiteRow, string) {
 			})
 		}
 	}
-	metrics := campaign.MustCollect(ctx, 0, jobs)
+	metrics := campaign.MustCollect(ctx, jobs)
 
 	var rows []SuiteRow
 	for i, name := range names {

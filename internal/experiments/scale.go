@@ -163,7 +163,7 @@ func Scale(ctx context.Context) string {
 		"Mean latency (cycles) and interconnect traffic by machine size",
 		"cores", "network", "directory", "protocol",
 		"WP read", "shared read", "shared store", "messages", "msg/access", "avg hops")
-	for _, c := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, c := range campaign.MustCollect(ctx, jobs) {
 		g, r := c.geom, c.row
 		network := g.topology
 		if g.topology == "mesh" {
@@ -264,7 +264,7 @@ func ScaleAttack(ctx context.Context, bits int) string {
 		"Bit error rate by attacker sophistication",
 		"cores", "network", "protocol", "gap (cyc)",
 		"BER naive", "BER calibrated", "Kbps@3GHz", "verdict")
-	for _, c := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, c := range campaign.MustCollect(ctx, jobs) {
 		w, h := core.MeshDims(c.cores)
 		verdict := "CLOSED"
 		if c.r.Leaked {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 )
 
@@ -14,11 +13,9 @@ import (
 // under one campaign worker or four — the repository's headline
 // guarantee, covering 256-core mesh machines with a two-level directory.
 func TestScaleWorkerEquivalence(t *testing.T) {
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-	s1, a1 := Scale(context.Background()), ScaleAttack(context.Background(), 64)
-	campaign.SetWorkers(4)
-	s4, a4 := Scale(context.Background()), ScaleAttack(context.Background(), 64)
+	j1, j4 := workersCtx(1), workersCtx(4)
+	s1, a1 := Scale(j1), ScaleAttack(j1, 64)
+	s4, a4 := Scale(j4), ScaleAttack(j4, 64)
 	if s1 != s4 {
 		t.Errorf("Scale differs between 1 and 4 workers:\n--- j1 ---\n%s\n--- j4 ---\n%s", s1, s4)
 	}

@@ -51,7 +51,7 @@ func SnoopStudy(ctx context.Context, bits int) string {
 			},
 		})
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, probeJobs) {
+	for _, row := range campaign.MustCollect(ctx, probeJobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -90,7 +90,7 @@ func SnoopStudy(ctx context.Context, bits int) string {
 			},
 		})
 	}
-	for _, line := range campaign.MustCollect(ctx, 0, berJobs) {
+	for _, line := range campaign.MustCollect(ctx, berJobs) {
 		b.WriteString(line)
 	}
 	return b.String()

@@ -48,7 +48,7 @@ func TimingSweep(ctx context.Context) string {
 			})
 		}
 	}
-	for _, row := range campaign.MustCollect(ctx, 0, jobs) {
+	for _, row := range campaign.MustCollect(ctx, jobs) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())

@@ -16,15 +16,11 @@ import (
 
 // Entry is one memoized experiment execution. Report is the
 // deterministic artifact — the exact bytes a fresh run would render.
-// Sidecar carries the producing run's stderr-style accounting (campaign
-// speedup, fast-path split): informational only, never
-// part of the key or the report stream. Wall is the producing run's
-// compute time, the number a hit saves.
+// Wall is the producing run's compute time, the number a hit saves.
 type Entry struct {
-	Key     Key
-	Report  []byte
-	Sidecar []byte
-	Wall    time.Duration
+	Key    Key
+	Report []byte
+	Wall   time.Duration
 }
 
 // Cache is the content-addressed store: a bounded LRU of entries in
@@ -156,13 +152,14 @@ func (c *Cache) insert(id ID, e *Entry) {
 // envelope is the on-disk JSON frame. Digest is the SHA-256 of the
 // report bytes; together with the file name (the key's ID) it makes
 // reads self-verifying: a flipped bit in either the key block or the
-// payload fails verification and the entry is treated as a miss.
+// report fails verification and the entry is treated as a miss. WallNS
+// is informational and unverified. Unknown fields, such as the footer
+// text older builds stored, are ignored.
 type envelope struct {
-	Key     Key    `json:"key"`
-	Digest  string `json:"report_sha256"`
-	Report  string `json:"report"`
-	Sidecar string `json:"sidecar,omitempty"`
-	WallNS  int64  `json:"wall_ns"`
+	Key    Key    `json:"key"`
+	Digest string `json:"report_sha256"`
+	Report string `json:"report"`
+	WallNS int64  `json:"wall_ns"`
 }
 
 func (c *Cache) path(dir string, id ID) string {
@@ -196,12 +193,7 @@ func (c *Cache) readDisk(dir string, id ID) *Entry {
 		c.discardCorrupt(path, "key digest mismatch")
 		return nil
 	}
-	return &Entry{
-		Key:     env.Key,
-		Report:  []byte(env.Report),
-		Sidecar: []byte(env.Sidecar),
-		Wall:    time.Duration(env.WallNS),
-	}
+	return &Entry{Key: env.Key, Report: []byte(env.Report), Wall: time.Duration(env.WallNS)}
 }
 
 // discardCorrupt counts, warns, and removes a failed-verification file.
@@ -219,11 +211,10 @@ func (c *Cache) discardCorrupt(path, why string) {
 func (c *Cache) writeDisk(dir string, id ID, e *Entry) error {
 	sum := sha256.Sum256(e.Report)
 	env := envelope{
-		Key:     e.Key,
-		Digest:  hex.EncodeToString(sum[:]),
-		Report:  string(e.Report),
-		Sidecar: string(e.Sidecar),
-		WallNS:  e.Wall.Nanoseconds(),
+		Key:    e.Key,
+		Digest: hex.EncodeToString(sum[:]),
+		Report: string(e.Report),
+		WallNS: e.Wall.Nanoseconds(),
 	}
 	raw, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {

@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,10 +26,9 @@ func testKey(t *testing.T, name string, p experiments.Params) Key {
 func testEntry(t *testing.T, name, report string) *Entry {
 	t.Helper()
 	return &Entry{
-		Key:     testKey(t, name, experiments.Params{}),
-		Report:  []byte(report),
-		Sidecar: []byte("[campaign " + name + "] test sidecar"),
-		Wall:    123 * time.Millisecond,
+		Key:    testKey(t, name, experiments.Params{}),
+		Report: []byte(report),
+		Wall:   123 * time.Millisecond,
 	}
 }
 
@@ -70,9 +72,11 @@ func TestKeyNormalization(t *testing.T) {
 
 func TestCodeVersionForksKeys(t *testing.T) {
 	k1 := testKey(t, "table5", experiments.Params{})
-	prev := SetCodeVersion("other-build")
-	defer SetCodeVersion(prev)
-	k2 := testKey(t, "table5", experiments.Params{})
+	if k1.CodeVersion != CodeVersion() {
+		t.Fatalf("key code version %q, want the build's %q", k1.CodeVersion, CodeVersion())
+	}
+	k2 := k1
+	k2.CodeVersion = "other-build"
 	if k1.ID() == k2.ID() {
 		t.Error("code version change did not fork the key")
 	}
@@ -134,7 +138,7 @@ func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	if !ok {
 		t.Fatal("disk entry not served")
 	}
-	if string(got.Report) != string(e.Report) || string(got.Sidecar) != string(e.Sidecar) || got.Wall != e.Wall {
+	if string(got.Report) != string(e.Report) || got.Wall != e.Wall {
 		t.Fatalf("disk round trip mangled the entry: %+v", got)
 	}
 	if st.Snapshot().Hits != 1 {
@@ -144,6 +148,35 @@ func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	os.RemoveAll(dir)
 	if _, ok := c2.Get(e.Key.ID()); !ok {
 		t.Error("promoted entry not in memory")
+	}
+}
+
+// Entries written by builds whose envelope still carried the "sidecar"
+// accounting field read as verified hits: the digest never covered it.
+func TestLegacySidecarEnvelopeIsAHit(t *testing.T) {
+	dir := t.TempDir()
+	e := testEntry(t, "table5", "report from an older build\n")
+	sum := sha256.Sum256(e.Report)
+	raw, err := json.MarshalIndent(struct {
+		Key     Key    `json:"key"`
+		Digest  string `json:"report_sha256"`
+		Report  string `json:"report"`
+		Sidecar string `json:"sidecar,omitempty"`
+		WallNS  int64  `json:"wall_ns"`
+	}{e.Key, hex.EncodeToString(sum[:]), string(e.Report), "[campaign table5] 1 jobs on 1 workers", e.Wall.Nanoseconds()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, e.Key.ID().String()+".json"), append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st stats.CacheStats
+	got, ok := New(4, dir, &st, func(string, ...any) {}).Get(e.Key.ID())
+	if !ok || string(got.Report) != string(e.Report) || got.Wall != e.Wall {
+		t.Fatalf("legacy entry: got %+v, %v; want a hit on the same report and wall", got, ok)
+	}
+	if s := st.Snapshot(); s.Hits != 1 || s.Corrupt != 0 {
+		t.Errorf("hits/corrupt = %d/%d, want 1/0", s.Hits, s.Corrupt)
 	}
 }
 

@@ -103,8 +103,7 @@ func (k Key) ID() ID { return sha256.Sum256(k.Canonical()) }
 
 // codeVersion is resolved once at init: the VCS revision stamped into
 // the binary (with a +dirty marker for modified trees) when available,
-// else "dev". `go test` binaries are typically unstamped — tests that
-// need cross-build stability pin it with SetCodeVersion.
+// else "dev". `go test` binaries are typically unstamped.
 var codeVersion = func() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		var rev, modified string
@@ -128,12 +127,3 @@ var codeVersion = func() string {
 
 // CodeVersion reports the build identity baked into cache keys.
 func CodeVersion() string { return codeVersion }
-
-// SetCodeVersion overrides the build identity (tests; a deployment that
-// wants cache reuse across bit-identical rebuilds). It returns the
-// previous value so callers can restore it.
-func SetCodeVersion(v string) (prev string) {
-	prev = codeVersion
-	codeVersion = v
-	return prev
-}

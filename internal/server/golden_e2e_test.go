@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
 	"repro/internal/stats"
@@ -62,11 +61,8 @@ func TestServerGoldenEquivalence(t *testing.T) {
 	// Mirror the golden suite's single-worker setup (the hashes were
 	// captured at -j 1; the repo's j1-vs-jN equivalence tests cover the
 	// parallel case separately).
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-
 	st := &stats.CacheStats{}
-	s := New(Config{Cache: resultcache.New(64, "", st, discardLog), Logf: discardLog})
+	s := New(Config{Cache: resultcache.New(64, "", st, discardLog), SimWorkers: 1, Logf: discardLog})
 	defer drainNow(t, s)
 	h := s.Handler()
 
@@ -109,10 +105,7 @@ func TestServerGoldenEquivalence(t *testing.T) {
 // ablations; its server bytes are compared against a fresh in-process
 // run, the same hit-equals-recompute property without a committed hash.
 func TestServerAblationMatchesInProcessRun(t *testing.T) {
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-
-	s, _ := newTestServer(t, Config{Run: nil}, nil)
+	s, _ := newTestServer(t, Config{SimWorkers: 1}, nil)
 	s.run = s.runRegistry // real runner, memory-only cache
 	h := s.Handler()
 
@@ -134,11 +127,8 @@ func TestServerAblationMatchesInProcessRun(t *testing.T) {
 // TestServerHitLatency pins the point of the cache: a fig6 hit must be at
 // least 100x faster than the cold run that populated it.
 func TestServerHitLatency(t *testing.T) {
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-
 	st := &stats.CacheStats{}
-	s := New(Config{Cache: resultcache.New(8, "", st, discardLog), Logf: discardLog})
+	s := New(Config{Cache: resultcache.New(8, "", st, discardLog), SimWorkers: 1, Logf: discardLog})
 	defer drainNow(t, s)
 	h := s.Handler()
 
@@ -172,11 +162,8 @@ func TestServerHitLatency(t *testing.T) {
 // same batch submitted twice sees a 100%% hit rate and byte-identical
 // reports on the second pass.
 func TestServerRepeatedBatchAllHits(t *testing.T) {
-	defer campaign.SetWorkers(0)
-	campaign.SetWorkers(1)
-
 	st := &stats.CacheStats{}
-	s := New(Config{Cache: resultcache.New(16, "", st, discardLog), Logf: discardLog})
+	s := New(Config{Cache: resultcache.New(16, "", st, discardLog), SimWorkers: 1, Logf: discardLog})
 	defer drainNow(t, s)
 	h := s.Handler()
 

@@ -39,12 +39,10 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/resultcache"
@@ -75,6 +73,10 @@ type Config struct {
 	// one experiment at a time; the experiment itself fans out over the
 	// campaign pool, so a couple of workers saturate a host.
 	Workers int
+	// SimWorkers sizes each job's campaign pool (the -j flag); 0 means
+	// runtime.NumCPU(). It reaches the run through the job's
+	// stats.Recorder.
+	SimWorkers int
 	// QueueDepth bounds the batch job queue and the number of synchronous
 	// computes allowed to wait; beyond it requests are refused with 429
 	// (default 64).
@@ -108,6 +110,7 @@ type Server struct {
 
 	jobTimeout time.Duration
 	bundleDir  string
+	simWorkers int
 	cancelled  atomic.Int64 // runs aborted by deadline/disconnect/drain
 
 	// baseCtx parents every compute; Drain cancels it once its own
@@ -157,6 +160,7 @@ func New(cfg Config) *Server {
 		logf:       cfg.Logf,
 		jobTimeout: cfg.JobTimeout,
 		bundleDir:  cfg.BundleDir,
+		simWorkers: cfg.SimWorkers,
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		workers:    cfg.Workers,
@@ -206,7 +210,10 @@ func (s *Server) resolve(ctx context.Context, key resultcache.Key, admit func() 
 		defer s.syncWait.Add(-1)
 	}
 	e, shared, err := s.flight.Do(id, func() (*resultcache.Entry, error) {
-		ent, err := s.run(ctx, key)
+		// Each compute gets its own recorder, so overlapping jobs never
+		// share a pool size or accounting.
+		rctx := stats.WithRecorder(ctx, &stats.Recorder{Workers: s.simWorkers})
+		ent, err := s.run(rctx, key)
 		if err != nil {
 			var ce *CancelledError
 			if errors.As(err, &ce) {
@@ -341,11 +348,8 @@ func (s *Server) classifyPanic(ctx context.Context, key resultcache.Key, p any) 
 	}
 }
 
-// runRegistry executes one experiment through the shared registry,
-// capturing the report plus the accounting footers as the sidecar. A
-// diverging simulation (panic) is returned as an error. Footer
-// attribution is best-effort when runs overlap — the footers are
-// informational; only the report bytes are the deterministic artifact.
+// runRegistry executes one experiment through the shared registry. A
+// diverging simulation (panic) is returned as an error.
 func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultcache.Entry, error) {
 	exp, ok := experiments.Lookup(key.Experiment)
 	if !ok {
@@ -360,24 +364,10 @@ func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultc
 		}()
 		return exp.Run(ctx, key.Params), nil
 	}()
-	wall := time.Since(start)
-	var side strings.Builder
-	if sum := stats.MergeCampaigns(key.Experiment, campaign.TakeSummaries()); len(sum.Jobs) > 0 {
-		sum.Wall = wall
-		side.WriteString(sum.Footer() + "\n")
-	}
-	if fp := stats.MergeFastPaths(key.Experiment, stats.TakeFastPaths()); fp.Total() > 0 {
-		side.WriteString(fp.Footer() + "\n")
-	}
 	if err != nil {
 		return nil, err
 	}
-	return &resultcache.Entry{
-		Key:     key,
-		Report:  []byte(report),
-		Sidecar: []byte(side.String()),
-		Wall:    wall,
-	}, nil
+	return &resultcache.Entry{Key: key, Report: []byte(report), Wall: time.Since(start)}, nil
 }
 
 // worker drains the batch queue until Drain closes it.

@@ -126,6 +126,32 @@ func TestRunEndpointMissThenHit(t *testing.T) {
 	}
 }
 
+// Every compute runs on its own stats.Recorder, sized by SimWorkers, so
+// overlapping jobs never share a pool size or accounting.
+func TestEachComputeGetsItsOwnRecorder(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]*stats.Recorder{}
+	s, _ := newTestServer(t, Config{SimWorkers: 3, Run: func(ctx context.Context, key resultcache.Key) (*resultcache.Entry, error) {
+		mu.Lock()
+		seen[key.Experiment] = stats.RecorderFrom(ctx)
+		mu.Unlock()
+		return &resultcache.Entry{Report: []byte(key.Experiment)}, nil
+	}}, nil)
+	h := s.Handler()
+	for _, name := range []string{"table5", "fig4"} {
+		if w := postJSON(h, "/v1/run", Spec{Experiment: name}); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, w.Code, w.Body)
+		}
+	}
+	a, b := seen["table5"], seen["fig4"]
+	if a == nil || b == nil || a == b {
+		t.Fatalf("recorders %p and %p: want two distinct, non-nil", a, b)
+	}
+	if a.Workers != 3 || b.Workers != 3 {
+		t.Errorf("recorder Workers %d and %d, want SimWorkers 3", a.Workers, b.Workers)
+	}
+}
+
 func TestRunRejectsUnknownExperimentAndBadJSON(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, nil)
 	h := s.Handler()

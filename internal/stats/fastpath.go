@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // FastPathSummary reports how one run's CPU-side cache accesses split
 // between the synchronous L1-hit fast path and the event engine (see
@@ -50,32 +47,8 @@ func MergeFastPaths(label string, summaries []FastPathSummary) FastPathSummary {
 	return out
 }
 
-var (
-	fpMu      sync.Mutex
-	fpPending []FastPathSummary
-)
-
-// AddFastPath queues a run's fast-path split for TakeFastPaths; the
-// workload runners call it so CLI frontends can report the split without
-// threading it through every experiment signature (the same pattern as
-// the campaign summaries). The queue is bounded: under a frontend that
-// never drains, old entries fall off rather than accumulating.
-func AddFastPath(s FastPathSummary) {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	fpPending = append(fpPending, s)
-	const keep = 4096
-	if len(fpPending) > keep {
-		fpPending = append(fpPending[:0], fpPending[len(fpPending)-keep:]...)
-	}
-}
-
-// TakeFastPaths drains and returns the summaries queued since the
-// previous drain, in completion order.
-func TakeFastPaths() []FastPathSummary {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	out := fpPending
-	fpPending = nil
-	return out
-}
+// TakeFastPaths returns nil: fast-path splits go to the Recorder on the
+// run's context. It remains only because benchmark/sim.go, which the
+// repository benchmark builds from this tree, still calls it; delete it
+// together with that call.
+func TakeFastPaths() []FastPathSummary { return nil }

@@ -21,19 +21,21 @@ func TestFastPathSummary(t *testing.T) {
 	}
 }
 
+// The recorder keeps each run's split in completion order, and
+// MergeFastPaths folds them into one footer line.
 func TestFastPathRegistry(t *testing.T) {
-	TakeFastPaths() // clean slate
-	AddFastPath(FastPathSummary{Label: "a", Fast: 1})
-	AddFastPath(FastPathSummary{Label: "b", Slow: 2})
-	got := TakeFastPaths()
+	rec := &Recorder{}
+	rec.RecordFastPath(FastPathSummary{Label: "a", Fast: 1})
+	rec.RecordFastPath(FastPathSummary{Label: "b", Slow: 2})
+	got := rec.FastPaths()
 	if len(got) != 2 || got[0].Label != "a" || got[1].Label != "b" {
-		t.Fatalf("drained %+v", got)
-	}
-	if len(TakeFastPaths()) != 0 {
-		t.Fatal("second drain not empty")
+		t.Fatalf("recorded %+v", got)
 	}
 	m := MergeFastPaths("all", got)
 	if m.Fast != 1 || m.Slow != 2 || m.Label != "all" {
 		t.Fatalf("merge %+v", m)
+	}
+	if TakeFastPaths() != nil {
+		t.Fatal("TakeFastPaths shim returned splits")
 	}
 }

@@ -35,7 +35,7 @@ func Example() {
 // exceeds the L1, exercising the full hierarchy down to DDR3 timing.
 func ExampleRunKernel() {
 	k, _ := workload.KernelByName("pointer-chase")
-	res, err := workload.RunKernel(k, coherence.SwiftDir, workload.TimingSimpleCPU, 64<<10)
+	res, err := workload.RunKernel(context.Background(), k, coherence.SwiftDir, workload.TimingSimpleCPU, 64<<10)
 	if err != nil {
 		panic(err)
 	}

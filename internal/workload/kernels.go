@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -94,25 +95,28 @@ func KernelByName(name string) (Kernel, bool) {
 }
 
 // RunKernel executes a kernel single-threaded over a working set of
-// `bytes` on the given protocol and CPU model.
-func RunKernel(k Kernel, protocol coherence.Policy, kind CPUKind, bytes int) (Result, error) {
+// `bytes` on the given protocol and CPU model. A done ctx aborts the
+// simulation (see core.Config.Context).
+func RunKernel(ctx context.Context, k Kernel, protocol coherence.Policy, kind CPUKind, bytes int) (Result, error) {
 	if bytes < 4096 {
 		return Result{}, fmt.Errorf("workload: kernel working set %d too small", bytes)
 	}
-	m, err := core.NewMachine(core.DefaultConfig(1, protocol))
+	cfg := core.DefaultConfig(1, protocol)
+	cfg.Context = ctx
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	proc := m.NewProcess()
 	heap := proc.MmapAnon(bytes)
-	ctx := proc.AttachContext(0)
+	hw := proc.AttachContext(0)
 	rng := sim.NewRNG(0x6E12)
-	c := newCPU(kind, ctx, &cpu.SliceTrace{Instrs: k.trace(heap, bytes, rng)}, nil)
+	c := newCPU(kind, hw, &cpu.SliceTrace{Instrs: k.trace(heap, bytes, rng)}, nil)
 	cycles := cpu.Run(m, []cpu.CPU{c})
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	publishFastPath(k.Name, protocol.Name(), m)
+	recordFastPath(k.Name, protocol.Name(), m)
 	res := Result{
 		Benchmark:  k.Name,
 		Protocol:   protocol.Name(),

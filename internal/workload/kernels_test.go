@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/fault"
+	"repro/internal/stats"
 )
 
 func TestKernelsWellFormed(t *testing.T) {
@@ -16,7 +19,7 @@ func TestKernelsWellFormed(t *testing.T) {
 	if _, ok := KernelByName("nope"); ok {
 		t.Fatal("bogus kernel resolved")
 	}
-	if _, err := RunKernel(Kernels()[0], coherence.MESI, DerivO3CPU, 100); err == nil {
+	if _, err := RunKernel(context.Background(), Kernels()[0], coherence.MESI, DerivO3CPU, 100); err == nil {
 		t.Fatal("tiny working set accepted")
 	}
 }
@@ -29,7 +32,7 @@ func TestKernelSignatures(t *testing.T) {
 	ipc := map[string]float64{}
 	walks := map[string]uint64{}
 	for _, k := range Kernels() {
-		r, err := RunKernel(k, coherence.MESI, DerivO3CPU, ws)
+		r, err := RunKernel(context.Background(), k, coherence.MESI, DerivO3CPU, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +52,11 @@ func TestKernelSignatures(t *testing.T) {
 // (out-of-order cannot help a fully serialized chain).
 func TestPointerChaseDefeatsOoO(t *testing.T) {
 	k, _ := KernelByName("pointer-chase")
-	inorder, err := RunKernel(k, coherence.MESI, TimingSimpleCPU, 128<<10)
+	inorder, err := RunKernel(context.Background(), k, coherence.MESI, TimingSimpleCPU, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o3, err := RunKernel(k, coherence.MESI, DerivO3CPU, 128<<10)
+	o3, err := RunKernel(context.Background(), k, coherence.MESI, DerivO3CPU, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +69,56 @@ func TestPointerChaseDefeatsOoO(t *testing.T) {
 // Stream is where O3's MLP shines: it must beat in-order decisively.
 func TestStreamLovesOoO(t *testing.T) {
 	k, _ := KernelByName("stream-triad")
-	inorder, err := RunKernel(k, coherence.MESI, TimingSimpleCPU, 192<<10)
+	inorder, err := RunKernel(context.Background(), k, coherence.MESI, TimingSimpleCPU, 192<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o3, err := RunKernel(k, coherence.MESI, DerivO3CPU, 192<<10)
+	o3, err := RunKernel(context.Background(), k, coherence.MESI, DerivO3CPU, 192<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if float64(inorder.ExecCycles) < 2*float64(o3.ExecCycles) {
 		t.Fatalf("O3 (%d) not clearly faster than in-order (%d) on stream", o3.ExecCycles, inorder.ExecCycles)
+	}
+}
+
+// A done ctx aborts RunKernel mid-simulation with a typed cancellation,
+// the way it aborts Run, RunReadOnly and RunWAR.
+func TestRunKernelCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	k, _ := KernelByName("stream-triad")
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		RunKernel(ctx, k, coherence.MESI, DerivO3CPU, 512<<10)
+	}()
+	v := fault.AsViolation(recovered)
+	if v == nil || v.Kind != fault.KindCancelled {
+		t.Fatalf("recovered %v (%T), want a %q violation", recovered, recovered, fault.KindCancelled)
+	}
+}
+
+// RunKernel and RunMultiprogram record their fast-path split on the
+// recorder their ctx carries, one entry per run under the run's label.
+func TestRunnersRecordFastPathOnContext(t *testing.T) {
+	rec := &stats.Recorder{}
+	ctx := stats.WithRecorder(context.Background(), rec)
+	k, _ := KernelByName("gups")
+	if _, err := RunKernel(ctx, k, coherence.SwiftDir, TimingSimpleCPU, 16<<10); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := ProfileByName("mcf")
+	if _, err := RunMultiprogram(ctx, []Profile{p.Scale(0.01)}, coherence.MESI, TimingSimpleCPU); err != nil {
+		t.Fatal(err)
+	}
+	got := rec.FastPaths()
+	if len(got) != 2 || got[0].Label != "gups/SwiftDir" || got[1].Label != "mix(mcf)/MESI" {
+		t.Fatalf("recorded %+v, want gups/SwiftDir then mix(mcf)/MESI", got)
+	}
+	for _, fp := range got {
+		if fp.Total() == 0 {
+			t.Errorf("%s: empty split", fp.Label)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -18,7 +19,8 @@ import (
 // (and, under SwiftDir, efficiently protected) shared memory. Library
 // accesses are genuinely cross-process: every process maps the same
 // mmu.File, so the physical frames coincide while heaps stay private.
-func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind) (Result, error) {
+// A done ctx aborts the simulation (see core.Config.Context).
+func RunMultiprogram(ctx context.Context, profiles []Profile, protocol coherence.Policy, kind CPUKind) (Result, error) {
 	if len(profiles) == 0 {
 		return Result{}, fmt.Errorf("workload: no programs")
 	}
@@ -26,7 +28,9 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 	for cores < len(profiles) {
 		cores *= 2
 	}
-	m, err := core.NewMachine(core.DefaultConfig(cores, protocol))
+	cfg := core.DefaultConfig(cores, protocol)
+	cfg.Context = ctx
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -45,7 +49,7 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 			return Result{}, fmt.Errorf("workload: multiprogram profile %s must be single-threaded", p.Name)
 		}
 		proc := m.NewProcess()
-		ctx := proc.AttachContext(i)
+		hw := proc.AttachContext(i)
 		heap := proc.MmapAnon(p.WorkingSetKB * 1024)
 		var shared mmu.VAddr
 		if p.SharedKB > 0 {
@@ -54,7 +58,7 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 		gp := p
 		gp.BarrierEvery = 0
 		gen := newGenerator(gp, heap, shared, rng.Uint64())
-		cpus = append(cpus, newCPU(kind, ctx, gen, nil))
+		cpus = append(cpus, newCPU(kind, hw, gen, nil))
 		names = append(names, p.Name)
 	}
 
@@ -63,7 +67,7 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 		return Result{}, fmt.Errorf("multiprogram [%s] on %s: %w",
 			strings.Join(names, ","), protocol.Name(), err)
 	}
-	publishFastPath("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
+	recordFastPath("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "mix(" + strings.Join(names, "+") + ")",
 		Protocol:   protocol.Name(),

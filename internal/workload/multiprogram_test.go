@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestMultiprogramSmoke(t *testing.T) {
 	for _, p := range mix {
 		small = append(small, p.Scale(0.02))
 	}
-	r, err := RunMultiprogram(small, coherence.SwiftDir, DerivO3CPU)
+	r, err := RunMultiprogram(context.Background(), small, coherence.SwiftDir, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +27,11 @@ func TestMultiprogramSmoke(t *testing.T) {
 }
 
 func TestMultiprogramValidation(t *testing.T) {
-	if _, err := RunMultiprogram(nil, coherence.MESI, DerivO3CPU); err == nil {
+	if _, err := RunMultiprogram(context.Background(), nil, coherence.MESI, DerivO3CPU); err == nil {
 		t.Fatal("empty mix accepted")
 	}
 	multi := PARSEC3()[0] // 4 threads: not allowed per program
-	if _, err := RunMultiprogram([]Profile{multi}, coherence.MESI, DerivO3CPU); err == nil {
+	if _, err := RunMultiprogram(context.Background(), []Profile{multi}, coherence.MESI, DerivO3CPU); err == nil {
 		t.Fatal("multithreaded profile accepted")
 	}
 }
@@ -59,11 +60,11 @@ func TestMultiprogramSwiftDirNotSlower(t *testing.T) {
 	for _, p := range SPECRateMixes()["lib-heavy"] {
 		small = append(small, p.Scale(0.05))
 	}
-	mesi, err := RunMultiprogram(small, coherence.MESI, DerivO3CPU)
+	mesi, err := RunMultiprogram(context.Background(), small, coherence.MESI, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swift, err := RunMultiprogram(small, coherence.SwiftDir, DerivO3CPU)
+	swift, err := RunMultiprogram(context.Background(), small, coherence.SwiftDir, DerivO3CPU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,14 @@ import (
 	"repro/internal/stats"
 )
 
-// publishFastPath queues the machine's fast/slow access split (DESIGN.md
-// §5) under the run's label for the CLI report footers; frontends drain
-// it via stats.TakeFastPaths. Every runner calls it after its invariant
-// check so the split covers exactly the accesses the Result reports.
-func publishFastPath(benchmark, protocol string, m *core.Machine) {
+// recordFastPath records the machine's fast/slow access split (DESIGN.md
+// §5) under the run's label on the stats.Recorder its Config.Context
+// carries, if any, for the report footers. Every runner calls it after
+// its invariant check so the split covers exactly the accesses the
+// Result reports.
+func recordFastPath(benchmark, protocol string, m *core.Machine) {
 	fast, slow := m.Sys.FastPathTotals()
-	stats.AddFastPath(stats.FastPathSummary{
+	stats.RecorderFrom(m.Cfg.Context).RecordFastPath(stats.FastPathSummary{
 		Label: benchmark + "/" + protocol, Fast: fast, Slow: slow,
 	})
 }
@@ -114,7 +115,7 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", p.Name, cfg.Protocol.Name(), err)
 	}
-	publishFastPath(p.Name, cfg.Protocol.Name(), m)
+	recordFastPath(p.Name, cfg.Protocol.Name(), m)
 
 	res := Result{
 		Benchmark:  p.Name,
