@@ -9,6 +9,7 @@
 #   make bench-gate  — hot-path ns/op ceiling + zero-alloc pins (CI)
 #   make test-filters— every `go test -run` regex in CI and here selects
 #                      at least one test (CI)
+#   make fmt-check   — every tracked Go file is gofmt-clean (CI)
 #   make serve       — build and run the swiftdir-serve HTTP front end
 #   make serve-e2e   — boot a server, submit the same batch twice, assert
 #                      the second pass is 100% cache hits, byte-identical
@@ -53,7 +54,7 @@ BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
 #   make benchdiff BENCHBASE=BENCH_2026-08-05.json
 BENCHBASE ?= $(lastword $(sort $(filter-out %-shards-final.json,$(wildcard BENCH_*.json))))
 
-.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate test-filters serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
+.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate test-filters fmt-check serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
 
 check: vet test race
 
@@ -119,6 +120,14 @@ bench-gate:
 # for each |-separated alternative of its regex (see the script).
 test-filters:
 	./scripts/check-test-filters.sh
+
+# Formatting gate: gofmt -l lists every file it would rewrite, and any
+# listing fails. Only tracked files are checked, which skips the
+# benchmark's build cache in .bench_build/.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	@echo "gofmt ok"
 
 # Run the simulation service locally. Knobs:
 #   make serve SERVE_ADDR=:9090 SERVE_CACHEDIR=/var/tmp/swiftdir-cache

@@ -175,9 +175,10 @@ func TestTwoLevelHubFiltersEvictions(t *testing.T) {
 	quiesceAndCheck(t, s)
 }
 
-// S-MESI's explicit E->M upgrade rides the pinned-grant path through the
-// hub (Upgrade_ACK has no Unblock); the hub's in-flight accounting must
-// retire it on delivery or CheckInvariants trips.
+// S-MESI's explicit E->M upgrade is granted by an Upgrade_ACK, which has
+// no Unblock: it is pinned at send and crosses the hub like any grant. The
+// hub's in-flight accounting must retire it on delivery and the pin must be
+// released, or CheckInvariants trips.
 func TestTwoLevelSMESIUpgradePinnedPath(t *testing.T) {
 	s := MustNewSystem(clusterTestConfig(SMESI, 8, 4))
 	s.AccessSync(3, blockA, false, false, 0)

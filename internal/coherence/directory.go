@@ -112,6 +112,7 @@ type bank struct {
 	// grant carries no follow-up unblock, so no busy transaction covers
 	// its flight; pinning keeps victim selection from recalling the block
 	// before the grant lands (which would orphan the requestor's MSHR).
+	// Every pin is released on delivery, so a quiesced bank has none.
 	pinned map[cache.Addr]int
 
 	txnFree   []*txn      // recycled transactions
@@ -205,61 +206,25 @@ func (b *bank) eng() *sim.Engine { return b.engine }
 func (b *bank) timing() Timing   { return b.sys.Timing }
 func (b *bank) policy() Policy   { return b.sys.Policy }
 
-// send delivers a message to an L1 after delay. The final Hop of the
-// delay traverses the crossbar, so it is subject to port contention when
-// LinkOccupancy is configured. The message rides two payload events — a
-// bank-local stage, then the crossbar — with the destination in Z.
-func (b *bank) send(dst int, m Msg, delay sim.Cycle) {
-	m.Src = DirID
-	hop := b.timing().Hop
-	var local sim.Cycle
-	if delay > hop {
-		local = delay - hop
-	}
-	if f := b.sys.faults; f != nil {
-		local += f.BankDelay(b.eng().Now())
-	}
-	p := m.payload(opBankSendStage)
-	p.Z = int32(dst)
-	b.eng().ScheduleEvent(local, b, p)
-}
+// send delivers a message to L1 dst after delay.
+func (b *bank) send(dst int, m Msg, delay sim.Cycle) { b.stage(opBankSendStage, dst, m, delay) }
 
-// sendPinned is send for grants with no follow-up unblock: the address
-// is pinned against LLC victim selection until delivery, then unpinned in
-// the same event that hands the message to the L1 (no window in between),
-// which is why the crossbar delivers the pinned payload back to the bank
-// rather than straight to the L1.
-func (b *bank) sendPinned(dst int, m Msg, delay sim.Cycle) {
-	b.pinned[m.Addr]++
+// stage schedules the bank-local part of a send to an L1 or, with
+// opBankSendStageHub, to a cluster hub: the delay minus its final Hop,
+// which traverses the fabric (and so is subject to port contention when
+// occupancy is configured), plus any injected bank delay. The stage
+// event carries the destination in Z.
+func (b *bank) stage(op uint8, z int, m Msg, delay sim.Cycle) {
 	m.Src = DirID
-	hop := b.timing().Hop
 	var local sim.Cycle
-	if delay > hop {
+	if hop := b.timing().Hop; delay > hop {
 		local = delay - hop
 	}
 	if f := b.sys.faults; f != nil {
 		local += f.BankDelay(b.eng().Now())
 	}
-	p := m.payload(opBankSendStagePin)
-	p.Z = int32(dst)
-	b.eng().ScheduleEvent(local, b, p)
-}
-
-// sendHub delivers a message to a cluster hub after delay (two-level
-// only; currently the Inv multicast). It mirrors send(): the final Hop of
-// the delay traverses the fabric, preceded by a bank-local stage.
-func (b *bank) sendHub(c int, m Msg, delay sim.Cycle) {
-	m.Src = DirID
-	hop := b.timing().Hop
-	var local sim.Cycle
-	if delay > hop {
-		local = delay - hop
-	}
-	if f := b.sys.faults; f != nil {
-		local += f.BankDelay(b.eng().Now())
-	}
-	p := m.payload(opBankSendStageHub)
-	p.Z = int32(c)
+	p := m.payload(op)
+	p.Z = int32(z)
 	b.eng().ScheduleEvent(local, b, p)
 }
 
@@ -272,11 +237,17 @@ func (b *bank) sharerBit(src int) uint64 {
 	return bit(src)
 }
 
-// unpin releases one pin on addr. Pins are taken when a pinned grant
-// leaves the bank and released when it lands at the destination L1.
+// unpin releases one pin on addr. ackUpgrade takes the pin when the
+// grant leaves the bank; System.deliver releases it in the event that
+// hands the grant to the L1. An unpin without a pin is a protocol bug.
 func (b *bank) unpin(addr cache.Addr) {
-	if b.pinned[addr]--; b.pinned[addr] <= 0 {
+	switch n := b.pinned[addr]; {
+	case n <= 0:
+		b.violate(addr, "unpin of an unpinned block")
+	case n == 1:
 		delete(b.pinned, addr)
+	default:
+		b.pinned[addr] = n - 1
 	}
 }
 
@@ -287,35 +258,11 @@ func (b *bank) Handle(p sim.Payload) {
 	case opBankDispatch:
 		b.sys.deliver(msgFromPayload(p), DirID)
 	case opBankSendStage:
-		dst := int(p.Z)
-		if b.sys.twoLevel {
-			// Route through the destination's hub so its record sees
-			// every grant and demand entering the cluster.
-			c := b.sys.clusterOf(dst)
-			p.Op = opHubDown
-			b.sys.net.SendEvent(b.sys.bankPort(b.id), b.sys.hubPort(c), b.sys.hubs[c], p)
-			return
-		}
-		p.Op = opL1Recv
-		b.sys.net.SendEvent(b.sys.bankPort(b.id), dst, b.sys.L1s[dst], p)
-	case opBankSendStagePin:
-		if b.sys.twoLevel {
-			c := b.sys.clusterOf(int(p.Z))
-			p.Op = opHubDownPin
-			b.sys.net.SendEvent(b.sys.bankPort(b.id), b.sys.hubPort(c), b.sys.hubs[c], p)
-			return
-		}
-		p.Op = opBankDeliverPin
-		b.sys.net.SendEvent(b.sys.bankPort(b.id), int(p.Z), b, p)
+		b.sys.toL1(b.sys.bankPort(b.id), int(p.Z), p)
 	case opBankSendStageHub:
 		c := int(p.Z)
 		p.Op = opHubInv
 		b.sys.net.SendEvent(b.sys.bankPort(b.id), b.sys.hubPort(c), b.sys.hubs[c], p)
-	case opBankDeliverPin:
-		// The fabric delivered this to the destination L1's port.
-		m := msgFromPayload(p)
-		b.unpin(m.Addr)
-		b.sys.deliver(m, int(p.Z))
 	case opBankFetchIssue:
 		now := b.eng().Now()
 		done := b.sys.Mem.AccessAt(now, p.A, false)
@@ -779,7 +726,11 @@ func (b *bank) ackUpgrade(m Msg, e *dirEntry) {
 	e.forwarder = -1
 	b.arr.Touch(m.Addr)
 	b.Stats.UpgradeAcks++
-	b.sendPinned(m.Src, Msg{Kind: MsgUpgradeAck, Addr: m.Addr}, b.respDelay())
+	// Upgrade_ACK is the one grant with no follow-up unblock, so no busy
+	// transaction covers its flight: pin the block against LLC victim
+	// selection until the grant lands (see unpin).
+	b.pinned[m.Addr]++
+	b.send(m.Src, Msg{Kind: MsgUpgradeAck, Addr: m.Addr}, b.respDelay())
 	if t, ok := b.busy[m.Addr]; ok {
 		b.maybeComplete(m.Addr, t)
 	}
@@ -797,7 +748,7 @@ func (b *bank) invalidate(addr cache.Addr, targets uint64, requestor int, t *txn
 		for c := 0; targets != 0; c++ {
 			if targets&1 != 0 {
 				e.sharers &^= bit(c)
-				b.sendHub(c, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
+				b.stage(opBankSendStageHub, c, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
 			}
 			targets >>= 1
 		}

@@ -20,9 +20,8 @@ var opNames = [...]string{
 	opL1Recv: "L1Recv", opL1Process: "L1Process", opL1ProcessMiss: "L1ProcessMiss",
 	opL1DataRetry: "L1DataRetry", opL1Respond: "L1Respond", opL1RespondRetained: "L1RespondRetained",
 	opBankDispatch: "BankDispatch", opBankSendStage: "BankSendStage",
-	opBankSendStagePin: "BankSendStagePin", opBankDeliverPin: "BankDeliverPin",
 	opBankFetchIssue: "BankFetchIssue", opBankInstall: "BankInstall",
-	opHubUp: "HubUp", opHubDown: "HubDown", opHubDownPin: "HubDownPin",
+	opHubUp: "HubUp", opHubDown: "HubDown",
 	opHubInv: "HubInv", opBankSendStageHub: "BankSendStageHub",
 }
 
@@ -30,8 +29,8 @@ var opNames = [...]string{
 // dump can decode it with msgFromPayload).
 func msgCarrying(op uint8) bool {
 	switch op {
-	case opL1Recv, opL1DataRetry, opBankDispatch, opBankSendStage, opBankSendStagePin, opBankDeliverPin,
-		opHubUp, opHubDown, opHubDownPin, opHubInv, opBankSendStageHub:
+	case opL1Recv, opL1DataRetry, opBankDispatch, opBankSendStage,
+		opHubUp, opHubDown, opHubInv, opBankSendStageHub:
 		return true
 	}
 	return false
@@ -87,8 +86,13 @@ func (s *System) DumpState() string {
 		if msgCarrying(p.Op) {
 			m := msgFromPayload(p)
 			fmt.Fprintf(&sb, " %s %#x src=%s", m.Kind, uint64(m.Addr), endpoint(m.Src))
-			if p.Z != 0 || p.Op == opBankSendStage || p.Op == opBankSendStagePin || p.Op == opBankDeliverPin {
+			// Z names where a message in transit is headed: an L1, or a
+			// hub by cluster. Every other op's handler is its receiver.
+			switch p.Op {
+			case opL1Recv, opBankSendStage, opHubDown:
 				fmt.Fprintf(&sb, " dst=%s", endpoint(int(p.Z)))
+			case opBankSendStageHub, opHubInv:
+				fmt.Fprintf(&sb, " dst=hub(%d)", p.Z)
 			}
 		} else {
 			fmt.Fprintf(&sb, " A=%#x B=%#x X=%d Z=%d", p.A, p.B, p.X, p.Z)

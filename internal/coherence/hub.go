@@ -124,17 +124,6 @@ func (h *hub) dispatch(p sim.Payload) {
 		h.up(p)
 	case opHubDown:
 		h.down(p)
-	case opHubDownPin:
-		// Pinned grant (UpgradeAck): record the holder, retire the
-		// answered up-request, and forward along the flat pinned path —
-		// the bank handles opBankDeliverPin on the destination's port so
-		// the unpin and the delivery share one event.
-		addr := cache.Addr(p.A)
-		dst := int(p.Z)
-		h.record[addr] |= h.localBit(dst)
-		h.grantDelivered(addr)
-		p.Op = opBankDeliverPin
-		h.sys.net.SendEvent(h.port(), dst, h.sys.bankFor(addr), p)
 	case opHubInv:
 		h.inv(p)
 	default:
@@ -161,7 +150,7 @@ func (h *hub) up(p sim.Payload) {
 			return
 		}
 		// Cluster empty for good: the home clears this cluster's bit.
-		h.toHome(addr, p)
+		h.toHome(p)
 	case MsgPUTX:
 		rec := h.record[addr] &^ h.localBit(src)
 		if rec == 0 {
@@ -173,7 +162,7 @@ func (h *hub) up(p sim.Payload) {
 			h.record[addr] = rec
 		}
 		// Always forwarded: the evictor blocks on the home's WB_Ack.
-		h.toHome(addr, p)
+		h.toHome(p)
 	case MsgInvAck:
 		n := h.pending[addr] - 1
 		if n < 0 {
@@ -185,13 +174,13 @@ func (h *hub) up(p sim.Payload) {
 		}
 		delete(h.pending, addr)
 		// Last local ack: one aggregate ack represents the cluster.
-		h.toHome(addr, p)
+		h.toHome(p)
 	case MsgGETS, MsgGETSWP, MsgGETX, MsgUpgrade:
 		h.upReqs[addr]++
-		h.toHome(addr, p)
+		h.toHome(p)
 	default:
 		// Unblock, Exclusive_Unblock, WB_Data: pure pass-through.
-		h.toHome(addr, p)
+		h.toHome(p)
 	}
 }
 
@@ -200,7 +189,7 @@ func (h *hub) down(p sim.Payload) {
 	addr := cache.Addr(p.A)
 	dst := int(p.Z)
 	switch MsgKind(p.K) {
-	case MsgData, MsgDataExclusive, MsgDataFromOwner:
+	case MsgData, MsgDataExclusive, MsgDataFromOwner, MsgUpgradeAck:
 		h.record[addr] |= h.localBit(dst)
 		h.grantDelivered(addr)
 	case MsgFwdGETX:
@@ -223,7 +212,7 @@ func (h *hub) inv(p sim.Payload) {
 		// under an in-flight grant, or the grant itself raced the
 		// invalidation's transaction): ack on the cluster's behalf.
 		ack := Msg{Kind: MsgInvAck, Addr: addr, Src: h.base(), Requestor: int(p.Y)}
-		h.toHome(addr, ack.payload(opBankDispatch))
+		h.toHome(ack.payload(opBankDispatch))
 		return
 	}
 	if h.pending[addr] != 0 {
@@ -236,6 +225,7 @@ func (h *hub) inv(p sim.Payload) {
 	for lid := 0; targets != 0; lid++ {
 		if targets&1 != 0 {
 			dst := base + lid
+			p.Z = int32(dst)
 			h.sys.net.SendEvent(h.port(), dst, h.sys.L1s[dst], p)
 		}
 		targets >>= 1
@@ -243,11 +233,7 @@ func (h *hub) inv(p sim.Payload) {
 }
 
 // toHome forwards a payload to the block's home bank for dispatch.
-func (h *hub) toHome(addr cache.Addr, p sim.Payload) {
-	b := h.sys.bankFor(addr)
-	p.Op = opBankDispatch
-	h.sys.net.SendEvent(h.port(), h.sys.bankPort(b.id), b, p)
-}
+func (h *hub) toHome(p sim.Payload) { h.sys.toHome(h.port(), p) }
 
 // clearBit clears one local's record bit, dropping empty entries.
 func (h *hub) clearBit(addr cache.Addr, l1 int) {

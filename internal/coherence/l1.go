@@ -207,23 +207,11 @@ func (l *L1) toDir(m Msg) {
 		l.sys.net.SendEvent(l.ID, l.sys.hubPort(c), l.sys.hubs[c], m.payload(opHubUp))
 		return
 	}
-	b := l.sys.bankFor(m.Addr)
-	l.sys.net.SendEvent(l.ID, l.sys.bankPort(b.id), b, m.payload(opBankDispatch))
+	l.sys.toHome(l.ID, m.payload(opBankDispatch))
 }
 
-// toL1 schedules delivery of m to a peer controller. Under the two-level
-// directory the message routes through the DESTINATION's hub so the hub
-// record sees every grant entering its cluster.
-func (l *L1) toL1(dst int, m Msg) {
-	if l.sys.twoLevel {
-		c := l.sys.clusterOf(dst)
-		p := m.payload(opHubDown)
-		p.Z = int32(dst)
-		l.sys.net.SendEvent(l.ID, l.sys.hubPort(c), l.sys.hubs[c], p)
-		return
-	}
-	l.sys.net.SendEvent(l.ID, dst, l.sys.L1s[dst], m.payload(opL1Recv))
-}
+// toL1 schedules delivery of m to a peer controller (see System.toL1).
+func (l *L1) toL1(dst int, m Msg) { l.sys.toL1(l.ID, dst, m.payload(opL1Recv)) }
 
 // putAccess parks an in-flight access in the slot pool and returns its
 // index; takeAccess releases the slot. The pool exists so tag-lookup and

@@ -100,16 +100,14 @@ const DirID = -1
 // performs rides the engine as a (handler, payload) event instead of a
 // captured closure, so the hot path allocates nothing per message.
 const (
-	opL1Recv            uint8 = iota + 1 // deliver a Msg to an L1 (trace + Receive)
+	opL1Recv            uint8 = iota + 1 // deliver a Msg to an L1 (trace + Receive; Z = dst)
 	opL1Process                          // tag lookup done; examine a pooled Access
 	opL1ProcessMiss                      // deferred VIVT translation done; re-check the miss
 	opL1DataRetry                        // install stalled; retry a data grant
 	opL1Respond                          // owner's delayed three-hop response
 	opL1RespondRetained                  // MOESI owner response, dirty copy retained
 	opBankDispatch                       // deliver a Msg to a bank
-	opBankSendStage                      // bank-local latency elapsed; enter the crossbar
-	opBankSendStagePin                   // like opBankSendStage for a pinned grant
-	opBankDeliverPin                     // pinned grant arriving: unpin, then deliver
+	opBankSendStage                      // bank-local latency elapsed; enter the fabric toward an L1 (Z = dst)
 	opBankFetchIssue                     // LLC tag miss confirmed; issue the DRAM access
 	opBankInstall                        // DRAM responded; install and grant (retries on stall)
 
@@ -118,7 +116,6 @@ const (
 	// protocol table entry and are invisible to the Observe hook.
 	opHubUp            // L1 -> hub: filter/forward a request toward the home bank
 	opHubDown          // bank/owner -> hub: record and deliver a message to a local L1 (Z = dst)
-	opHubDownPin       // like opHubDown for a pinned grant (forwards opBankDeliverPin)
 	opHubInv           // home -> hub: multicast Inv to the recorded locals, aggregate acks
 	opBankSendStageHub // bank-local latency elapsed; enter the fabric toward a hub (Z = cluster)
 )
@@ -135,7 +132,7 @@ const (
 )
 
 // payload packs the message into a fixed-size event payload. Z is left
-// free for routing (the destination L1 of a staged bank send).
+// free for routing: the destination L1, or the cluster of a hub-bound op.
 func (m Msg) payload(op uint8) sim.Payload {
 	var f uint8
 	if m.WP {

@@ -62,13 +62,12 @@ type SystemConfig struct {
 	// MeshW, MeshH are the mesh dimensions (required for Topology
 	// "mesh"). MeshPerHop adds latency per inter-router hop, and
 	// MeshLinkOccupancy serializes messages per directed link (the
-	// congestion model; 0 keeps the mesh pure-latency). MeshRouterOf optionally pins each fabric port
-	// (L1s, then banks, then cluster hubs) to a router; when nil, L1s,
-	// banks, and hubs spread evenly in index order.
+	// congestion model; 0 keeps the mesh pure-latency). L1s and banks
+	// each spread evenly over the routers in index order, and each
+	// cluster hub sits on its cluster's first tile.
 	MeshW, MeshH      int
 	MeshPerHop        sim.Cycle
 	MeshLinkOccupancy sim.Cycle
-	MeshRouterOf      []int
 
 	// Clusters > 1 enables the two-level directory: the NumL1 controllers
 	// partition into Clusters equal contiguous clusters, each with a hub —
@@ -238,26 +237,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	// Fabric ports: L1s first, then LLC banks, then cluster hubs.
 	ports := cfg.NumL1 + cfg.Banks + numHubs
-	mesh := cfg.Topology == "mesh"
-	var routerOf []int
-	if mesh {
-		routerOf = cfg.MeshRouterOf
-		if routerOf == nil {
-			routers := cfg.MeshW * cfg.MeshH
-			routerOf = make([]int, ports)
-			for i := 0; i < cfg.NumL1; i++ {
-				routerOf[i] = i * routers / cfg.NumL1
-			}
-			for b := 0; b < cfg.Banks; b++ {
-				routerOf[cfg.NumL1+b] = b * routers / cfg.Banks
-			}
-			for c := 0; c < numHubs; c++ {
-				// A hub sits on its cluster's first tile.
-				routerOf[cfg.NumL1+cfg.Banks+c] = routerOf[c*s.localsPer]
-			}
+	if cfg.Topology == "mesh" {
+		routers := cfg.MeshW * cfg.MeshH
+		routerOf := make([]int, ports)
+		for i := 0; i < cfg.NumL1; i++ {
+			routerOf[i] = i * routers / cfg.NumL1
 		}
-	}
-	if mesh {
+		for b := 0; b < cfg.Banks; b++ {
+			routerOf[cfg.NumL1+b] = b * routers / cfg.Banks
+		}
+		for c := 0; c < numHubs; c++ {
+			// A hub sits on its cluster's first tile.
+			routerOf[cfg.NumL1+cfg.Banks+c] = routerOf[c*s.localsPer]
+		}
 		mcfg := interconnect.MeshConfig{
 			Ports:         ports,
 			W:             cfg.MeshW,
@@ -346,6 +338,30 @@ func (s *System) clusterOf(l1 int) int { return l1 / s.localsPer }
 
 // hubPort returns a cluster hub's fabric port (after L1s and banks).
 func (s *System) hubPort(cluster int) int { return s.numL1 + len(s.banks) + cluster }
+
+// toL1 sends a message payload from fabric port src to L1 dst, with Z set
+// to dst: straight to the L1 when flat, and through the destination's hub
+// when two-level, so the hub's record sees every grant and demand
+// entering its cluster.
+func (s *System) toL1(src, dst int, p sim.Payload) {
+	p.Z = int32(dst)
+	if s.twoLevel {
+		c := s.clusterOf(dst)
+		p.Op = opHubDown
+		s.net.SendEvent(src, s.hubPort(c), s.hubs[c], p)
+		return
+	}
+	p.Op = opL1Recv
+	s.net.SendEvent(src, dst, s.L1s[dst], p)
+}
+
+// toHome sends a message payload from fabric port src to its block's home
+// bank for dispatch.
+func (s *System) toHome(src int, p sim.Payload) {
+	b := s.bankFor(cache.Addr(p.A))
+	p.Op = opBankDispatch
+	s.net.SendEvent(src, s.bankPort(b.id), b, p)
+}
 
 // socketOf maps a crossbar port (L1 or bank) to its NUMA socket: L1s are
 // grouped SocketCores at a time; LLC banks distribute round-robin across
@@ -546,6 +562,8 @@ func lowestViolation[V any](m map[cache.Addr]V, check func(cache.Addr, V) error)
 
 // CheckInvariants validates the quiesced system:
 //
+//   - quiescence: no busy directory transaction, pinned grant, MSHR, or
+//     pending hub aggregation is left behind;
 //   - SWMR: at most one L1 holds a block E/M, and then no L1 holds it S;
 //   - inclusion: every L1-resident block is LLC-resident;
 //   - directory agreement: owner/sharer records match L1 contents;
@@ -561,6 +579,11 @@ func (s *System) CheckInvariants() error {
 	for _, b := range s.banks {
 		if len(b.busy) != 0 {
 			return fmt.Errorf("bank %d: %d transactions still busy", b.id, len(b.busy))
+		}
+		if len(b.pinned) != 0 {
+			// Every grant has landed at quiescence, so a pin left behind
+			// leaked: it would bar its block from LLC victim selection.
+			return fmt.Errorf("bank %d: %d blocks still pinned", b.id, len(b.pinned))
 		}
 	}
 	for _, l1 := range s.L1s {

@@ -123,8 +123,13 @@ func (s *System) trace(m Msg, dst int) {
 
 // deliver hands a coherence message to its receiver (an L1 id, or DirID
 // for the block's home bank): it traces the delivery, dispatches it, and
-// reports the transition to the Observe hook when one is set.
+// reports the transition to the Observe hook when one is set. Delivering
+// an Upgrade_ACK first releases the pin its bank took at send (see
+// bank.unpin), so the pin covers the grant's whole flight and no more.
 func (s *System) deliver(m Msg, dst int) {
+	if m.Kind == MsgUpgradeAck {
+		s.bankFor(m.Addr).unpin(m.Addr)
+	}
 	s.trace(m, dst)
 	if s.Observe == nil {
 		s.receive(m, dst)

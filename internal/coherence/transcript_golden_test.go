@@ -67,18 +67,18 @@ func litmusScenario() tscenario {
 	ldwp := func(c, l int) taccess { return taccess{core: c, line: l, wp: true} }
 	st := func(c, l int) taccess { return taccess{core: c, write: true, line: l} }
 	return tscenario{name: "litmus", phases: []tphase{
-		{ld(0, 0)},           // cold load: E (or S) grant
-		{ld(1, 0)},           // second reader: forward or LLC serve
-		{st(0, 0)},           // upgrade with invalidation
-		{st(1, 0)},           // M hand-off between cores
-		{ld(0, 1), st(1, 1)}, // read/write race on a cold block
-		{st(0, 2), st(1, 2)}, // write/write race
-		{ldwp(0, 3), ldwp(1, 3)}, // write-protected sharers
-		{st(0, 3)},           // store to the write-protected block
-		{ld(0, 4), st(0, 4)}, // same-core merge: store joins the load MSHR
-		{st(1, 5), ld(1, 5)}, // same-core merge: load joins the store MSHR
-		{ld(0, 6), ld(1, 6), st(2, 6)},            // sharer pile-up then writer
-		{st(0, 7), st(1, 7), st(2, 7), ld(0, 7)},  // queue pressure on one block
+		{ld(0, 0)},                               // cold load: E (or S) grant
+		{ld(1, 0)},                               // second reader: forward or LLC serve
+		{st(0, 0)},                               // upgrade with invalidation
+		{st(1, 0)},                               // M hand-off between cores
+		{ld(0, 1), st(1, 1)},                     // read/write race on a cold block
+		{st(0, 2), st(1, 2)},                     // write/write race
+		{ldwp(0, 3), ldwp(1, 3)},                 // write-protected sharers
+		{st(0, 3)},                               // store to the write-protected block
+		{ld(0, 4), st(0, 4)},                     // same-core merge: store joins the load MSHR
+		{st(1, 5), ld(1, 5)},                     // same-core merge: load joins the store MSHR
+		{ld(0, 6), ld(1, 6), st(2, 6)},           // sharer pile-up then writer
+		{st(0, 7), st(1, 7), st(2, 7), ld(0, 7)}, // queue pressure on one block
 	}}
 }
 

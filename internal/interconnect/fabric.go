@@ -10,11 +10,9 @@ import "repro/internal/sim"
 // (cycle, seq) order, so a simulation is deterministic regardless of
 // topology.
 type Fabric interface {
-	// Send schedules deliver after the message traverses src -> dst.
-	Send(src, dst int, deliver func())
-
-	// SendEvent is Send for a (handler, payload) event — the
-	// zero-allocation delivery path coherence messages ride.
+	// SendEvent schedules the (handler, payload) event h.Handle(p) for
+	// when the message has traversed src -> dst — the zero-allocation
+	// delivery path coherence messages ride.
 	SendEvent(src, dst int, h sim.Handler, p sim.Payload)
 
 	// MinLatency returns the unloaded traversal latency for a (src, dst)

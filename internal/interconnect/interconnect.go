@@ -89,9 +89,7 @@ func (x *Crossbar) Config() Config { return x.cfg }
 
 // admit computes the absolute delivery cycle of a message entering the
 // crossbar now at src bound for dst, updating port occupancy and queueing
-// statistics. Both Send paths share it so the jitter RNG stream and the
-// port bookkeeping advance identically regardless of how the delivery is
-// scheduled.
+// statistics.
 func (x *Crossbar) admit(src, dst int) sim.Cycle {
 	x.Messages++
 	now := x.eng.Now()
@@ -129,14 +127,8 @@ func (x *Crossbar) admit(src, dst int) sim.Cycle {
 	return start + lat
 }
 
-// Send schedules deliver after the message traverses src -> dst: base
-// latency plus any queueing at the two ports.
-func (x *Crossbar) Send(src, dst int, deliver func()) {
-	x.eng.ScheduleAt(x.admit(src, dst), deliver)
-}
-
-// SendEvent is Send for a (handler, payload) event: the zero-allocation
-// delivery path coherence messages ride.
+// SendEvent schedules h.Handle(p) for when the message has traversed
+// src -> dst: base latency plus any queueing at the two ports.
 func (x *Crossbar) SendEvent(src, dst int, h sim.Handler, p sim.Payload) {
 	x.eng.ScheduleEventAt(x.admit(src, dst), h, p)
 }

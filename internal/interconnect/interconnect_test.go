@@ -7,6 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
+// onArrival adapts a callback to the handler SendEvent delivers to.
+type onArrival func()
+
+func (f onArrival) Handle(sim.Payload) { f() }
+
 func mustNew(t *testing.T, eng *sim.Engine, cfg Config) *Crossbar {
 	t.Helper()
 	x, err := New(eng, cfg)
@@ -30,7 +35,7 @@ func TestZeroOccupancyIsPureLatency(t *testing.T) {
 	x := mustNew(t, eng, Config{Ports: 4, Latency: 3, Occupancy: 0})
 	var arrivals []sim.Cycle
 	for i := 0; i < 10; i++ {
-		x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
+		x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	}
 	eng.Run()
 	for _, a := range arrivals {
@@ -50,7 +55,7 @@ func TestPortContentionSerializes(t *testing.T) {
 	// Three messages from the same source at t=0: egress admits one per
 	// 2 cycles.
 	for i := 0; i < 3; i++ {
-		x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
+		x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	}
 	eng.Run()
 	want := []sim.Cycle{3, 5, 7}
@@ -68,8 +73,8 @@ func TestDistinctPortPairsDoNotContend(t *testing.T) {
 	eng := sim.NewEngine()
 	x := mustNew(t, eng, Config{Ports: 4, Latency: 3, Occupancy: 2})
 	var arrivals []sim.Cycle
-	x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
-	x.Send(2, 3, func() { arrivals = append(arrivals, eng.Now()) })
+	x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
+	x.SendEvent(2, 3, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	eng.Run()
 	if arrivals[0] != 3 || arrivals[1] != 3 {
 		t.Fatalf("independent pairs contended: %v", arrivals)
@@ -81,8 +86,8 @@ func TestIngressContention(t *testing.T) {
 	x := mustNew(t, eng, Config{Ports: 4, Latency: 1, Occupancy: 5})
 	var arrivals []sim.Cycle
 	// Two different sources target the same destination.
-	x.Send(0, 2, func() { arrivals = append(arrivals, eng.Now()) })
-	x.Send(1, 2, func() { arrivals = append(arrivals, eng.Now()) })
+	x.SendEvent(0, 2, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
+	x.SendEvent(1, 2, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	eng.Run()
 	if arrivals[0] != 1 || arrivals[1] != 6 {
 		t.Fatalf("arrivals = %v, want [1 6]", arrivals)
@@ -103,7 +108,7 @@ func TestOrderingProperty(t *testing.T) {
 			at := t0
 			eng.ScheduleAt(at, func() {
 				sends = append(sends, eng.Now())
-				x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
+				x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 			})
 		}
 		eng.Run()
@@ -153,8 +158,8 @@ func TestExtraHookDelaysAndPreservesOrder(t *testing.T) {
 		},
 	})
 	var arrivals []sim.Cycle
-	x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
-	x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
+	x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
+	x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	eng.Run()
 	// First message occupies the ports for 10 cycles; the second starts
 	// after it, so both the spike and the ordering are visible.
@@ -173,7 +178,7 @@ func TestNilExtraKeepsPureLatencyPath(t *testing.T) {
 	x := mustNew(t, eng, Config{Ports: 2, Latency: 5})
 	var arrivals []sim.Cycle
 	for i := 0; i < 4; i++ {
-		x.Send(0, 1, func() { arrivals = append(arrivals, eng.Now()) })
+		x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	}
 	eng.Run()
 	for _, a := range arrivals {

@@ -247,12 +247,8 @@ func (m *Mesh) note(queued sim.Cycle) {
 	}
 }
 
-// Send schedules deliver after the message traverses src -> dst.
-func (m *Mesh) Send(src, dst int, deliver func()) {
-	m.eng.ScheduleAt(m.admit(src, dst), deliver)
-}
-
-// SendEvent is Send for a (handler, payload) event.
+// SendEvent schedules h.Handle(p) for when the message has traversed
+// src -> dst.
 func (m *Mesh) SendEvent(src, dst int, h sim.Handler, p sim.Payload) {
 	m.eng.ScheduleEventAt(m.admit(src, dst), h, p)
 }

@@ -57,7 +57,7 @@ func TestMeshHopLatencyIsManhattan(t *testing.T) {
 			}
 			var at sim.Cycle
 			delivered := false
-			m.Send(src, dst, func() { at, delivered = eng.Now(), true })
+			m.SendEvent(src, dst, onArrival(func() { at, delivered = eng.Now(), true }), sim.Payload{})
 			now := eng.Now()
 			eng.Run()
 			if !delivered || at != now+want {
@@ -89,7 +89,7 @@ func TestMeshDeterministicOrderAtEqualArrival(t *testing.T) {
 			i := i
 			// All to the same destination with the same source router:
 			// identical delivery cycles, ordered purely by sequence.
-			m.Send(0, 1, func() { order = append(order, i) })
+			m.SendEvent(0, 1, onArrival(func() { order = append(order, i) }), sim.Payload{})
 		}
 		eng.Run()
 		return order
@@ -136,7 +136,7 @@ func TestMeshXYRandomTrafficDrains(t *testing.T) {
 		dst := int(rng.Uint64n(uint64(ports)))
 		r := &rec{src: src, dst: dst, sent: eng.Now()}
 		recs = append(recs, r)
-		m.Send(src, dst, func() { r.got = eng.Now() })
+		m.SendEvent(src, dst, onArrival(func() { r.got = eng.Now() }), sim.Payload{})
 		if i%5 == 0 {
 			eng.RunTo(eng.Now() + 1)
 		}
@@ -179,8 +179,8 @@ func TestMesh1x1EquivalentToCrossbar(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			src := int(rng.Uint64n(6))
 			dst := int(rng.Uint64n(6))
-			x.Send(src, dst, func() { xa = append(xa, engX.Now()) })
-			m.Send(src, dst, func() { ma = append(ma, engM.Now()) })
+			x.SendEvent(src, dst, onArrival(func() { xa = append(xa, engX.Now()) }), sim.Payload{})
+			m.SendEvent(src, dst, onArrival(func() { ma = append(ma, engM.Now()) }), sim.Payload{})
 			if i%7 == 0 {
 				engX.RunTo(engX.Now() + 2)
 				engM.RunTo(engM.Now() + 2)

@@ -10,8 +10,14 @@ import (
 // TestExhaustiveTwoLevel: the smallest two-level machine — two cores in
 // two single-local clusters, so every request, grant, eviction notice,
 // and invalidation crosses a hub — explores to completion with zero
-// violations for all three paper protocols.
+// violations for all three paper protocols, reaching exactly the expected
+// graph.
 func TestExhaustiveTwoLevel(t *testing.T) {
+	want := map[string]graphSize{
+		"MESI":     {54511, 78552, 59},
+		"SwiftDir": {239257, 351790, 88},
+		"S-MESI":   {61597, 87914, 53},
+	}
 	for _, p := range coherence.Policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
@@ -34,6 +40,7 @@ func TestExhaustiveTwoLevel(t *testing.T) {
 			if res.Elapsed > 120*time.Second {
 				t.Errorf("exploration took %v, over the 120s budget", res.Elapsed)
 			}
+			wantGraphSize(t, res, want[p.Name()])
 			t.Logf("%s 2x2: %d states, %d edges, %d terminal, maxdepth %d, %v",
 				res.Policy, res.States, res.Edges, res.Terminal, res.MaxDepth, res.Elapsed)
 		})
@@ -61,6 +68,7 @@ func TestExhaustiveTwoLevelMultiLocal(t *testing.T) {
 	if res.Truncated {
 		t.Fatalf("truncated at %d states: not an exhaustive run", res.States)
 	}
+	wantGraphSize(t, res, graphSize{407057, 513020, 420})
 	t.Logf("SwiftDir 4x2: %d states, %d edges, %d terminal, maxdepth %d, %v",
 		res.States, res.Edges, res.Terminal, res.MaxDepth, res.Elapsed)
 }

@@ -9,12 +9,32 @@ import (
 	"repro/internal/proto"
 )
 
+// graphSize is an exploration's exact state-graph size.
+type graphSize struct{ States, Edges, Terminal int }
+
+// wantGraphSize fails unless res explored exactly want. The sizes pin the
+// reachable state graph, so a change that claims to keep the protocols'
+// behaviour must leave them unchanged.
+func wantGraphSize(t *testing.T, res *Result, want graphSize) {
+	t.Helper()
+	if got := (graphSize{res.States, res.Edges, res.Terminal}); got != want {
+		t.Errorf("%s: explored %d states, %d edges, %d terminal; want %d, %d, %d. "+
+			"Update the expected values only for a protocol or fingerprint change that CHANGES.md names.",
+			res.Policy, got.States, got.Edges, got.Terminal, want.States, want.Edges, want.Terminal)
+	}
+}
+
 // TestExhaustiveDefault is the headline acceptance check: the full
 // interleaving space of the default configuration (2 cores, 1 line,
 // depth 4, every schedule) must be explored to completion — no
 // truncation — with zero violations, for all three paper protocols,
-// in well under a minute per policy.
+// in well under a minute per policy, reaching exactly the expected graph.
 func TestExhaustiveDefault(t *testing.T) {
+	want := map[string]graphSize{
+		"MESI":     {26489, 38710, 59},
+		"SwiftDir": {112269, 167664, 88},
+		"S-MESI":   {28633, 41554, 53},
+	}
 	for _, p := range coherence.Policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
@@ -38,6 +58,7 @@ func TestExhaustiveDefault(t *testing.T) {
 			if res.Elapsed > 60*time.Second {
 				t.Errorf("exploration took %v, over the 60s budget", res.Elapsed)
 			}
+			wantGraphSize(t, res, want[p.Name()])
 			t.Logf("%s: %d states, %d edges, %d terminal, maxdepth %d, %v",
 				res.Policy, res.States, res.Edges, res.Terminal, res.MaxDepth, res.Elapsed)
 		})

@@ -58,13 +58,13 @@ func (s L1State) String() string {
 type DirState uint8
 
 const (
-	DirI DirState = iota // no directory entry (block not LLC-resident)
-	DirP                 // present in the LLC only
-	DirS                 // one or more L1 sharers
-	DirE                 // one L1 granted Exclusive (may have silently upgraded)
-	DirM                 // one L1 known Modified
-	DirO                 // MOESI: one dirty L1 owner plus sharers; LLC stale
-	DirBusy              // blocking transaction in flight; requests queue
+	DirI    DirState = iota // no directory entry (block not LLC-resident)
+	DirP                    // present in the LLC only
+	DirS                    // one or more L1 sharers
+	DirE                    // one L1 granted Exclusive (may have silently upgraded)
+	DirM                    // one L1 known Modified
+	DirO                    // MOESI: one dirty L1 owner plus sharers; LLC stale
+	DirBusy                 // blocking transaction in flight; requests queue
 
 	NumDirStates
 )
@@ -186,19 +186,19 @@ type L1Action uint8
 const (
 	L1ActNone L1Action = iota // illegal/impossible pairs carry no action
 
-	L1ActLoadHit      // stable-state load hit: complete from the line
-	L1ActStoreHitM    // store hit on M: write in place
-	L1ActStoreHitE    // store hit on E: silent upgrade or explicit EM^A (policy)
-	L1ActStoreShared  // store on S/O/F: Upgrade round trip via SM^A
-	L1ActMiss         // no line, no MSHR: allocate and request
-	L1ActMerge        // outstanding MSHR: append to pending
-	L1ActData         // data response: install, grant, complete, unblock
-	L1ActUpgradeAck   // upgrade ack: line to M, complete the store
-	L1ActInv          // invalidation demand: drop the copy, ack
-	L1ActFwdGETS      // serve a forwarded load (line or writeback buffer)
-	L1ActFwdGETX      // surrender the block to a forwarded store
-	L1ActDowngrade    // E->S demotion after an LLC serve
-	L1ActWBAck        // eviction acknowledged: release the wb buffer entry
+	L1ActLoadHit     // stable-state load hit: complete from the line
+	L1ActStoreHitM   // store hit on M: write in place
+	L1ActStoreHitE   // store hit on E: silent upgrade or explicit EM^A (policy)
+	L1ActStoreShared // store on S/O/F: Upgrade round trip via SM^A
+	L1ActMiss        // no line, no MSHR: allocate and request
+	L1ActMerge       // outstanding MSHR: append to pending
+	L1ActData        // data response: install, grant, complete, unblock
+	L1ActUpgradeAck  // upgrade ack: line to M, complete the store
+	L1ActInv         // invalidation demand: drop the copy, ack
+	L1ActFwdGETS     // serve a forwarded load (line or writeback buffer)
+	L1ActFwdGETX     // surrender the block to a forwarded store
+	L1ActDowngrade   // E->S demotion after an LLC serve
+	L1ActWBAck       // eviction acknowledged: release the wb buffer entry
 
 	NumL1Actions
 )
