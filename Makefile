@@ -20,6 +20,8 @@
 #   make proto-verify— single-source-of-truth gate: table invariants,
 #                      differential conformance goldens, 0-alloc pins,
 #                      table-dispatch fuzz corpus, model check
+#   make bench-module— vet and short-test the separate benchmark/ module,
+#                      which calls repo APIs that `go test ./...` skips (CI)
 #   make cover       — coverage of the protocol+checker packages vs floor
 #   make staticcheck — staticcheck, skipped when the binary is absent
 
@@ -54,7 +56,7 @@ BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
 #   make benchdiff BENCHBASE=BENCH_2026-08-05.json
 BENCHBASE ?= $(lastword $(sort $(filter-out %-shards-final.json,$(wildcard BENCH_*.json))))
 
-.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate test-filters fmt-check serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
+.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate bench-module test-filters fmt-check serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
 
 check: vet test race
 
@@ -114,6 +116,12 @@ bench-gate:
 		-zeroalloc '^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute|^BenchmarkTLB|^BenchmarkGenerator' < bench.raw > /dev/null
 	@rm -f bench.raw
 	@echo "bench gate ok"
+
+# The benchmark harness is its own module (benchmark/go.mod), so the
+# repo-wide `go test ./...` never builds it; this catches a repo API change
+# that would break `bash benchmark/run.sh`.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Guard against silently empty test steps: every `go test -run '<regex>'`
 # in the CI workflow and in this Makefile must list at least one test
@@ -196,15 +204,15 @@ mcheck: build
 #      policy truth table pinning the answers each policy's features
 #      give, plus the steady-state/fast-path 0-alloc pins the refactor
 #      must not regress;
-#   3. the checker-side completeness and shared-instance tests and the
-#      4-policy transition-coverage matrix;
+#   3. the 4-policy transition-coverage matrix (the checker reads each
+#      policy's own table, so there is no second copy to compare);
 #   4. a brief run of the table-dispatch fuzzer (regression corpus runs
 #      in `make test`; this also explores new schedules);
 #   5. the exhaustive model check of all four policies (see mcheck).
 proto-verify: build
 	$(GO) test -count=1 ./internal/proto
 	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyTruthTable|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
-	$(GO) test -count=1 -run 'TestTablesComplete|TestTablesAreSharedWithDispatch|TestTransitionCoverage' ./internal/mcheck
+	$(GO) test -count=1 -run 'TestTransitionCoverage' ./internal/mcheck
 	$(GO) test -run=^$$ -fuzz=FuzzTableDispatch -fuzztime=$(FUZZTIME) ./internal/mcheck
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -artifacts '$(MCHECK_ARTIFACTS)'
 

@@ -89,21 +89,15 @@ func TestTwoLevelSharersAreClusterBits(t *testing.T) {
 	s.AccessSync(1, blockA, false, true, 0)
 	s.AccessSync(2, blockA, false, true, 0)
 	s.Quiesce()
-	v, ok := s.DirEntryOf(blockA)
-	if !ok || v.State != DirShared {
-		t.Fatalf("dir entry %+v ok=%v, want DirShared", v, ok)
+	e, ok := s.bankFor(blockA).entries[blockA]
+	if !ok || e.state != DirShared {
+		t.Fatalf("dir entry %+v ok=%v, want DirShared", e, ok)
 	}
-	if v.Sharers != 0b11 {
-		t.Fatalf("home sharer bits %#b, want clusters {0,1} = 0b11", v.Sharers)
+	if e.sharers != 0b11 {
+		t.Fatalf("home sharer bits %#b, want clusters {0,1} = 0b11", e.sharers)
 	}
-	recorded := map[int]uint64{}
-	s.ForEachHubState(func(hub int, addr cache.Addr, record uint64, pending, upReqs int) {
-		if addr == blockA {
-			recorded[hub] = record
-		}
-	})
-	if recorded[0] != 0b11 || recorded[1] != 0b01 {
-		t.Fatalf("hub records %v, want hub0=0b11 hub1=0b01", recorded)
+	if r0, r1 := s.hubs[0].record[blockA], s.hubs[1].record[blockA]; r0 != 0b11 || r1 != 0b01 {
+		t.Fatalf("hub records %#b, %#b, want hub0=0b11 hub1=0b01", r0, r1)
 	}
 	quiesceAndCheck(t, s)
 }
@@ -156,9 +150,9 @@ func TestTwoLevelHubFiltersEvictions(t *testing.T) {
 	if got := s.MsgCount(MsgPUTS); got != before {
 		t.Fatalf("non-last PUTS reached the home (count %d -> %d)", before, got)
 	}
-	v, _ := s.DirEntryOf(blockA)
-	if v.State != DirShared || v.Sharers&1 == 0 {
-		t.Fatalf("home lost cluster 0's sharer bit: %+v", v)
+	e := s.bankFor(blockA).entries[blockA]
+	if e == nil || e.state != DirShared || e.sharers&1 == 0 {
+		t.Fatalf("home lost cluster 0's sharer bit: %+v", e)
 	}
 	// Now evict it from core 0 as well: the cluster's last PUTS reaches
 	// the home and the bit clears.

@@ -37,27 +37,20 @@ func msgCarrying(op uint8) bool {
 }
 
 // handlerName renders an event handler for the dump: this system's L1s,
-// banks, and fast-path completions by role, anything else by type.
+// banks, hubs, and fast-path completions by role, anything else by type.
 func (s *System) handlerName(h sim.Handler) string {
-	switch v := h.(type) {
-	case *L1:
-		if v.sys == s {
-			return fmt.Sprintf("L1(%d)", v.ID)
-		}
-	case *bank:
-		if v.sys == s {
-			return fmt.Sprintf("bank(%d)", v.id)
-		}
-	case *System:
-		if v == s {
-			return "system"
-		}
-	case *hub:
-		if v.sys == s {
-			return fmt.Sprintf("hub(%d)", v.id)
-		}
+	id, sysID := s.handlerID(h), s.numL1+len(s.banks)
+	switch {
+	case id < 0:
+		return fmt.Sprintf("%T", h)
+	case id < s.numL1:
+		return fmt.Sprintf("L1(%d)", id)
+	case id < sysID:
+		return fmt.Sprintf("bank(%d)", id-s.numL1)
+	case id == sysID:
+		return "system"
 	}
-	return fmt.Sprintf("%T", h)
+	return fmt.Sprintf("hub(%d)", id-sysID-1)
 }
 
 // DumpState renders the structured failure diagnostic the issue's
@@ -103,32 +96,41 @@ func (s *System) DumpState() string {
 	s.Eng.ForEachPending(renderEvent)
 
 	sb.WriteString("-- directory transient transactions --\n")
-	s.ForEachBusy(func(bank int, addr cache.Addr, v TxnView) {
-		fmt.Fprintf(&sb, "  bank %d %#x: req=%s src=%s waitUnblock=%v waitWB=%v waitAcks=%d pendKind=%d queued=%d\n",
-			bank, uint64(addr), v.Req.Kind, endpoint(v.Req.Src),
-			v.WaitUnblock, v.WaitWB, v.WaitAcks, v.PendKind, len(v.Queued))
-	})
-	s.ForEachPinned(func(bank int, addr cache.Addr, n int) {
-		fmt.Fprintf(&sb, "  bank %d %#x: pinned x%d\n", bank, uint64(addr), n)
-	})
+	for _, b := range s.banks {
+		for _, addr := range sortedAddrs(b.busy) {
+			t := b.busy[addr]
+			fmt.Fprintf(&sb, "  bank %d %#x: req=%s src=%s waitUnblock=%v waitWB=%v waitAcks=%d pendKind=%d queued=%d\n",
+				b.id, uint64(addr), t.req.Kind, endpoint(t.req.Src),
+				t.waitUnblock, t.waitWB, t.waitAcks, t.pendKind, len(t.queued))
+		}
+	}
+	for _, b := range s.banks {
+		for _, addr := range sortedAddrs(b.pinned) {
+			fmt.Fprintf(&sb, "  bank %d %#x: pinned x%d\n", b.id, uint64(addr), b.pinned[addr])
+		}
+	}
 	if s.twoLevel {
 		sb.WriteString("-- hub records --\n")
-		s.ForEachHubState(func(hub int, addr cache.Addr, record uint64, pending, upReqs int) {
-			fmt.Fprintf(&sb, "  hub %d %#x: record=%#x pending=%d upReqs=%d\n",
-				hub, uint64(addr), record, pending, upReqs)
-		})
+		for _, h := range s.hubs {
+			for _, addr := range h.trackedAddrs() {
+				fmt.Fprintf(&sb, "  hub %d %#x: record=%#x pending=%d upReqs=%d\n",
+					h.id, uint64(addr), h.record[addr], h.pending[addr], h.upReqs[addr])
+			}
+		}
 	}
 
 	sb.WriteString("-- L1 MSHR / writeback state --\n")
 	for _, l1 := range s.L1s {
-		l1.ForEachMSHR(func(block cache.Addr, st Transient, wp bool, pending []Access) {
+		for _, addr := range sortedAddrs(l1.mshrs) {
+			ms := l1.mshrs[addr]
 			fmt.Fprintf(&sb, "  L1 %d MSHR %#x: %s wp=%v pending=%d\n",
-				l1.ID, uint64(block), st, wp, len(pending))
-		})
-		l1.ForEachWB(func(block cache.Addr, data uint64, dirty bool) {
+				l1.ID, uint64(addr), ms.state, ms.wp, len(ms.pending))
+		}
+		for _, addr := range sortedAddrs(l1.wb) {
+			e := l1.wb[addr]
 			fmt.Fprintf(&sb, "  L1 %d WB %#x: data=%#x dirty=%v\n",
-				l1.ID, uint64(block), data, dirty)
-		})
+				l1.ID, uint64(addr), e.data, e.dirty)
+		}
 	}
 
 	fmt.Fprintf(&sb, "-- last %d delivered messages (oldest first) --\n", msgTailN)

@@ -1,154 +1,149 @@
 package coherence
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
-// This file exposes read-only views of controller state for the model
-// checker (internal/mcheck) and for white-box tests: directory entries,
-// in-flight transactions, MSHRs, and writeback buffers. Everything here
-// is inspection-only — none of these accessors mutates protocol state —
-// and iteration is in ascending address order so the output is canonical
-// regardless of map iteration order.
+// This file is the model checker's window on the hierarchy: a canonical
+// state fingerprint and a few read-only probes. Nothing here mutates
+// protocol state, and every map is walked in ascending address order so
+// the output is independent of map iteration order.
 
-// DirEntryView is a read-only snapshot of a directory entry.
-type DirEntryView struct {
-	State     DirState
-	Owner     int
-	Sharers   uint64
-	LLCDirty  bool
-	WP        bool
-	Forwarder int
-}
-
-// TxnView is a read-only view of an in-flight directory transaction. The
-// Queued slice aliases live controller state and must not be mutated or
-// retained across engine steps.
-type TxnView struct {
-	Req         Msg
-	WaitUnblock bool
-	WaitWB      bool
-	WaitAcks    int
-	PendKind    uint8 // 0 = none; 1 = deferred store grant; 2 = deferred upgrade ack
-	PendData    uint64
-	Queued      []Msg
-}
-
-// NumBanks returns the LLC bank count.
-func (s *System) NumBanks() int { return len(s.banks) }
-
-// BankArray exposes bank i's LLC array for inspection.
-func (s *System) BankArray(i int) *cache.Array { return s.banks[i].arr }
-
-// sortedAddrs collects and sorts the keys of an address-keyed map.
-func sortedAddrs[V any](m map[cache.Addr]V) []cache.Addr {
-	addrs := make([]cache.Addr, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
+// AppendFingerprint folds the hierarchy's state into emit as a canonical
+// stream of words: everything that can change how the system behaves from
+// here on, and nothing that cannot. In order: per L1, its array (see
+// cache.Array.AppendFingerprint), MSHRs with their merged accesses, and
+// writeback buffer; then the directory entries, in-flight transactions
+// and pinned grants of every bank; the cluster hubs' records, ack
+// aggregations and up-request counts; the LLC bank arrays; the memory
+// image where it differs from the initial tokens; the DRAM timing state;
+// and the pending events as (relative deadline, handler role, payload).
+// Time enters only as deltas from now, so two states that differ only in
+// how long their histories took fingerprint identically, provided DRAM
+// refresh is off (see dram.Memory.AppendFingerprint).
+//
+// Left out: the L1s' storeSeqs, which only Seq-stamped stores fill, and
+// the hubs' faultFree ledger, which only a fault injector moves; the
+// access slots that tag-lookup events name by index (a caller that needs
+// them, like the model checker, tracks its outstanding accesses itself);
+// interconnect link state, which an ideal crossbar (zero occupancy, no
+// jitter) does not have; and statistics, tracing, free lists and lookup
+// caches, which never change behaviour.
+func (s *System) AppendFingerprint(emit func(uint64)) {
+	for _, l1 := range s.L1s {
+		emit(0x4C310000 | uint64(l1.ID)) // per-L1 separator
+		l1.arr.AppendFingerprint(emit)
+		for _, addr := range sortedAddrs(l1.mshrs) {
+			ms := l1.mshrs[addr]
+			emit(uint64(addr))
+			emit((uint64(ms.state)<<1|b2u(ms.wp))<<8 | uint64(len(ms.pending)))
+			for i := range ms.pending {
+				a := &ms.pending[i]
+				emit(b2u(a.Write)<<1 | b2u(a.WP))
+				emit(a.Value)
+			}
+		}
+		for _, addr := range sortedAddrs(l1.wb) {
+			e := l1.wb[addr]
+			emit(uint64(addr))
+			emit(e.data<<1 | b2u(e.dirty))
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
-}
 
-// DirEntryOf returns the directory entry for addr, if one exists.
-func (s *System) DirEntryOf(addr cache.Addr) (DirEntryView, bool) {
-	b := s.bankFor(addr)
-	e, ok := b.entries[addr]
-	if !ok {
-		return DirEntryView{}, false
-	}
-	return DirEntryView{
-		State: e.state, Owner: e.owner, Sharers: e.sharers,
-		LLCDirty: e.llcDirty, WP: e.wp, Forwarder: e.forwarder,
-	}, true
-}
-
-// ForEachDirEntry visits every directory entry, bank by bank, in
-// ascending address order within each bank.
-func (s *System) ForEachDirEntry(fn func(bank int, addr cache.Addr, v DirEntryView)) {
 	for _, b := range s.banks {
 		for _, addr := range sortedAddrs(b.entries) {
-			v, _ := s.DirEntryOf(addr)
-			fn(b.id, addr, v)
+			e := b.entries[addr]
+			emit(uint64(addr))
+			emit(uint64(e.state)<<32 | uint64(uint8(int8(e.owner)))<<16 |
+				uint64(uint8(int8(e.forwarder)))<<8 | b2u(e.llcDirty)<<1 | b2u(e.wp))
+			emit(e.sharers)
 		}
 	}
-}
-
-// TxnOf returns the in-flight transaction for addr, if the owning bank
-// has one.
-func (s *System) TxnOf(addr cache.Addr) (TxnView, bool) {
-	t, ok := s.bankFor(addr).busy[addr]
-	if !ok {
-		return TxnView{}, false
-	}
-	return TxnView{
-		Req: t.req, WaitUnblock: t.waitUnblock, WaitWB: t.waitWB,
-		WaitAcks: t.waitAcks, PendKind: t.pendKind, PendData: t.pendData,
-		Queued: t.queued,
-	}, true
-}
-
-// BankBusy reports whether addr's bank has an in-flight transaction for
-// it (the condition under which new requests queue).
-func (s *System) BankBusy(addr cache.Addr) bool {
-	_, ok := s.bankFor(addr).busy[addr]
-	return ok
-}
-
-// ForEachBusy visits every in-flight directory transaction, bank by bank,
-// in ascending address order within each bank.
-func (s *System) ForEachBusy(fn func(bank int, addr cache.Addr, v TxnView)) {
 	for _, b := range s.banks {
 		for _, addr := range sortedAddrs(b.busy) {
-			v, _ := s.TxnOf(addr)
-			fn(b.id, addr, v)
+			t := b.busy[addr]
+			emit(uint64(addr))
+			t.req.appendFingerprint(emit)
+			emit(uint64(t.waitAcks)<<16 | uint64(t.pendKind)<<8 |
+				b2u(t.waitUnblock)<<1 | b2u(t.waitWB))
+			emit(t.pendData)
+			emit(uint64(len(t.queued)))
+			for _, m := range t.queued {
+				m.appendFingerprint(emit)
+			}
 		}
 	}
-}
-
-// ForEachPinned visits every address with in-flight pinned grants, bank
-// by bank, in ascending address order within each bank.
-func (s *System) ForEachPinned(fn func(bank int, addr cache.Addr, n int)) {
 	for _, b := range s.banks {
 		for _, addr := range sortedAddrs(b.pinned) {
-			fn(b.id, addr, b.pinned[addr])
+			emit(uint64(addr))
+			emit(uint64(b.pinned[addr]))
 		}
 	}
-}
 
-// ForEachMemImage visits the main-memory shadow values that differ from
-// the initial image, in ascending address order. The shadow is partitioned
-// per bank (see bank.image); this merges the slices.
-func (s *System) ForEachMemImage(fn func(addr cache.Addr, v uint64)) {
-	merged := make(map[cache.Addr]uint64)
+	for _, h := range s.hubs {
+		for _, addr := range h.trackedAddrs() {
+			emit(0x4855420000000000 | uint64(h.id))
+			emit(uint64(addr))
+			emit(h.record[addr])
+			emit(uint64(h.pending[addr])<<32 | uint64(h.upReqs[addr]))
+		}
+	}
 	for _, b := range s.banks {
-		for a, v := range b.image {
-			merged[a] = v
+		b.arr.AppendFingerprint(emit)
+	}
+
+	// The image is partitioned by home bank, so the slices are disjoint.
+	var image []cache.Addr
+	for _, b := range s.banks {
+		image = appendAddrs(image, b.image)
+	}
+	slices.Sort(image)
+	for _, addr := range image {
+		emit(uint64(addr))
+		emit(s.memRead(addr))
+	}
+
+	s.Mem.AppendFingerprint(s.Eng.Now(), emit)
+
+	// The engine's tie order (insertion order for equal deadlines) decides
+	// which of two same-cycle events runs first, and ForEachPending keeps
+	// it, so iteration order is part of the fingerprint.
+	s.Eng.ForEachPending(func(rel sim.Cycle, hd sim.Handler, p sim.Payload, isClosure bool) {
+		emit(uint64(rel))
+		if isClosure {
+			// The controllers schedule no closures; mark one anyway so
+			// it at least perturbs the fingerprint.
+			emit(0xC105C105C105C105)
+			return
 		}
-	}
-	for _, addr := range sortedAddrs(merged) {
-		fn(addr, merged[addr])
-	}
+		emit(uint64(uint8(int8(s.handlerID(hd)))))
+		emit(p.A)
+		emit(p.B)
+		emit(uint64(uint32(p.X))<<32 | uint64(uint32(p.Y)))
+		emit(uint64(uint32(p.Z))<<24 | uint64(p.K)<<16 | uint64(p.F)<<8 | uint64(p.Aux))
+		emit(uint64(p.Op))
+	})
 }
 
-// MemRead returns the main-memory shadow value of addr (the initial
-// address-derived token if the block was never written back).
-func (s *System) MemRead(addr cache.Addr) uint64 { return s.memRead(addr) }
+// appendFingerprint folds every field of a message into emit.
+func (m Msg) appendFingerprint(emit func(uint64)) {
+	emit(uint64(m.Addr))
+	emit(uint64(m.Kind)<<32 | uint64(uint8(int8(m.Src)))<<24 |
+		uint64(uint8(int8(m.Requestor)))<<16 | uint64(m.Served)<<8 |
+		b2u(m.ClusterLast)<<6 |
+		b2u(m.WP)<<5 | b2u(m.Dirty)<<4 | b2u(m.FromWB)<<3 |
+		b2u(m.Excl)<<2 | b2u(m.Owned)<<1 | b2u(m.MakeForward))
+	emit(m.Data)
+}
 
-// InitialToken returns the shadow value untouched memory holds at addr —
-// the value the data-value invariant expects a never-written block to
-// read as.
-func InitialToken(addr cache.Addr) uint64 { return initialToken(addr) }
-
-// HandlerID maps an event handler belonging to this system to a stable
-// small integer: L1 i -> i, bank j -> NumL1+j, the System itself (fast
-// path completions) -> NumL1+NumBanks, hub c -> NumL1+NumBanks+1+c.
-// Handlers from other components return -1. Model checkers use it to
-// identify pending events without depending on pointer values.
-func (s *System) HandlerID(h sim.Handler) int {
+// handlerID maps an event handler of this system to a stable small
+// integer by role: L1 i -> i, bank j -> numL1+j, the System itself (fast
+// path completions) -> numL1+len(banks), hub c -> numL1+len(banks)+1+c.
+// Handlers of other components map to -1.
+func (s *System) handlerID(h sim.Handler) int {
 	switch v := h.(type) {
 	case *L1:
 		if v.sys == s {
@@ -170,47 +165,44 @@ func (s *System) HandlerID(h sim.Handler) int {
 	return -1
 }
 
-// ForEachHubState visits every cluster hub's per-block bookkeeping — the
-// exact local-holder record, outstanding invalidation-ack count, and
-// in-flight up-request count — hub by hub, in ascending address order
-// within each hub. Blocks appear once even when tracked by several maps;
-// absent counters read as zero. Flat systems have no hubs and get no
-// visits.
-func (s *System) ForEachHubState(fn func(hub int, addr cache.Addr, record uint64, pending, upReqs int)) {
-	for _, h := range s.hubs {
-		merged := make(map[cache.Addr]struct{}, len(h.record)+len(h.pending)+len(h.upReqs))
-		for a := range h.record {
-			merged[a] = struct{}{}
-		}
-		for a := range h.pending {
-			merged[a] = struct{}{}
-		}
-		for a := range h.upReqs {
-			merged[a] = struct{}{}
-		}
-		for _, addr := range sortedAddrs(merged) {
-			fn(h.id, addr, h.record[addr], h.pending[addr], h.upReqs[addr])
-		}
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// NumClusters returns the hub count (0 for a flat system).
-func (s *System) NumClusters() int { return len(s.hubs) }
-
-// ForEachMSHR visits every outstanding MSHR in ascending block order. The
-// pending slice aliases live controller state and must not be mutated or
-// retained across engine steps.
-func (l *L1) ForEachMSHR(fn func(block cache.Addr, st Transient, wp bool, pending []Access)) {
-	for _, addr := range sortedAddrs(l.mshrs) {
-		ms := l.mshrs[addr]
-		fn(addr, ms.state, ms.wp, ms.pending)
+// appendAddrs appends the keys of an address-keyed map to dst.
+func appendAddrs[V any](dst []cache.Addr, m map[cache.Addr]V) []cache.Addr {
+	for a := range m {
+		dst = append(dst, a)
 	}
+	return dst
 }
 
-// ForEachWB visits every writeback-buffer entry in ascending block order.
-func (l *L1) ForEachWB(fn func(block cache.Addr, data uint64, dirty bool)) {
-	for _, addr := range sortedAddrs(l.wb) {
-		e := l.wb[addr]
-		fn(addr, e.data, e.dirty)
-	}
+// trackedAddrs returns every block the hub's maps track, in ascending
+// order, once each; an absent counter reads as zero.
+func (h *hub) trackedAddrs() []cache.Addr {
+	addrs := appendAddrs(appendAddrs(appendAddrs(nil, h.record), h.pending), h.upReqs)
+	slices.Sort(addrs)
+	return slices.Compact(addrs)
 }
+
+// sortedAddrs returns the keys of an address-keyed map in ascending order.
+func sortedAddrs[V any](m map[cache.Addr]V) []cache.Addr {
+	addrs := appendAddrs(make([]cache.Addr, 0, len(m)), m)
+	slices.Sort(addrs)
+	return addrs
+}
+
+// BankArray exposes bank i's LLC array for inspection.
+func (s *System) BankArray(i int) *cache.Array { return s.banks[i].arr }
+
+// MemRead returns the main-memory shadow value of addr (the initial
+// address-derived token if the block was never written back).
+func (s *System) MemRead(addr cache.Addr) uint64 { return s.memRead(addr) }
+
+// InitialToken returns the shadow value untouched memory holds at addr —
+// the value the data-value invariant expects a never-written block to
+// read as.
+func InitialToken(addr cache.Addr) uint64 { return initialToken(addr) }

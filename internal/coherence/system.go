@@ -42,6 +42,24 @@ func (p PrefetchMode) String() string {
 	return fmt.Sprintf("PrefetchMode(%d)", uint8(p))
 }
 
+// MarshalText writes the mode by name, for configuration files.
+func (p PrefetchMode) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText reads a mode name; empty means off.
+func (p *PrefetchMode) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*p = PrefetchOff
+		return nil
+	}
+	for _, m := range []PrefetchMode{PrefetchOff, PrefetchNaive, PrefetchWPAware} {
+		if m.String() == string(b) {
+			*p = m
+			return nil
+		}
+	}
+	return fmt.Errorf("coherence: unknown prefetch mode %q", b)
+}
+
 // SystemConfig describes a coherent memory hierarchy.
 type SystemConfig struct {
 	NumL1     int          // number of private cache controllers

@@ -43,6 +43,24 @@ func (a CacheArch) String() string {
 	return fmt.Sprintf("CacheArch(%d)", uint8(a))
 }
 
+// MarshalText writes the architecture by name, for configuration files.
+func (a CacheArch) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText reads an architecture name; empty means VIPT.
+func (a *CacheArch) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*a = VIPT
+		return nil
+	}
+	for _, v := range []CacheArch{VIPT, PIPT, VIVT} {
+		if v.String() == string(b) {
+			*a = v
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown L1 architecture %q", b)
+}
+
 // WPAvailableAt describes where in the access pipeline the write-protected
 // information reaches the cache hierarchy for this architecture (the
 // (where, when) property of §IV-B).

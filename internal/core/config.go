@@ -21,44 +21,44 @@ import (
 // translation-timing knobs the MMU substrate needs.
 type Config struct {
 	// Processor.
-	Cores      int // 1..4 in the paper
-	FreqGHz    float64
-	ROBEntries int // out-of-order window (DerivO3CPU)
-	LQEntries  int
-	SQEntries  int
-	Width      int // superscalar width
+	Cores      int     `json:"cores"` // 1..4 in the paper
+	FreqGHz    float64 `json:"freq_ghz"`
+	ROBEntries int     `json:"rob_entries"` // out-of-order window (DerivO3CPU)
+	LQEntries  int     `json:"lq_entries"`
+	SQEntries  int     `json:"sq_entries"`
+	Width      int     `json:"width"` // superscalar width
 
 	// StoreDrainDepth bounds how many stores may have in-flight coherence
 	// transactions at once. Stores still issue in program order (TSO
 	// store->store ordering), but their completions may overlap, modeling
 	// a store buffer with ownership pipelining.
-	StoreDrainDepth int
+	StoreDrainDepth int `json:"store_drain_depth"`
 
 	// Caches.
-	L1     cache.Params // private L1 D-cache (per core)
-	L1I    cache.Params // private L1 I-cache (per core)
-	L2Bank cache.Params // one shared-L2 bank per core
+	L1     cache.Params `json:"l1d"`     // private L1 D-cache (per core)
+	L1I    cache.Params `json:"l1i"`     // private L1 I-cache (per core)
+	L2Bank cache.Params `json:"l2_bank"` // one shared-L2 bank per core
 
 	// TLBs.
-	ITLBEntries int
-	DTLBEntries int
+	ITLBEntries int `json:"itlb_entries"`
+	DTLBEntries int `json:"dtlb_entries"`
 
 	// L1Arch selects PIPT, VIPT (default), or VIVT L1 organization
 	// (§IV-B); it changes when translation latency is charged and where
 	// the R/W bit joins the access, never whether it arrives.
-	L1Arch CacheArch
+	L1Arch CacheArch `json:"l1_arch"`
 
 	// Translation timing (CPU cycles).
-	TLBHitLatency      sim.Cycle // TLB lookup (hidden under indexing on VIPT)
-	TLBMissWalkLatency sim.Cycle // page-table walk on TLB miss (fixed model)
-	PageFaultLatency   sim.Cycle // demand-paging fault service
-	CoWLatency         sim.Cycle // copy-on-write duplication
+	TLBHitLatency      sim.Cycle `json:"tlb_hit_latency"`       // TLB lookup (hidden under indexing on VIPT)
+	TLBMissWalkLatency sim.Cycle `json:"tlb_miss_walk_latency"` // page-table walk on TLB miss (fixed model)
+	PageFaultLatency   sim.Cycle `json:"page_fault_latency"`    // demand-paging fault service
+	CoWLatency         sim.Cycle `json:"cow_latency"`           // copy-on-write duplication
 
 	// WalkThroughCaches replaces the fixed TLBMissWalkLatency with a
 	// real radix walk: four dependent reads of page-table cache lines
 	// issued through the core's L1, so walk cost depends on page-table
 	// locality.
-	WalkThroughCaches bool
+	WalkThroughCaches bool `json:"walk_through_caches"`
 
 	// FastCoWWrites implements the hardware direction the paper sketches
 	// as future work (§II-B): treat a copy-on-write page fault as a write
@@ -67,15 +67,16 @@ type Config struct {
 	// critical path. Besides the speedup, this masks the write-timing
 	// channel of deduplication attacks (writing a merged page is
 	// otherwise an order of magnitude slower than writing a private one).
-	FastCoWWrites bool
+	FastCoWWrites bool `json:"fast_cow_writes"`
 
 	// WriteBufferLatency is the constant store-completion cost under
 	// FastCoWWrites.
-	WriteBufferLatency sim.Cycle
+	WriteBufferLatency sim.Cycle `json:"write_buffer_latency"`
 
-	Timing   coherence.Timing
-	Protocol coherence.Policy
-	DRAM     dram.Config
+	Timing coherence.Timing `json:"timing"`
+	// Protocol is written by name (see MarshalJSON).
+	Protocol coherence.Policy `json:"-"`
+	DRAM     dram.Config      `json:"dram"`
 
 	// Topology selects the interconnect model: "" or "crossbar" (the
 	// paper's Table V machine), or "mesh" for a 2D mesh with XY
@@ -84,14 +85,15 @@ type Config struct {
 	// W x H with W*H = Cores) unless MeshW/MeshH are set explicitly. A
 	// core's D- and I-cache controllers and its LLC bank share the core's
 	// tile; cluster hubs sit on their cluster's first tile.
-	Topology     string
-	MeshW, MeshH int
+	Topology string `json:"topology,omitempty"`
+	MeshW    int    `json:"mesh_w,omitempty"`
+	MeshH    int    `json:"mesh_h,omitempty"`
 
 	// MeshPerHop is the per-link latency added on top of Timing.Hop per
 	// Manhattan hop; MeshLinkOccupancy serializes each link at the given
 	// cycles per message (0 = infinite link bandwidth).
-	MeshPerHop        sim.Cycle
-	MeshLinkOccupancy sim.Cycle
+	MeshPerHop        sim.Cycle `json:"mesh_per_hop,omitempty"`
+	MeshLinkOccupancy sim.Cycle `json:"mesh_link_occupancy,omitempty"`
 
 	// Clusters > 1 organizes the directory hierarchically: the cores
 	// partition into Clusters contiguous clusters, each with a hub
@@ -99,30 +101,30 @@ type Config struct {
 	// tracks sharer clusters. Must divide Cores. Required beyond 32
 	// cores — the flat directory addresses at most 64 L1 controllers and
 	// each core contributes two (D and I).
-	Clusters int
+	Clusters int `json:"clusters,omitempty"`
 
 	// Prefetch selects the L1 next-line prefetcher mode (off by default;
 	// see coherence.PrefetchMode for the naive mode's security hazard).
-	Prefetch coherence.PrefetchMode
+	Prefetch coherence.PrefetchMode `json:"prefetch"`
 
 	// NoFastPath forces every access through the event engine, disabling
 	// the synchronous L1-hit fast path (see DESIGN.md §5). Semantics and
 	// statistics are identical either way; the knob exists for the
 	// fast-vs-slow equivalence tests.
-	NoFastPath bool
+	NoFastPath bool `json:"no_fast_path,omitempty"`
 
 	// Faults, if non-nil, attaches a deterministic timing-fault injector
 	// to the hierarchy (DESIGN.md §7). Runtime-only: it does not
 	// serialize with the configuration — replays reconstruct it from the
 	// bundled fault plan. Nil costs a single pointer check per hook site.
-	Faults *fault.Injector
+	Faults *fault.Injector `json:"-"`
 
 	// Watchdog, when enabled, arms the engine's liveness watchdog: if the
 	// configured event or cycle budget elapses with no architectural
 	// progress (no L1 access completion), the machine panics with a
 	// *fault.Violation carrying the full pending-event and transient-state
 	// dump. Runtime-only, like Faults.
-	Watchdog sim.WatchdogConfig
+	Watchdog sim.WatchdogConfig `json:"-"`
 
 	// Context, if it can be cancelled, arms cooperative cancellation on
 	// the machine's engine: once the context is done (from any
@@ -132,7 +134,7 @@ type Config struct {
 	// nothing. Scope it to one job and cancel it when the job ends: the
 	// machine's binding to it lives until it is done. Runtime-only, like
 	// Faults.
-	Context context.Context
+	Context context.Context `json:"-"`
 }
 
 // MeshDims returns the default near-square mesh for cores tiles:

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,6 +82,39 @@ func TestSaveLoadConfig(t *testing.T) {
 	data, _ := json.MarshalIndent(orig, "", "  ")
 	if !strings.Contains(string(data), `"S-MESI"`) {
 		t.Fatal("protocol name not in JSON")
+	}
+}
+
+// TestScaledConfigRoundTrip: a saved scaled machine loads back as the
+// same machine, mesh geometry and cluster count included (without the
+// clusters, 64 cores do not even validate).
+func TestScaledConfigRoundTrip(t *testing.T) {
+	for _, cores := range []int{16, 64} {
+		orig := DefaultScaledConfig(cores, coherence.SwiftDir)
+		path := filepath.Join(t.TempDir(), "machine.json")
+		if err := SaveConfig(path, orig); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadConfig(path)
+		if err != nil {
+			t.Fatalf("%d cores: %v", cores, err)
+		}
+		if !reflect.DeepEqual(loaded, orig) {
+			t.Errorf("%d cores: loaded\n%+v\nwant\n%+v", cores, loaded, orig)
+		}
+	}
+}
+
+// TestLegacyConfigLoads: a file written before the mesh and cluster keys
+// existed (the protocol key in the middle, every other key as today)
+// still loads as the machine it described.
+func TestLegacyConfigLoads(t *testing.T) {
+	loaded, err := LoadConfig(filepath.Join("testdata", "legacy-s-mesi-4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DefaultConfig(4, coherence.SMESI); !reflect.DeepEqual(loaded, want) {
+		t.Errorf("loaded\n%+v\nwant\n%+v", loaded, want)
 	}
 }
 

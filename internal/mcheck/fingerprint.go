@@ -3,10 +3,6 @@ package mcheck
 import (
 	"math/bits"
 	"sort"
-
-	"repro/internal/cache"
-	"repro/internal/coherence"
-	"repro/internal/sim"
 )
 
 // fp is a 128-bit state fingerprint. Two independently mixed 64-bit
@@ -32,19 +28,15 @@ func (h *fpHash) emit(v uint64) {
 func (h *fpHash) sum() fp { return fp{h.a, h.b} }
 
 // fingerprint computes the canonical fingerprint of the runner's current
-// state: everything that can influence future behaviour, and nothing
-// that cannot. Time enters only as deltas (event deadlines and DRAM
-// timestamps relative to now), so two states that differ only in how
-// long their histories took fingerprint identically. The specification's
-// own bookkeeping (outstanding accesses, legal value sets, committed
-// values, token counters) is included because it decides future checks
-// and token values.
+// state: the specification's own bookkeeping (outstanding accesses, legal
+// value sets, committed values, token counters), which decides future
+// checks and token values, followed by the hierarchy's encoding of itself
+// (System.AppendFingerprint: everything that can influence the
+// controllers' future behaviour, with time only as deltas from now).
 func (c *checker) fingerprint(r *runner) fp {
 	h := newFPHash()
 	emit := h.emit
-	now := r.sys.Eng.Now()
 
-	// Specification state.
 	emit(uint64(r.injected))
 	for core := 0; core < c.cfg.Cores; core++ {
 		emit(uint64(r.perCore[core])<<8 | uint64(len(r.out[core])))
@@ -67,114 +59,6 @@ func (c *checker) fingerprint(r *runner) fp {
 		emit(v)
 	}
 
-	// L1 controllers: array (tags, states, data, replacement order),
-	// MSHRs with their merged accesses, writeback buffers.
-	for id := range r.sys.L1s {
-		l1 := r.sys.L1s[id]
-		emit(0x4C310000 | uint64(id)) // per-L1 separator
-		l1.Array().AppendFingerprint(emit)
-		l1.ForEachMSHR(func(block cache.Addr, st coherence.Transient, wp bool, pending []coherence.Access) {
-			w := uint64(st)<<1 | b2u(wp)
-			emit(uint64(block))
-			emit(w<<8 | uint64(len(pending)))
-			for i := range pending {
-				emit(b2u(pending[i].Write)<<1 | b2u(pending[i].WP))
-				emit(pending[i].Value)
-			}
-		})
-		l1.ForEachWB(func(block cache.Addr, data uint64, dirty bool) {
-			emit(uint64(block))
-			emit(data<<1 | b2u(dirty))
-		})
-	}
-
-	// Directory + LLC: entries, in-flight transactions (request, waits,
-	// deferred grants, queued requests), pinned grants, bank arrays.
-	r.sys.ForEachDirEntry(func(bank int, addr cache.Addr, v coherence.DirEntryView) {
-		emit(uint64(addr))
-		emit(uint64(v.State)<<32 | uint64(uint8(int8(v.Owner)))<<16 |
-			uint64(uint8(int8(v.Forwarder)))<<8 | b2u(v.LLCDirty)<<1 | b2u(v.WP))
-		emit(v.Sharers)
-	})
-	r.sys.ForEachBusy(func(bank int, addr cache.Addr, v coherence.TxnView) {
-		emit(uint64(addr))
-		emitMsg(emit, v.Req)
-		emit(uint64(v.WaitAcks)<<16 | uint64(v.PendKind)<<8 |
-			b2u(v.WaitUnblock)<<1 | b2u(v.WaitWB))
-		emit(v.PendData)
-		emit(uint64(len(v.Queued)))
-		for _, m := range v.Queued {
-			emitMsg(emit, m)
-		}
-	})
-	r.sys.ForEachPinned(func(bank int, addr cache.Addr, n int) {
-		emit(uint64(addr))
-		emit(uint64(n))
-	})
-
-	// Cluster hubs (two-level configurations only): exact local records,
-	// outstanding ack aggregations, in-flight up-request counts. All of
-	// it decides future filtering and acking behaviour.
-	r.sys.ForEachHubState(func(hub int, addr cache.Addr, record uint64, pending, upReqs int) {
-		emit(0x4855420000000000 | uint64(hub))
-		emit(uint64(addr))
-		emit(record)
-		emit(uint64(pending)<<32 | uint64(upReqs))
-	})
-	for i := 0; i < r.sys.NumBanks(); i++ {
-		r.sys.BankArray(i).AppendFingerprint(emit)
-	}
-
-	// Main-memory shadow image (only blocks that diverged from the
-	// address-derived initial tokens).
-	r.sys.ForEachMemImage(func(addr cache.Addr, v uint64) {
-		emit(uint64(addr))
-		emit(v)
-	})
-
-	// DRAM timing state, time-relative (refresh is disabled in mcheck
-	// configurations, so this is translation-invariant).
-	r.sys.Mem.AppendFingerprint(now, emit)
-
-	// Pending events: relative deadline, destination handler, payload.
-	// The engine's tie order (insertion order for equal deadlines) is
-	// behaviourally significant and is preserved by ForEachPending, so
-	// emitting in iteration order distinguishes states that would
-	// execute the same events differently.
-	r.sys.Eng.ForEachPending(func(rel sim.Cycle, hd sim.Handler, p sim.Payload, isClosure bool) {
-		emit(uint64(rel))
-		if isClosure {
-			// mcheck configurations schedule no closures (every timed
-			// action is a payload event); mark defensively if one
-			// appears so it at least perturbs the fingerprint.
-			emit(0xC105C105C105C105)
-			return
-		}
-		emit(uint64(uint8(int8(r.sys.HandlerID(hd)))))
-		emit(p.A)
-		emit(p.B)
-		emit(uint64(uint32(p.X))<<32 | uint64(uint32(p.Y)))
-		emit(uint64(uint32(p.Z))<<24 | uint64(p.K)<<16 | uint64(p.F)<<8 | uint64(p.Aux))
-		emit(uint64(p.Op))
-	})
-
+	r.sys.AppendFingerprint(emit)
 	return h.sum()
-}
-
-// emitMsg folds every field of a message into the fingerprint.
-func emitMsg(emit func(uint64), m coherence.Msg) {
-	emit(uint64(m.Addr))
-	emit(uint64(m.Kind)<<32 | uint64(uint8(int8(m.Src)))<<24 |
-		uint64(uint8(int8(m.Requestor)))<<16 | uint64(m.Served)<<8 |
-		b2u(m.ClusterLast)<<6 |
-		b2u(m.WP)<<5 | b2u(m.Dirty)<<4 | b2u(m.FromWB)<<3 |
-		b2u(m.Excl)<<2 | b2u(m.Owned)<<1 | b2u(m.MakeForward))
-	emit(m.Data)
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

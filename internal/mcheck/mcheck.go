@@ -17,18 +17,21 @@
 //     internal/proto table the controllers dispatch from (the paper's
 //     Tables I-III, extended with the race transitions the real blocking
 //     directory exhibits) — and after each dispatch the receiver's state
-//     must be inside that table cell's next-state mask. The relation
-//     doubles as a coverage report.
+//     must be inside that table cell's next-state mask. The checker reads
+//     the cells straight from the policy's table and records the ones
+//     it observed in arrays indexed like it (Cells), which double as a
+//     coverage report.
 //
 // The checker explores by replay: the deterministic engine makes an
 // action sequence a complete description of a state, so a BFS node is
 // just a parent pointer and one action. States are deduplicated by a
-// canonical 128-bit fingerprint that includes all behaviorally relevant
-// state (arrays, MSHRs, directory entries, in-flight transactions,
-// pending events with time-relative deadlines, and the specification's
-// own bookkeeping). On a violation the BFS order guarantees a
-// minimal-length counterexample, which is replayed with a Tracer attached
-// to render the full message transcript.
+// canonical 128-bit fingerprint of the specification's own bookkeeping
+// followed by the hierarchy's encoding of itself
+// (coherence.System.AppendFingerprint: arrays, MSHRs, directory entries,
+// in-flight transactions, pending events with time-relative deadlines,
+// and the rest of its behaviourally relevant state). On a violation the
+// BFS order guarantees a minimal-length counterexample, which is replayed
+// with a Tracer attached to render the full message transcript.
 package mcheck
 
 import (
@@ -38,6 +41,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/dram"
+	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
@@ -138,6 +142,17 @@ func (c *Config) fill() error {
 	if c.Depth < 1 || c.Depth > 32 {
 		return fmt.Errorf("mcheck: Depth %d out of range [1,32]", c.Depth)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MaxOutstanding", c.MaxOutstanding}, {"L1Blocks", c.L1Blocks},
+		{"LLCBlocks", c.LLCBlocks}, {"MaxStates", c.MaxStates},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("mcheck: %s %d must be at least 1", f.name, f.v)
+		}
+	}
 	for _, in := range c.Prelude {
 		if in.Core < 0 || in.Core >= c.Cores || in.Line < 0 || in.Line >= c.Lines {
 			return fmt.Errorf("mcheck: prelude access %+v out of range", in)
@@ -213,10 +228,11 @@ type Result struct {
 	// invariant (within the explored bound).
 	Violation *Counterexample
 
-	// Observed is every (state, event) pair the controllers exhibited.
-	Observed map[Pair]bool
-	// Table is the transition relation checked against.
-	Table *Table
+	// Observed is every (state, event) cell the controllers exhibited.
+	Observed Cells
+	// Table is the transition relation checked against: the policy's
+	// own, the one its controllers dispatch from.
+	Table *proto.Table
 
 	Elapsed time.Duration
 }
@@ -227,10 +243,11 @@ type Result struct {
 // the run ended early on a violation).
 func (r *Result) Coverage() *stats.Coverage {
 	cov := &stats.Coverage{Name: fmt.Sprintf("%s transition coverage", r.Policy)}
-	for _, p := range r.Table.Pairs() {
+	defined := definedCells(r.Table)
+	for _, p := range defined.Pairs() {
 		cov.Declare(p.String())
 	}
-	for p := range r.Observed {
+	for _, p := range r.Observed.Pairs() {
 		cov.Hit(p.String())
 	}
 	return cov
@@ -248,7 +265,7 @@ func Run(cfg Config) (*Result, error) {
 	res := c.explore()
 	res.Policy = cfg.Policy.Name()
 	res.Observed = c.observed
-	res.Table = c.table
+	res.Table = cfg.Policy.Table()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -256,11 +273,9 @@ func Run(cfg Config) (*Result, error) {
 // newChecker prepares the exploration of a filled configuration.
 func newChecker(cfg Config) *checker {
 	c := &checker{
-		cfg:      cfg,
-		sysCfg:   cfg.sysConfig(),
-		table:    TableFor(cfg.Policy),
-		observed: make(map[Pair]bool),
-		ops:      []Op{OpLoad, OpStore},
+		cfg:    cfg,
+		sysCfg: cfg.sysConfig(),
+		ops:    []Op{OpLoad, OpStore},
 	}
 	if cfg.wpEnabled() {
 		c.ops = append(c.ops, OpLoadWP)

@@ -1,6 +1,8 @@
 package mcheck
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -27,15 +29,18 @@ func wantGraphSize(t *testing.T, res *Result, want graphSize) {
 // TestExhaustiveDefault is the headline acceptance check: the full
 // interleaving space of the default configuration (2 cores, 1 line,
 // depth 4, every schedule) must be explored to completion — no
-// truncation — with zero violations, for all three paper protocols,
-// in well under a minute per policy, reaching exactly the expected graph.
+// truncation — with zero violations, for the three paper protocols and
+// Phase-Priority (the policies `make mcheck` checks), in well under a
+// minute per policy, reaching exactly the expected graph and printing
+// exactly the golden coverage report.
 func TestExhaustiveDefault(t *testing.T) {
 	want := map[string]graphSize{
-		"MESI":     {26489, 38710, 59},
-		"SwiftDir": {112269, 167664, 88},
-		"S-MESI":   {28633, 41554, 53},
+		"MESI":           {26489, 38710, 59},
+		"SwiftDir":       {112269, 167664, 88},
+		"S-MESI":         {28633, 41554, 53},
+		"Phase-Priority": {26489, 38710, 59},
 	}
-	for _, p := range coherence.Policies {
+	for _, p := range coveragePolicies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			res, err := Run(Config{Policy: p})
@@ -59,6 +64,14 @@ func TestExhaustiveDefault(t *testing.T) {
 				t.Errorf("exploration took %v, over the 60s budget", res.Elapsed)
 			}
 			wantGraphSize(t, res, want[p.Name()])
+			golden := filepath.Join("testdata", "coverage", p.Name()+".txt")
+			wantCov, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Coverage().String(); got != string(wantCov) {
+				t.Errorf("coverage report differs from %s:\n got:\n%s\nwant:\n%s", golden, got, wantCov)
+			}
 			t.Logf("%s: %d states, %d edges, %d terminal, maxdepth %d, %v",
 				res.Policy, res.States, res.Edges, res.Terminal, res.MaxDepth, res.Elapsed)
 		})
@@ -82,13 +95,8 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("two runs diverged: %d/%d/%d vs %d/%d/%d states/edges/terminal",
 			a.States, a.Edges, a.Terminal, b.States, b.Edges, b.Terminal)
 	}
-	if len(a.Observed) != len(b.Observed) {
-		t.Fatalf("observed pair sets differ: %d vs %d", len(a.Observed), len(b.Observed))
-	}
-	for p := range a.Observed {
-		if !b.Observed[p] {
-			t.Errorf("pair %s observed in run A only", p)
-		}
+	if a.Observed != b.Observed {
+		t.Fatalf("observed cells differ:\nA: %v\nB: %v", a.Observed.Pairs(), b.Observed.Pairs())
 	}
 }
 
@@ -174,6 +182,10 @@ func TestConfigValidation(t *testing.T) {
 		{"cores", Config{Policy: coherence.MESI, Cores: 9}, "Cores"},
 		{"lines", Config{Policy: coherence.MESI, Lines: 99}, "Lines"},
 		{"depth", Config{Policy: coherence.MESI, Depth: 64}, "Depth"},
+		{"outstanding", Config{Policy: coherence.MESI, MaxOutstanding: -1}, "MaxOutstanding"},
+		{"maxstates", Config{Policy: coherence.MESI, MaxStates: -1}, "MaxStates"},
+		{"l1 blocks", Config{Policy: coherence.MESI, L1Blocks: -1}, "L1Blocks"},
+		{"llc blocks", Config{Policy: coherence.MESI, LLCBlocks: -1}, "LLCBlocks"},
 		{"prelude core", Config{Policy: coherence.MESI,
 			Prelude: []Inject{{Core: 5, Op: OpLoad}}}, "prelude"},
 		{"prelude line", Config{Policy: coherence.MESI,

@@ -44,8 +44,7 @@ type runner struct {
 	perCore   []int        // per core: accesses injected so far (token stream)
 	injected  int
 
-	table    *Table
-	observed map[Pair]bool // shared across runners
+	observed *Cells // shared across runners
 
 	vio *Violation // first violation raised
 }
@@ -65,8 +64,7 @@ func (c *checker) newRunner() *runner {
 		committed: make([]uint64, c.cfg.Lines),
 		out:       make([][]*pendAcc, c.cfg.Cores),
 		perCore:   make([]int, c.cfg.Cores),
-		table:     c.table,
-		observed:  c.observed,
+		observed:  &c.observed,
 	}
 	for i := range r.addrs {
 		r.addrs[i] = cache.Addr(i * blockBytes)
@@ -200,37 +198,43 @@ func fmtTokens(set map[uint64]bool) string {
 }
 
 // observe is the System.Observe hook, fired after every dispatch: it
-// records the receiver's pre-dispatch (state, event) pair, checks it for
-// membership in the Defined relation, and checks the post-dispatch state
-// against the table cell's next-state mask. An Illegal or Impossible pair
-// never reaches the hook: dispatch raises a protocol violation first.
+// records the receiver's pre-dispatch (state, event) cell, checks that the
+// policy's table defines it, and checks the post-dispatch state against
+// the cell's next-state mask. The table is the one the controllers
+// dispatch from. An Illegal or Impossible cell never reaches the hook:
+// dispatch raises a protocol violation first.
 func (r *runner) observe(t coherence.Transition) {
-	pt := r.table.Proto
+	tab := r.cfg.Policy.Table()
 	if t.Ctrl == coherence.DirID {
 		pre, post := proto.DirState(t.Pre), proto.DirState(t.Post)
-		r.record(Pair{CtrlDir, pre.String(), t.Ev.String()})
-		if !proto.HasDir(pt.Dir[pre][t.Ev].Next, post) {
+		r.observed.Dir[pre][t.Ev] = true
+		cell := &tab.Dir[pre][t.Ev]
+		if cell.Class != proto.Defined {
+			r.unexpected(Pair{CtrlDir, pre.String(), t.Ev.String()}, tab.Policy)
+		}
+		if !proto.HasDir(cell.Next, post) {
 			r.fail("next-state", fmt.Sprintf(
 				"Dir[%s] <- %s dispatched to %s, outside the %s next-state mask",
-				pre, t.Ev, post, r.table.Policy))
+				pre, t.Ev, post, tab.Policy))
 		}
 		return
 	}
 	pre, post := proto.L1State(t.Pre), proto.L1State(t.Post)
-	r.record(Pair{CtrlL1, pre.String(), t.Ev.String()})
-	if !proto.HasL1(pt.L1[pre][t.Ev].Next, post) {
+	r.observed.L1[pre][t.Ev] = true
+	cell := &tab.L1[pre][t.Ev]
+	if cell.Class != proto.Defined {
+		r.unexpected(Pair{CtrlL1, pre.String(), t.Ev.String()}, tab.Policy)
+	}
+	if !proto.HasL1(cell.Next, post) {
 		r.fail("next-state", fmt.Sprintf(
 			"L1(%d)[%s] <- %s dispatched to %s, outside the %s next-state mask",
-			t.Ctrl, pre, t.Ev, post, r.table.Policy))
+			t.Ctrl, pre, t.Ev, post, tab.Policy))
 	}
 }
 
-func (r *runner) record(p Pair) {
-	r.observed[p] = true
-	if !r.table.Allowed[p] {
-		r.fail("unexpected-transition", fmt.Sprintf(
-			"%s not in the %s transition relation", p, r.table.Policy))
-	}
+func (r *runner) unexpected(p Pair, policy string) {
+	r.fail("unexpected-transition", fmt.Sprintf(
+		"%s not in the %s transition relation", p, policy))
 }
 
 // checkState runs the per-state invariants after an action.
@@ -340,28 +344,29 @@ func (r *runner) checkQuiescent() {
 				return
 			}
 		}
-		if e, ok := r.sys.DirEntryOf(addr); ok {
-			// With no L1 writer (DirP/DirS) the LLC copy must be
-			// current; under DirE/DirM/DirO a dirty L1 copy may have
-			// left it stale, which the checks above already cover.
-			if e.State == coherence.DirPresent || e.State == coherence.DirShared {
-				ln := r.sys.BankArray(0).Lookup(addr)
-				if ln == nil {
-					r.fail("invariant", fmt.Sprintf(
-						"quiescent: x%d has a directory entry but no LLC line", li))
-					return
-				}
-				if ln.Data != want {
-					r.fail("data-value", fmt.Sprintf(
-						"quiescent: LLC holds x%d=%#x, committed %#x",
-						li, ln.Data, want))
-					return
-				}
+		// With no L1 writer (DirP/DirS) the LLC copy must be current;
+		// under DirE/DirM/DirO a dirty L1 copy may have left it stale,
+		// which the checks above already cover. DirI means no entry.
+		switch r.sys.DirStateOf(addr) {
+		case coherence.DirPresent, coherence.DirShared:
+			ln := r.sys.BankArray(0).Lookup(addr)
+			if ln == nil {
+				r.fail("invariant", fmt.Sprintf(
+					"quiescent: x%d has a directory entry but no LLC line", li))
+				return
 			}
-		} else if got := r.sys.MemRead(addr); got != want {
-			r.fail("data-value", fmt.Sprintf(
-				"quiescent: memory holds x%d=%#x, committed %#x", li, got, want))
-			return
+			if ln.Data != want {
+				r.fail("data-value", fmt.Sprintf(
+					"quiescent: LLC holds x%d=%#x, committed %#x",
+					li, ln.Data, want))
+				return
+			}
+		case coherence.DirInvalid:
+			if got := r.sys.MemRead(addr); got != want {
+				r.fail("data-value", fmt.Sprintf(
+					"quiescent: memory holds x%d=%#x, committed %#x", li, got, want))
+				return
+			}
 		}
 	}
 }

@@ -155,5 +155,13 @@ func TestLegacyShardedBundleReplays(t *testing.T) {
 	if cfg.Cores != 64 || cfg.Protocol != coherence.SwiftDir {
 		t.Errorf("legacy config decoded %d cores of %v, want 64 of SwiftDir", cfg.Cores, cfg.Protocol)
 	}
+	// The bundle must describe the machine that failed: the scaled mesh
+	// with its two-level directory, loadable as it stands.
+	if cfg.Topology != "mesh" || cfg.Clusters != 8 {
+		t.Errorf("config.json describes topology %q with %d clusters, want the mesh with 8", cfg.Topology, cfg.Clusters)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("config.json does not validate: %v", err)
+	}
 	checkReplay(t, bundle, recorded)
 }
