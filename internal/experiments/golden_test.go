@@ -13,12 +13,17 @@ import (
 	"repro/internal/workload"
 )
 
-// goldenCases is the 16-experiment grid whose rendered reports are pinned
-// byte-for-byte across substrate rewrites. The cases and parameters mirror
-// TestParallelReportsMatchSequential; the hashes in testdata/golden_reports
-// were captured on the container/heap engine before the pooled rewrite, so
-// a passing run proves the calendar queue and the free lists preserve the
-// exact event interleaving (same seeds, one worker).
+// goldenCases is the experiment grid whose rendered reports are pinned
+// byte-for-byte across substrate rewrites. The first 16 cases and their
+// parameters mirror TestParallelReportsMatchSequential; their hashes in
+// testdata/golden_reports were captured on the container/heap engine
+// before the pooled rewrite, so a passing run proves the calendar queue
+// and the free lists preserve the exact event interleaving (same seeds,
+// one worker). The last three pin the reports that exercise interconnect
+// features the 16 do not: socket distance (numa), port occupancy
+// (fig6jitter) and mesh routing beside crossbar rows (scale); their
+// hashes were captured on the separate crossbar model before it became
+// the one-router mesh.
 var goldenCases = []struct {
 	name  string
 	heavy bool // skipped under -short
@@ -40,6 +45,9 @@ var goldenCases = []struct {
 	{"moesi", false, func(ctx context.Context) string { return MOESIStudy(ctx, 32, 1) }},
 	{"snoop", false, func(ctx context.Context) string { return SnoopStudy(ctx, 32) }},
 	{"kernels", false, func(ctx context.Context) string { return KernelStudy(ctx, 64) }},
+	{"numa", false, func(context.Context) string { return NUMA() }},
+	{"fig6jitter", false, func(ctx context.Context) string { return Fig6Jitter(ctx, 64).Rendered }},
+	{"scale", false, func(ctx context.Context) string { return Scale(ctx) }},
 }
 
 const goldenPath = "testdata/golden_reports.json"
