@@ -21,6 +21,7 @@ func TestExitCodes(t *testing.T) {
 		{"truncated", []string{"-policy", "MESI", "-maxstates", "10"}, 1, "TRUNCATED"},
 		{"no accesses", []string{"-policy", "MESI", "-outstanding", "-1"}, 2, "MaxOutstanding"},
 		{"negative cap", []string{"-policy", "MESI", "-maxstates", "-1"}, 2, "MaxStates"},
+		{"negative clusters", []string{"-policy", "MESI", "-clusters", "-1", "-depth", "1"}, 2, "Clusters"},
 		{"unknown policy", []string{"-policy", "NOPE"}, 2, `unknown policy "NOPE"`},
 		{"bad flag", []string{"-nosuchflag"}, 2, "nosuchflag"},
 	} {

@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
 // The validation campaign: every protocol crossed with every hierarchy
 // feature (prefetch modes, NUMA distances, link contention, timing
 // jitter), under sustained random conflicting traffic, with the full
-// invariant suite at quiescence. Skipped in -short mode.
+// invariant suite at quiescence. NUMA distance is a 2x1 mesh, one router
+// per socket; jitter is a fault plan that spikes every message (on the
+// crossbar, its endpoint ports; on the mesh, each link it crosses).
+// Skipped in -short mode.
 
 type campaignAxis struct {
 	name string
@@ -23,22 +27,14 @@ func campaignAxes() []campaignAxis {
 		{"plain", func(c *SystemConfig) {}},
 		{"prefetch-naive", func(c *SystemConfig) { c.Prefetch = PrefetchNaive }},
 		{"prefetch-aware", func(c *SystemConfig) { c.Prefetch = PrefetchWPAware }},
-		{"numa", func(c *SystemConfig) {
-			c.Timing.SocketCores = 2
-			c.Timing.CrossSocketExtra = 30
-		}},
+		{"numa", func(c *SystemConfig) { twoSockets(c, 30) }},
 		{"contended", func(c *SystemConfig) { c.Timing.LinkOccupancy = 2 }},
-		{"jitter", func(c *SystemConfig) {
-			c.Timing.JitterMax = 5
-			c.Timing.JitterSeed = 7
-		}},
+		{"jitter", func(c *SystemConfig) { c.Faults = jitter(fault.Plan{Seed: 7, LinkSpikeProb: 1, LinkSpikeMax: 5}) }},
 		{"everything", func(c *SystemConfig) {
 			c.Prefetch = PrefetchWPAware
-			c.Timing.SocketCores = 2
-			c.Timing.CrossSocketExtra = 30
+			twoSockets(c, 30)
 			c.Timing.LinkOccupancy = 1
-			c.Timing.JitterMax = 3
-			c.Timing.JitterSeed = 11
+			c.Faults = jitter(fault.Plan{Seed: 11, MeshSpikeProb: 1, MeshSpikeMax: 3})
 		}},
 	}
 }

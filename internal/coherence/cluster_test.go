@@ -41,7 +41,7 @@ func TestClusterConfigValidation(t *testing.T) {
 	reject("MOESI with clusters", func(c *SystemConfig) { c.Policy = MOESI })
 	reject("MESIF with clusters", func(c *SystemConfig) { c.Policy = MESIF })
 	reject("arbitrating policy with clusters", func(c *SystemConfig) { c.Policy = PhasePriority })
-	reject("NUMA distance with clusters", func(c *SystemConfig) { c.Timing.SocketCores = 2 })
+	reject("negative cluster count", func(c *SystemConfig) { c.Clusters = -1 })
 }
 
 // Two-level basic protocol behaviour: the cluster hierarchy must preserve
@@ -266,23 +266,6 @@ func meshClusterConfig(p Policy, cores, clusters, w, h int) SystemConfig {
 	cfg.MeshW, cfg.MeshH = w, h
 	cfg.MeshPerHop = 2
 	return cfg
-}
-
-// A 1x1 mesh is a crossbar: the full system fingerprint — cycle, events,
-// message counts, stats, memory image, every access result — must be
-// byte-identical between the two topologies.
-func TestSystemMesh1x1MatchesCrossbar(t *testing.T) {
-	for _, p := range Policies {
-		flat := testConfig(p, 4)
-		flat.Banks = 8
-		mesh := flat
-		mesh.Topology = "mesh"
-		mesh.MeshW, mesh.MeshH = 1, 1
-		mesh.MeshPerHop = 5 // irrelevant at distance 0
-		want := runConcurrentWorkload(t, flat, 777, 150)
-		got := runConcurrentWorkload(t, mesh, 777, 150)
-		checkFingerprintsEqual(t, want, got, p.Name()+"/mesh1x1")
-	}
 }
 
 // The same stress workload on a two-level machine over a 4x2 mesh.

@@ -121,15 +121,6 @@ func TestFastPathDeclines(t *testing.T) {
 		}
 	})
 
-	t.Run("record hook", func(t *testing.T) {
-		s := mk(nil)
-		warmTo(s, 0, blockA, true)
-		s.Record = func(int, AccessResult) {}
-		if _, ok := s.TryFastAccess(0, Access{Addr: blockA}); ok {
-			t.Fatal("fast path fired with a Record hook installed")
-		}
-	})
-
 	t.Run("extra latency", func(t *testing.T) {
 		s := mk(nil)
 		warmTo(s, 0, blockA, true)

@@ -192,3 +192,51 @@ func TestNilPlanInjectorIsTransparent(t *testing.T) {
 		t.Fatalf("zero plan changed event count: %d vs %d", inj.Eng.Executed(), base.Eng.Executed())
 	}
 }
+
+// A message a hub parks for an injected busy window stays the hub's
+// event: the dump names it hub(c) and the fingerprint gives it hub c's
+// role, so parked messages at different hubs are told apart. A storm that
+// never closes delays each message once, so the system still drains.
+func TestParkedHubMessageKeepsItsHub(t *testing.T) {
+	cfg := clusterTestConfig(MESI, 8, 4)
+	inj := fault.MustNewInjector(fault.Plan{
+		Name: "hub-storm", Seed: 1, HubBusyMax: 50, HubStorms: []fault.Window{{Start: 0}},
+	})
+	cfg.Faults = inj
+	s := MustNewSystem(cfg)
+	// Core 6 lives in cluster 3: its GETS is parked at hub 3.
+	s.Submit(6, Access{Addr: blockA})
+	for s.Eng.Step() && inj.Stats.HubFaults == 0 {
+	}
+	parked := 0
+	s.Eng.ForEachPending(func(_ sim.Cycle, h sim.Handler, p sim.Payload, _ bool) {
+		if p.Op != opHubUp {
+			return
+		}
+		parked++
+		if got, want := s.handlerID(h), s.handlerID(s.hubs[3]); got != want {
+			t.Errorf("parked HubUp has handler role %d, want hub 3's %d", got, want)
+		}
+	})
+	if parked != 1 {
+		t.Fatalf("%d pending HubUp events, want the one parked message", parked)
+	}
+	dump := s.DumpState()
+	found := false
+	for _, line := range strings.Split(dump, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[2] == "HubUp" {
+			found = true
+			if f[1] != "hub(3)" {
+				t.Errorf("parked message rendered as %q, want hub(3):\n%s", f[1], line)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("dump lists no pending HubUp:\n%s", dump)
+	}
+	s.Eng.RunBounded(1_000_000)
+	if n := s.Eng.Pending(); n != 0 {
+		t.Fatalf("%d events still pending under a never-closing hub storm", n)
+	}
+	quiesceAndCheck(t, s)
+}

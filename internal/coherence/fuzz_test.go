@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -13,11 +14,20 @@ import (
 // Any protocol state machine that silently relies on exact message timing
 // surfaces here as an invariant violation, a value error, or a panic.
 
+// jitter builds a timing-fuzz injector for plan. A spike probability of 1
+// perturbs every message: LinkSpikeProb holds the crossbar's endpoint
+// ports 1..LinkSpikeMax cycles longer, MeshSpikeProb each mesh link the
+// message crosses. The port and link bookkeeping keeps FIFO order, so
+// each port pair's deliveries stay in send order.
+func jitter(plan fault.Plan) *fault.Injector {
+	plan.Name = "jitter"
+	return fault.MustNewInjector(plan)
+}
+
 func fuzzTimingConfig(p Policy, seed uint64) SystemConfig {
 	cfg := testConfig(p, 4)
 	cfg.LLCParams = cache.Params{Name: "LLC", SizeBytes: 4 << 10, Ways: 4, BlockSize: 64}
-	cfg.Timing.JitterMax = 7
-	cfg.Timing.JitterSeed = seed
+	cfg.Faults = jitter(fault.Plan{Seed: seed, LinkSpikeProb: 1, LinkSpikeMax: 7})
 	return cfg
 }
 
@@ -43,6 +53,9 @@ func TestTimingFuzzAllProtocols(t *testing.T) {
 				s.Eng.RunBounded(80_000_000)
 				if completed != n {
 					t.Fatalf("seed %d: completed %d/%d", seed, completed, n)
+				}
+				if s.faults.Stats.LinkFaults == 0 {
+					t.Fatalf("seed %d: no message was jittered", seed)
 				}
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)

@@ -48,10 +48,6 @@ type hub struct {
 	// conservative (see the type comment).
 	upReqs map[cache.Addr]int
 
-	// direct re-enters dispatch after an injected busy window without
-	// consulting the injector again (see Handle).
-	direct hubDirect
-
 	// faultFree is the injected-busy-window release ledger: no message may
 	// dispatch before it. Serializing delayed messages behind it keeps the
 	// hub's input FIFO — a message that drew no delay cannot overtake an
@@ -59,14 +55,6 @@ type hub struct {
 	// against its own follow-up request and break the blocking protocol.
 	faultFree sim.Cycle
 }
-
-// hubDirect is the hub's second handler identity: a delayed message is
-// rescheduled onto it so the busy-window roll happens exactly once per
-// message — a never-closing storm window must delay each message once,
-// not orbit it forever.
-type hubDirect struct{ h *hub }
-
-func (d *hubDirect) Handle(p sim.Payload) { d.h.dispatch(p) }
 
 func newHub(id int, sys *System) *hub {
 	h := &hub{
@@ -77,7 +65,6 @@ func newHub(id int, sys *System) *hub {
 		pending: make(map[cache.Addr]int),
 		upReqs:  make(map[cache.Addr]int),
 	}
-	h.direct = hubDirect{h: h}
 	return h
 }
 
@@ -92,18 +79,23 @@ func (h *hub) port() int { return h.sys.hubPort(h.id) }
 
 // Handle dispatches the hub's payload events (see the op constants in
 // message.go). With a fault injector attached, each message first rolls
-// the hub busy-window class: a nonzero draw parks the message until the
-// hub is free again and re-enters through the direct handler, modeling a
-// transiently busy hub that queues its input. The faultFree ledger makes
-// the delay FIFO-preserving: later messages — even ones drawing no delay
-// of their own — release no earlier than everything parked before them,
-// and the engine's (cycle, insertion-order) tie-break keeps same-cycle
-// releases in arrival order. That matters for correctness, not just
-// fidelity: a cluster's request overtaking its own earlier writeback
-// through the hub would present the home directory with an owner
-// re-requesting a block it still holds.
+// the hub busy-window class: a nonzero draw parks the message, marked
+// pfHubParked, until the hub is free again, modeling a transiently busy
+// hub that queues its input. A parked message re-enters Handle without
+// rolling again, and the mark is cleared before dispatch, so the roll
+// happens exactly once per message — a never-closing storm window must
+// delay each message once, not orbit it forever. The faultFree ledger
+// makes the delay FIFO-preserving: later messages — even ones drawing no
+// delay of their own — release no earlier than everything parked before
+// them, and the engine's (cycle, insertion-order) tie-break keeps
+// same-cycle releases in arrival order. That matters for correctness,
+// not just fidelity: a cluster's request overtaking its own earlier
+// writeback through the hub would present the home directory with an
+// owner re-requesting a block it still holds.
 func (h *hub) Handle(p sim.Payload) {
-	if f := h.sys.faults; f != nil {
+	if p.F&pfHubParked != 0 {
+		p.F &^= pfHubParked
+	} else if f := h.sys.faults; f != nil {
 		now := h.engine.Now()
 		release := now + f.HubDelay(h.id, now)
 		if release < h.faultFree {
@@ -111,14 +103,11 @@ func (h *hub) Handle(p sim.Payload) {
 		}
 		if release > now {
 			h.faultFree = release
-			h.engine.ScheduleEvent(release-now, &h.direct, p)
+			p.F |= pfHubParked
+			h.engine.ScheduleEvent(release-now, h, p)
 			return
 		}
 	}
-	h.dispatch(p)
-}
-
-func (h *hub) dispatch(p sim.Payload) {
 	switch p.Op {
 	case opHubUp:
 		h.up(p)

@@ -29,9 +29,9 @@ import (
 // the hubs' faultFree ledger, which only a fault injector moves; the
 // access slots that tag-lookup events name by index (a caller that needs
 // them, like the model checker, tracks its outstanding accesses itself);
-// interconnect link state, which an ideal crossbar (zero occupancy, no
-// jitter) does not have; and statistics, tracing, free lists and lookup
-// caches, which never change behaviour.
+// interconnect port and link state, which an ideal network (zero
+// occupancy, no fault hook) does not have; and statistics, tracing, free
+// lists and lookup caches, which never change behaviour.
 func (s *System) AppendFingerprint(emit func(uint64)) {
 	for _, l1 := range s.L1s {
 		emit(0x4C310000 | uint64(l1.ID)) // per-L1 separator

@@ -870,9 +870,6 @@ func (l *L1) complete(a Access, value uint64, served ServedBy) {
 		Write:   a.Write,
 		WP:      a.WP,
 	}
-	if l.sys.Record != nil {
-		l.sys.Record(l.ID, res)
-	}
 	if a.Done != nil {
 		a.Done(res)
 	}

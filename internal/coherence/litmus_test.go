@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/dram"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -22,24 +23,24 @@ const (
 	tokenW  = uint64(1)          // distinguishable from initialToken values
 )
 
+// litmusSystem builds the litmus machine. A nonzero jitterSeed fuzzes
+// its timing: a link spike on every message holds the crossbar ports 1..5
+// cycles longer, preserving each port pair's delivery order.
 func litmusSystem(t *testing.T, p coherence.Policy, jitterSeed uint64) *coherence.System {
 	t.Helper()
-	return coherence.MustNewSystem(coherence.SystemConfig{
+	cfg := coherence.SystemConfig{
 		NumL1:     4,
 		L1Params:  cache.Params{Name: "L1", SizeBytes: 4 << 10, Ways: 2, BlockSize: 64},
 		LLCParams: cache.Params{Name: "LLC", SizeBytes: 64 << 10, Ways: 8, BlockSize: 64},
 		Banks:     2,
-		Timing: func() coherence.Timing {
-			tm := coherence.DefaultTiming()
-			if jitterSeed != 0 {
-				tm.JitterMax = 5
-				tm.JitterSeed = jitterSeed
-			}
-			return tm
-		}(),
-		Policy: p,
-		DRAM:   dram.DDR3_1600_8x8(),
-	})
+		Timing:    coherence.DefaultTiming(),
+		Policy:    p,
+		DRAM:      dram.DDR3_1600_8x8(),
+	}
+	if jitterSeed != 0 {
+		cfg.Faults = fault.MustNewInjector(fault.Plan{Name: "jitter", Seed: jitterSeed, LinkSpikeProb: 1, LinkSpikeMax: 5})
+	}
+	return coherence.MustNewSystem(cfg)
 }
 
 type litmusOp struct {

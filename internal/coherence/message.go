@@ -129,6 +129,9 @@ const (
 	pfOwned
 	pfMakeForward
 	pfClusterLast
+	// pfHubParked is no message flag: a hub marks a message it has parked
+	// for an injected busy window with it (see hub.Handle).
+	pfHubParked
 )
 
 // payload packs the message into a fixed-size event payload. Z is left

@@ -7,14 +7,22 @@ import (
 	"repro/internal/sim"
 )
 
+// twoSockets places cfg on a 2-socket machine: a 2x1 mesh with one
+// router per socket, whose one hop costs penalty. The first half of the
+// L1s and of the banks sit on socket 0, the rest on socket 1.
+func twoSockets(cfg *SystemConfig, penalty sim.Cycle) {
+	cfg.Topology = "mesh"
+	cfg.MeshW, cfg.MeshH = 2, 1
+	cfg.MeshPerHop = penalty
+}
+
 // numaConfig builds a 2-socket, 4-core machine: L1 ports {0,1} on socket
 // 0, {2,3} on socket 1 (with the I-cache-free raw coherence layout, each
-// port is a core); banks alternate sockets.
+// port is a core), and bank b on socket b.
 func numaConfig(p Policy) SystemConfig {
 	cfg := testConfig(p, 4)
 	cfg.Banks = 2
-	cfg.Timing.SocketCores = 2
-	cfg.Timing.CrossSocketExtra = 40
+	twoSockets(&cfg, 40)
 	return cfg
 }
 
@@ -85,15 +93,12 @@ func TestNUMAStress(t *testing.T) {
 }
 
 func TestSocketOfMapping(t *testing.T) {
-	s := MustNewSystem(numaConfig(MESI))
-	// L1 ports 0,1 -> socket 0; 2,3 -> socket 1.
-	for port, want := range map[int]int{0: 0, 1: 0, 2: 1, 3: 1} {
-		if got := s.socketOf(port); got != want {
-			t.Errorf("socketOf(L1 %d) = %d, want %d", port, got, want)
+	net := MustNewSystem(numaConfig(MESI)).net
+	// L1 ports 0,1 -> socket 0; 2,3 -> socket 1; banks (ports 4,5) one
+	// per socket.
+	for port, want := range []int{0, 0, 1, 1, 0, 1} {
+		if got := net.RouterOfPort(port); got != want {
+			t.Errorf("port %d on socket %d, want %d", port, got, want)
 		}
-	}
-	// Banks (ports 4,5) alternate sockets.
-	if s.socketOf(4) != 0 || s.socketOf(5) != 1 {
-		t.Errorf("bank sockets = %d,%d", s.socketOf(4), s.socketOf(5))
 	}
 }

@@ -71,21 +71,20 @@ type SystemConfig struct {
 	DRAM      dram.Config
 	Prefetch  PrefetchMode // L1 next-line prefetcher
 
-	// Topology selects the interconnect model: "" or "crossbar" builds
-	// the full crossbar (the default, byte-identical to every pre-mesh
-	// build), "mesh" a MeshW x MeshH 2D mesh with XY dimension-order
-	// routing. Timing.Hop is the base traversal latency in both.
+	// Topology selects the interconnect: "" or "crossbar" builds the
+	// paper's crossbar, the 1x1 mesh with every port on one router; "mesh"
+	// a MeshW x MeshH 2D mesh with XY dimension-order routing. Timing.Hop
+	// is the base traversal latency and Timing.LinkOccupancy the per-port
+	// and per-link occupancy in both.
 	Topology string
 
 	// MeshW, MeshH are the mesh dimensions (required for Topology
-	// "mesh"). MeshPerHop adds latency per inter-router hop, and
-	// MeshLinkOccupancy serializes messages per directed link (the
-	// congestion model; 0 keeps the mesh pure-latency). L1s and banks
-	// each spread evenly over the routers in index order, and each
-	// cluster hub sits on its cluster's first tile.
-	MeshW, MeshH      int
-	MeshPerHop        sim.Cycle
-	MeshLinkOccupancy sim.Cycle
+	// "mesh"), and MeshPerHop adds latency per inter-router hop. L1s and
+	// banks each spread evenly over the routers in index order, and each
+	// cluster hub sits on its cluster's first tile. A 2-socket NUMA
+	// machine is a 2x1 mesh whose MeshPerHop is the cross-socket penalty.
+	MeshW, MeshH int
+	MeshPerHop   sim.Cycle
 
 	// Clusters > 1 enables the two-level directory: the NumL1 controllers
 	// partition into Clusters equal contiguous clusters, each with a hub —
@@ -105,18 +104,21 @@ type SystemConfig struct {
 	NoFastPath bool
 
 	// Faults, if non-nil, threads the fault injector through the timing
-	// layers: extra crossbar occupancy per message (or, on a mesh, extra
-	// hold time per directed link), extra bank-local service latency per
-	// response, transient cluster-hub busy windows, and extra DRAM
-	// queueing delay per request. All injected delays are protocol-legal
-	// timing perturbation; with Faults nil every hook is a single nil
-	// check and the system is byte-identical to one built without this
-	// field.
+	// layers: extra endpoint-port occupancy per message on the crossbar
+	// (or, on a mesh, extra hold time per directed link), extra bank-local
+	// service latency per response, transient cluster-hub busy windows,
+	// and extra DRAM queueing delay per request. All injected delays are
+	// protocol-legal timing perturbation; with Faults nil every hook is a
+	// single nil check and the system is byte-identical to one built
+	// without this field.
 	Faults *fault.Injector
 }
 
 // Validate checks the configuration.
 func (c SystemConfig) Validate() error {
+	if c.Clusters < 0 {
+		return fmt.Errorf("coherence: negative cluster count %d", c.Clusters)
+	}
 	if c.Clusters > 1 {
 		if c.Clusters > 64 {
 			return fmt.Errorf("coherence: cluster count %d out of range [2,64]", c.Clusters)
@@ -129,9 +131,6 @@ func (c SystemConfig) Validate() error {
 		}
 		if c.Policy != nil && (c.Policy.OwnershipTransfer() || c.Policy.ForwardStateFor(false) || c.Policy.ForwardStateFor(true)) {
 			return fmt.Errorf("coherence: two-level directory does not support owned/forward-state policies (%s)", c.Policy.Name())
-		}
-		if c.Timing.SocketCores > 0 {
-			return fmt.Errorf("coherence: two-level directory is incompatible with NUMA socket distance")
 		}
 		if c.Policy != nil && c.Policy.phasePriority {
 			// A bank arbiter may promote a queued request ahead of an older
@@ -148,9 +147,6 @@ func (c SystemConfig) Validate() error {
 	case "mesh":
 		if c.MeshW < 1 || c.MeshH < 1 {
 			return fmt.Errorf("coherence: mesh topology requires positive dimensions, got %dx%d", c.MeshW, c.MeshH)
-		}
-		if c.Timing.SocketCores > 0 || c.Timing.JitterMax > 0 || c.Timing.LinkOccupancy > 0 {
-			return fmt.Errorf("coherence: mesh topology is incompatible with crossbar occupancy, jitter, and socket distance (use MeshLinkOccupancy)")
 		}
 	default:
 		return fmt.Errorf("coherence: unknown topology %q", c.Topology)
@@ -187,7 +183,7 @@ type System struct {
 	mapper    *cache.BankMapper
 	tracer    *Tracer
 	msgCounts [MsgDataFromOwner + 1]uint64
-	net       interconnect.Fabric
+	net       *interconnect.Mesh
 	faults    *fault.Injector
 	numL1     int
 	noFast    bool
@@ -208,9 +204,6 @@ type System struct {
 	// Cached AccessSync fast-path completion state (see Handle).
 	fpDone bool
 	fpCond func() bool
-
-	// Record, if set, observes every completed access (for latency CDFs).
-	Record func(port int, r AccessResult)
 
 	// Observe, if set, sees every controller transition once the receiver
 	// has dispatched it: each delivered coherence message, and each CPU
@@ -253,9 +246,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		s.localsPer = cfg.NumL1 / cfg.Clusters
 		numHubs = cfg.Clusters
 	}
-	// Fabric ports: L1s first, then LLC banks, then cluster hubs.
+	// Fabric ports: L1s first, then LLC banks, then cluster hubs. The
+	// crossbar is the 1x1 mesh, whose default placement puts every port
+	// on router 0.
 	ports := cfg.NumL1 + cfg.Banks + numHubs
-	if cfg.Topology == "mesh" {
+	mcfg := interconnect.MeshConfig{
+		Ports:         ports,
+		W:             1,
+		H:             1,
+		Latency:       cfg.Timing.Hop,
+		LinkOccupancy: cfg.Timing.LinkOccupancy,
+	}
+	mesh := cfg.Topology == "mesh"
+	if mesh {
 		routers := cfg.MeshW * cfg.MeshH
 		routerOf := make([]int, ports)
 		for i := 0; i < cfg.NumL1; i++ {
@@ -268,59 +271,27 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			// A hub sits on its cluster's first tile.
 			routerOf[cfg.NumL1+cfg.Banks+c] = routerOf[c*s.localsPer]
 		}
-		mcfg := interconnect.MeshConfig{
-			Ports:         ports,
-			W:             cfg.MeshW,
-			H:             cfg.MeshH,
-			Latency:       cfg.Timing.Hop,
-			PerHop:        cfg.MeshPerHop,
-			LinkOccupancy: cfg.MeshLinkOccupancy,
-			RouterOf:      routerOf,
-		}
-		if cfg.Faults != nil {
-			// Mesh fault wiring mirrors the crossbar branch below: the
-			// per-directed-link hook replaces the crossbar's per-message
-			// Extra, and the DRAM/bank/hub hooks are topology-independent.
-			s.faults = cfg.Faults
-			mcfg.LinkExtra = cfg.Faults.MeshDelay
-			s.Mem.Extra = cfg.Faults.DRAMDelay
-			cfg.Faults.Attach(s.Eng)
-			cfg.Faults.Diagnose = s.DumpState
-		}
-		net, err := interconnect.NewMesh(s.Eng, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.net = net
-	} else {
-		xcfg := interconnect.Config{
-			Ports:      ports,
-			Latency:    cfg.Timing.Hop,
-			Occupancy:  cfg.Timing.LinkOccupancy,
-			JitterMax:  cfg.Timing.JitterMax,
-			JitterSeed: cfg.Timing.JitterSeed,
-		}
-		if cfg.Timing.SocketCores > 0 {
-			xcfg.Distance = func(src, dst int) sim.Cycle {
-				if s.socketOf(src) != s.socketOf(dst) {
-					return s.Timing.CrossSocketExtra
-				}
-				return 0
-			}
-		}
-		if cfg.Faults != nil {
-			s.faults = cfg.Faults
-			xcfg.Extra = cfg.Faults.LinkDelay
-			s.Mem.Extra = cfg.Faults.DRAMDelay
-			cfg.Faults.Attach(s.Eng)
-			cfg.Faults.Diagnose = s.DumpState
-		}
-		xbar, err := interconnect.New(s.Eng, xcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.net = xbar
+		mcfg.W, mcfg.H, mcfg.PerHop, mcfg.RouterOf = cfg.MeshW, cfg.MeshH, cfg.MeshPerHop, routerOf
 	}
+	if cfg.Faults != nil {
+		// The link fault class perturbs the crossbar's endpoint ports and
+		// a mesh's directed links; the DRAM, bank and hub hooks are
+		// topology-independent.
+		s.faults = cfg.Faults
+		if mesh {
+			mcfg.LinkExtra = cfg.Faults.MeshDelay
+		} else {
+			mcfg.PortExtra = cfg.Faults.LinkDelay
+		}
+		s.Mem.Extra = cfg.Faults.DRAMDelay
+		cfg.Faults.Attach(s.Eng)
+		cfg.Faults.Diagnose = s.DumpState
+	}
+	net, err := interconnect.NewMesh(s.Eng, mcfg)
+	if err != nil {
+		return nil, err
+	}
+	s.net = net
 	for c := 0; c < numHubs; c++ {
 		s.hubs = append(s.hubs, newHub(c, s))
 	}
@@ -381,23 +352,6 @@ func (s *System) toHome(src int, p sim.Payload) {
 	s.net.SendEvent(src, s.bankPort(b.id), b, p)
 }
 
-// socketOf maps a crossbar port (L1 or bank) to its NUMA socket: L1s are
-// grouped SocketCores at a time; LLC banks distribute round-robin across
-// the sockets (each socket holds its slice of the shared LLC).
-func (s *System) socketOf(port int) int {
-	if s.Timing.SocketCores <= 0 {
-		return 0
-	}
-	if port < s.numL1 {
-		return port / s.Timing.SocketCores
-	}
-	sockets := (s.numL1 + s.Timing.SocketCores - 1) / s.Timing.SocketCores
-	if sockets == 0 {
-		return 0
-	}
-	return (port - s.numL1) % sockets
-}
-
 // Network returns the interconnect fabric for statistics inspection.
 func (s *System) Network() interconnect.Fabric { return s.net }
 
@@ -424,7 +378,7 @@ func (s *System) memWrite(addr cache.Addr, v uint64) { s.bankFor(addr).image[add
 func (s *System) ExecutedEvents() uint64 { return s.Eng.Executed() }
 
 // Submit hands an access to port's L1. Completion is reported through
-// a.Done and the system Record hook as the simulation advances.
+// a.Done as the simulation advances.
 func (s *System) Submit(port int, a Access) {
 	s.L1s[port].Request(a)
 }
@@ -435,16 +389,16 @@ func (s *System) Submit(port int, a Access) {
 // path would have reported — without a single event scheduled. The caller
 // owns completion: it must account the latency (and invoke any callback)
 // itself. Non-trivial cases — miss, transient state, upgrade that needs
-// the directory, a busy or pinned bank, pre-charged translation latency, a
-// Record hook, or a timing configuration in which a message issued this
-// cycle could land inside the hit window — return ok=false, and the caller
-// falls back to Submit.
+// the directory, a busy or pinned bank, pre-charged translation latency,
+// or a timing configuration in which a message issued this cycle could
+// land inside the hit window — return ok=false, and the caller falls back
+// to Submit.
 func (s *System) TryFastAccess(port int, a Access) (AccessResult, bool) {
-	if s.noFast || s.Record != nil || a.Extra != 0 {
+	if s.noFast || a.Extra != 0 {
 		return AccessResult{}, false
 	}
 	if s.Timing.L1Tag >= s.Timing.Hop {
-		// The crossbar's minimum delivery delay is Hop, so with
+		// The network's minimum delivery delay is Hop, so with
 		// L1Tag < Hop nothing sent at or after submission time can reach
 		// the L1 at or before the would-be completion time. Exotic
 		// timing sweeps that violate this stay on the event path.

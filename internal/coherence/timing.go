@@ -17,23 +17,12 @@ type Timing struct {
 	RecallPenalty   sim.Cycle // LLC eviction recall of L1 copies (approximate)
 
 	// LinkOccupancy enables finite interconnect bandwidth: each message
-	// occupies its crossbar ports for this many cycles, so bursts queue
-	// and latencies acquire load-dependent jitter. Zero (the default)
-	// models an ideal network with exactly Hop cycles per traversal.
+	// occupies its endpoint ports (and, on a mesh, each directed link it
+	// crosses) for this many cycles, so bursts queue and latencies acquire
+	// load-dependent jitter. Zero (the default) models an ideal network
+	// with exactly Hop cycles per traversal, plus the mesh's per-hop
+	// latency.
 	LinkOccupancy sim.Cycle
-
-	// JitterMax/JitterSeed perturb per-message interconnect occupancy
-	// pseudo-randomly (preserving per-port-pair ordering), for fuzzing
-	// the protocol against timing races. Zero disables jitter.
-	JitterMax  sim.Cycle
-	JitterSeed uint64
-
-	// NUMA topology: with SocketCores > 0, L1 ports are grouped into
-	// sockets of that many controllers (and LLC banks are distributed
-	// round-robin across sockets); every message crossing a socket
-	// boundary pays CrossSocketExtra additional latency per traversal.
-	SocketCores      int
-	CrossSocketExtra sim.Cycle
 }
 
 // DefaultTiming returns the calibrated configuration.

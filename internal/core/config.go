@@ -78,10 +78,10 @@ type Config struct {
 	Protocol coherence.Policy `json:"-"`
 	DRAM     dram.Config      `json:"dram"`
 
-	// Topology selects the interconnect model: "" or "crossbar" (the
-	// paper's Table V machine), or "mesh" for a 2D mesh with XY
-	// dimension-order routing whose latency grows with Manhattan
-	// distance. Mesh dimensions derive from the core count (a near-square
+	// Topology selects the interconnect: "" or "crossbar" (the paper's
+	// Table V machine, a 1x1 mesh with every port on one router), or
+	// "mesh" for a 2D mesh with XY dimension-order routing whose latency
+	// grows with Manhattan distance. Mesh dimensions derive from the core count (a near-square
 	// W x H with W*H = Cores) unless MeshW/MeshH are set explicitly. A
 	// core's D- and I-cache controllers and its LLC bank share the core's
 	// tile; cluster hubs sit on their cluster's first tile.
@@ -90,10 +90,9 @@ type Config struct {
 	MeshH    int    `json:"mesh_h,omitempty"`
 
 	// MeshPerHop is the per-link latency added on top of Timing.Hop per
-	// Manhattan hop; MeshLinkOccupancy serializes each link at the given
-	// cycles per message (0 = infinite link bandwidth).
-	MeshPerHop        sim.Cycle `json:"mesh_per_hop,omitempty"`
-	MeshLinkOccupancy sim.Cycle `json:"mesh_link_occupancy,omitempty"`
+	// Manhattan hop. Timing.LinkOccupancy serializes each port and link
+	// at the given cycles per message (0 = infinite bandwidth).
+	MeshPerHop sim.Cycle `json:"mesh_per_hop,omitempty"`
 
 	// Clusters > 1 organizes the directory hierarchically: the cores
 	// partition into Clusters contiguous clusters, each with a hub
@@ -264,7 +263,6 @@ func (c Config) coherenceConfig() coherence.SystemConfig {
 			cfg.MeshW, cfg.MeshH = MeshDims(c.Cores)
 		}
 		cfg.MeshPerHop = c.MeshPerHop
-		cfg.MeshLinkOccupancy = c.MeshLinkOccupancy
 	}
 	return cfg
 }

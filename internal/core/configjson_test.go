@@ -138,3 +138,30 @@ func TestLoadConfigValidates(t *testing.T) {
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
+
+// TestRetiredKeysRejected: a file that sets a retired key to a nonzero
+// value fails to load with an error naming the key, rather than loading
+// as a different machine; at zero (as every older build wrote them, see
+// TestLegacyConfigLoads) the keys still load.
+func TestRetiredKeysRejected(t *testing.T) {
+	for key, doc := range map[string]string{
+		"mesh_link_occupancy":     `{"mesh_link_occupancy": 2}`,
+		"timing.JitterMax":        `{"timing": {"Hop": 3, "JitterMax": 5, "JitterSeed": 7}}`,
+		"timing.SocketCores":      `{"timing": {"SocketCores": 2}}`,
+		"timing.CrossSocketExtra": `{"timing": {"CrossSocketExtra": 40}}`,
+	} {
+		var c Config
+		err := json.Unmarshal([]byte(doc), &c)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: got error %v, want one naming the key", doc, err)
+		}
+	}
+	var c Config
+	zero := `{"mesh_link_occupancy": 0, "timing": {"Hop": 3, "JitterMax": 0, "JitterSeed": 9, "SocketCores": 0, "CrossSocketExtra": 0}}`
+	if err := json.Unmarshal([]byte(zero), &c); err != nil {
+		t.Fatalf("zero retired keys rejected: %v", err)
+	}
+	if c.Timing.Hop != 3 {
+		t.Fatalf("timing lost: %+v", c.Timing)
+	}
+}

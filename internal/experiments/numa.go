@@ -11,25 +11,29 @@ import (
 	"repro/internal/stats"
 )
 
-// NUMA studies the channel on a 2-socket machine (cross-socket hops cost
-// extra). Under MESI the receiver's probe latency reveals not only that a
-// prior access happened (the E/S bit) but WHICH SOCKET the accessor was
-// on — the forward path length differs. Under SwiftDir every probe of
-// write-protected data is served by the block's (fixed) home LLC bank, so
-// the latency is independent of the prior accessor entirely.
+// NUMA studies the channel on a 2-socket machine: a 2x1 mesh, one router
+// per socket, whose one hop costs the cross-socket penalty. Under MESI
+// the receiver's probe latency reveals not only that a prior access
+// happened (the E/S bit) but WHICH SOCKET the accessor was on — the
+// forward path length differs. Under SwiftDir every probe of
+// write-protected data is served by the block's (fixed) home LLC bank,
+// so the latency is independent of the prior accessor entirely.
 func NUMA() string {
 	mk := func(p coherence.Policy) coherence.SystemConfig {
-		tm := coherence.DefaultTiming()
-		tm.SocketCores = 2
-		tm.CrossSocketExtra = 40
+		// Cores 0-1 and bank 0 on socket 0, cores 2-3 and bank 1 on
+		// socket 1.
 		return coherence.SystemConfig{
-			NumL1:     4,
-			L1Params:  core.DefaultConfig(4, p).L1,
-			LLCParams: core.DefaultConfig(4, p).L2Bank,
-			Banks:     2,
-			Timing:    tm,
-			Policy:    p,
-			DRAM:      dram.DDR3_1600_8x8(),
+			NumL1:      4,
+			L1Params:   core.DefaultConfig(4, p).L1,
+			LLCParams:  core.DefaultConfig(4, p).L2Bank,
+			Banks:      2,
+			Timing:     coherence.DefaultTiming(),
+			Policy:     p,
+			DRAM:       dram.DDR3_1600_8x8(),
+			Topology:   "mesh",
+			MeshW:      2,
+			MeshH:      1,
+			MeshPerHop: 40,
 		}
 	}
 	probe := func(p coherence.Policy, owner int) sim.Cycle {

@@ -69,7 +69,6 @@ type scaleRow struct {
 	accesses               uint64
 	messages               uint64
 	avgHops                float64
-	mesh                   bool
 }
 
 // runScaleWorkload drives a fixed sharing mix and returns its metrics.
@@ -120,10 +119,7 @@ func runScaleWorkload(s *coherence.System, cores int) scaleRow {
 	row.grpRead = grpSum / float64(grpN)
 	row.store = storeSum / float64(storeN)
 	row.messages = s.TotalMessages()
-	if m, ok := s.Network().(*interconnect.Mesh); ok {
-		row.mesh = true
-		row.avgHops = m.AvgHops()
-	}
+	row.avgHops = s.Network().(*interconnect.Mesh).AvgHops()
 	return row
 }
 
@@ -165,18 +161,15 @@ func Scale(ctx context.Context) string {
 		"WP read", "shared read", "shared store", "messages", "msg/access", "avg hops")
 	for _, c := range campaign.MustCollect(ctx, jobs) {
 		g, r := c.geom, c.row
-		network := g.topology
+		network, hops := g.topology, "-"
 		if g.topology == "mesh" {
 			w, h := core.MeshDims(g.cores)
 			network = fmt.Sprintf("mesh %dx%d", w, h)
+			hops = fmt.Sprintf("%.2f", r.avgHops)
 		}
 		dir := "flat"
 		if g.clusters > 1 {
 			dir = fmt.Sprintf("2-level/%d", g.clusters)
-		}
-		hops := "-"
-		if r.mesh {
-			hops = fmt.Sprintf("%.2f", r.avgHops)
 		}
 		tb.AddRowF(g.cores, network, dir, c.p.Name(),
 			fmt.Sprintf("%.1f", r.wpRead), fmt.Sprintf("%.1f", r.grpRead),

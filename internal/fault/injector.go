@@ -16,7 +16,7 @@ type InjectorStats struct {
 
 // Injector applies a Plan to the timing layers. Each fault class draws
 // from its own forked RNG stream, so the delays injected into (say) the
-// crossbar are a deterministic function of the plan alone — independent
+// network are a deterministic function of the plan alone — independent
 // of whether the DRAM hook happened to be consulted in between — and a
 // replay with the same plan reproduces the same perturbation exactly.
 //
@@ -129,15 +129,16 @@ func (in *Injector) draw(rng *sim.RNG, now sim.Cycle, prob float64, max uint64, 
 	return 0
 }
 
-// LinkDelay is the crossbar hook: extra occupancy for a message admitted
-// at now. It is shaped to match interconnect.Config.Extra.
+// LinkDelay is the crossbar hook: extra endpoint-port occupancy for a
+// message admitted at now. It is shaped to match
+// interconnect.MeshConfig.PortExtra.
 func (in *Injector) LinkDelay(src, dst int, now sim.Cycle) sim.Cycle {
 	in.force(now)
 	return in.draw(in.link, now, in.plan.LinkSpikeProb, in.plan.LinkSpikeMax, in.plan.LinkStorms, &in.Stats.LinkFaults)
 }
 
 // BankDelay is the directory-bank hook: extra local service latency
-// before a bank response enters the crossbar (a transient busy window).
+// before a bank response enters the network (a transient busy window).
 func (in *Injector) BankDelay(now sim.Cycle) sim.Cycle {
 	in.force(now)
 	return in.draw(in.bank, now, in.plan.BankBusyProb, in.plan.BankBusyMax, in.plan.BankStorms, &in.Stats.BankFaults)

@@ -51,12 +51,14 @@ const maxExtra = 1 << 20
 // Plan is a JSON-serializable fault schedule. All faults are timing-only
 // and protocol-legal:
 //
-//   - Link faults add extra crossbar occupancy per message (spikes with
-//     probability LinkSpikeProb, or unconditionally during LinkStorms).
-//     Occupancy flows through the same per-port bookkeeping as jitter, so
-//     per-port-pair delivery order is preserved.
+//   - Link faults add extra occupancy to a crossbar message's source and
+//     destination ports (spikes with probability LinkSpikeProb, or
+//     unconditionally during LinkStorms). Occupancy flows through the
+//     network's per-port bookkeeping, so per-port-pair delivery order is
+//     preserved; LinkSpikeProb 1 is timing jitter on every message.
+//     Ignored on mesh topologies, whose links take the mesh class.
 //   - Bank faults extend the directory bank's local service latency
-//     before a response enters the crossbar (a transient busy window).
+//     before a response enters the network (a transient busy window).
 //   - DRAM faults push a memory request's start time (an extra
 //     refresh/row-conflict stall at the controller).
 //

@@ -2,10 +2,11 @@
 // subsystem. It supplies three things the robustness story is built on:
 //
 //   - a Plan/Injector pair that perturbs the simulator's *timing* —
-//     latency spikes and burst storms on crossbar links, transient
-//     directory-bank busy windows, DRAM refresh/row-conflict storms —
-//     deterministically from a seed, without ever reordering messages a
-//     protocol-legal network could not reorder. Timing faults may move
+//     latency spikes and burst storms on crossbar ports and mesh links,
+//     transient directory-bank and cluster-hub busy windows, DRAM
+//     refresh/row-conflict storms — deterministically from a seed,
+//     without ever reordering messages a protocol-legal network could not
+//     reorder. Timing faults may move
 //     cycles, never architectural values; the soak sweep asserts exactly
 //     that (see internal/soak).
 //   - a typed Violation error the protocol controllers panic with instead

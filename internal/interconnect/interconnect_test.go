@@ -12,27 +12,17 @@ type onArrival func()
 
 func (f onArrival) Handle(sim.Payload) { f() }
 
-func mustNew(t *testing.T, eng *sim.Engine, cfg Config) *Crossbar {
+// crossbar builds the 1x1 mesh, every port on one router: the paper's
+// crossbar, where a message contends only for its two endpoint ports.
+func crossbar(t *testing.T, eng *sim.Engine, cfg MeshConfig) *Mesh {
 	t.Helper()
-	x, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
-
-func TestConfigValidate(t *testing.T) {
-	if (Config{Ports: 0}).Validate() == nil {
-		t.Fatal("zero ports accepted")
-	}
-	if (Config{Ports: 4}).Validate() != nil {
-		t.Fatal("valid config rejected")
-	}
+	cfg.W, cfg.H = 1, 1
+	return mustNewMesh(t, eng, cfg)
 }
 
 func TestZeroOccupancyIsPureLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	x := mustNew(t, eng, Config{Ports: 4, Latency: 3, Occupancy: 0})
+	x := crossbar(t, eng, MeshConfig{Ports: 4, Latency: 3})
 	var arrivals []sim.Cycle
 	for i := 0; i < 10; i++ {
 		x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
@@ -50,7 +40,7 @@ func TestZeroOccupancyIsPureLatency(t *testing.T) {
 
 func TestPortContentionSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	x := mustNew(t, eng, Config{Ports: 4, Latency: 3, Occupancy: 2})
+	x := crossbar(t, eng, MeshConfig{Ports: 4, Latency: 3, LinkOccupancy: 2})
 	var arrivals []sim.Cycle
 	// Three messages from the same source at t=0: egress admits one per
 	// 2 cycles.
@@ -71,7 +61,7 @@ func TestPortContentionSerializes(t *testing.T) {
 
 func TestDistinctPortPairsDoNotContend(t *testing.T) {
 	eng := sim.NewEngine()
-	x := mustNew(t, eng, Config{Ports: 4, Latency: 3, Occupancy: 2})
+	x := crossbar(t, eng, MeshConfig{Ports: 4, Latency: 3, LinkOccupancy: 2})
 	var arrivals []sim.Cycle
 	x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
 	x.SendEvent(2, 3, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
@@ -83,7 +73,7 @@ func TestDistinctPortPairsDoNotContend(t *testing.T) {
 
 func TestIngressContention(t *testing.T) {
 	eng := sim.NewEngine()
-	x := mustNew(t, eng, Config{Ports: 4, Latency: 1, Occupancy: 5})
+	x := crossbar(t, eng, MeshConfig{Ports: 4, Latency: 1, LinkOccupancy: 5})
 	var arrivals []sim.Cycle
 	// Two different sources target the same destination.
 	x.SendEvent(0, 2, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})
@@ -99,7 +89,7 @@ func TestIngressContention(t *testing.T) {
 func TestOrderingProperty(t *testing.T) {
 	f := func(gaps []uint8) bool {
 		eng := sim.NewEngine()
-		x := mustNew(t, eng, Config{Ports: 2, Latency: 4, Occupancy: 3})
+		x := crossbar(t, eng, MeshConfig{Ports: 2, Latency: 4, LinkOccupancy: 3})
 		var arrivals []sim.Cycle
 		var sends []sim.Cycle
 		t0 := sim.Cycle(0)
@@ -133,23 +123,23 @@ func TestOrderingProperty(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	x, err := New(sim.NewEngine(), Config{Ports: 0})
+	m, err := NewMesh(sim.NewEngine(), MeshConfig{Ports: 0, W: 1, H: 1})
 	if err == nil {
 		t.Fatal("bad config accepted")
 	}
-	if x != nil {
-		t.Fatal("crossbar returned alongside error")
+	if m != nil {
+		t.Fatal("mesh returned alongside error")
 	}
 }
 
-// The Extra hook injects occupancy like jitter does: delays stretch
+// The PortExtra hook injects endpoint-port occupancy: delays stretch
 // delivery but the per-port bookkeeping preserves send order.
 func TestExtraHookDelaysAndPreservesOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	calls := 0
-	x := mustNew(t, eng, Config{
+	x := crossbar(t, eng, MeshConfig{
 		Ports: 2, Latency: 3,
-		Extra: func(src, dst int, now sim.Cycle) sim.Cycle {
+		PortExtra: func(src, dst int, now sim.Cycle) sim.Cycle {
 			calls++
 			if calls == 1 {
 				return 10 // spike on the first message only
@@ -167,15 +157,15 @@ func TestExtraHookDelaysAndPreservesOrder(t *testing.T) {
 		t.Fatalf("arrivals = %v, want [3 13]", arrivals)
 	}
 	if calls != 2 {
-		t.Fatalf("Extra consulted %d times, want 2", calls)
+		t.Fatalf("PortExtra consulted %d times, want 2", calls)
 	}
 }
 
-// A nil Extra hook and zero occupancy must keep the pure-latency shortcut:
-// no port bookkeeping, identical timing to the pre-hook crossbar.
+// Nil hooks and zero occupancy must keep the pure-latency shortcut: no
+// port bookkeeping, exactly Latency cycles per message.
 func TestNilExtraKeepsPureLatencyPath(t *testing.T) {
 	eng := sim.NewEngine()
-	x := mustNew(t, eng, Config{Ports: 2, Latency: 5})
+	x := crossbar(t, eng, MeshConfig{Ports: 2, Latency: 5})
 	var arrivals []sim.Cycle
 	for i := 0; i < 4; i++ {
 		x.SendEvent(0, 1, onArrival(func() { arrivals = append(arrivals, eng.Now()) }), sim.Payload{})

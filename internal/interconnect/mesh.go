@@ -9,10 +9,10 @@ import (
 // MeshConfig describes a W x H 2D mesh with XY dimension-order routing.
 // Every endpoint port is attached to a router; a message from src to dst
 // pays the base latency plus PerHop cycles per Manhattan hop between
-// their routers. With LinkOccupancy > 0 each directed inter-router link
-// (and the endpoint's injection/ejection port) admits one message per
-// occupancy window, so congestion queues messages and latency becomes
-// load-dependent — the NoC analogue of the crossbar's port occupancy.
+// their routers. With LinkOccupancy > 0 each endpoint port and each
+// directed inter-router link admits one message per occupancy window, so
+// congestion queues messages and latency becomes load-dependent. On a
+// 1x1 mesh (the crossbar) only the two endpoint ports are contended.
 type MeshConfig struct {
 	Ports int // number of endpoints
 	W, H  int // mesh dimensions (routers = W*H)
@@ -28,15 +28,18 @@ type MeshConfig struct {
 	// ports evenly across the routers in port order.
 	RouterOf []int
 
-	// LinkExtra, if non-nil, returns extra hold cycles for one directed
-	// link (router*4+dir) as a message crosses it at now — the mesh's
-	// fault-injection hook, consulted once per link on the XY route. Like
-	// the crossbar's Extra, the injected cycles flow through the per-link
-	// bookkeeping, so a latency spike congests exactly one directed link
-	// and per-link FIFO order is preserved: a perturbed mesh is still a
-	// legal mesh. Any non-nil hook routes every message through the
-	// bookkeeping even at zero occupancy, so the hook's draw sequence is
-	// a deterministic function of the message sequence.
+	// PortExtra, if non-nil, returns extra occupancy for a message admitted
+	// at now: it holds the message's source and destination ports that
+	// many cycles longer. LinkExtra, if non-nil, returns extra hold cycles
+	// for one directed link (router*4+dir) as a message crosses it at now,
+	// consulted once per link on the XY route. Both are fault-injection
+	// hooks. The injected cycles flow through the port and link
+	// bookkeeping, so a latency spike congests exactly the port or link it
+	// hits and FIFO order is preserved: a perturbed mesh is still a legal
+	// mesh. Any non-nil hook routes every message through the bookkeeping
+	// even at zero occupancy, so the hook's draw sequence is a
+	// deterministic function of the message sequence.
+	PortExtra func(src, dst int, now sim.Cycle) sim.Cycle
 	LinkExtra func(link int, now sim.Cycle) sim.Cycle
 }
 
@@ -89,7 +92,8 @@ type Mesh struct {
 
 	routerOf []int
 
-	// Per-port and per-link availability, used only when LinkOccupancy > 0.
+	// Per-port and per-link availability, used only with occupancy or a
+	// fault hook.
 	txFreeAt   []sim.Cycle // per-source injection-port availability
 	rxFreeAt   []sim.Cycle // per-destination ejection-port availability
 	linkFreeAt []sim.Cycle // per directed link (router*4+dir) availability
@@ -115,16 +119,13 @@ func NewMesh(eng *sim.Engine, cfg MeshConfig) (*Mesh, error) {
 			m.routerOf[p] = p * cfg.W * cfg.H / cfg.Ports
 		}
 	}
-	if cfg.LinkOccupancy > 0 || cfg.LinkExtra != nil {
+	if cfg.LinkOccupancy > 0 || cfg.PortExtra != nil || cfg.LinkExtra != nil {
 		m.txFreeAt = make([]sim.Cycle, cfg.Ports)
 		m.rxFreeAt = make([]sim.Cycle, cfg.Ports)
 		m.linkFreeAt = make([]sim.Cycle, cfg.W*cfg.H*linkDirs)
 	}
 	return m, nil
 }
-
-// Config returns the mesh configuration.
-func (m *Mesh) Config() MeshConfig { return m.cfg }
 
 // RouterOfPort returns the router a port is attached to.
 func (m *Mesh) RouterOfPort(port int) int { return m.routerOf[port] }
@@ -143,33 +144,32 @@ func (m *Mesh) dist(a, b int) int {
 	return dx + dy
 }
 
-// MinLatency returns the unloaded src -> dst latency: base latency plus
-// PerHop per Manhattan hop between the endpoints' routers.
-func (m *Mesh) MinLatency(src, dst int) sim.Cycle {
-	return m.cfg.Latency + m.cfg.PerHop*sim.Cycle(m.dist(m.routerOf[src], m.routerOf[dst]))
-}
-
 // admit computes the absolute delivery cycle of a message entering the
-// mesh now at src bound for dst, walking the XY route and updating link
-// occupancy and queueing statistics. With zero link occupancy it reduces
-// to now + MinLatency — the pure-latency path, which allocates nothing
-// and updates no shared bookkeeping beyond the message count.
+// mesh now at src bound for dst, walking the XY route and updating port
+// and link occupancy and queueing statistics. With zero occupancy and no
+// fault hook it reduces to now plus the unloaded latency — the
+// pure-latency path, which updates no bookkeeping beyond the message and
+// hop counts.
 func (m *Mesh) admit(src, dst int) sim.Cycle {
 	m.Messages++
 	now := m.eng.Now()
 	r, rd := m.routerOf[src], m.routerOf[dst]
-	d := m.dist(r, rd)
-	m.HopsTotal += uint64(d)
-	lat := m.cfg.Latency + m.cfg.PerHop*sim.Cycle(d)
+	lat := m.cfg.Latency
+	if r != rd {
+		d := m.dist(r, rd)
+		m.HopsTotal += uint64(d)
+		lat += m.cfg.PerHop * sim.Cycle(d)
+	}
 	occ := m.cfg.LinkOccupancy
-	if occ == 0 && m.cfg.LinkExtra == nil {
+	if f := m.cfg.PortExtra; f != nil {
+		occ += f(src, dst, now)
+	} else if occ == 0 && m.cfg.LinkExtra == nil {
 		return now + lat
 	}
-	if d == 0 {
-		// Same router: no inter-router link is traversed, so the message
-		// contends only for the two endpoint ports — exactly the crossbar's
-		// bookkeeping, which is what makes a 1x1 mesh with occupancy
-		// byte-identical to an occupancy crossbar.
+	if r == rd {
+		// Same router (every message on a 1x1 mesh): no inter-router link
+		// is traversed, so the message contends only for its two
+		// endpoint ports.
 		start := now
 		if m.txFreeAt[src] > start {
 			start = m.txFreeAt[src]
@@ -204,7 +204,7 @@ func (m *Mesh) admit(src, dst int) sim.Cycle {
 		if m.linkFreeAt[li] > t {
 			t = m.linkFreeAt[li]
 		}
-		hold := occ
+		hold := m.cfg.LinkOccupancy
 		if f := m.cfg.LinkExtra; f != nil {
 			hold += f(li, t)
 		}
@@ -223,7 +223,7 @@ func (m *Mesh) admit(src, dst int) sim.Cycle {
 		if m.linkFreeAt[li] > t {
 			t = m.linkFreeAt[li]
 		}
-		hold := occ
+		hold := m.cfg.LinkOccupancy
 		if f := m.cfg.LinkExtra; f != nil {
 			hold += f(li, t)
 		}

@@ -133,6 +133,9 @@ func (c *Config) fill() error {
 	if c.Cores < 1 || c.Cores > maxCores {
 		return fmt.Errorf("mcheck: Cores %d out of range [1,%d]", c.Cores, maxCores)
 	}
+	if c.Clusters < 0 {
+		return fmt.Errorf("mcheck: Clusters %d must not be negative", c.Clusters)
+	}
 	if c.Clusters > 1 && c.Cores%c.Clusters != 0 {
 		return fmt.Errorf("mcheck: Cores %d not divisible into %d clusters", c.Cores, c.Clusters)
 	}
@@ -182,8 +185,8 @@ func (c *Config) wpEnabled() bool {
 // sysConfig builds the hierarchy configuration: single-bank LLC, minimal
 // flat DRAM timing with refresh disabled (refresh would make behaviour
 // depend on absolute time, breaking the time-relative fingerprints), an
-// ideal crossbar (zero occupancy/jitter, so the interconnect is
-// stateless), and no prefetching.
+// ideal crossbar (zero occupancy and no fault hook, so the interconnect
+// is stateless), and no prefetching.
 func (c *Config) sysConfig() coherence.SystemConfig {
 	return coherence.SystemConfig{
 		NumL1: c.Cores,

@@ -180,6 +180,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil policy", Config{}, "nil policy"},
 		{"cores", Config{Policy: coherence.MESI, Cores: 9}, "Cores"},
+		{"clusters", Config{Policy: coherence.MESI, Clusters: -1}, "Clusters"},
 		{"lines", Config{Policy: coherence.MESI, Lines: 99}, "Lines"},
 		{"depth", Config{Policy: coherence.MESI, Depth: 64}, "Depth"},
 		{"outstanding", Config{Policy: coherence.MESI, MaxOutstanding: -1}, "MaxOutstanding"},
