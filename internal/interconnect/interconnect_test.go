@@ -20,6 +20,17 @@ func crossbar(t *testing.T, eng *sim.Engine, cfg MeshConfig) *Mesh {
 	return mustNewMesh(t, eng, cfg)
 }
 
+// The crossbar shape (one router) is validated like any other mesh: it
+// still needs ports, and a port count alone is a valid crossbar.
+func TestConfigValidate(t *testing.T) {
+	if (MeshConfig{Ports: 0, W: 1, H: 1}).Validate() == nil {
+		t.Fatal("zero ports accepted")
+	}
+	if (MeshConfig{Ports: 4, W: 1, H: 1}).Validate() != nil {
+		t.Fatal("valid config rejected")
+	}
+}
+
 func TestZeroOccupancyIsPureLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	x := crossbar(t, eng, MeshConfig{Ports: 4, Latency: 3})

@@ -31,9 +31,6 @@ func TestMeshConfigValidate(t *testing.T) {
 	if (MeshConfig{Ports: 4, W: 2, H: 2}).Validate() != nil {
 		t.Fatal("valid config rejected")
 	}
-	if (MeshConfig{Ports: 4, W: 1, H: 1}).Validate() != nil {
-		t.Fatal("crossbar (1x1) config rejected")
-	}
 }
 
 // Hop latency must be exactly base + Manhattan distance x PerHop for an
