@@ -241,11 +241,55 @@ func BenchmarkAccessMesh64(b *testing.B) {
 	}
 }
 
+// mesh256Config is the scale experiment's 256-core point, the machine
+// every mesh256-sharing job builds: 8 KB/4-way L1s, 256 LLC banks of
+// 64 KB/8-way, 32 cluster hubs and a 16x16 mesh.
+func mesh256Config() coherence.SystemConfig {
+	w, h := core.MeshDims(256)
+	return coherence.SystemConfig{
+		NumL1:      256,
+		L1Params:   cache.Params{Name: "L1", SizeBytes: 8 << 10, Ways: 4, BlockSize: 64},
+		LLCParams:  cache.Params{Name: "LLC", SizeBytes: 64 << 10, Ways: 8, BlockSize: 64},
+		Banks:      256,
+		Timing:     coherence.DefaultTiming(),
+		Policy:     coherence.SwiftDir,
+		DRAM:       dram.DDR3_1600_8x8(),
+		Clusters:   32,
+		Topology:   "mesh",
+		MeshW:      w,
+		MeshH:      h,
+		MeshPerHop: 1,
+	}
+}
+
+// BenchmarkNewSystemMesh256 measures building the 256-core hierarchy, the
+// per-job setup of every mesh256-sharing job: a fresh machine allocates
+// its controllers, mesh and per-set headers, and no cache line until a
+// set's first install.
+func BenchmarkNewSystemMesh256(b *testing.B) {
+	cfg := mesh256Config()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coherence.MustNewSystem(cfg)
+	}
+}
+
+// BenchmarkNewMachine measures building the 1-core Table V machine (32 KB
+// L1s, one 2 MB LLC bank, MMU and DRAM), the per-job setup of the
+// single-core figure runs.
+func BenchmarkNewMachine(b *testing.B) {
+	cfg := core.DefaultConfig(1, coherence.SwiftDir)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.MustNewMachine(cfg)
+	}
+}
+
 // BenchmarkDirectoryWARLookup stresses the directory's address-map lookups
 // under a write-after-read pattern: core 0 installs a shared copy, core 1
 // immediately writes the same block, so every iteration drives a GETS plus
 // an invalidating GETX/Upgrade through the bank's entries/busy maps (the
-// path served by the per-bank last-entry cache and pre-sized maps).
+// path served by the per-bank last-entry cache).
 func BenchmarkDirectoryWARLookup(b *testing.B) {
 	m := core.MustNewMachine(core.DefaultConfig(2, coherence.SwiftDir))
 	proc := m.NewProcess()

@@ -144,7 +144,7 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 		engine:  sys.Eng,
 		tab:     sys.Policy.table,
 		arr:     cache.NewArray(params),
-		entries: make(map[cache.Addr]*dirEntry, params.SizeBytes/params.BlockSize/4),
+		entries: make(map[cache.Addr]*dirEntry),
 		busy:    make(map[cache.Addr]*txn),
 		pinned:  make(map[cache.Addr]int),
 		image:   make(map[cache.Addr]uint64),

@@ -183,7 +183,6 @@ type L1 struct {
 
 // newL1 wires a controller into its owning system.
 func newL1(id int, sys *System, params cache.Params) *L1 {
-	msz := params.SizeBytes / params.BlockSize / 4
 	return &L1{
 		ID:        id,
 		sys:       sys,
@@ -192,9 +191,9 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		policy:    sys.Policy,
 		tab:       sys.Policy.table,
 		arr:       cache.NewArray(params),
-		mshrs:     make(map[cache.Addr]*mshr, msz),
+		mshrs:     make(map[cache.Addr]*mshr),
 		wb:        make(map[cache.Addr]wbEntry),
-		storeSeqs: make(map[cache.Addr]uint64, msz),
+		storeSeqs: make(map[cache.Addr]uint64),
 	}
 }
 
