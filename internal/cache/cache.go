@@ -61,14 +61,24 @@ func (s LineState) Valid() bool { return s != Invalid }
 // Line is one cache line: a tag, a coherence state, and bookkeeping for
 // replacement. Data is modeled as a 64-bit shadow token (see package
 // coherence) rather than a byte payload: the simulator verifies coherence
-// of values without simulating byte-level storage. The one-byte fields
-// come last, so a Line is 32 bytes rather than 40.
+// of values without simulating byte-level storage.
+//
+// An LLC line also holds its block's directory entry, as a Ruby L2 entry
+// does: Sharers, Dir, Pins, Owner and Fwd. This package only clears them
+// at Install; package coherence gives them their meaning, and L1 lines
+// leave them zero. The small fields fill what would otherwise be the
+// line's tail padding, so a Line is 40 bytes.
 type Line struct {
-	Tag   Addr
-	Data  uint64 // shadow value token for data-value invariant checking
-	lru   uint64 // last-touch stamp for LRU
-	State LineState
-	WP    bool // write-protected hint (diagnostics only)
+	Tag     Addr
+	Data    uint64 // shadow value token for data-value invariant checking
+	lru     uint64 // last-touch stamp for LRU
+	Sharers uint64 // directory: sharer bitmask
+	State   LineState
+	WP      bool  // write-protected hint (diagnostics only)
+	Dir     uint8 // directory: state and flags
+	Pins    uint8 // directory: in-flight grants that bar eviction
+	Owner   int16 // directory: owning L1
+	Fwd     int16 // directory: MESIF forwarder
 }
 
 // ReplPolicy selects the victim-selection policy of an array.
@@ -226,6 +236,13 @@ func (a *Array) Probe(addr Addr) *Line {
 	return ln
 }
 
+// ProbeLine is Probe for a line the caller already found with Lookup: it
+// counts a hit and refreshes the line's replacement stamp.
+func (a *Array) ProbeLine(ln *Line) {
+	a.Hits++
+	a.touch(ln)
+}
+
 // Touch refreshes the replacement stamp of a resident line.
 func (a *Array) Touch(addr Addr) {
 	if ln := a.Lookup(addr); ln != nil {
@@ -282,11 +299,11 @@ func (a *Array) Victim(addr Addr) *Line {
 	return victim
 }
 
-// VictimFiltered is Victim restricted to lines whose block address is not
-// rejected by blocked. It returns nil if every way of the set is blocked
-// (callers treat that as a structural stall). Invalid ways are never
-// blocked.
-func (a *Array) VictimFiltered(addr Addr, blocked func(Addr) bool) *Line {
+// VictimFiltered is Victim restricted to lines not rejected by blocked,
+// which sees each valid way's block address and line. It returns nil if
+// every way of the set is blocked (callers treat that as a structural
+// stall). Invalid ways are never blocked.
+func (a *Array) VictimFiltered(addr Addr, blocked func(Addr, *Line) bool) *Line {
 	set := a.carve(a.SetIndex(addr))
 	// Single pass, no candidate slice: count the eligible ways and track
 	// the LRU minimum (first-encountered wins ties, as before).
@@ -296,7 +313,7 @@ func (a *Array) VictimFiltered(addr Addr, blocked func(Addr) bool) *Line {
 		if !set[i].State.Valid() {
 			return &set[i]
 		}
-		if blocked != nil && blocked(a.AddrOfLine(&set[i], addr)) {
+		if blocked != nil && blocked(a.AddrOfLine(&set[i], addr), &set[i]) {
 			continue
 		}
 		n++
@@ -312,7 +329,7 @@ func (a *Array) VictimFiltered(addr Addr, blocked func(Addr) bool) *Line {
 		// eligible way; blocked is pure, so both passes agree.
 		k := a.nextRand() % uint64(n)
 		for i := range set {
-			if blocked != nil && blocked(a.AddrOfLine(&set[i], addr)) {
+			if blocked != nil && blocked(a.AddrOfLine(&set[i], addr), &set[i]) {
 				continue
 			}
 			if k == 0 {
@@ -325,18 +342,15 @@ func (a *Array) VictimFiltered(addr Addr, blocked func(Addr) bool) *Line {
 }
 
 // Install places addr into the given line (obtained from Victim) with the
-// given state, counting an eviction if the line was valid.
+// given state, counting an eviction if the line was valid. Every other
+// field starts at zero.
 func (a *Array) Install(ln *Line, addr Addr, state LineState) {
 	if ln.State.Valid() {
 		a.Evictions++
 	}
-	ln.Tag = a.tag(addr)
-	ln.State = state
-	ln.Data = 0
-	ln.WP = false
 	// Install always stamps, so FIFO records insertion order.
 	a.clock++
-	ln.lru = a.clock
+	*ln = Line{Tag: a.tag(addr), State: state, lru: a.clock}
 }
 
 // Invalidate removes addr from the array if resident, reporting whether a

@@ -8,9 +8,11 @@ import (
 // setAddr is the first block address that maps to set s.
 func setAddr(a *Array, s int) Addr { return Addr(s) << a.blockBits }
 
-func TestLineIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 32 {
-		t.Fatalf("cache.Line is %d bytes, want 32", n)
+// The directory entry's one-byte and two-byte fields must pack into the
+// 8 bytes after State, so the entry adds only its sharer word to a line.
+func TestLineIs40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 40 {
+		t.Fatalf("cache.Line is %d bytes, want 40", n)
 	}
 }
 

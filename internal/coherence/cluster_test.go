@@ -89,14 +89,14 @@ func TestTwoLevelSharersAreClusterBits(t *testing.T) {
 	s.AccessSync(1, blockA, false, true, 0)
 	s.AccessSync(2, blockA, false, true, 0)
 	s.Quiesce()
-	e, ok := s.bankFor(blockA).entries[blockA]
-	if !ok || e.state != DirShared {
-		t.Fatalf("dir entry %+v ok=%v, want DirShared", e, ok)
+	e := s.bankFor(blockA).entry(blockA)
+	if e == nil || e.state() != DirShared {
+		t.Fatalf("dir entry %+v, want DirShared", e)
 	}
-	if e.sharers != 0b11 {
-		t.Fatalf("home sharer bits %#b, want clusters {0,1} = 0b11", e.sharers)
+	if e.Sharers != 0b11 {
+		t.Fatalf("home sharer bits %#b, want clusters {0,1} = 0b11", e.Sharers)
 	}
-	if r0, r1 := s.hubs[0].record[blockA], s.hubs[1].record[blockA]; r0 != 0b11 || r1 != 0b01 {
+	if r0, r1 := s.hubs[0].recordOf(blockA), s.hubs[1].recordOf(blockA); r0 != 0b11 || r1 != 0b01 {
 		t.Fatalf("hub records %#b, %#b, want hub0=0b11 hub1=0b01", r0, r1)
 	}
 	quiesceAndCheck(t, s)
@@ -150,8 +150,8 @@ func TestTwoLevelHubFiltersEvictions(t *testing.T) {
 	if got := s.MsgCount(MsgPUTS); got != before {
 		t.Fatalf("non-last PUTS reached the home (count %d -> %d)", before, got)
 	}
-	e := s.bankFor(blockA).entries[blockA]
-	if e == nil || e.state != DirShared || e.sharers&1 == 0 {
+	e := s.bankFor(blockA).entry(blockA)
+	if e == nil || e.state() != DirShared || e.Sharers&1 == 0 {
 		t.Fatalf("home lost cluster 0's sharer bit: %+v", e)
 	}
 	// Now evict it from core 0 as well: the cluster's last PUTS reaches

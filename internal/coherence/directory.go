@@ -2,11 +2,13 @@ package coherence
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/fault"
+	"repro/internal/intmap"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -46,14 +48,32 @@ func (s DirState) String() string {
 	return proto.DirState(s).String()
 }
 
-// dirEntry is the directory sidecar for an LLC-resident block.
-type dirEntry struct {
-	state     DirState
-	owner     int
-	sharers   uint64 // bitset of L1 ids
-	llcDirty  bool   // LLC data differs from memory
-	wp        bool   // block was write-protected at its last load grant
-	forwarder int    // MESIF forward-state holder among the sharers, or -1
+// dirEntry is an LLC line seen as its block's directory entry: the
+// entry lives in the line, as a Ruby MESI_Two_Level L2 entry does, so a
+// block has an entry exactly while it is LLC-resident. Of cache.Line's
+// directory fields, Sharers is the sharer bitmask (L1 ids, or clusters
+// under the two-level directory), Owner the owning L1, Fwd the MESIF
+// forward-state holder among the sharers (or -1), Pins the in-flight
+// Upgrade_ACKs that bar eviction (see pin), and Dir the DirState plus the
+// two flags below.
+type dirEntry cache.Line
+
+const (
+	dirStateMask = 0x07
+	dirLLCDirty  = 0x08 // LLC data differs from memory
+	dirWP        = 0x10 // block was write-protected at its last load grant
+)
+
+func (e *dirEntry) state() DirState     { return DirState(e.Dir & dirStateMask) }
+func (e *dirEntry) setState(s DirState) { e.Dir = e.Dir&^dirStateMask | uint8(s) }
+func (e *dirEntry) llcDirty() bool      { return e.Dir&dirLLCDirty != 0 }
+func (e *dirEntry) wp() bool            { return e.Dir&dirWP != 0 }
+
+func (e *dirEntry) setWP(wp bool) {
+	e.Dir &^= dirWP
+	if wp {
+		e.Dir |= dirWP
+	}
 }
 
 func bit(id int) uint64 { return 1 << uint(id) }
@@ -97,32 +117,21 @@ type BankStats struct {
 }
 
 // bank is one LLC slice plus its directory and its view of the memory
-// controller.
+// controller. The directory entries live in the LLC lines (dirEntry).
 type bank struct {
-	id      int
-	sys     *System
-	engine  *sim.Engine
-	tab     *proto.Table // canonical transition relation (drives dispatch)
-	arr     *cache.Array
-	entries map[cache.Addr]*dirEntry
-	busy    map[cache.Addr]*txn
+	id     int
+	sys    *System
+	engine *sim.Engine
+	tab    *proto.Table // canonical transition relation (drives dispatch)
+	arr    *cache.Array
+	busy   intmap.Map[*txn]
 	// image is this bank's slice of the shadow memory: blocks homed here.
-	image map[cache.Addr]uint64
-	// pinned counts in-flight grants (UpgradeAcks) per address. Such a
-	// grant carries no follow-up unblock, so no busy transaction covers
-	// its flight; pinning keeps victim selection from recalling the block
-	// before the grant lands (which would orphan the requestor's MSHR).
-	// Every pin is released on delivery, so a quiesced bank has none.
-	pinned map[cache.Addr]int
+	image intmap.Map[uint64]
+	// pins counts the pins held on this bank's lines (see pin), so the
+	// fast path reads a line's pin count only while some pin is held.
+	pins int
 
-	txnFree   []*txn      // recycled transactions
-	entryFree []*dirEntry // recycled directory entries
-
-	// One-entry lookup cache: directory traffic is bursty per block (a
-	// request, its WB_Data, its acks, its unblock all hit the same entry),
-	// so the last touched entry answers most map probes.
-	lastAddr cache.Addr
-	lastEnt  *dirEntry
+	txnFree []*txn // recycled transactions
 
 	// arb, set for a phase-priority policy, orders each transaction's
 	// queued requests by arbitration class (see enqueue). Unset keeps the
@@ -139,29 +148,26 @@ type bank struct {
 
 func newBank(id int, sys *System, params cache.Params) *bank {
 	return &bank{
-		id:      id,
-		sys:     sys,
-		engine:  sys.Eng,
-		tab:     sys.Policy.table,
-		arr:     cache.NewArray(params),
-		entries: make(map[cache.Addr]*dirEntry),
-		busy:    make(map[cache.Addr]*txn),
-		pinned:  make(map[cache.Addr]int),
-		image:   make(map[cache.Addr]uint64),
-		arb:     sys.Policy.phasePriority,
+		id:     id,
+		sys:    sys,
+		engine: sys.Eng,
+		tab:    sys.Policy.table,
+		arr:    cache.NewArray(params),
+		arb:    sys.Policy.phasePriority,
 	}
 }
 
-// entry looks up the directory entry for addr through the one-entry cache.
-func (b *bank) entry(addr cache.Addr) *dirEntry {
-	if addr == b.lastAddr && b.lastEnt != nil {
-		return b.lastEnt
-	}
-	e := b.entries[addr]
-	if e != nil {
-		b.lastAddr, b.lastEnt = addr, e
-	}
-	return e
+// entry returns addr's directory entry, or nil if the block is not
+// LLC-resident. It is stats-neutral (a Lookup, not a Probe).
+func (b *bank) entry(addr cache.Addr) *dirEntry { return (*dirEntry)(b.arr.Lookup(addr)) }
+
+// line returns the LLC line an entry lives in.
+func (e *dirEntry) line() *cache.Line { return (*cache.Line)(e) }
+
+// txnOf returns addr's in-flight transaction, or nil.
+func (b *bank) txnOf(addr cache.Addr) *txn {
+	t, _ := b.busy.Get(uint64(addr))
+	return t
 }
 
 // newTxn takes a recycled transaction (or allocates a fresh one) for req.
@@ -189,17 +195,6 @@ func (b *bank) freeTxn(t *txn) {
 	t.waitUnblock, t.waitWB, t.waitAcks = false, false, 0
 	t.pendKind, t.pendData = pendNone, 0
 	b.txnFree = append(b.txnFree, t)
-}
-
-// newEntry takes a recycled directory entry, zeroed.
-func (b *bank) newEntry() *dirEntry {
-	if n := len(b.entryFree); n > 0 {
-		e := b.entryFree[n-1]
-		b.entryFree = b.entryFree[:n-1]
-		*e = dirEntry{}
-		return e
-	}
-	return &dirEntry{}
 }
 
 func (b *bank) eng() *sim.Engine { return b.engine }
@@ -237,18 +232,39 @@ func (b *bank) sharerBit(src int) uint64 {
 	return bit(src)
 }
 
-// unpin releases one pin on addr. ackUpgrade takes the pin when the
-// grant leaves the bank; System.deliver releases it in the event that
-// hands the grant to the L1. An unpin without a pin is a protocol bug.
-func (b *bank) unpin(addr cache.Addr) {
-	switch n := b.pinned[addr]; {
-	case n <= 0:
-		b.violate(addr, "unpin of an unpinned block")
-	case n == 1:
-		delete(b.pinned, addr)
-	default:
-		b.pinned[addr] = n - 1
+// pin bars addr's line from LLC victim selection while a grant is in
+// flight. An Upgrade_ACK carries no follow-up unblock, so no busy
+// transaction covers its flight; the pin keeps victim selection from
+// recalling the block before the grant lands (which would orphan the
+// requestor's MSHR). ackUpgrade takes the pin when the grant leaves the
+// bank; System.deliver releases it (unpin) in the event that hands the
+// grant to the L1, so a quiesced bank holds none.
+func (b *bank) pin(addr cache.Addr, e *dirEntry) {
+	if e.Pins == math.MaxUint8 {
+		b.violate(addr, "pin count overflow")
 	}
+	e.Pins++
+	b.pins++
+}
+
+// unpin releases one pin on addr. An unpin without a pin is a protocol
+// bug.
+func (b *bank) unpin(addr cache.Addr) {
+	e := b.entry(addr)
+	if e == nil || e.Pins == 0 {
+		b.violate(addr, "unpin of an unpinned block")
+	}
+	e.Pins--
+	b.pins--
+}
+
+// pinned reports whether addr's line holds a pin.
+func (b *bank) pinned(addr cache.Addr) bool {
+	if b.pins == 0 {
+		return false
+	}
+	e := b.entry(addr)
+	return e != nil && e.Pins != 0
 }
 
 // Handle dispatches the bank's payload events (see the op constants in
@@ -282,9 +298,10 @@ func (b *bank) respDelay() sim.Cycle { return b.timing().LLCTag + b.timing().Hop
 
 // dirTabEntry is the generic dispatch step, mirroring (*L1).l1Entry:
 // resolve (state-of-block, event) in the canonical table and fail with a
-// typed protocol violation unless the pair is Defined or Defensive.
-func (b *bank) dirTabEntry(addr cache.Addr, ev proto.Event) *proto.DirEntry {
-	st := b.protoDirState(addr)
+// typed protocol violation unless the pair is Defined or Defensive. e is
+// addr's entry (nil when not resident).
+func (b *bank) dirTabEntry(addr cache.Addr, e *dirEntry, ev proto.Event) *proto.DirEntry {
+	st := b.stateOf(addr, e)
 	ent := &b.tab.Dir[st][ev]
 	if ent.Class != proto.Defined && ent.Class != proto.Defensive {
 		b.violate(addr, "%v in state %v is %v under %s", ev, st, ent.Class, b.tab.Policy)
@@ -300,72 +317,78 @@ func (b *bank) dirTabEntry(addr cache.Addr, ev proto.Event) *proto.DirEntry {
 // queued arrivals count when replayed, and an Upgrade that re-resolves
 // as a GETX (resolveAsStore) is not double-counted.
 func (b *bank) dispatch(m Msg) {
-	ent := b.dirTabEntry(m.Addr, protoEvent(m.Kind))
+	e := b.entry(m.Addr)
+	ent := b.dirTabEntry(m.Addr, e, protoEvent(m.Kind))
 	if ent.Act != proto.DirActQueue {
 		switch m.Kind {
 		case MsgGETS, MsgGETSWP, MsgGETX, MsgUpgrade:
 			b.Stats.Requests++
 		}
 	}
-	b.runDir(ent.Act, m)
+	b.runDir(ent.Act, m, e)
 }
 
 // resolveAsStore re-resolves a raced Upgrade — the requestor's copy was
 // recalled or invalidated mid-flight — as a GETX through the same table
 // entry a fresh GETX would hit. The request was already counted at
 // dispatch, so Stats.Requests is untouched.
-func (b *bank) resolveAsStore(m Msg) {
-	b.runDir(b.dirTabEntry(m.Addr, proto.EvGETX).Act, m)
+func (b *bank) resolveAsStore(m Msg, e *dirEntry) {
+	b.runDir(b.dirTabEntry(m.Addr, e, proto.EvGETX).Act, m, e)
 }
 
-// runDir executes a table action's handler body.
-func (b *bank) runDir(act proto.DirAction, m Msg) {
+// runDir executes a table action's handler body. e is the block's entry,
+// found once at dispatch (nil when not resident): the handlers below
+// neither install nor evict, so it stays valid throughout. An action
+// that reads the LLC data counts an array hit (ProbeLine) where the
+// controller has always probed the array.
+func (b *bank) runDir(act proto.DirAction, m Msg, e *dirEntry) {
 	switch act {
 	case proto.DirActQueue:
-		b.enqueue(b.busy[m.Addr], m)
+		b.enqueue(b.txnOf(m.Addr), m)
 	case proto.DirActFetchLoad:
 		b.fetchAndGrant(m, false)
 	case proto.DirActFetchStore:
 		b.fetchAndGrant(m, true)
 	case proto.DirActGrantLoadP:
-		b.grantLoad(m, b.entry(m.Addr), b.arr.Probe(m.Addr).Data, ServedLLC, 0)
+		b.arr.ProbeLine(e.line())
+		b.grantLoad(m, e, e.Data, ServedLLC, 0)
 	case proto.DirActGrantStoreP:
-		b.grantStore(m, b.entry(m.Addr), b.arr.Probe(m.Addr).Data, ServedLLC, 0)
+		b.arr.ProbeLine(e.line())
+		b.grantStore(m, e, e.Data, ServedLLC, 0)
 	case proto.DirActLoadS:
-		b.onLoadShared(m)
+		b.onLoadShared(m, e)
 	case proto.DirActLoadE:
-		b.onLoadExclusive(m)
+		b.onLoadExclusive(m, e)
 	case proto.DirActLoadOwner:
-		b.arr.Probe(m.Addr)
-		b.forwardLoad(m, b.entry(m.Addr))
+		b.arr.ProbeLine(e.line())
+		b.forwardLoad(m, e)
 	case proto.DirActStoreS:
-		b.onStoreShared(m)
+		b.onStoreShared(m, e)
 	case proto.DirActStoreOwner:
-		b.onStoreOwner(m)
+		b.onStoreOwner(m, e)
 	case proto.DirActStoreO:
-		b.onStoreOwned(m)
+		b.onStoreOwned(m, e)
 	case proto.DirActUpgradeMiss:
-		b.resolveAsStore(m)
+		b.resolveAsStore(m, e)
 	case proto.DirActUpgradeS:
-		b.onUpgradeShared(m)
+		b.onUpgradeShared(m, e)
 	case proto.DirActUpgradeOwner:
-		e := b.entry(m.Addr)
-		if e.owner != m.Src {
+		if int(e.Owner) != m.Src {
 			// Raced: the requestor is no longer the owner (S-MESI recall
 			// window). Resolve as GETX.
-			b.resolveAsStore(m)
+			b.resolveAsStore(m, e)
 			return
 		}
 		b.ackUpgrade(m, e)
 	case proto.DirActUpgradeO:
-		b.onUpgradeOwned(m)
+		b.onUpgradeOwned(m, e)
 	case proto.DirActPUTS:
-		b.onPUTS(m)
+		b.onPUTS(m, e)
 	case proto.DirActPUTSStale:
 		// Eviction notice for a recalled block: nothing to clear, and
 		// PUTS is fire-and-forget (no ack).
 	case proto.DirActPUTX:
-		b.onPUTX(m)
+		b.onPUTX(m, e)
 	case proto.DirActPUTXStale:
 		if m.Dirty {
 			// The block was recalled while the writeback was in flight;
@@ -374,15 +397,15 @@ func (b *bank) runDir(act proto.DirAction, m Msg) {
 		}
 		b.send(m.Src, Msg{Kind: MsgWBAck, Addr: m.Addr}, b.respDelay())
 	case proto.DirActUnblock:
-		t := b.busy[m.Addr]
+		t := b.txnOf(m.Addr)
 		t.waitUnblock = false
 		b.maybeComplete(m.Addr, t)
 	case proto.DirActInvAck:
-		b.onInvAck(m)
+		b.onInvAck(m, e)
 	case proto.DirActInvAckStale:
 		// Late ack for a transaction that already completed: dropped.
 	case proto.DirActWBData:
-		b.onWBData(m)
+		b.onWBData(m, e)
 	default:
 		b.violate(m.Addr, "directory action %v unhandled for %v", act, m.Kind)
 	}
@@ -390,15 +413,14 @@ func (b *bank) runDir(act proto.DirAction, m Msg) {
 
 // onInvAck retires one outstanding invalidation ack and performs the
 // deferred grant once the last ack arrives.
-func (b *bank) onInvAck(m Msg) {
-	t := b.busy[m.Addr]
+func (b *bank) onInvAck(m Msg, e *dirEntry) {
+	t := b.txnOf(m.Addr)
 	t.waitAcks--
 	if t.waitAcks == 0 && t.pendKind != pendNone {
 		kind := t.pendKind
 		t.pendKind = pendNone
-		// The entry pointer is stable across the ack window: the block
-		// stayed busy, so no install or eviction could replace it.
-		e := b.entry(m.Addr)
+		// The block stayed busy across the ack window, so no install or
+		// eviction replaced its line.
 		switch kind {
 		case pendStore:
 			b.grantStore(t.req, e, t.pendData, ServedLLC, 0)
@@ -459,60 +481,58 @@ func queueClass(k MsgKind) uint8 {
 // onLoadShared implements GETS/GETS_WP at DirShared (Figure 1(b)/4(b)):
 // the designated MESIF forwarder supplies the data cache-to-cache, or
 // the LLC serves directly.
-func (b *bank) onLoadShared(m Msg) {
-	e := b.entry(m.Addr)
-	ln := b.arr.Probe(m.Addr)
+func (b *bank) onLoadShared(m Msg, e *dirEntry) {
+	b.arr.ProbeLine(e.line())
 	// Forward-state decisions key on the REQUESTOR's protection bit, not
 	// the entry's: a write-protected requestor must get the constant LLC
 	// service in state S even if earlier unprotected accesses left a
 	// forwarder behind (otherwise it would inherit F, re-opening the
 	// timing channel the SwiftDir adaptation closes).
-	if b.policy().ForwardStateFor(m.WP) && e.forwarder >= 0 {
+	if b.policy().ForwardStateFor(m.WP) && e.Fwd >= 0 {
 		// MESIF: the designated forwarder supplies the data
 		// cache-to-cache; the requestor becomes the new forwarder.
 		t := b.newTxn(m)
 		t.waitUnblock, t.waitWB = true, true
-		b.busy[m.Addr] = t
+		b.busy.Set(uint64(m.Addr), t)
 		b.Stats.Forwards++
-		b.send(e.forwarder, Msg{Kind: MsgFwdGETS, Addr: m.Addr, Requestor: m.Src, WP: m.WP}, b.respDelay())
+		b.send(int(e.Fwd), Msg{Kind: MsgFwdGETS, Addr: m.Addr, Requestor: m.Src, WP: m.WP}, b.respDelay())
 		return
 	}
 	// Figure 1(b)/4(b): served directly from the LLC.
-	e.sharers |= b.sharerBit(m.Src)
+	e.Sharers |= b.sharerBit(m.Src)
 	mf := b.policy().ForwardStateFor(m.WP)
 	if mf {
-		e.forwarder = m.Src
+		e.Fwd = int16(m.Src)
 	}
 	t := b.newTxn(m)
 	t.waitUnblock = true
-	b.busy[m.Addr] = t
+	b.busy.Set(uint64(m.Addr), t)
 	b.Stats.LLCServed++
-	b.send(m.Src, Msg{Kind: MsgData, Addr: m.Addr, Data: ln.Data, Served: ServedLLC, MakeForward: mf}, b.respDelay())
+	b.send(m.Src, Msg{Kind: MsgData, Addr: m.Addr, Data: e.Data, Served: ServedLLC, MakeForward: mf}, b.respDelay())
 }
 
 // onLoadExclusive implements GETS/GETS_WP at DirExclusive: the paper's
 // crux. The silent-upgrade protocols must forward (the copy may be
 // dirty); S-MESI and the E_wp ablation serve the provably clean LLC copy
 // and downgrade the owner (Figure 4(a)-(b), 4(c), 4(e)).
-func (b *bank) onLoadExclusive(m Msg) {
-	e := b.entry(m.Addr)
-	ln := b.arr.Probe(m.Addr)
-	if e.owner == m.Src {
+func (b *bank) onLoadExclusive(m Msg, e *dirEntry) {
+	b.arr.ProbeLine(e.line())
+	if int(e.Owner) == m.Src {
 		b.violate(m.Addr, "owner %d re-requests the block", m.Src)
 	}
-	if b.policy().ServeExclusiveFromLLC(e.wp) {
+	if b.policy().ServeExclusiveFromLLC(e.wp()) {
 		// S-MESI (always) or the E_wp ablation (write-protected
 		// blocks): E at the directory is provably clean; serve from
 		// the LLC and downgrade the owner.
-		owner := e.owner
-		e.state = DirShared
-		e.sharers = b.sharerBit(owner) | b.sharerBit(m.Src)
-		e.owner = -1
+		owner := int(e.Owner)
+		e.setState(DirShared)
+		e.Sharers = b.sharerBit(owner) | b.sharerBit(m.Src)
+		e.Owner = -1
 		t := b.newTxn(m)
 		t.waitUnblock = true
-		b.busy[m.Addr] = t
+		b.busy.Set(uint64(m.Addr), t)
 		b.Stats.LLCServed++
-		b.send(m.Src, Msg{Kind: MsgData, Addr: m.Addr, Data: ln.Data, Served: ServedLLC}, b.respDelay())
+		b.send(m.Src, Msg{Kind: MsgData, Addr: m.Addr, Data: e.Data, Served: ServedLLC}, b.respDelay())
 		b.send(owner, Msg{Kind: MsgDowngrade, Addr: m.Addr}, b.respDelay())
 		return
 	}
@@ -524,29 +544,27 @@ func (b *bank) onLoadExclusive(m Msg) {
 func (b *bank) forwardLoad(m Msg, e *dirEntry) {
 	t := b.newTxn(m)
 	t.waitUnblock, t.waitWB = true, true
-	b.busy[m.Addr] = t
+	b.busy.Set(uint64(m.Addr), t)
 	b.Stats.Forwards++
-	b.send(e.owner, Msg{Kind: MsgFwdGETS, Addr: m.Addr, Requestor: m.Src, WP: m.WP}, b.respDelay())
+	b.send(int(e.Owner), Msg{Kind: MsgFwdGETS, Addr: m.Addr, Requestor: m.Src, WP: m.WP}, b.respDelay())
 }
 
 // onWBData absorbs the owner's copy after a forwarded GETS and finalizes
 // the sharer set. Under MOESI the owner may instead report that it kept
 // the dirty copy (m.Owned): the entry moves to DirOwned and the LLC data
 // stay stale.
-func (b *bank) onWBData(m Msg) {
-	t := b.busy[m.Addr]
+func (b *bank) onWBData(m Msg, e *dirEntry) {
+	t := b.txnOf(m.Addr)
 	if t == nil {
 		b.violate(m.Addr, "WB_Data for idle block")
 	}
-	e := b.entry(m.Addr)
-	ln := b.arr.Lookup(m.Addr)
-	if e == nil || ln == nil {
+	if e == nil {
 		b.violate(m.Addr, "WB_Data for absent block")
 	}
 	if m.Owned {
-		e.state = DirOwned
-		e.owner = m.Src
-		e.sharers |= bit(t.req.Src)
+		e.setState(DirOwned)
+		e.Owner = int16(m.Src)
+		e.Sharers |= bit(t.req.Src)
 		t.waitWB = false
 		b.maybeComplete(m.Addr, t)
 		return
@@ -555,11 +573,11 @@ func (b *bank) onWBData(m Msg) {
 		// MESIF: the requestor that just received the data becomes the
 		// forwarder (never a write-protected requestor, whose copy must
 		// stay plain S).
-		e.forwarder = t.req.Src
+		e.Fwd = int16(t.req.Src)
 	}
 	if m.Dirty {
-		ln.Data = m.Data
-		e.llcDirty = true
+		e.Data = m.Data
+		e.Dir |= dirLLCDirty
 	}
 	if b.sys.twoLevel {
 		// Only the E/M owner-downgrade path is reachable: owned and
@@ -568,39 +586,38 @@ func (b *bank) onWBData(m Msg) {
 		// the owner's and requestor's clusters are the only holders (a
 		// served-from-writeback owner holds nothing, and its hub record
 		// bit was already cleared when its PUTX passed through).
-		e.sharers = b.sharerBit(t.req.Src)
+		e.Sharers = b.sharerBit(t.req.Src)
 		if !m.FromWB {
-			e.sharers |= b.sharerBit(m.Src)
+			e.Sharers |= b.sharerBit(m.Src)
 		}
-	} else if e.state == DirShared || e.state == DirOwned {
+	} else if st := e.state(); st == DirShared || st == DirOwned {
 		// MESIF forwarder transfer, or a MOESI owned block whose owner
 		// downgraded/evicted: other sharers are untouched and must be
 		// preserved.
-		e.sharers |= bit(t.req.Src)
+		e.Sharers |= bit(t.req.Src)
 		if m.FromWB {
-			e.sharers &^= bit(m.Src)
+			e.Sharers &^= bit(m.Src)
 		} else {
-			e.sharers |= bit(m.Src)
+			e.Sharers |= bit(m.Src)
 		}
 	} else {
 		// E/M owner downgrade: owner and requestor are the only copies.
-		e.sharers = bit(t.req.Src)
+		e.Sharers = bit(t.req.Src)
 		if !m.FromWB {
-			e.sharers |= bit(m.Src)
+			e.Sharers |= bit(m.Src)
 		}
 	}
-	e.state = DirShared
-	e.owner = -1
+	e.setState(DirShared)
+	e.Owner = -1
 	t.waitWB = false
 	b.maybeComplete(m.Addr, t)
 }
 
 // onStoreShared implements GETX at DirShared: invalidate the other
 // sharers, deferring the grant until their acks arrive.
-func (b *bank) onStoreShared(m Msg) {
-	e := b.entry(m.Addr)
-	ln := b.arr.Probe(m.Addr)
-	targets := e.sharers
+func (b *bank) onStoreShared(m Msg, e *dirEntry) {
+	b.arr.ProbeLine(e.line())
+	targets := e.Sharers
 	if !b.sys.twoLevel {
 		// Flat: the requestor holds nothing (a GETX is a miss), so its
 		// own bit — if stale — is simply dropped. Two-level keeps the
@@ -609,30 +626,29 @@ func (b *bank) onStoreShared(m Msg) {
 		targets &^= bit(m.Src)
 	}
 	if targets == 0 {
-		b.grantStore(m, e, ln.Data, ServedLLC, 0)
+		b.grantStore(m, e, e.Data, ServedLLC, 0)
 		return
 	}
 	t := b.newTxn(m)
-	b.busy[m.Addr] = t
-	b.invalidate(m.Addr, targets, m.Src, t)
-	t.pendKind, t.pendData = pendStore, ln.Data
+	b.busy.Set(uint64(m.Addr), t)
+	b.invalidate(m.Addr, e, targets, m.Src, t)
+	t.pendKind, t.pendData = pendStore, e.Data
 }
 
 // onStoreOwner implements GETX at DirExclusive/DirModifiedL1: the owner
 // surrenders the block to the requestor via Fwd_GETX.
-func (b *bank) onStoreOwner(m Msg) {
-	e := b.entry(m.Addr)
-	b.arr.Probe(m.Addr)
-	if e.owner == m.Src {
+func (b *bank) onStoreOwner(m Msg, e *dirEntry) {
+	b.arr.ProbeLine(e.line())
+	if int(e.Owner) == m.Src {
 		b.violate(m.Addr, "owner %d GETX on own block", m.Src)
 	}
-	owner := e.owner
-	e.state = DirModifiedL1
-	e.owner = m.Src
-	e.sharers = 0
+	owner := int(e.Owner)
+	e.setState(DirModifiedL1)
+	e.Owner = int16(m.Src)
+	e.Sharers = 0
 	t := b.newTxn(m)
 	t.waitUnblock = true
-	b.busy[m.Addr] = t
+	b.busy.Set(uint64(m.Addr), t)
 	b.Stats.Forwards++
 	b.send(owner, Msg{Kind: MsgFwdGETX, Addr: m.Addr, Requestor: m.Src}, b.respDelay())
 }
@@ -641,20 +657,19 @@ func (b *bank) onStoreOwner(m Msg) {
 // the O holder; any S copies (and the requestor's own stale S copy never
 // exists here: sharers store with Upgrade) must be invalidated in
 // parallel.
-func (b *bank) onStoreOwned(m Msg) {
-	e := b.entry(m.Addr)
-	b.arr.Probe(m.Addr)
-	owner := e.owner
-	targets := e.sharers &^ bit(m.Src)
+func (b *bank) onStoreOwned(m Msg, e *dirEntry) {
+	b.arr.ProbeLine(e.line())
+	owner := int(e.Owner)
+	targets := e.Sharers &^ bit(m.Src)
 	t := b.newTxn(m)
 	t.waitUnblock = true
-	b.busy[m.Addr] = t
+	b.busy.Set(uint64(m.Addr), t)
 	if targets != 0 {
-		b.invalidate(m.Addr, targets, m.Src, t)
+		b.invalidate(m.Addr, e, targets, m.Src, t)
 	}
-	e.state = DirModifiedL1
-	e.owner = m.Src
-	e.sharers = 0
+	e.setState(DirModifiedL1)
+	e.Owner = int16(m.Src)
+	e.Sharers = 0
 	b.Stats.Forwards++
 	b.send(owner, Msg{Kind: MsgFwdGETX, Addr: m.Addr, Requestor: m.Src}, b.respDelay())
 }
@@ -662,8 +677,7 @@ func (b *bank) onStoreOwned(m Msg) {
 // onUpgradeShared implements Upgrade at DirShared: S→M in every protocol
 // (Figure 2). A requestor that is no longer a sharer lost its copy to a
 // racing invalidation and resolves as a full GETX.
-func (b *bank) onUpgradeShared(m Msg) {
-	e := b.entry(m.Addr)
+func (b *bank) onUpgradeShared(m Msg, e *dirEntry) {
 	if b.sys.twoLevel {
 		// The home tracks clusters, not locals, so it cannot grant an
 		// upgrade without invalidating the requestor's own cluster (which
@@ -671,21 +685,21 @@ func (b *bank) onUpgradeShared(m Msg) {
 		// upgrade as a full GETX: the requestor's S copy falls to the hub
 		// multicast (its MSHR moves SM^A -> IM^D, the defined raced-
 		// upgrade path) and a fresh exclusive grant follows.
-		b.resolveAsStore(m)
+		b.resolveAsStore(m, e)
 		return
 	}
-	if e.sharers&bit(m.Src) == 0 {
-		b.resolveAsStore(m)
+	if e.Sharers&bit(m.Src) == 0 {
+		b.resolveAsStore(m, e)
 		return
 	}
-	targets := e.sharers &^ bit(m.Src)
+	targets := e.Sharers &^ bit(m.Src)
 	if targets == 0 {
 		b.ackUpgrade(m, e)
 		return
 	}
 	t := b.newTxn(m)
-	b.busy[m.Addr] = t
-	b.invalidate(m.Addr, targets, m.Src, t)
+	b.busy.Set(uint64(m.Addr), t)
+	b.invalidate(m.Addr, e, targets, m.Src, t)
 	t.pendKind = pendUpgrade
 }
 
@@ -693,23 +707,23 @@ func (b *bank) onUpgradeShared(m Msg) {
 // holder upgrades O->M (invalidating the S copies) or a sharer upgrades
 // S->M (invalidating the O holder too — safe, since every S copy equals
 // the O copy's value).
-func (b *bank) onUpgradeOwned(m Msg) {
-	e := b.entry(m.Addr)
-	if e.owner != m.Src && e.sharers&bit(m.Src) == 0 {
-		b.resolveAsStore(m)
+func (b *bank) onUpgradeOwned(m Msg, e *dirEntry) {
+	owner := int(e.Owner)
+	if owner != m.Src && e.Sharers&bit(m.Src) == 0 {
+		b.resolveAsStore(m, e)
 		return
 	}
-	targets := e.sharers &^ bit(m.Src)
-	if e.owner != m.Src {
-		targets |= bit(e.owner)
+	targets := e.Sharers &^ bit(m.Src)
+	if owner != m.Src {
+		targets |= bit(owner)
 	}
 	if targets == 0 {
 		b.ackUpgrade(m, e)
 		return
 	}
 	t := b.newTxn(m)
-	b.busy[m.Addr] = t
-	b.invalidate(m.Addr, targets, m.Src, t)
+	b.busy.Set(uint64(m.Addr), t)
+	b.invalidate(m.Addr, e, targets, m.Src, t)
 	t.pendKind = pendUpgrade
 }
 
@@ -719,19 +733,19 @@ func (b *bank) onUpgradeOwned(m Msg) {
 // LRU policy, occasionally improving retention — an effect that emerges
 // here for free.
 func (b *bank) ackUpgrade(m Msg, e *dirEntry) {
-	e.state = DirModifiedL1
-	e.owner = m.Src
-	e.sharers = 0
-	e.wp = false
-	e.forwarder = -1
+	e.setState(DirModifiedL1)
+	e.Owner = int16(m.Src)
+	e.Sharers = 0
+	e.setWP(false)
+	e.Fwd = -1
 	b.arr.Touch(m.Addr)
 	b.Stats.UpgradeAcks++
 	// Upgrade_ACK is the one grant with no follow-up unblock, so no busy
 	// transaction covers its flight: pin the block against LLC victim
-	// selection until the grant lands (see unpin).
-	b.pinned[m.Addr]++
+	// selection until the grant lands.
+	b.pin(m.Addr, e)
 	b.send(m.Src, Msg{Kind: MsgUpgradeAck, Addr: m.Addr}, b.respDelay())
-	if t, ok := b.busy[m.Addr]; ok {
+	if t := b.txnOf(m.Addr); t != nil {
 		b.maybeComplete(m.Addr, t)
 	}
 }
@@ -739,15 +753,14 @@ func (b *bank) ackUpgrade(m Msg, e *dirEntry) {
 // invalidate issues Inv demands and arms the ack counter. Flat, each
 // target bit is an L1; two-level, each is a cluster whose hub multicasts
 // to its recorded locals and returns ONE aggregate ack.
-func (b *bank) invalidate(addr cache.Addr, targets uint64, requestor int, t *txn) {
+func (b *bank) invalidate(addr cache.Addr, e *dirEntry, targets uint64, requestor int, t *txn) {
 	n := bits.OnesCount64(targets)
 	t.waitAcks = n
 	b.Stats.Invals += uint64(n)
-	e := b.entry(addr)
 	if b.sys.twoLevel {
 		for c := 0; targets != 0; c++ {
 			if targets&1 != 0 {
-				e.sharers &^= bit(c)
+				e.Sharers &^= bit(c)
 				b.stage(opBankSendStageHub, c, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
 			}
 			targets >>= 1
@@ -756,7 +769,7 @@ func (b *bank) invalidate(addr cache.Addr, targets uint64, requestor int, t *txn
 	}
 	for id := 0; targets != 0; id++ {
 		if targets&1 != 0 {
-			e.sharers &^= bit(id)
+			e.Sharers &^= bit(id)
 			b.send(id, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
 		}
 		targets >>= 1
@@ -767,45 +780,40 @@ func (b *bank) invalidate(addr cache.Addr, targets uint64, requestor int, t *txn
 // Under the two-level directory a PUTS only reaches the home when the
 // evictor's hub determined the whole cluster is (and stays) empty, so
 // clearing the cluster bit is exact.
-func (b *bank) onPUTS(m Msg) {
-	e := b.entry(m.Addr)
-	e.sharers &^= b.sharerBit(m.Src)
-	if e.forwarder == m.Src {
+func (b *bank) onPUTS(m Msg, e *dirEntry) {
+	e.Sharers &^= b.sharerBit(m.Src)
+	if int(e.Fwd) == m.Src {
 		// The MESIF forwarder evicted; until the next shared grant there
 		// is no designated responder and the LLC serves.
-		e.forwarder = -1
+		e.Fwd = -1
 	}
-	if e.state == DirShared && e.sharers == 0 {
-		e.state = DirPresent
+	if e.state() == DirShared && e.Sharers == 0 {
+		e.setState(DirPresent)
 	}
 }
 
 // onPUTX absorbs an owner's (or demoted holder's) writeback and always
 // acks so the evictor can release its writeback buffer entry.
-func (b *bank) onPUTX(m Msg) {
-	e := b.entry(m.Addr)
+func (b *bank) onPUTX(m Msg, e *dirEntry) {
+	owner, st := int(e.Owner), e.state()
 	switch {
-	case e.owner == m.Src && e.state == DirOwned:
+	case owner == m.Src && st == DirOwned:
 		// The O holder evicts: the LLC absorbs the dirty data; any S
 		// copies remain valid sharers of the now-clean LLC line.
-		e.owner = -1
-		if ln := b.arr.Lookup(m.Addr); ln != nil {
-			ln.Data = m.Data
-		}
-		e.llcDirty = true
-		if e.sharers == 0 {
-			e.state = DirPresent
+		e.Owner = -1
+		e.Data = m.Data
+		e.Dir |= dirLLCDirty
+		if e.Sharers == 0 {
+			e.setState(DirPresent)
 		} else {
-			e.state = DirShared
+			e.setState(DirShared)
 		}
-	case e.owner == m.Src && (e.state == DirExclusive || e.state == DirModifiedL1):
-		e.state = DirPresent
-		e.owner = -1
+	case owner == m.Src && (st == DirExclusive || st == DirModifiedL1):
+		e.setState(DirPresent)
+		e.Owner = -1
 		if m.Dirty {
-			if ln := b.arr.Lookup(m.Addr); ln != nil {
-				ln.Data = m.Data
-			}
-			e.llcDirty = true
+			e.Data = m.Data
+			e.Dir |= dirLLCDirty
 		}
 	default:
 		// Stale or non-owner writeback: an S-MESI Downgrade demoted the
@@ -816,16 +824,16 @@ func (b *bank) onPUTX(m Msg) {
 		// locals — or an in-flight grant — still populate the cluster.
 		if b.sys.twoLevel {
 			if m.ClusterLast {
-				e.sharers &^= b.sharerBit(m.Src)
+				e.Sharers &^= b.sharerBit(m.Src)
 			}
 		} else {
-			e.sharers &^= bit(m.Src)
+			e.Sharers &^= bit(m.Src)
 		}
-		if e.forwarder == m.Src {
-			e.forwarder = -1
+		if int(e.Fwd) == m.Src {
+			e.Fwd = -1
 		}
-		if e.state == DirShared && e.sharers == 0 {
-			e.state = DirPresent
+		if st == DirShared && e.Sharers == 0 {
+			e.setState(DirPresent)
 		}
 	}
 	b.send(m.Src, Msg{Kind: MsgWBAck, Addr: m.Addr}, b.respDelay())
@@ -836,7 +844,7 @@ func (b *bank) onPUTX(m Msg) {
 // carry only the address, the store flag (Z), and the stall counter (B).
 func (b *bank) fetchAndGrant(m Msg, store bool) {
 	t := b.newTxn(m)
-	b.busy[m.Addr] = t
+	b.busy.Set(uint64(m.Addr), t)
 	b.Stats.MemFetches++
 	p := sim.Payload{Op: opBankFetchIssue, A: uint64(m.Addr)}
 	if store {
@@ -853,8 +861,8 @@ func (b *bank) fetchAndGrant(m Msg, store bool) {
 // The original request is recovered from the busy transaction, which spans
 // the whole fetch.
 func (b *bank) installAndGrant(addr cache.Addr, store bool, stalled sim.Cycle) {
-	extra, ok := b.install(addr)
-	if !ok {
+	e, extra := b.install(addr)
+	if e == nil {
 		const stallLimit = 100_000
 		if stalled > stallLimit {
 			// Every way of the set has been covered by busy transactions or
@@ -880,10 +888,9 @@ func (b *bank) installAndGrant(addr cache.Addr, store bool, stalled sim.Cycle) {
 		b.eng().ScheduleEvent(retry, b, p)
 		return
 	}
-	m := b.busy[addr].req
+	m := b.txnOf(addr).req
 	data := b.sys.memRead(addr)
-	b.arr.Lookup(addr).Data = data
-	e := b.entry(addr)
+	e.Data = data
 	if store {
 		b.grantStore(m, e, data, ServedMem, extra)
 	} else {
@@ -895,57 +902,57 @@ func (b *bank) installAndGrant(addr cache.Addr, store bool, stalled sim.Cycle) {
 // SwiftDir's I→S transition for write-protected data happens here: the
 // grant for a GETS_WP is never exclusive (Figure 4(a)).
 func (b *bank) grantLoad(m Msg, e *dirEntry, data uint64, served ServedBy, extra sim.Cycle) {
-	t := b.busy[m.Addr]
+	t := b.txnOf(m.Addr)
 	if t == nil {
 		t = b.newTxn(m)
-		b.busy[m.Addr] = t
+		b.busy.Set(uint64(m.Addr), t)
 	}
 	t.waitUnblock = true
 	if served == ServedLLC {
 		b.Stats.LLCServed++
 	}
-	e.wp = m.WP
+	e.setWP(m.WP)
 	if b.policy().GrantExclusiveOnLoad(m.WP) {
-		e.state = DirExclusive
-		e.owner = m.Src
-		e.sharers = 0
-		e.forwarder = -1
+		e.setState(DirExclusive)
+		e.Owner = int16(m.Src)
+		e.Sharers = 0
+		e.Fwd = -1
 		b.send(m.Src, Msg{Kind: MsgDataExclusive, Addr: m.Addr, Data: data, Served: served, WP: m.WP}, b.respDelay()+extra)
 		return
 	}
-	e.state = DirShared
-	e.owner = -1
-	e.sharers |= b.sharerBit(m.Src)
+	e.setState(DirShared)
+	e.Owner = -1
+	e.Sharers |= b.sharerBit(m.Src)
 	mf := b.policy().ForwardStateFor(m.WP)
 	if mf {
-		e.forwarder = m.Src
+		e.Fwd = int16(m.Src)
 	}
 	b.send(m.Src, Msg{Kind: MsgData, Addr: m.Addr, Data: data, Served: served, WP: m.WP, MakeForward: mf}, b.respDelay()+extra)
 }
 
 // grantStore answers a GETX (or an Upgrade resolved as GETX).
 func (b *bank) grantStore(m Msg, e *dirEntry, data uint64, served ServedBy, extra sim.Cycle) {
-	t := b.busy[m.Addr]
+	t := b.txnOf(m.Addr)
 	if t == nil {
 		t = b.newTxn(m)
-		b.busy[m.Addr] = t
+		b.busy.Set(uint64(m.Addr), t)
 	}
 	t.waitUnblock = true
 	if served == ServedLLC {
 		b.Stats.LLCServed++
 	}
-	e.state = DirModifiedL1
-	e.owner = m.Src
-	e.sharers = 0
-	e.wp = false // written data are no longer treated as write-protected
-	e.forwarder = -1
+	e.setState(DirModifiedL1)
+	e.Owner = int16(m.Src)
+	e.Sharers = 0
+	e.setWP(false) // written data are no longer treated as write-protected
+	e.Fwd = -1
 	b.send(m.Src, Msg{Kind: MsgDataExclusive, Addr: m.Addr, Data: data, Served: served}, b.respDelay()+extra)
 }
 
 // maybeComplete retires the transaction once every wait clears, then
 // replays any queued requests in arrival order.
 func (b *bank) maybeComplete(addr cache.Addr, t *txn) {
-	if b.busy[addr] != t {
+	if b.txnOf(addr) != t {
 		// t already completed (and possibly a queued request installed a
 		// new transaction); a stale caller must not touch it.
 		return
@@ -953,13 +960,13 @@ func (b *bank) maybeComplete(addr cache.Addr, t *txn) {
 	if t.waitUnblock || t.waitWB || t.waitAcks > 0 || t.pendKind != pendNone {
 		return
 	}
-	delete(b.busy, addr)
+	b.busy.Delete(uint64(addr))
 	// Iterate t.queued in place; t is recycled only after the loop is done
 	// with its backing array (a replay may pull a different txn from the
 	// pool, never t itself — it is no longer in busy).
 	queued := t.queued
 	for i, m := range queued {
-		if nt, ok := b.busy[addr]; ok {
+		if nt := b.txnOf(addr); nt != nil {
 			// A replayed request re-opened a transaction; this message
 			// and the rest stay queued behind it.
 			nt.queued = append(nt.queued, queued[i:]...)
@@ -973,42 +980,39 @@ func (b *bank) maybeComplete(addr cache.Addr, t *txn) {
 }
 
 // install allocates an LLC line for addr, recalling and evicting a victim
-// if necessary. It returns the extra latency the triggering request must
-// absorb (the recall penalty), with ok=false when every way of the set is
-// covered by a busy transaction or an in-flight grant — a structural
-// stall the caller retries once a way frees.
-func (b *bank) install(addr cache.Addr) (extra sim.Cycle, ok bool) {
-	if b.entries[addr] != nil {
+// if necessary, and returns its fresh entry (DirPresent, no owner,
+// sharers, forwarder or pins) and the extra latency the triggering
+// request must absorb (the recall penalty). It returns a nil entry when
+// every way of the set is covered by a busy transaction or an in-flight
+// grant — a structural stall the caller retries once a way frees.
+func (b *bank) install(addr cache.Addr) (*dirEntry, sim.Cycle) {
+	if b.entry(addr) != nil {
 		b.violate(addr, "double install")
 	}
-	v := b.arr.VictimFiltered(addr, func(a cache.Addr) bool {
-		return b.busy[a] != nil || b.pinned[a] > 0
+	v := b.arr.VictimFiltered(addr, func(a cache.Addr, ln *cache.Line) bool {
+		return ln.Pins != 0 || b.busy.Has(uint64(a))
 	})
 	if v == nil {
-		return 0, false
+		return nil, 0
 	}
+	var extra sim.Cycle
 	if v.State.Valid() {
-		extra = b.evictLLC(b.arr.AddrOfLine(v, addr), v)
+		extra = b.evictLLC(b.arr.AddrOfLine(v, addr), (*dirEntry)(v))
 	}
 	b.arr.Install(v, addr, cache.Shared)
-	e := b.newEntry()
-	e.state, e.owner, e.forwarder = DirPresent, -1, -1
-	b.entries[addr] = e
-	b.lastAddr, b.lastEnt = addr, e
-	return extra, true
+	e := (*dirEntry)(v)
+	e.setState(DirPresent)
+	e.Owner, e.Fwd = -1, -1
+	return e, extra
 }
 
 // evictLLC removes a block from the LLC. Inclusion requires recalling any
 // L1 copies; the recall is performed synchronously with an approximate
 // RecallPenalty charged to the triggering request (see DESIGN.md).
-func (b *bank) evictLLC(victim cache.Addr, ln *cache.Line) sim.Cycle {
-	e := b.entries[victim]
-	if e == nil {
-		b.violate(victim, "LLC line without directory entry")
-	}
+func (b *bank) evictLLC(victim cache.Addr, e *dirEntry) sim.Cycle {
 	var extra sim.Cycle
-	data := ln.Data
-	dirty := e.llcDirty
+	data := e.Data
+	dirty := e.llcDirty()
 
 	recall := func(id int) {
 		d, dty, had := b.sys.L1s[id].ForceInvalidate(victim)
@@ -1016,7 +1020,7 @@ func (b *bank) evictLLC(victim cache.Addr, ln *cache.Line) sim.Cycle {
 			data, dirty = d, true
 		}
 	}
-	switch e.state {
+	switch e.state() {
 	case DirShared:
 		b.Stats.Recalls++
 		extra = b.timing().RecallPenalty
@@ -1027,17 +1031,18 @@ func (b *bank) evictLLC(victim cache.Addr, ln *cache.Line) sim.Cycle {
 			// sweep makes the recall exact regardless.
 			for _, h := range b.sys.hubs {
 				base := h.base()
-				for lid, rec := 0, h.record[victim]; rec != 0; lid++ {
+				rec, _ := h.record.Get(uint64(victim))
+				for lid := 0; rec != 0; lid++ {
 					if rec&1 != 0 {
 						recall(base + lid)
 					}
 					rec >>= 1
 				}
-				delete(h.record, victim)
+				h.record.Delete(uint64(victim))
 			}
 			break
 		}
-		for id, s := 0, e.sharers; s != 0; id++ {
+		for id, s := 0, e.Sharers; s != 0; id++ {
 			if s&1 != 0 {
 				recall(id)
 			}
@@ -1046,15 +1051,16 @@ func (b *bank) evictLLC(victim cache.Addr, ln *cache.Line) sim.Cycle {
 	case DirExclusive, DirModifiedL1:
 		b.Stats.Recalls++
 		extra = b.timing().RecallPenalty
-		recall(e.owner)
+		owner := int(e.Owner)
+		recall(owner)
 		if b.sys.twoLevel {
-			b.sys.hubs[b.sys.clusterOf(e.owner)].clearBit(victim, e.owner)
+			b.sys.hubs[b.sys.clusterOf(owner)].clearBit(victim, owner)
 		}
 	case DirOwned:
 		b.Stats.Recalls++
 		extra = b.timing().RecallPenalty
-		recall(e.owner)
-		for id, s := 0, e.sharers; s != 0; id++ {
+		recall(int(e.Owner))
+		for id, s := 0, e.Sharers; s != 0; id++ {
 			if s&1 != 0 {
 				recall(id)
 			}
@@ -1066,13 +1072,9 @@ func (b *bank) evictLLC(victim cache.Addr, ln *cache.Line) sim.Cycle {
 		b.sys.memWrite(victim, data)
 		b.sys.Mem.AccessAt(b.eng().Now(), uint64(victim), true)
 	}
-	delete(b.entries, victim)
-	if victim == b.lastAddr {
-		b.lastEnt = nil
-	}
 	// Victim selection excludes busy and pinned blocks, so no in-flight
-	// transaction still references this entry; recycle it.
-	b.entryFree = append(b.entryFree, e)
+	// transaction still references this entry; Install starts the line's
+	// next entry from zero.
 	return extra
 }
 
@@ -1102,10 +1104,10 @@ func (b *bank) dumpSet(addr cache.Addr) string {
 			return
 		}
 		var why []string
-		if b.busy[a] != nil {
+		if b.busy.Has(uint64(a)) {
 			why = append(why, "busy txn")
 		}
-		if n := b.pinned[a]; n > 0 {
+		if n := ln.Pins; n > 0 {
 			why = append(why, fmt.Sprintf("pinned x%d", n))
 		}
 		status := "evictable"

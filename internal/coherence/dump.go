@@ -1,9 +1,12 @@
 package coherence
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -97,39 +100,40 @@ func (s *System) DumpState() string {
 
 	sb.WriteString("-- directory transient transactions --\n")
 	for _, b := range s.banks {
-		for _, addr := range sortedAddrs(b.busy) {
-			t := b.busy[addr]
+		for _, k := range sortedKeys(&b.busy) {
+			t, _ := b.busy.Get(k)
 			fmt.Fprintf(&sb, "  bank %d %#x: req=%s src=%s waitUnblock=%v waitWB=%v waitAcks=%d pendKind=%d queued=%d\n",
-				b.id, uint64(addr), t.req.Kind, endpoint(t.req.Src),
+				b.id, k, t.req.Kind, endpoint(t.req.Src),
 				t.waitUnblock, t.waitWB, t.waitAcks, t.pendKind, len(t.queued))
 		}
 	}
 	for _, b := range s.banks {
-		for _, addr := range sortedAddrs(b.pinned) {
-			fmt.Fprintf(&sb, "  bank %d %#x: pinned x%d\n", b.id, uint64(addr), b.pinned[addr])
+		for _, addr := range b.pinnedAddrs() {
+			fmt.Fprintf(&sb, "  bank %d %#x: pinned x%d\n", b.id, uint64(addr), b.entry(addr).Pins)
 		}
 	}
 	if s.twoLevel {
 		sb.WriteString("-- hub records --\n")
 		for _, h := range s.hubs {
-			for _, addr := range h.trackedAddrs() {
+			for _, k := range h.trackedKeys() {
+				pending, _ := h.pending.Get(k)
 				fmt.Fprintf(&sb, "  hub %d %#x: record=%#x pending=%d upReqs=%d\n",
-					h.id, uint64(addr), h.record[addr], h.pending[addr], h.upReqs[addr])
+					h.id, k, h.recordOf(cache.Addr(k)), pending, h.upReqsOf(cache.Addr(k)))
 			}
 		}
 	}
 
 	sb.WriteString("-- L1 MSHR / writeback state --\n")
 	for _, l1 := range s.L1s {
-		for _, addr := range sortedAddrs(l1.mshrs) {
-			ms := l1.mshrs[addr]
+		for _, k := range sortedKeys(&l1.mshrs) {
+			ms, _ := l1.mshrs.Get(k)
 			fmt.Fprintf(&sb, "  L1 %d MSHR %#x: %s wp=%v pending=%d\n",
-				l1.ID, uint64(addr), ms.state, ms.wp, len(ms.pending))
+				l1.ID, k, ms.state, ms.wp, len(ms.pending))
 		}
-		for _, addr := range sortedAddrs(l1.wb) {
-			e := l1.wb[addr]
+		for _, k := range sortedKeys(&l1.wb) {
+			e, _ := l1.wb.Get(k)
 			fmt.Fprintf(&sb, "  L1 %d WB %#x: data=%#x dirty=%v\n",
-				l1.ID, uint64(addr), e.data, e.dirty)
+				l1.ID, k, e.data, e.dirty)
 		}
 	}
 
@@ -152,48 +156,77 @@ func (s *System) DumpState() string {
 // excluded, so the hash is independent of which never-written blocks
 // happen to be cache-resident. Timing faults move blocks between these
 // locations but never change the winning value, which is exactly what the
-// metamorphic soak asserts.
+// metamorphic soak asserts. Each block hashes as the line
+// "<address> <value>\n", both in lowercase hex.
 func (s *System) MemImageHash() string {
-	vals := s.MemValues()
 	h := sha256.New()
-	for _, a := range sortedAddrs(vals) {
-		fmt.Fprintf(h, "%x %x\n", uint64(a), vals[a])
+	var buf []byte
+	for _, bv := range s.MemValues() {
+		buf = strconv.AppendUint(buf, uint64(bv.Addr), 16)
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, bv.Value, 16)
+		buf = append(buf, '\n')
+		if len(buf) >= 4096 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// BlockValue is one block of the architectural memory image.
+type BlockValue struct {
+	Addr  cache.Addr
+	Value uint64
+}
+
 // MemValues returns the winning value of every block that has diverged
-// from its initial address-derived token: the dirty L1 copy if one
-// exists, else the LLC copy, else the main-memory shadow. This is the
-// per-physical-block architectural image; core.Machine.ArchMemHash
-// re-keys it by virtual address for the machine-level soak oracle, where
-// physical-frame assignment is itself timing-dependent.
-func (s *System) MemValues() map[cache.Addr]uint64 {
-	n := 0
-	for _, b := range s.banks {
-		n += len(b.image)
+// from its initial address-derived token, in ascending address order:
+// the dirty L1 copy if one exists, else the LLC copy, else the
+// main-memory shadow. This is the per-physical-block architectural
+// image; core.Machine.ArchMemHash re-keys it by virtual address for the
+// machine-level soak oracle, where physical-frame assignment is itself
+// timing-dependent.
+func (s *System) MemValues() []BlockValue {
+	// Every copy of every block, ranked by precedence: the memory shadow,
+	// then the LLC, then L1 i's dirty copy at 2+i. Sorted by address and
+	// rank, each block's winning copy ends its run.
+	type ranked struct {
+		BlockValue
+		rank int32
 	}
-	vals := make(map[cache.Addr]uint64, n)
+	var all []ranked
 	for _, b := range s.banks {
-		for a, v := range b.image {
-			vals[a] = v
-		}
+		b.image.ForEach(func(k, v uint64) {
+			all = append(all, ranked{BlockValue{cache.Addr(k), v}, 0})
+		})
 	}
 	for _, b := range s.banks {
 		b.arr.ForEachValid(func(a cache.Addr, ln *cache.Line) {
-			vals[a] = ln.Data
+			all = append(all, ranked{BlockValue{a, ln.Data}, 1})
 		})
 	}
-	for _, l1 := range s.L1s {
+	for i, l1 := range s.L1s {
 		l1.arr.ForEachValid(func(a cache.Addr, ln *cache.Line) {
 			if ln.State.Dirty() {
-				vals[a] = ln.Data
+				all = append(all, ranked{BlockValue{a, ln.Data}, 2 + int32(i)})
 			}
 		})
 	}
-	for a, v := range vals {
-		if v == initialToken(a) {
-			delete(vals, a)
+	slices.SortFunc(all, func(x, y ranked) int {
+		if c := cmp.Compare(x.Addr, y.Addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
+	var vals []BlockValue
+	for i, c := range all {
+		if i+1 < len(all) && all[i+1].Addr == c.Addr {
+			continue
+		}
+		if c.Value != initialToken(c.Addr) {
+			vals = append(vals, c.BlockValue)
 		}
 	}
 	return vals

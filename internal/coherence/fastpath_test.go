@@ -180,7 +180,7 @@ func TestFastPathMidUpgradeWAR(t *testing.T) {
 	// Advance until the home bank owns the transaction: the sharer must
 	// now decline (its read can no longer be ordered before the write).
 	b := s.bankFor(blockA)
-	for len(b.busy) == 0 && b.pinned[s.L1s[0].arr.BlockAddr(blockA)] == 0 {
+	for b.busy.Len() == 0 && !b.pinned(s.L1s[0].arr.BlockAddr(blockA)) {
 		if s.Eng.Pending() == 0 {
 			t.Fatal("engine drained before the bank processed the upgrade")
 		}

@@ -93,7 +93,7 @@ func TestDumpStateSections(t *testing.T) {
 	// Put a transaction in flight so the dump has transient state: run
 	// until the directory is busy with the miss.
 	s.Submit(0, Access{Addr: blockA, Write: true, Value: 7})
-	for s.Eng.Step() && s.bankFor(blockA).busy[blockA] == nil {
+	for s.Eng.Step() && s.bankFor(blockA).txnOf(blockA) == nil {
 	}
 	dump := s.DumpState()
 	for _, frag := range []string{

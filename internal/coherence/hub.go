@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fault"
+	"repro/internal/intmap"
 	"repro/internal/sim"
 )
 
@@ -35,18 +36,18 @@ type hub struct {
 
 	// record tracks, per block, exactly which locals hold the block in
 	// any valid state (bit = global id minus the cluster base).
-	record map[cache.Addr]uint64
+	record intmap.Map[uint64]
 
 	// pending counts outstanding local Inv acks per block while the hub
 	// aggregates a home-directory invalidation.
-	pending map[cache.Addr]int
+	pending intmap.Map[int]
 
 	// upReqs counts in-flight requests (GETS/GETS_WP/GETX/Upgrade) this
 	// hub has forwarded toward a home bank and whose grant has not yet
 	// been delivered back into the cluster. Nonzero makes "cluster
 	// empty" undecidable at the hub, turning eviction filtering
 	// conservative (see the type comment).
-	upReqs map[cache.Addr]int
+	upReqs intmap.Map[int]
 
 	// faultFree is the injected-busy-window release ledger: no message may
 	// dispatch before it. Serializing delayed messages behind it keeps the
@@ -57,15 +58,28 @@ type hub struct {
 }
 
 func newHub(id int, sys *System) *hub {
-	h := &hub{
-		id:      id,
-		sys:     sys,
-		engine:  sys.Eng,
-		record:  make(map[cache.Addr]uint64),
-		pending: make(map[cache.Addr]int),
-		upReqs:  make(map[cache.Addr]int),
+	return &hub{id: id, sys: sys, engine: sys.Eng}
+}
+
+// recordOf returns the block's record (zero when absent); upReqsOf the
+// block's in-flight up-request count.
+func (h *hub) recordOf(addr cache.Addr) uint64 {
+	rec, _ := h.record.Get(uint64(addr))
+	return rec
+}
+
+func (h *hub) upReqsOf(addr cache.Addr) int {
+	n, _ := h.upReqs.Get(uint64(addr))
+	return n
+}
+
+// setRecord stores a block's record, dropping it when empty.
+func (h *hub) setRecord(addr cache.Addr, rec uint64) {
+	if rec != 0 {
+		h.record.Set(uint64(addr), rec)
+	} else {
+		h.record.Delete(uint64(addr))
 	}
-	return h
 }
 
 // base returns the cluster's first global L1 id.
@@ -126,13 +140,12 @@ func (h *hub) up(p sim.Payload) {
 	src := int(p.X)
 	switch MsgKind(p.K) {
 	case MsgPUTS:
-		rec := h.record[addr] &^ h.localBit(src)
+		rec := h.recordOf(addr) &^ h.localBit(src)
+		h.setRecord(addr, rec)
 		if rec != 0 {
-			h.record[addr] = rec
 			return // other locals still hold the block: absorbed
 		}
-		delete(h.record, addr)
-		if h.upReqs[addr] > 0 {
+		if h.upReqsOf(addr) > 0 {
 			// A grant in flight will repopulate the cluster, so the home
 			// must keep its sharer bit. PUTS is fire-and-forget, so
 			// absorbing it is legal.
@@ -141,31 +154,26 @@ func (h *hub) up(p sim.Payload) {
 		// Cluster empty for good: the home clears this cluster's bit.
 		h.toHome(p)
 	case MsgPUTX:
-		rec := h.record[addr] &^ h.localBit(src)
-		if rec == 0 {
-			delete(h.record, addr)
-			if h.upReqs[addr] == 0 {
-				p.F |= pfClusterLast
-			}
-		} else {
-			h.record[addr] = rec
+		rec := h.recordOf(addr) &^ h.localBit(src)
+		h.setRecord(addr, rec)
+		if rec == 0 && h.upReqsOf(addr) == 0 {
+			p.F |= pfClusterLast
 		}
 		// Always forwarded: the evictor blocks on the home's WB_Ack.
 		h.toHome(p)
 	case MsgInvAck:
-		n := h.pending[addr] - 1
-		if n < 0 {
+		n := h.pending.Ptr(uint64(addr))
+		if n == nil {
 			h.violate(addr, "Inv_Ack without pending invalidation")
 		}
-		if n > 0 {
-			h.pending[addr] = n
+		if *n--; *n > 0 {
 			return
 		}
-		delete(h.pending, addr)
+		h.pending.Delete(uint64(addr))
 		// Last local ack: one aggregate ack represents the cluster.
 		h.toHome(p)
 	case MsgGETS, MsgGETSWP, MsgGETX, MsgUpgrade:
-		h.upReqs[addr]++
+		*h.upReqs.Put(uint64(addr))++
 		h.toHome(p)
 	default:
 		// Unblock, Exclusive_Unblock, WB_Data: pure pass-through.
@@ -179,7 +187,7 @@ func (h *hub) down(p sim.Payload) {
 	dst := int(p.Z)
 	switch MsgKind(p.K) {
 	case MsgData, MsgDataExclusive, MsgDataFromOwner, MsgUpgradeAck:
-		h.record[addr] |= h.localBit(dst)
+		*h.record.Put(uint64(addr)) |= h.localBit(dst)
 		h.grantDelivered(addr)
 	case MsgFwdGETX:
 		// The local surrenders its copy to the requestor on receipt (a
@@ -195,7 +203,7 @@ func (h *hub) down(p sim.Payload) {
 // ack aggregation; an empty cluster is acked immediately.
 func (h *hub) inv(p sim.Payload) {
 	addr := cache.Addr(p.A)
-	targets := h.record[addr]
+	targets := h.recordOf(addr)
 	if targets == 0 {
 		// The home's sharer bit was conservative (the cluster emptied
 		// under an in-flight grant, or the grant itself raced the
@@ -204,11 +212,11 @@ func (h *hub) inv(p sim.Payload) {
 		h.toHome(ack.payload(opBankDispatch))
 		return
 	}
-	if h.pending[addr] != 0 {
+	if h.pending.Has(uint64(addr)) {
 		h.violate(addr, "overlapping invalidations")
 	}
-	delete(h.record, addr)
-	h.pending[addr] = bits.OnesCount64(targets)
+	h.record.Delete(uint64(addr))
+	h.pending.Set(uint64(addr), bits.OnesCount64(targets))
 	p.Op = opL1Recv
 	base := h.base()
 	for lid := 0; targets != 0; lid++ {
@@ -226,23 +234,17 @@ func (h *hub) toHome(p sim.Payload) { h.sys.toHome(h.port(), p) }
 
 // clearBit clears one local's record bit, dropping empty entries.
 func (h *hub) clearBit(addr cache.Addr, l1 int) {
-	if rec := h.record[addr] &^ h.localBit(l1); rec != 0 {
-		h.record[addr] = rec
-	} else {
-		delete(h.record, addr)
-	}
+	h.setRecord(addr, h.recordOf(addr)&^h.localBit(l1))
 }
 
 // grantDelivered retires one answered up-request.
 func (h *hub) grantDelivered(addr cache.Addr) {
-	n := h.upReqs[addr] - 1
-	if n < 0 {
+	n := h.upReqs.Ptr(uint64(addr))
+	if n == nil {
 		h.violate(addr, "grant delivered without an in-flight request")
 	}
-	if n > 0 {
-		h.upReqs[addr] = n
-	} else {
-		delete(h.upReqs, addr)
+	if *n--; *n == 0 {
+		h.upReqs.Delete(uint64(addr))
 	}
 }
 

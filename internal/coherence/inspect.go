@@ -1,16 +1,18 @@
 package coherence
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cache"
+	"repro/internal/intmap"
 	"repro/internal/sim"
 )
 
 // This file is the model checker's window on the hierarchy: a canonical
 // state fingerprint and a few read-only probes. Nothing here mutates
-// protocol state, and every map is walked in ascending address order so
-// the output is independent of map iteration order.
+// protocol state, and every table and array is walked in ascending
+// address order so the output is independent of slot and way order.
 
 // AppendFingerprint folds the hierarchy's state into emit as a canonical
 // stream of words: everything that can change how the system behaves from
@@ -36,9 +38,9 @@ func (s *System) AppendFingerprint(emit func(uint64)) {
 	for _, l1 := range s.L1s {
 		emit(0x4C310000 | uint64(l1.ID)) // per-L1 separator
 		l1.arr.AppendFingerprint(emit)
-		for _, addr := range sortedAddrs(l1.mshrs) {
-			ms := l1.mshrs[addr]
-			emit(uint64(addr))
+		for _, k := range sortedKeys(&l1.mshrs) {
+			ms, _ := l1.mshrs.Get(k)
+			emit(k)
 			emit((uint64(ms.state)<<1|b2u(ms.wp))<<8 | uint64(len(ms.pending)))
 			for i := range ms.pending {
 				a := &ms.pending[i]
@@ -46,26 +48,26 @@ func (s *System) AppendFingerprint(emit func(uint64)) {
 				emit(a.Value)
 			}
 		}
-		for _, addr := range sortedAddrs(l1.wb) {
-			e := l1.wb[addr]
-			emit(uint64(addr))
+		for _, k := range sortedKeys(&l1.wb) {
+			e, _ := l1.wb.Get(k)
+			emit(k)
 			emit(e.data<<1 | b2u(e.dirty))
 		}
 	}
 
 	for _, b := range s.banks {
-		for _, addr := range sortedAddrs(b.entries) {
-			e := b.entries[addr]
-			emit(uint64(addr))
-			emit(uint64(e.state)<<32 | uint64(uint8(int8(e.owner)))<<16 |
-				uint64(uint8(int8(e.forwarder)))<<8 | b2u(e.llcDirty)<<1 | b2u(e.wp))
-			emit(e.sharers)
+		for _, r := range b.sortedEntries() {
+			e := r.e
+			emit(uint64(r.addr))
+			emit(uint64(e.state())<<32 | uint64(uint8(int8(e.Owner)))<<16 |
+				uint64(uint8(int8(e.Fwd)))<<8 | b2u(e.llcDirty())<<1 | b2u(e.wp()))
+			emit(e.Sharers)
 		}
 	}
 	for _, b := range s.banks {
-		for _, addr := range sortedAddrs(b.busy) {
-			t := b.busy[addr]
-			emit(uint64(addr))
+		for _, k := range sortedKeys(&b.busy) {
+			t, _ := b.busy.Get(k)
+			emit(k)
 			t.req.appendFingerprint(emit)
 			emit(uint64(t.waitAcks)<<16 | uint64(t.pendKind)<<8 |
 				b2u(t.waitUnblock)<<1 | b2u(t.waitWB))
@@ -77,33 +79,34 @@ func (s *System) AppendFingerprint(emit func(uint64)) {
 		}
 	}
 	for _, b := range s.banks {
-		for _, addr := range sortedAddrs(b.pinned) {
+		for _, addr := range b.pinnedAddrs() {
 			emit(uint64(addr))
-			emit(uint64(b.pinned[addr]))
+			emit(uint64(b.entry(addr).Pins))
 		}
 	}
 
 	for _, h := range s.hubs {
-		for _, addr := range h.trackedAddrs() {
+		for _, k := range h.trackedKeys() {
+			pending, _ := h.pending.Get(k)
 			emit(0x4855420000000000 | uint64(h.id))
-			emit(uint64(addr))
-			emit(h.record[addr])
-			emit(uint64(h.pending[addr])<<32 | uint64(h.upReqs[addr]))
+			emit(k)
+			emit(h.recordOf(cache.Addr(k)))
+			emit(uint64(pending)<<32 | uint64(h.upReqsOf(cache.Addr(k))))
 		}
 	}
 	for _, b := range s.banks {
 		b.arr.AppendFingerprint(emit)
 	}
 
-	// The image is partitioned by home bank, so the slices are disjoint.
-	var image []cache.Addr
+	// The image is partitioned by home bank, so the key sets are disjoint.
+	var image []uint64
 	for _, b := range s.banks {
-		image = appendAddrs(image, b.image)
+		image = b.image.AppendKeys(image)
 	}
 	slices.Sort(image)
-	for _, addr := range image {
-		emit(uint64(addr))
-		emit(s.memRead(addr))
+	for _, k := range image {
+		emit(k)
+		emit(s.memRead(cache.Addr(k)))
 	}
 
 	s.Mem.AppendFingerprint(s.Eng.Now(), emit)
@@ -172,27 +175,51 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// appendAddrs appends the keys of an address-keyed map to dst.
-func appendAddrs[V any](dst []cache.Addr, m map[cache.Addr]V) []cache.Addr {
-	for a := range m {
-		dst = append(dst, a)
-	}
-	return dst
-}
-
-// trackedAddrs returns every block the hub's maps track, in ascending
+// trackedKeys returns every block the hub's tables track, in ascending
 // order, once each; an absent counter reads as zero.
-func (h *hub) trackedAddrs() []cache.Addr {
-	addrs := appendAddrs(appendAddrs(appendAddrs(nil, h.record), h.pending), h.upReqs)
-	slices.Sort(addrs)
-	return slices.Compact(addrs)
+func (h *hub) trackedKeys() []uint64 {
+	keys := h.upReqs.AppendKeys(h.pending.AppendKeys(h.record.AppendKeys(nil)))
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-// sortedAddrs returns the keys of an address-keyed map in ascending order.
-func sortedAddrs[V any](m map[cache.Addr]V) []cache.Addr {
-	addrs := appendAddrs(make([]cache.Addr, 0, len(m)), m)
-	slices.Sort(addrs)
-	return addrs
+// sortedKeys returns the keys of a block-keyed table in ascending order.
+func sortedKeys[V any](m *intmap.Map[V]) []uint64 {
+	keys := m.AppendKeys(make([]uint64, 0, m.Len()))
+	slices.Sort(keys)
+	return keys
+}
+
+// addrEntry is a directory entry with its block address.
+type addrEntry struct {
+	addr cache.Addr
+	e    *dirEntry
+}
+
+// sortedEntries returns the bank's directory entries — its resident LLC
+// lines — in ascending address order.
+func (b *bank) sortedEntries() []addrEntry {
+	var out []addrEntry
+	b.arr.ForEachValid(func(addr cache.Addr, ln *cache.Line) {
+		out = append(out, addrEntry{addr, (*dirEntry)(ln)})
+	})
+	slices.SortFunc(out, func(x, y addrEntry) int { return cmp.Compare(x.addr, y.addr) })
+	return out
+}
+
+// pinnedAddrs returns the blocks whose lines hold pins, in ascending
+// order.
+func (b *bank) pinnedAddrs() []cache.Addr {
+	var out []cache.Addr
+	if b.pins == 0 {
+		return out
+	}
+	for _, r := range b.sortedEntries() {
+		if r.e.Pins != 0 {
+			out = append(out, r.addr)
+		}
+	}
+	return out
 }
 
 // BankArray exposes bank i's LLC array for inspection.

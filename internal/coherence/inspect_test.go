@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dram"
+	"repro/internal/intmap"
 	"repro/internal/sim"
 )
 
@@ -23,28 +24,55 @@ func set[T any](p *T, v T) func() {
 	return func() { *p = old }
 }
 
-// put stores v at m[addr] and returns the undo.
-func put[V any](m map[cache.Addr]V, addr cache.Addr, v V) func() {
-	old, had := m[addr]
-	m[addr] = v
+// put stores v under addr in m and returns the undo.
+func put[V any](m *intmap.Map[V], addr cache.Addr, v V) func() {
+	k := uint64(addr)
+	old, had := m.Get(k)
+	m.Set(k, v)
 	return func() {
 		if had {
-			m[addr] = old
+			m.Set(k, old)
 		} else {
-			delete(m, addr)
+			m.Delete(k)
 		}
 	}
 }
 
 // move re-keys src's entry at from into dst at to (either may equal its
 // counterpart) and returns the undo.
-func move[V any](src map[cache.Addr]V, from cache.Addr, dst map[cache.Addr]V, to cache.Addr) func() {
-	v := src[from]
-	delete(src, from)
-	dst[to] = v
+func move[V any](src *intmap.Map[V], from cache.Addr, dst *intmap.Map[V], to cache.Addr) func() {
+	v, _ := src.Get(uint64(from))
+	src.Delete(uint64(from))
+	dst.Set(uint64(to), v)
 	return func() {
-		delete(dst, to)
-		src[from] = v
+		dst.Delete(uint64(to))
+		src.Set(uint64(from), v)
+	}
+}
+
+// swapEntries exchanges the directory entries of two resident blocks,
+// leaving the lines' tags and data in place, and returns the undo.
+func swapEntries(s *System, a, b cache.Addr) func() {
+	ea, eb := s.bankFor(a).entry(a), s.bankFor(b).entry(b)
+	swap := func() {
+		ea.Sharers, eb.Sharers = eb.Sharers, ea.Sharers
+		ea.Dir, eb.Dir = eb.Dir, ea.Dir
+		ea.Owner, eb.Owner = eb.Owner, ea.Owner
+		ea.Fwd, eb.Fwd = eb.Fwd, ea.Fwd
+	}
+	swap()
+	return swap
+}
+
+// movePin moves one pin from block from's line to block to's and
+// returns the undo.
+func movePin(s *System, from, to cache.Addr) func() {
+	bf, bt := s.bankFor(from), s.bankFor(to)
+	bf.unpin(from)
+	bt.pin(to, bt.entry(to))
+	return func() {
+		bt.unpin(to)
+		bf.pin(from, bf.entry(from))
 	}
 }
 
@@ -96,20 +124,21 @@ func populateLive(t *testing.T, s *System) {
 	s.Quiesce()
 	s.Submit(1, Access{Addr: blockA, Write: true, Value: 0x22})
 	b := s.bankFor(blockA)
-	for b.busy[blockA] == nil && s.Eng.Step() {
+	for b.txnOf(blockA) == nil && s.Eng.Step() {
 	}
-	txn := b.busy[blockA]
-	if txn == nil || len(s.L1s[1].mshrs) != 1 || s.Eng.Pending() == 0 {
+	txn := b.txnOf(blockA)
+	if txn == nil || s.L1s[1].mshrs.Len() != 1 || s.Eng.Pending() == 0 {
 		t.Fatal("the store is not in flight")
 	}
 	txn.queued = append(txn.queued, Msg{Kind: MsgGETS, Addr: blockA, Requestor: 0, Data: 5})
-	b.pinned[blockA+64] = 1
-	s.L1s[2].wb[wbBlock] = wbEntry{data: 0x44, dirty: true}
+	bp := s.bankFor(blockA + 64)
+	bp.pin(blockA+64, bp.entry(blockA+64))
+	s.L1s[2].wb.Set(uint64(wbBlock), wbEntry{data: 0x44, dirty: true})
 	s.memWrite(imageBlock, 0x55)
 	if s.twoLevel {
-		s.hubs[0].pending[blockA] = 1
-		s.hubs[0].upReqs[blockA] = 1
-		s.hubs[2].record[idleRecord] = 1
+		s.hubs[0].pending.Set(uint64(blockA), 1)
+		s.hubs[0].upReqs.Set(uint64(blockA), 1)
+		s.hubs[2].record.Set(uint64(idleRecord), 1)
 	}
 }
 
@@ -123,19 +152,20 @@ type fingerprintCase struct {
 // fingerprintCases lists one change per encoded field of a system
 // prepared by populateLive.
 func fingerprintCases(s *System) []fingerprintCase {
-	ms := s.L1s[1].mshrs[blockA]
+	ms := s.L1s[1].mshrOf(blockA)
 	b := s.bankFor(blockA)
-	e, txn := b.entries[blockA], b.busy[blockA]
+	e, txn := b.entry(blockA), b.txnOf(blockA)
 	q := &txn.queued[0]
-	wb := s.L1s[2].wb
-	image := s.bankFor(imageBlock).image
+	wb := &s.L1s[2].wb
+	image := &s.bankFor(imageBlock).image
+	pinned := s.bankFor(blockA + 64).entry(blockA + 64)
 	cases := []fingerprintCase{
 		{"L1 line", func() func() {
 			ln := s.L1s[0].arr.Lookup(blockA)
 			return set(&ln.Data, ln.Data+1)
 		}},
-		{"L1 of a writeback entry", func() func() { return move(wb, wbBlock, s.L1s[3].wb, wbBlock) }},
-		{"MSHR block", func() func() { return move(s.L1s[1].mshrs, blockA, s.L1s[1].mshrs, blockA+1) }},
+		{"L1 of a writeback entry", func() func() { return move(wb, wbBlock, &s.L1s[3].wb, wbBlock) }},
+		{"MSHR block", func() func() { return move(&s.L1s[1].mshrs, blockA, &s.L1s[1].mshrs, blockA+1) }},
 		{"MSHR state", func() func() { return set(&ms.state, ms.state+1) }},
 		{"MSHR write-protection", func() func() { return set(&ms.wp, !ms.wp) }},
 		{"merged access kind", func() func() { return set(&ms.pending[0].Write, !ms.pending[0].Write) }},
@@ -144,14 +174,14 @@ func fingerprintCases(s *System) []fingerprintCase {
 		{"writeback block", func() func() { return move(wb, wbBlock, wb, wbBlock+1) }},
 		{"writeback data", func() func() { return put(wb, wbBlock, wbEntry{data: 0x45, dirty: true}) }},
 		{"writeback dirty", func() func() { return put(wb, wbBlock, wbEntry{data: 0x44}) }},
-		{"directory block", func() func() { return move(b.entries, blockA, b.entries, blockA+1) }},
-		{"directory state", func() func() { return set(&e.state, e.state+1) }},
-		{"directory owner", func() func() { return set(&e.owner, e.owner+1) }},
-		{"directory forwarder", func() func() { return set(&e.forwarder, e.forwarder+1) }},
-		{"directory LLC dirty", func() func() { return set(&e.llcDirty, !e.llcDirty) }},
-		{"directory write-protection", func() func() { return set(&e.wp, !e.wp) }},
-		{"directory sharers", func() func() { return set(&e.sharers, e.sharers^0b100) }},
-		{"transaction block", func() func() { return move(b.busy, blockA, b.busy, blockA+1) }},
+		{"directory block", func() func() { return swapEntries(s, blockA, blockA+128) }},
+		{"directory state", func() func() { return set(&e.Dir, e.Dir+1) }},
+		{"directory owner", func() func() { return set(&e.Owner, e.Owner+1) }},
+		{"directory forwarder", func() func() { return set(&e.Fwd, e.Fwd+1) }},
+		{"directory LLC dirty", func() func() { return set(&e.Dir, e.Dir^dirLLCDirty) }},
+		{"directory write-protection", func() func() { return set(&e.Dir, e.Dir^dirWP) }},
+		{"directory sharers", func() func() { return set(&e.Sharers, e.Sharers^0b100) }},
+		{"transaction block", func() func() { return move(&b.busy, blockA, &b.busy, blockA+1) }},
 		{"request", func() func() { return set(&txn.req.Data, txn.req.Data+1) }},
 		{"waited acks", func() func() { return set(&txn.waitAcks, txn.waitAcks+1) }},
 		{"deferred grant", func() func() { return set(&txn.pendKind, txn.pendKind+1) }},
@@ -171,8 +201,8 @@ func fingerprintCases(s *System) []fingerprintCase {
 		{"queued owned", func() func() { return set(&q.Owned, !q.Owned) }},
 		{"queued make-forward", func() func() { return set(&q.MakeForward, !q.MakeForward) }},
 		{"queued data", func() func() { return set(&q.Data, q.Data+1) }},
-		{"pin block", func() func() { return move(b.pinned, blockA+64, b.pinned, blockA+65) }},
-		{"pin count", func() func() { return put(b.pinned, blockA+64, 2) }},
+		{"pin block", func() func() { return movePin(s, blockA+64, blockA+128) }},
+		{"pin count", func() func() { return set(&pinned.Pins, 2) }},
 		{"LLC line", func() func() {
 			ln := s.bankFor(blockA + 64).arr.Lookup(blockA + 64)
 			return set(&ln.Data, ln.Data+1)
@@ -225,16 +255,16 @@ func fingerprintCases(s *System) []fingerprintCase {
 		h := s.hubs[0]
 		cases = append(cases,
 			fingerprintCase{"hub block", func() func() {
-				undoRecord := move(h.record, blockA, h.record, blockA+1)
-				undoPending := move(h.pending, blockA, h.pending, blockA+1)
-				undoUpReqs := move(h.upReqs, blockA, h.upReqs, blockA+1)
+				undoRecord := move(&h.record, blockA, &h.record, blockA+1)
+				undoPending := move(&h.pending, blockA, &h.pending, blockA+1)
+				undoUpReqs := move(&h.upReqs, blockA, &h.upReqs, blockA+1)
 				return func() { undoUpReqs(); undoPending(); undoRecord() }
 			}},
-			fingerprintCase{"hub record", func() func() { return put(h.record, blockA, h.record[blockA]^0b10) }},
-			fingerprintCase{"hub pending acks", func() func() { return put(h.pending, blockA, 2) }},
-			fingerprintCase{"hub up-requests", func() func() { return put(h.upReqs, blockA, 2) }},
+			fingerprintCase{"hub record", func() func() { return put(&h.record, blockA, h.recordOf(blockA)^0b10) }},
+			fingerprintCase{"hub pending acks", func() func() { return put(&h.pending, blockA, 2) }},
+			fingerprintCase{"hub up-requests", func() func() { return put(&h.upReqs, blockA, 2) }},
 			fingerprintCase{"hub of a record", func() func() {
-				return move(s.hubs[2].record, idleRecord, s.hubs[3].record, idleRecord)
+				return move(&s.hubs[2].record, idleRecord, &s.hubs[3].record, idleRecord)
 			}},
 		)
 	}
@@ -288,7 +318,11 @@ func TestFingerprintFramingKeepsStatesApart(t *testing.T) {
 		return w[1]
 	}
 	words := func(busy map[cache.Addr]*txn, schedule func(*sim.Engine)) []uint64 {
-		defer set(&s.banks[0].busy, busy)()
+		var table intmap.Map[*txn]
+		for addr, t := range busy {
+			table.Set(uint64(addr), t)
+		}
+		defer set(&s.banks[0].busy, table)()
 		defer set(&s.Eng, sim.NewEngine())()
 		schedule(s.Eng)
 		return fingerprintWords(s)

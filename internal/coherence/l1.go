@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fault"
+	"repro/internal/intmap"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -160,17 +161,17 @@ type L1 struct {
 	tab    *proto.Table // canonical transition relation (drives dispatch)
 	arr    *cache.Array
 
-	mshrs map[cache.Addr]*mshr
-	wb    map[cache.Addr]wbEntry
+	mshrs intmap.Map[*mshr]
+	wb    intmap.Map[wbEntry]
 
 	// storeSeqs records, per block, the highest store sequence number this
 	// core has applied to it. A store whose Seq is below the recorded value
 	// arrived after an architecturally younger same-core store (reordered
 	// by an asymmetric translation delay) and must not clobber its data.
 	// Entries persist across evictions — the window where the suppression
-	// matters can span a refill — and the map is bounded by the number of
+	// matters can span a refill — and the table is bounded by the number of
 	// distinct blocks the core ever stores to.
-	storeSeqs map[cache.Addr]uint64
+	storeSeqs intmap.Map[uint64]
 
 	mshrFree []*mshr  // recycled MSHRs
 	accs     []Access // slots for accesses riding tag-lookup/translation events
@@ -184,17 +185,20 @@ type L1 struct {
 // newL1 wires a controller into its owning system.
 func newL1(id int, sys *System, params cache.Params) *L1 {
 	return &L1{
-		ID:        id,
-		sys:       sys,
-		eng:       sys.Eng,
-		timing:    sys.Timing,
-		policy:    sys.Policy,
-		tab:       sys.Policy.table,
-		arr:       cache.NewArray(params),
-		mshrs:     make(map[cache.Addr]*mshr),
-		wb:        make(map[cache.Addr]wbEntry),
-		storeSeqs: make(map[cache.Addr]uint64),
+		ID:     id,
+		sys:    sys,
+		eng:    sys.Eng,
+		timing: sys.Timing,
+		policy: sys.Policy,
+		tab:    sys.Policy.table,
+		arr:    cache.NewArray(params),
 	}
+}
+
+// mshrOf returns block's outstanding transaction, or nil.
+func (l *L1) mshrOf(block cache.Addr) *mshr {
+	ms, _ := l.mshrs.Get(uint64(block))
+	return ms
 }
 
 // toDir schedules delivery of m toward the owning bank (adds Hop via the
@@ -297,7 +301,7 @@ func (l *L1) Handle(p sim.Payload) {
 func (l *L1) Array() *cache.Array { return l.arr }
 
 // OutstandingMisses returns the number of active MSHRs.
-func (l *L1) OutstandingMisses() int { return len(l.mshrs) }
+func (l *L1) OutstandingMisses() int { return l.mshrs.Len() }
 
 // Request submits a CPU access. The L1 tag lookup cost is charged before
 // the access is examined.
@@ -333,12 +337,12 @@ func (l *L1) Request(a Access) {
 // touch the replacement clock), so the mutation may safely happen at
 // submission time instead of L1Tag cycles later.
 func (l *L1) tryFast(a *Access) (AccessResult, bool) {
-	if len(l.mshrs) != 0 || len(l.accFree) != len(l.accs) {
+	if l.mshrs.Len() != 0 || len(l.accFree) != len(l.accs) {
 		return AccessResult{}, false
 	}
 	block := l.arr.BlockAddr(a.Addr)
 	b := l.sys.bankFor(block)
-	if len(b.busy) != 0 || b.pinned[block] != 0 {
+	if b.busy.Len() != 0 || b.pinned(block) {
 		return AccessResult{}, false
 	}
 	ln := l.arr.Lookup(block)
@@ -395,10 +399,11 @@ func (l *L1) tryFast(a *Access) (AccessResult, bool) {
 // tests, probes) always apply.
 func (l *L1) applyStore(ln *cache.Line, block cache.Addr, a *Access) {
 	if a.Seq != 0 {
-		if last, ok := l.storeSeqs[block]; ok && a.Seq < last {
+		last := l.storeSeqs.Put(uint64(block))
+		if a.Seq < *last {
 			return
 		}
-		l.storeSeqs[block] = a.Seq
+		*last = a.Seq
 	}
 	ln.Data = a.Value
 	ln.WP = false
@@ -441,7 +446,7 @@ func (l *L1) examine(block cache.Addr, a Access) {
 	switch ent.Act {
 	case proto.L1ActMerge:
 		// A transaction is outstanding for the block: merge behind it.
-		ms := l.mshrs[block]
+		ms := l.mshrOf(block)
 		ms.pending = append(ms.pending, a)
 	case proto.L1ActMiss:
 		l.arr.Probe(block) // counts the miss
@@ -480,7 +485,7 @@ func (l *L1) examine(block cache.Addr, a Access) {
 		l.Stats.ExplicitUpgrades++
 		ms := l.newMSHR(TrEMA, false)
 		ms.pending = append(ms.pending, a)
-		l.mshrs[block] = ms
+		l.mshrs.Set(uint64(block), ms)
 		l.toDir(Msg{Kind: MsgUpgrade, Addr: block, Src: l.ID})
 	case proto.L1ActStoreShared:
 		// Neither an Owned nor a Forward holder is exclusive: other
@@ -490,7 +495,7 @@ func (l *L1) examine(block cache.Addr, a Access) {
 		l.Stats.ExplicitUpgrades++
 		ms := l.newMSHR(TrSMA, false)
 		ms.pending = append(ms.pending, a)
-		l.mshrs[block] = ms
+		l.mshrs.Set(uint64(block), ms)
 		l.toDir(Msg{Kind: MsgUpgrade, Addr: block, Src: l.ID})
 	default:
 		l.violate(block, "CPU action %v unhandled", ent.Act)
@@ -500,7 +505,7 @@ func (l *L1) examine(block cache.Addr, a Access) {
 // processMiss re-checks the block after a deferred translation: a merged
 // transaction or a racing fill may have changed the picture meanwhile.
 func (l *L1) processMiss(block cache.Addr, a Access) {
-	if ms, ok := l.mshrs[block]; ok {
+	if ms := l.mshrOf(block); ms != nil {
 		ms.pending = append(ms.pending, a)
 		return
 	}
@@ -515,13 +520,13 @@ func (l *L1) miss(block cache.Addr, a Access) {
 	if a.Write {
 		ms := l.newMSHR(TrIMD, a.WP)
 		ms.pending = append(ms.pending, a)
-		l.mshrs[block] = ms
+		l.mshrs.Set(uint64(block), ms)
 		l.toDir(Msg{Kind: MsgGETX, Addr: block, Src: l.ID, WP: a.WP})
 		return
 	}
 	ms := l.newMSHR(TrISD, a.WP)
 	ms.pending = append(ms.pending, a)
-	l.mshrs[block] = ms
+	l.mshrs.Set(uint64(block), ms)
 	l.toDir(Msg{Kind: l.policy.LoadRequest(a.WP), Addr: block, Src: l.ID, WP: a.WP})
 	l.maybePrefetch(block, a.WP)
 }
@@ -541,7 +546,7 @@ func (l *L1) maybePrefetch(block cache.Addr, wp bool) {
 	if l.arr.Lookup(next) != nil {
 		return
 	}
-	if _, busy := l.mshrs[next]; busy {
+	if l.mshrs.Has(uint64(next)) {
 		return
 	}
 	pwp := wp
@@ -549,7 +554,7 @@ func (l *L1) maybePrefetch(block cache.Addr, wp bool) {
 		pwp = false
 	}
 	l.Stats.Prefetches++
-	l.mshrs[next] = l.newMSHR(TrISD, pwp)
+	l.mshrs.Set(uint64(next), l.newMSHR(TrISD, pwp))
 	l.toDir(Msg{Kind: l.policy.LoadRequest(pwp), Addr: next, Src: l.ID, WP: pwp})
 }
 
@@ -573,7 +578,7 @@ func (l *L1) Receive(m Msg) {
 	case proto.L1ActDowngrade:
 		l.onDowngrade(m)
 	case proto.L1ActWBAck:
-		delete(l.wb, m.Addr)
+		l.wb.Delete(uint64(m.Addr))
 	default:
 		l.violate(m.Addr, "message action %v unhandled for %v", ent.Act, m.Kind)
 	}
@@ -590,8 +595,8 @@ func servedOf(m Msg) ServedBy {
 
 // onData completes an outstanding miss.
 func (l *L1) onData(m Msg, grant cache.LineState) {
-	ms, ok := l.mshrs[m.Addr]
-	if !ok {
+	ms := l.mshrOf(m.Addr)
+	if ms == nil {
 		l.violate(m.Addr, "data response without MSHR")
 	}
 	served := servedOf(m)
@@ -625,7 +630,7 @@ func (l *L1) onData(m Msg, grant cache.LineState) {
 		return
 	}
 
-	delete(l.mshrs, m.Addr)
+	l.mshrs.Delete(uint64(m.Addr))
 	pending := ms.pending
 	if len(pending) == 0 {
 		// Prefetch fill: no requestor to complete.
@@ -664,8 +669,8 @@ func (l *L1) onData(m Msg, grant cache.LineState) {
 }
 
 func (l *L1) onUpgradeAck(m Msg) {
-	ms, ok := l.mshrs[m.Addr]
-	if !ok || (ms.state != TrSMA && ms.state != TrEMA) {
+	ms := l.mshrOf(m.Addr)
+	if ms == nil || (ms.state != TrSMA && ms.state != TrEMA) {
 		l.violate(m.Addr, "unexpected UpgradeAck")
 	}
 	ln := l.arr.Lookup(m.Addr)
@@ -674,7 +679,7 @@ func (l *L1) onUpgradeAck(m Msg) {
 	}
 	ln.State = cache.Modified
 	ln.WP = false
-	delete(l.mshrs, m.Addr)
+	l.mshrs.Delete(uint64(m.Addr))
 	first := ms.pending[0]
 	l.applyStore(ln, m.Addr, &first)
 	l.complete(first, first.Value, ServedUpgrade)
@@ -695,7 +700,7 @@ func (l *L1) onInv(m Msg) {
 		l.arr.Invalidate(m.Addr)
 		l.Stats.Invalidations++
 	}
-	if ms, ok := l.mshrs[m.Addr]; ok && ms.state == TrSMA {
+	if ms := l.mshrOf(m.Addr); ms != nil && ms.state == TrSMA {
 		// Our Upgrade lost the race; the directory will answer it with
 		// Data_Exclusive. Wait as if this were a store miss.
 		ms.state = TrIMD
@@ -725,12 +730,12 @@ func (l *L1) onFwdGETS(m Msg) {
 			ln.State = cache.Shared
 			l.respondOwner(m, data, dirty, false, false, mf)
 		}
-		if ms, ok := l.mshrs[m.Addr]; ok && ms.state == TrEMA {
+		if ms := l.mshrOf(m.Addr); ms != nil && ms.state == TrEMA {
 			ms.state = TrSMA // our pending Upgrade now upgrades from S/O
 		}
 		return
 	}
-	if wbe, ok := l.wb[m.Addr]; ok {
+	if wbe, ok := l.wb.Get(uint64(m.Addr)); ok {
 		// The line is gone but its eviction is still in flight; serve
 		// from the writeback buffer.
 		l.respondOwner(m, wbe.data, wbe.dirty, true, false, l.policy.ForwardStateFor(m.WP))
@@ -747,12 +752,12 @@ func (l *L1) onFwdGETX(m Msg) {
 		l.arr.Invalidate(m.Addr)
 		l.Stats.Invalidations++
 		l.respondOwner(m, data, false, false, true)
-		if ms, ok := l.mshrs[m.Addr]; ok && (ms.state == TrEMA || ms.state == TrSMA) {
+		if ms := l.mshrOf(m.Addr); ms != nil && (ms.state == TrEMA || ms.state == TrSMA) {
 			ms.state = TrIMD
 		}
 		return
 	}
-	if wbe, ok := l.wb[m.Addr]; ok {
+	if wbe, ok := l.wb.Get(uint64(m.Addr)); ok {
 		l.respondOwner(m, wbe.data, wbe.dirty, true, true)
 		return
 	}
@@ -792,7 +797,7 @@ func (l *L1) onDowngrade(m Msg) {
 	if ln := l.arr.Lookup(m.Addr); ln != nil && ln.State == cache.Exclusive {
 		ln.State = cache.Shared
 	}
-	if ms, ok := l.mshrs[m.Addr]; ok && ms.state == TrEMA {
+	if ms := l.mshrOf(m.Addr); ms != nil && ms.state == TrEMA {
 		ms.state = TrSMA
 	}
 }
@@ -803,9 +808,8 @@ func (l *L1) onDowngrade(m Msg) {
 // the set is pinned, install returns nil and the caller retries — the
 // structural stall a real MSHR-locked cache exhibits.
 func (l *L1) install(block cache.Addr, state cache.LineState, data uint64, wp bool) *cache.Line {
-	v := l.arr.VictimFiltered(block, func(a cache.Addr) bool {
-		_, pending := l.mshrs[a]
-		return pending
+	v := l.arr.VictimFiltered(block, func(a cache.Addr, _ *cache.Line) bool {
+		return l.mshrs.Has(uint64(a))
 	})
 	if v == nil {
 		return nil
@@ -828,16 +832,16 @@ func (l *L1) evict(v *cache.Line, setProbe cache.Addr) {
 	case cache.Shared:
 		l.toDir(Msg{Kind: MsgPUTS, Addr: addr, Src: l.ID})
 	case cache.Exclusive:
-		l.wb[addr] = wbEntry{data: v.Data, dirty: false}
+		l.wb.Set(uint64(addr), wbEntry{data: v.Data, dirty: false})
 		l.toDir(Msg{Kind: MsgPUTX, Addr: addr, Src: l.ID, Data: v.Data})
 	case cache.Modified, cache.Owned:
-		l.wb[addr] = wbEntry{data: v.Data, dirty: true}
+		l.wb.Set(uint64(addr), wbEntry{data: v.Data, dirty: true})
 		l.toDir(Msg{Kind: MsgPUTX, Addr: addr, Src: l.ID, Data: v.Data, Dirty: true})
 	case cache.Forward:
 		// A MESIF forwarder may still be the target of an in-flight
 		// Fwd_GETS, so it parks its (clean) copy in the writeback buffer
 		// until acknowledged, like an owner.
-		l.wb[addr] = wbEntry{data: v.Data, dirty: false}
+		l.wb.Set(uint64(addr), wbEntry{data: v.Data, dirty: false})
 		l.toDir(Msg{Kind: MsgPUTX, Addr: addr, Src: l.ID, Data: v.Data})
 	}
 }
@@ -851,10 +855,10 @@ func (l *L1) ForceInvalidate(block cache.Addr) (data uint64, dirty, had bool) {
 		l.arr.Invalidate(block)
 		l.Stats.Invalidations++
 	}
-	if wbe, ok := l.wb[block]; ok && !had {
+	if wbe, ok := l.wb.Get(uint64(block)); ok && !had {
 		data, dirty, had = wbe.data, wbe.dirty, true
 	}
-	if ms, ok := l.mshrs[block]; ok && (ms.state == TrSMA || ms.state == TrEMA) {
+	if ms := l.mshrOf(block); ms != nil && (ms.state == TrSMA || ms.state == TrEMA) {
 		ms.state = TrIMD
 	}
 	return data, dirty, had

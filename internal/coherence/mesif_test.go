@@ -235,7 +235,7 @@ func TestCheckInvariantsWPForwardUnderSwiftDirMESIF(t *testing.T) {
 		t.Fatalf("setup: WP load left line %+v, want a write-protected S copy", ln)
 	}
 	ln.State = cache.Forward
-	s.bankFor(blockA).entries[blockA].forwarder = 0
+	s.bankFor(blockA).entry(blockA).Fwd = 0
 	err := s.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "write-protected") {
 		t.Fatalf("WP line in F under SwiftDir-MESIF: CheckInvariants = %v, want a write-protected violation", err)

@@ -4,9 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
+
+// pinsOf returns the pins held on addr's LLC line (0 when not resident).
+func pinsOf(b *bank, addr cache.Addr) int {
+	if e := b.entry(addr); e != nil {
+		return int(e.Pins)
+	}
+	return 0
+}
 
 // A pin outliving its grant bars the block from LLC victim selection for
 // the rest of the run; at quiescence every grant has landed, so any pin
@@ -16,7 +25,8 @@ func TestCheckInvariantsReportsLeakedPin(t *testing.T) {
 	s.AccessSync(0, blockA, false, false, 0)
 	s.AccessSync(0, blockA, true, false, 1) // E -> M: Upgrade, Upgrade_ACK
 	quiesceAndCheck(t, s)
-	s.bankFor(blockA).pinned[blockA]++
+	b := s.bankFor(blockA)
+	b.pin(blockA, b.entry(blockA))
 	err := s.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "pinned") {
 		t.Fatalf("CheckInvariants = %v, want a leaked-pin report", err)
@@ -60,7 +70,7 @@ func TestUpgradeAckPinHeldUntilDelivery(t *testing.T) {
 			for s.Eng.Step() {
 				upgraded := tr.Count(MsgUpgrade) == 1
 				landed := tr.Count(MsgUpgradeAck) == 1
-				pins := b.pinned[blockA]
+				pins := pinsOf(b, blockA)
 				switch {
 				case landed && !acked:
 					acked = true

@@ -28,7 +28,7 @@ func cpuEvent(write bool) proto.Event {
 // Probe): dispatch consults it before the action body performs the
 // accounted array access.
 func (l *L1) protoState(block cache.Addr) proto.L1State {
-	if ms, ok := l.mshrs[block]; ok {
+	if ms := l.mshrOf(block); ms != nil {
 		return proto.L1ISD + proto.L1State(ms.state)
 	}
 	if ln := l.arr.Lookup(block); ln != nil {
@@ -39,13 +39,19 @@ func (l *L1) protoState(block cache.Addr) proto.L1State {
 
 // protoDirState returns the bank's transition-table state for a block:
 // DirBusy if a blocking transaction is in flight, else the entry state
-// (DirI when absent).
+// (DirI when the block is not LLC-resident).
 func (b *bank) protoDirState(addr cache.Addr) proto.DirState {
-	if _, ok := b.busy[addr]; ok {
+	return b.stateOf(addr, b.entry(addr))
+}
+
+// stateOf is protoDirState for a block whose entry e (nil when not
+// resident) the caller already holds.
+func (b *bank) stateOf(addr cache.Addr, e *dirEntry) proto.DirState {
+	if b.busy.Has(uint64(addr)) {
 		return proto.DirBusy
 	}
-	if e, ok := b.entries[addr]; ok {
-		return proto.DirState(e.state)
+	if e != nil {
+		return proto.DirState(e.state())
 	}
 	return proto.DirI
 }

@@ -365,13 +365,13 @@ func initialToken(addr cache.Addr) uint64 {
 // memRead and memWrite access the shadow memory image. The image is
 // partitioned per bank: a block's image entry lives with its home bank.
 func (s *System) memRead(addr cache.Addr) uint64 {
-	if v, ok := s.bankFor(addr).image[addr]; ok {
+	if v, ok := s.bankFor(addr).image.Get(uint64(addr)); ok {
 		return v
 	}
 	return initialToken(addr)
 }
 
-func (s *System) memWrite(addr cache.Addr, v uint64) { s.bankFor(addr).image[addr] = v }
+func (s *System) memWrite(addr cache.Addr, v uint64) { s.bankFor(addr).image.Set(uint64(addr), v) }
 
 // ExecutedEvents returns the total number of events the system's engine
 // has executed.
@@ -500,9 +500,8 @@ func (s *System) ArbPromotions() uint64 {
 // DirStateOf reports the directory state of a block (DirInvalid if not
 // resident). For tests and invariant checks.
 func (s *System) DirStateOf(addr cache.Addr) DirState {
-	b := s.bankFor(addr)
-	if e, ok := b.entries[addr]; ok {
-		return e.state
+	if e := s.bankFor(addr).entry(addr); e != nil {
+		return e.state()
 	}
 	return DirInvalid
 }
@@ -515,21 +514,22 @@ func (s *System) L1StateOf(port int, addr cache.Addr) cache.LineState {
 	return cache.Invalid
 }
 
-// lowestViolation runs check on every entry of an address-keyed map and
-// returns the error of the lowest failing address, so a map walk reports
-// the same violation on every call without sorting the keys.
-func lowestViolation[V any](m map[cache.Addr]V, check func(cache.Addr, V) error) error {
-	var first error
-	var at cache.Addr
-	for addr, v := range m {
-		if first != nil && addr > at {
-			continue
-		}
-		if err := check(addr, v); err != nil {
-			first, at = err, addr
-		}
+// lowest keeps the error of the lowest failing address an unordered walk
+// has seen, so the walk reports the same violation on every call
+// without sorting.
+type lowest struct {
+	err error
+	at  cache.Addr
+}
+
+// skip reports whether addr cannot lower the failure already kept.
+func (l *lowest) skip(addr cache.Addr) bool { return l.err != nil && addr > l.at }
+
+// keep records err at addr unless it is nil.
+func (l *lowest) keep(addr cache.Addr, err error) {
+	if err != nil {
+		l.err, l.at = err, addr
 	}
-	return first
 }
 
 // CheckInvariants validates the quiesced system:
@@ -545,17 +545,17 @@ func lowestViolation[V any](m map[cache.Addr]V, check func(cache.Addr, V) error)
 //
 // It must be called with no in-flight transactions. It returns the first
 // violation found. Every walk visits blocks in a fixed order — each L1
-// array in set/way order, the per-block and map walks in ascending address
-// order — so the same state always yields the same report.
+// array in set/way order, the per-block and table walks in ascending
+// address order — so the same state always yields the same report.
 func (s *System) CheckInvariants() error {
 	for _, b := range s.banks {
-		if len(b.busy) != 0 {
-			return fmt.Errorf("bank %d: %d transactions still busy", b.id, len(b.busy))
+		if n := b.busy.Len(); n != 0 {
+			return fmt.Errorf("bank %d: %d transactions still busy", b.id, n)
 		}
-		if len(b.pinned) != 0 {
+		if b.pins != 0 {
 			// Every grant has landed at quiescence, so a pin left behind
 			// leaked: it would bar its block from LLC victim selection.
-			return fmt.Errorf("bank %d: %d blocks still pinned", b.id, len(b.pinned))
+			return fmt.Errorf("bank %d: %d blocks still pinned", b.id, len(b.pinnedAddrs()))
 		}
 	}
 	for _, l1 := range s.L1s {
@@ -586,11 +586,11 @@ func (s *System) CheckInvariants() error {
 				err = fmt.Errorf("L1 %d: write-protected block %#x in state %v under %s",
 					id, addr, ln.State, s.Policy.Name())
 			default:
-				e, ok := s.bankFor(addr).entries[addr]
+				e := s.bankFor(addr).entry(addr)
 				switch {
-				case !ok: // inclusion
+				case e == nil: // inclusion
 					err = fmt.Errorf("L1 %d: block %#x resident but absent from LLC (inclusion)", id, addr)
-				case e.state == DirPresent && (ln.State == cache.Exclusive || ln.State == cache.Modified || ln.State == cache.Shared):
+				case e.state() == DirPresent && (ln.State == cache.Exclusive || ln.State == cache.Modified || ln.State == cache.Shared):
 					err = fmt.Errorf("dir: block %#x DirPresent but cached in L1s", addr)
 				}
 			}
@@ -641,11 +641,11 @@ func (s *System) CheckInvariants() error {
 	// to a valid line.
 	if s.twoLevel {
 		for _, h := range s.hubs {
-			if len(h.pending) != 0 {
-				return fmt.Errorf("hub %d: %d invalidation aggregations still pending", h.id, len(h.pending))
+			if n := h.pending.Len(); n != 0 {
+				return fmt.Errorf("hub %d: %d invalidation aggregations still pending", h.id, n)
 			}
-			if len(h.upReqs) != 0 {
-				return fmt.Errorf("hub %d: %d up-requests still awaiting grants", h.id, len(h.upReqs))
+			if n := h.upReqs.Len(); n != 0 {
+				return fmt.Errorf("hub %d: %d up-requests still awaiting grants", h.id, n)
 			}
 		}
 		for _, l1 := range s.L1s {
@@ -653,7 +653,7 @@ func (s *System) CheckInvariants() error {
 			lid := uint(l1.ID - c*s.localsPer)
 			var err error
 			l1.Array().ForEachValid(func(addr cache.Addr, ln *cache.Line) {
-				if err == nil && s.hubs[c].record[addr]&(1<<lid) == 0 {
+				if err == nil && s.hubs[c].recordOf(addr)&(1<<lid) == 0 {
 					err = fmt.Errorf("hub %d: L1 %d holds %#x but its record bit is clear", c, l1.ID, addr)
 				}
 			})
@@ -662,90 +662,109 @@ func (s *System) CheckInvariants() error {
 			}
 		}
 		for _, h := range s.hubs {
-			err := lowestViolation(h.record, func(addr cache.Addr, rec uint64) error {
-				for lid := 0; rec != 0; lid++ {
-					if rec&1 != 0 {
-						id := h.id*s.localsPer + lid
-						if st := s.L1StateOf(id, addr); st == cache.Invalid {
-							return fmt.Errorf("hub %d: record bit for L1 %d on %#x but the line is invalid", h.id, id, addr)
-						}
-					}
-					rec >>= 1
+			var low lowest
+			h.record.ForEach(func(k, rec uint64) {
+				addr := cache.Addr(k)
+				if !low.skip(addr) {
+					low.keep(addr, s.checkRecord(h, addr, rec))
 				}
-				return nil
 			})
-			if err != nil {
-				return err
+			if low.err != nil {
+				return low.err
 			}
 		}
 	}
 	// Directory agreement.
 	for _, b := range s.banks {
-		err := lowestViolation(b.entries, func(addr cache.Addr, e *dirEntry) error {
-			switch e.state {
-			case DirExclusive, DirModifiedL1:
-				st := s.L1StateOf(e.owner, addr)
-				if st != cache.Exclusive && st != cache.Modified {
-					return fmt.Errorf("dir: block %#x %v owner %d holds %v", addr, e.state, e.owner, st)
-				}
-			case DirShared:
-				if s.twoLevel {
-					// Sharer bits are clusters: each set bit must map to a
-					// nonempty hub record whose locals all hold S.
-					for c, sh := 0, e.sharers; sh != 0; c++ {
-						if sh&1 != 0 {
-							rec := s.hubs[c].record[addr]
-							if rec == 0 {
-								return fmt.Errorf("dir: block %#x sharer cluster %d has an empty hub record", addr, c)
+		var low lowest
+		b.arr.ForEachValid(func(addr cache.Addr, ln *cache.Line) {
+			if !low.skip(addr) {
+				low.keep(addr, s.checkEntry(addr, (*dirEntry)(ln)))
+			}
+		})
+		if low.err != nil {
+			return low.err
+		}
+	}
+	return nil
+}
+
+// checkRecord checks that every local a hub's record names holds addr.
+func (s *System) checkRecord(h *hub, addr cache.Addr, rec uint64) error {
+	for lid := 0; rec != 0; lid++ {
+		if rec&1 != 0 {
+			id := h.id*s.localsPer + lid
+			if st := s.L1StateOf(id, addr); st == cache.Invalid {
+				return fmt.Errorf("hub %d: record bit for L1 %d on %#x but the line is invalid", h.id, id, addr)
+			}
+		}
+		rec >>= 1
+	}
+	return nil
+}
+
+// checkEntry checks a directory entry's owner and sharers against the L1
+// contents.
+func (s *System) checkEntry(addr cache.Addr, e *dirEntry) error {
+	owner, fwd := int(e.Owner), int(e.Fwd)
+	switch st := e.state(); st {
+	case DirExclusive, DirModifiedL1:
+		l1st := s.L1StateOf(owner, addr)
+		if l1st != cache.Exclusive && l1st != cache.Modified {
+			return fmt.Errorf("dir: block %#x %v owner %d holds %v", addr, st, owner, l1st)
+		}
+	case DirShared:
+		if s.twoLevel {
+			// Sharer bits are clusters: each set bit must map to a
+			// nonempty hub record whose locals all hold S.
+			for c, sh := 0, e.Sharers; sh != 0; c++ {
+				if sh&1 != 0 {
+					rec := s.hubs[c].recordOf(addr)
+					if rec == 0 {
+						return fmt.Errorf("dir: block %#x sharer cluster %d has an empty hub record", addr, c)
+					}
+					for lid := 0; rec != 0; lid++ {
+						if rec&1 != 0 {
+							id := c*s.localsPer + lid
+							if st := s.L1StateOf(id, addr); st != cache.Shared {
+								return fmt.Errorf("dir: block %#x cluster %d local %d holds %v", addr, c, id, st)
 							}
-							for lid := 0; rec != 0; lid++ {
-								if rec&1 != 0 {
-									id := c*s.localsPer + lid
-									if st := s.L1StateOf(id, addr); st != cache.Shared {
-										return fmt.Errorf("dir: block %#x cluster %d local %d holds %v", addr, c, id, st)
-									}
-								}
-								rec >>= 1
-							}
 						}
-						sh >>= 1
-					}
-					break
-				}
-				for id, sh := 0, e.sharers; sh != 0; id++ {
-					if sh&1 != 0 {
-						st := s.L1StateOf(id, addr)
-						if st != cache.Shared && st != cache.Forward {
-							return fmt.Errorf("dir: block %#x sharer %d holds %v", addr, id, st)
-						}
-						if st == cache.Forward && e.forwarder != id {
-							return fmt.Errorf("dir: block %#x F holder %d not recorded (forwarder=%d)", addr, id, e.forwarder)
-						}
-					}
-					sh >>= 1
-				}
-				if e.forwarder >= 0 {
-					if st := s.L1StateOf(e.forwarder, addr); st != cache.Forward {
-						return fmt.Errorf("dir: block %#x forwarder %d holds %v", addr, e.forwarder, st)
+						rec >>= 1
 					}
 				}
-			case DirOwned:
-				if st := s.L1StateOf(e.owner, addr); st != cache.Owned {
-					return fmt.Errorf("dir: block %#x DirO owner %d holds %v", addr, e.owner, st)
+				sh >>= 1
+			}
+			break
+		}
+		for id, sh := 0, e.Sharers; sh != 0; id++ {
+			if sh&1 != 0 {
+				st := s.L1StateOf(id, addr)
+				if st != cache.Shared && st != cache.Forward {
+					return fmt.Errorf("dir: block %#x sharer %d holds %v", addr, id, st)
 				}
-				for id, sh := 0, e.sharers; sh != 0; id++ {
-					if sh&1 != 0 {
-						if st := s.L1StateOf(id, addr); st != cache.Shared {
-							return fmt.Errorf("dir: block %#x DirO sharer %d holds %v", addr, id, st)
-						}
-					}
-					sh >>= 1
+				if st == cache.Forward && fwd != id {
+					return fmt.Errorf("dir: block %#x F holder %d not recorded (forwarder=%d)", addr, id, fwd)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			sh >>= 1
+		}
+		if fwd >= 0 {
+			if st := s.L1StateOf(fwd, addr); st != cache.Forward {
+				return fmt.Errorf("dir: block %#x forwarder %d holds %v", addr, fwd, st)
+			}
+		}
+	case DirOwned:
+		if st := s.L1StateOf(owner, addr); st != cache.Owned {
+			return fmt.Errorf("dir: block %#x DirO owner %d holds %v", addr, owner, st)
+		}
+		for id, sh := 0, e.Sharers; sh != 0; id++ {
+			if sh&1 != 0 {
+				if st := s.L1StateOf(id, addr); st != cache.Shared {
+					return fmt.Errorf("dir: block %#x DirO sharer %d holds %v", addr, id, st)
+				}
+			}
+			sh >>= 1
 		}
 	}
 	return nil

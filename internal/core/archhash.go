@@ -3,8 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
+	"sort"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/mmu"
@@ -22,9 +22,15 @@ import (
 // machine-level metamorphic oracle (internal/soak).
 func (m *Machine) ArchMemHash() string {
 	h := sha256.New()
+	var buf []byte
 	m.forEachArchValue(func(pi int, va mmu.VAddr, v uint64) {
-		fmt.Fprintf(h, "%d %x %x\n", pi, uint64(va), v)
+		buf = appendArchLine(buf, pi, va, v)
+		if len(buf) >= 4096 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	})
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -32,18 +38,30 @@ func (m *Machine) ArchMemHash() string {
 // "process virtual-address value". Diffing two dumps pinpoints which
 // blocks moved when the soak oracle reports a hash divergence.
 func (m *Machine) ArchMemDump() string {
-	var b strings.Builder
+	var buf []byte
 	m.forEachArchValue(func(pi int, va mmu.VAddr, v uint64) {
-		fmt.Fprintf(&b, "%d %x %x\n", pi, uint64(va), v)
+		buf = appendArchLine(buf, pi, va, v)
 	})
-	return b.String()
+	return string(buf)
+}
+
+// appendArchLine appends one block's line: the process index in decimal,
+// then the virtual address and the value in lowercase hex.
+func appendArchLine(buf []byte, pi int, va mmu.VAddr, v uint64) []byte {
+	buf = strconv.AppendInt(buf, int64(pi), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendUint(buf, uint64(va), 16)
+	buf = append(buf, ' ')
+	buf = strconv.AppendUint(buf, v, 16)
+	return append(buf, '\n')
 }
 
 // forEachArchValue visits the architectural memory image in canonical
 // order: processes in creation order, pages ascending, blocks ascending.
+// The physical image is sorted by address, so each page's blocks are one
+// run of it.
 func (m *Machine) forEachArchValue(visit func(pi int, va mmu.VAddr, v uint64)) {
 	vals := m.Sys.MemValues()
-	block := uint64(m.Cfg.L1.BlockSize)
 	for pi, p := range m.processes {
 		for _, vpn := range p.AS.MappedVPNs() {
 			va := mmu.VAddr(vpn * mmu.PageSize)
@@ -51,11 +69,11 @@ func (m *Machine) forEachArchValue(visit func(pi int, va mmu.VAddr, v uint64)) {
 			if pte == nil || !pte.Present {
 				continue
 			}
-			base := pte.PFN * mmu.PageSize
-			for off := uint64(0); off < mmu.PageSize; off += block {
-				if v, ok := vals[cache.Addr(base+off)]; ok {
-					visit(pi, va+mmu.VAddr(off), v)
-				}
+			base := cache.Addr(pte.PFN * mmu.PageSize)
+			end := base + mmu.PageSize
+			i := sort.Search(len(vals), func(i int) bool { return vals[i].Addr >= base })
+			for ; i < len(vals) && vals[i].Addr < end; i++ {
+				visit(pi, va+mmu.VAddr(vals[i].Addr-base), vals[i].Value)
 			}
 		}
 	}

@@ -1,20 +1,22 @@
 package mmu
 
+import "repro/internal/intmap"
+
 // TLB is a fully associative translation lookaside buffer with LRU
 // replacement, matching the paper's 64-entry ITB/DTB (Table V). Entries
 // cache the translated frame and the R/W bit so the write-protection
 // information reaches the cache hierarchy even on TLB hits without
 // re-walking the page table (§IV-B).
 //
-// Resident entries live in a fixed array of slots, found through a map from
-// virtual page number to slot; a miss that finds the array full overwrites
+// Resident entries live in a fixed array of slots, found through a table
+// from virtual page number to slot; a miss that finds the array full overwrites
 // the slot with the smallest LRU stamp. Stamps come from one counter bumped
 // on every hit and fill, so that slot is unique and the eviction order is
 // the same however the slots are arranged.
 type TLB struct {
 	capacity int
 	slots    []tlbEntry
-	index    map[uint64]int32 // vpn -> position in slots
+	index    intmap.Map[int32] // vpn -> position in slots
 	clock    uint64
 
 	Hits, Misses uint64
@@ -36,7 +38,6 @@ func NewTLB(entries int) *TLB {
 	return &TLB{
 		capacity: entries,
 		slots:    make([]tlbEntry, 0, entries),
-		index:    make(map[uint64]int32, entries),
 	}
 }
 
@@ -47,7 +48,7 @@ func (t *TLB) Capacity() int { return t.capacity }
 func (t *TLB) Size() int { return len(t.slots) }
 
 func (t *TLB) lookup(vp uint64) *tlbEntry {
-	i, ok := t.index[vp]
+	i, ok := t.index.Get(vp)
 	if !ok {
 		return nil
 	}
@@ -61,7 +62,7 @@ func (t *TLB) insert(vp uint64, pfn uint64, writable bool) {
 	t.clock++
 	ent := tlbEntry{vpn: vp, pfn: pfn, writable: writable, lru: t.clock}
 	if len(t.slots) < t.capacity {
-		t.index[vp] = int32(len(t.slots))
+		t.index.Set(vp, int32(len(t.slots)))
 		t.slots = append(t.slots, ent)
 		return
 	}
@@ -71,30 +72,30 @@ func (t *TLB) insert(vp uint64, pfn uint64, writable bool) {
 			victim = i
 		}
 	}
-	delete(t.index, t.slots[victim].vpn)
+	t.index.Delete(t.slots[victim].vpn)
 	t.slots[victim] = ent
-	t.index[vp] = int32(victim)
+	t.index.Set(vp, int32(victim))
 }
 
 // InvalidatePage drops the entry for the page containing v, if any.
 func (t *TLB) InvalidatePage(v VAddr) {
 	vp := vpn(v)
-	i, ok := t.index[vp]
+	i, ok := t.index.Get(vp)
 	if !ok {
 		return
 	}
-	delete(t.index, vp)
+	t.index.Delete(vp)
 	last := int32(len(t.slots) - 1)
 	if i != last {
 		t.slots[i] = t.slots[last]
-		t.index[t.slots[i].vpn] = i
+		t.index.Set(t.slots[i].vpn, i)
 	}
 	t.slots = t.slots[:last]
 }
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	clear(t.index)
+	t.index.Clear()
 	t.slots = t.slots[:0]
 	t.Flushes++
 }
