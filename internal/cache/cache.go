@@ -149,6 +149,12 @@ type Array struct {
 	clock     uint64   // LRU/FIFO stamp source
 	rng       uint64   // xorshift state for Random replacement
 
+	// holes records that an Invalidate has dropped a line. Until then a
+	// line only turns valid by an Install into the way Victim chose, the
+	// first invalid one, so every set's valid ways come first and a
+	// Lookup can stop at the first invalid way.
+	holes bool
+
 	// Stats
 	Hits, Misses, Evictions uint64
 }
@@ -217,8 +223,15 @@ func (a *Array) Lookup(addr Addr) *Line {
 	set := a.lines[a.SetIndex(addr)]
 	tag := a.tag(addr)
 	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == tag {
-			return &set[i]
+		ln := &set[i]
+		if !ln.State.Valid() {
+			if !a.holes {
+				return nil
+			}
+			continue
+		}
+		if ln.Tag == tag {
+			return ln
 		}
 	}
 	return nil
@@ -358,6 +371,7 @@ func (a *Array) Install(ln *Line, addr Addr, state LineState) {
 func (a *Array) Invalidate(addr Addr) bool {
 	if ln := a.Lookup(addr); ln != nil {
 		*ln = Line{}
+		a.holes = true
 		return true
 	}
 	return false
@@ -374,13 +388,11 @@ func (a *Array) AddrOfLine(ln *Line, setProbe Addr) Addr {
 
 // ForEachValid invokes fn for every resident line with its block address.
 func (a *Array) ForEachValid(fn func(addr Addr, ln *Line)) {
-	setBits := uint(bits.TrailingZeros(uint(a.sets)))
-	for s := range a.lines {
-		for w := range a.lines[s] {
-			ln := &a.lines[s][w]
-			if ln.State.Valid() {
-				addr := ln.Tag<<(a.blockBits+setBits) | Addr(s)<<a.blockBits
-				fn(addr, ln)
+	tagShift := a.blockBits + uint(bits.TrailingZeros(uint(a.sets)))
+	for s, set := range a.lines {
+		for w := range set {
+			if ln := &set[w]; ln.State.Valid() {
+				fn(ln.Tag<<tagShift|Addr(s)<<a.blockBits, ln)
 			}
 		}
 	}

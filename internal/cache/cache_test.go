@@ -299,3 +299,25 @@ func TestRandomReplacementDeterministic(t *testing.T) {
 		t.Fatalf("random replacement degenerate: %v", a)
 	}
 }
+
+// A Lookup stops at a set's first invalid way only while no Invalidate
+// has left a gap: after one, a line in a later way is still found.
+func TestLookupAcrossInvalidatedWay(t *testing.T) {
+	a := NewArray(Params{Name: "L1", SizeBytes: 4 * 64, Ways: 4, BlockSize: 64})
+	addrs := []Addr{0, 64, 128, 192}
+	for _, ad := range addrs {
+		a.Install(a.Victim(ad), ad, Shared)
+	}
+	if a.Lookup(256) != nil {
+		t.Fatal("absent block found in a full set")
+	}
+	a.Invalidate(addrs[0])
+	for _, ad := range addrs[1:] {
+		if a.Lookup(ad) == nil {
+			t.Fatalf("block %#x lost behind the invalidated way", ad)
+		}
+	}
+	if a.Lookup(addrs[0]) != nil {
+		t.Fatal("invalidated block still found")
+	}
+}

@@ -298,10 +298,8 @@ func (b *bank) respDelay() sim.Cycle { return b.timing().LLCTag + b.timing().Hop
 
 // dirTabEntry is the generic dispatch step, mirroring (*L1).l1Entry:
 // resolve (state-of-block, event) in the canonical table and fail with a
-// typed protocol violation unless the pair is Defined or Defensive. e is
-// addr's entry (nil when not resident).
-func (b *bank) dirTabEntry(addr cache.Addr, e *dirEntry, ev proto.Event) *proto.DirEntry {
-	st := b.stateOf(addr, e)
+// typed protocol violation unless the pair is Defined or Defensive.
+func (b *bank) dirTabEntry(addr cache.Addr, st proto.DirState, ev proto.Event) *proto.DirEntry {
 	ent := &b.tab.Dir[st][ev]
 	if ent.Class != proto.Defined && ent.Class != proto.Defensive {
 		b.violate(addr, "%v in state %v is %v under %s", ev, st, ent.Class, b.tab.Policy)
@@ -317,8 +315,8 @@ func (b *bank) dirTabEntry(addr cache.Addr, e *dirEntry, ev proto.Event) *proto.
 // queued arrivals count when replayed, and an Upgrade that re-resolves
 // as a GETX (resolveAsStore) is not double-counted.
 func (b *bank) dispatch(m Msg) {
-	e := b.entry(m.Addr)
-	ent := b.dirTabEntry(m.Addr, e, protoEvent(m.Kind))
+	e, st := b.lookup(m.Addr)
+	ent := b.dirTabEntry(m.Addr, st, protoEvent(m.Kind))
 	if ent.Act != proto.DirActQueue {
 		switch m.Kind {
 		case MsgGETS, MsgGETSWP, MsgGETX, MsgUpgrade:
@@ -333,14 +331,15 @@ func (b *bank) dispatch(m Msg) {
 // entry a fresh GETX would hit. The request was already counted at
 // dispatch, so Stats.Requests is untouched.
 func (b *bank) resolveAsStore(m Msg, e *dirEntry) {
-	b.runDir(b.dirTabEntry(m.Addr, e, proto.EvGETX).Act, m, e)
+	b.runDir(b.dirTabEntry(m.Addr, b.stateOf(m.Addr, e), proto.EvGETX).Act, m, e)
 }
 
-// runDir executes a table action's handler body. e is the block's entry,
-// found once at dispatch (nil when not resident): the handlers below
-// neither install nor evict, so it stays valid throughout. An action
-// that reads the LLC data counts an array hit (ProbeLine) where the
-// controller has always probed the array.
+// runDir executes a table action's handler body. e is the block's entry
+// as lookup found it at dispatch: nil when the block is not resident,
+// and nil for a busy block, whose handlers that need the entry look it
+// up themselves. The handlers neither install nor evict, so e stays
+// valid throughout. An action that reads the LLC data counts an array
+// hit (ProbeLine) where the controller has always probed the array.
 func (b *bank) runDir(act proto.DirAction, m Msg, e *dirEntry) {
 	switch act {
 	case proto.DirActQueue:
@@ -401,11 +400,11 @@ func (b *bank) runDir(act proto.DirAction, m Msg, e *dirEntry) {
 		t.waitUnblock = false
 		b.maybeComplete(m.Addr, t)
 	case proto.DirActInvAck:
-		b.onInvAck(m, e)
+		b.onInvAck(m)
 	case proto.DirActInvAckStale:
 		// Late ack for a transaction that already completed: dropped.
 	case proto.DirActWBData:
-		b.onWBData(m, e)
+		b.onWBData(m)
 	default:
 		b.violate(m.Addr, "directory action %v unhandled for %v", act, m.Kind)
 	}
@@ -413,7 +412,7 @@ func (b *bank) runDir(act proto.DirAction, m Msg, e *dirEntry) {
 
 // onInvAck retires one outstanding invalidation ack and performs the
 // deferred grant once the last ack arrives.
-func (b *bank) onInvAck(m Msg, e *dirEntry) {
+func (b *bank) onInvAck(m Msg) {
 	t := b.txnOf(m.Addr)
 	t.waitAcks--
 	if t.waitAcks == 0 && t.pendKind != pendNone {
@@ -421,6 +420,7 @@ func (b *bank) onInvAck(m Msg, e *dirEntry) {
 		t.pendKind = pendNone
 		// The block stayed busy across the ack window, so no install or
 		// eviction replaced its line.
+		e := b.entry(m.Addr)
 		switch kind {
 		case pendStore:
 			b.grantStore(t.req, e, t.pendData, ServedLLC, 0)
@@ -553,11 +553,12 @@ func (b *bank) forwardLoad(m Msg, e *dirEntry) {
 // the sharer set. Under MOESI the owner may instead report that it kept
 // the dirty copy (m.Owned): the entry moves to DirOwned and the LLC data
 // stay stale.
-func (b *bank) onWBData(m Msg, e *dirEntry) {
+func (b *bank) onWBData(m Msg) {
 	t := b.txnOf(m.Addr)
 	if t == nil {
 		b.violate(m.Addr, "WB_Data for idle block")
 	}
+	e := b.entry(m.Addr)
 	if e == nil {
 		b.violate(m.Addr, "WB_Data for absent block")
 	}

@@ -41,7 +41,22 @@ func (l *L1) protoState(block cache.Addr) proto.L1State {
 // DirBusy if a blocking transaction is in flight, else the entry state
 // (DirI when the block is not LLC-resident).
 func (b *bank) protoDirState(addr cache.Addr) proto.DirState {
-	return b.stateOf(addr, b.entry(addr))
+	_, st := b.lookup(addr)
+	return st
+}
+
+// lookup returns addr's transition-table state and, unless a transaction
+// holds the block (DirBusy), its entry (nil when not resident). It reads
+// the LLC line only for a block no transaction holds.
+func (b *bank) lookup(addr cache.Addr) (*dirEntry, proto.DirState) {
+	if b.busy.Has(uint64(addr)) {
+		return nil, proto.DirBusy
+	}
+	e := b.entry(addr)
+	if e == nil {
+		return nil, proto.DirI
+	}
+	return e, proto.DirState(e.state())
 }
 
 // stateOf is protoDirState for a block whose entry e (nil when not
