@@ -106,14 +106,15 @@ benchdiff:
 # under a generous ns/op ceiling (≈3x the committed baseline, so only a
 # real regression trips it on shared runners) and allocation-free. The
 # result-cache lookup and singleflight leader paths (swiftdir-serve's
-# per-request fast path), the TLB hit and miss/evict paths, and workload
-# generation are pinned the same way.
+# per-request fast path), the TLB hit and miss/evict paths, workload
+# generation, the directory's write-after-read lookups and the
+# controllers' block table are pinned the same way.
 bench-gate:
-	$(GO) test -bench='^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute|^BenchmarkTLB|^BenchmarkGenerator' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
+	$(GO) test -bench='^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute|^BenchmarkTLB|^BenchmarkGenerator|^BenchmarkDirectory|^BenchmarkBlockTable' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
 	@cat bench.raw
 	$(GO) run ./cmd/bench2json \
 		-ceiling 'BenchmarkAccessMESI=2500,BenchmarkResultCacheHit=500,BenchmarkSingleflightDo=1000,BenchmarkMeshRoute=500,BenchmarkAccessMesh64=8000,BenchmarkTLBTranslateMiss=800' \
-		-zeroalloc '^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute|^BenchmarkTLB|^BenchmarkGenerator' < bench.raw > /dev/null
+		-zeroalloc '^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute|^BenchmarkTLB|^BenchmarkGenerator|^BenchmarkDirectory|^BenchmarkBlockTable' < bench.raw > /dev/null
 	@rm -f bench.raw
 	@echo "bench gate ok"
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/interconnect"
+	"repro/internal/intmap"
 	"repro/internal/mmu"
 	"repro/internal/resultcache"
 	"repro/internal/sim"
@@ -285,11 +286,11 @@ func BenchmarkNewMachine(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectoryWARLookup stresses the directory's address-map lookups
-// under a write-after-read pattern: core 0 installs a shared copy, core 1
+// BenchmarkDirectoryWARLookup stresses the directory's lookups under a
+// write-after-read pattern: core 0 installs a shared copy, core 1
 // immediately writes the same block, so every iteration drives a GETS plus
-// an invalidating GETX/Upgrade through the bank's entries/busy maps (the
-// path served by the per-bank last-entry cache).
+// an invalidating GETX/Upgrade through the bank's busy table and the
+// directory entries in its LLC lines. The gate pins it allocation-free.
 func BenchmarkDirectoryWARLookup(b *testing.B) {
 	m := core.MustNewMachine(core.DefaultConfig(2, coherence.SwiftDir))
 	proc := m.NewProcess()
@@ -301,6 +302,27 @@ func BenchmarkDirectoryWARLookup(b *testing.B) {
 		a := heap + mmu.VAddr(i%512)*64
 		reader.MustAccessSync(a, false, 0)
 		writer.MustAccessSync(a, true, uint64(i))
+	}
+}
+
+// BenchmarkBlockTable measures the controllers' block-keyed table at a
+// held capacity: each iteration does one Set, one Get and one Delete over
+// a sliding window of 48 live block addresses, the steady state of an
+// L1's MSHRs or a bank's busy transactions. The gate pins it
+// allocation-free.
+func BenchmarkBlockTable(b *testing.B) {
+	const live = 48
+	var m intmap.Map[uint64]
+	for i := uint64(0); i < live; i++ {
+		m.Set(i*64, i)
+	}
+	b.ResetTimer()
+	for i := uint64(0); i < uint64(b.N); i++ {
+		m.Set((i+live)*64, i)
+		if _, ok := m.Get((i + live/2) * 64); !ok {
+			b.Fatal("lost a live key")
+		}
+		m.Delete(i * 64)
 	}
 }
 

@@ -151,8 +151,8 @@ type Array struct {
 
 	// holes records that an Invalidate has dropped a line. Until then a
 	// line only turns valid by an Install into the way Victim chose, the
-	// first invalid one, so every set's valid ways come first and a
-	// Lookup can stop at the first invalid way.
+	// first invalid one, so every set's valid ways come first, and Lookup
+	// and the walks stop at a set's first invalid way.
 	holes bool
 
 	// Stats
@@ -391,9 +391,14 @@ func (a *Array) ForEachValid(fn func(addr Addr, ln *Line)) {
 	tagShift := a.blockBits + uint(bits.TrailingZeros(uint(a.sets)))
 	for s, set := range a.lines {
 		for w := range set {
-			if ln := &set[w]; ln.State.Valid() {
-				fn(ln.Tag<<tagShift|Addr(s)<<a.blockBits, ln)
+			ln := &set[w]
+			if !ln.State.Valid() {
+				if !a.holes {
+					break
+				}
+				continue
 			}
+			fn(ln.Tag<<tagShift|Addr(s)<<a.blockBits, ln)
 		}
 	}
 }

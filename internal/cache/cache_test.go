@@ -300,8 +300,9 @@ func TestRandomReplacementDeterministic(t *testing.T) {
 	}
 }
 
-// A Lookup stops at a set's first invalid way only while no Invalidate
-// has left a gap: after one, a line in a later way is still found.
+// A Lookup or walk stops at a set's first invalid way only while no
+// Invalidate has left a gap: after one, a line in a later way is still
+// found and still walked.
 func TestLookupAcrossInvalidatedWay(t *testing.T) {
 	a := NewArray(Params{Name: "L1", SizeBytes: 4 * 64, Ways: 4, BlockSize: 64})
 	addrs := []Addr{0, 64, 128, 192}
@@ -319,5 +320,8 @@ func TestLookupAcrossInvalidatedWay(t *testing.T) {
 	}
 	if a.Lookup(addrs[0]) != nil {
 		t.Fatal("invalidated block still found")
+	}
+	if n := a.CountValid(); n != len(addrs)-1 {
+		t.Fatalf("CountValid = %d after the invalidation, want %d", n, len(addrs)-1)
 	}
 }

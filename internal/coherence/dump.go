@@ -196,7 +196,14 @@ func (s *System) MemValues() []BlockValue {
 		BlockValue
 		rank int32
 	}
-	var all []ranked
+	n := 0
+	for _, b := range s.banks {
+		n += b.image.Len() + b.arr.CountValid()
+	}
+	for _, l1 := range s.L1s {
+		n += l1.arr.CountValid()
+	}
+	all := make([]ranked, 0, n)
 	for _, b := range s.banks {
 		b.image.ForEach(func(k, v uint64) {
 			all = append(all, ranked{BlockValue{cache.Addr(k), v}, 0})
@@ -220,7 +227,7 @@ func (s *System) MemValues() []BlockValue {
 		}
 		return cmp.Compare(x.rank, y.rank)
 	})
-	var vals []BlockValue
+	vals := make([]BlockValue, 0, len(all))
 	for i, c := range all {
 		if i+1 < len(all) && all[i+1].Addr == c.Addr {
 			continue

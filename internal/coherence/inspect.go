@@ -210,10 +210,10 @@ func (b *bank) sortedEntries() []addrEntry {
 // pinnedAddrs returns the blocks whose lines hold pins, in ascending
 // order.
 func (b *bank) pinnedAddrs() []cache.Addr {
-	var out []cache.Addr
 	if b.pins == 0 {
-		return out
+		return nil
 	}
+	var out []cache.Addr
 	for _, r := range b.sortedEntries() {
 		if r.e.Pins != 0 {
 			out = append(out, r.addr)

@@ -544,9 +544,10 @@ func (l *lowest) keep(addr cache.Addr, err error) {
 //     is only ever S in any L1 (the security property, structurally).
 //
 // It must be called with no in-flight transactions. It returns the first
-// violation found. Every walk visits blocks in a fixed order — each L1
-// array in set/way order, the per-block and table walks in ascending
-// address order — so the same state always yields the same report.
+// violation found. Every walk reports in a fixed order — each L1 array
+// in set/way order, the per-block walk in ascending address order, and
+// the LLC and hub-record walks their lowest failing address — so the same
+// state always yields the same report.
 func (s *System) CheckInvariants() error {
 	for _, b := range s.banks {
 		if n := b.busy.Len(); n != 0 {
@@ -573,7 +574,11 @@ func (s *System) CheckInvariants() error {
 		id    int
 		state cache.LineState
 	}
-	var lines []resident
+	n := 0
+	for _, l1 := range s.L1s {
+		n += l1.Array().CountValid()
+	}
+	lines := make([]resident, 0, n)
 	wpShared := !s.Policy.GrantExclusiveOnLoad(true)
 	for _, l1 := range s.L1s {
 		id := l1.ID
