@@ -331,7 +331,8 @@ func (b *bank) dispatch(m Msg) {
 // entry a fresh GETX would hit. The request was already counted at
 // dispatch, so Stats.Requests is untouched.
 func (b *bank) resolveAsStore(m Msg, e *dirEntry) {
-	b.runDir(b.dirTabEntry(m.Addr, b.stateOf(m.Addr, e), proto.EvGETX).Act, m, e)
+	_, st := b.lookup(m.Addr)
+	b.runDir(b.dirTabEntry(m.Addr, st, proto.EvGETX).Act, m, e)
 }
 
 // runDir executes a table action's handler body. e is the block's entry

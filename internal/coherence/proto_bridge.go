@@ -59,18 +59,6 @@ func (b *bank) lookup(addr cache.Addr) (*dirEntry, proto.DirState) {
 	return e, proto.DirState(e.state())
 }
 
-// stateOf is protoDirState for a block whose entry e (nil when not
-// resident) the caller already holds.
-func (b *bank) stateOf(addr cache.Addr, e *dirEntry) proto.DirState {
-	if b.busy.Has(uint64(addr)) {
-		return proto.DirBusy
-	}
-	if e != nil {
-		return proto.DirState(e.state())
-	}
-	return proto.DirI
-}
-
 // ctrlState returns a controller's transition-table state for a block:
 // the L1's protoState, or the home bank's protoDirState for DirID.
 func (s *System) ctrlState(ctrl int, block cache.Addr) uint8 {

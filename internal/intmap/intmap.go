@@ -15,8 +15,8 @@ package intmap
 
 import "math/bits"
 
-// Reserved is the one key a Map cannot hold.
-const Reserved = ^uint64(0)
+// reserved is the one key a Map cannot hold.
+const reserved = ^uint64(0)
 
 // minSlots is the slot count of a Map's first allocation.
 const minSlots = 8
@@ -38,7 +38,7 @@ type Map[V any] struct {
 func (m *Map[V]) home(s uint64) uint64 { return (s * 0x9E3779B97F4A7C15) >> m.shift }
 
 // find returns the index of stored key s, or -1. The stored form of
-// Reserved is zero, which no entry has.
+// reserved is zero, which no entry has.
 func (m *Map[V]) find(s uint64) int {
 	if m.n == 0 || s == 0 {
 		return -1
@@ -78,14 +78,14 @@ func (m *Map[V]) Ptr(k uint64) *V {
 	return nil
 }
 
-// Set stores v under k. It panics if k is Reserved.
+// Set stores v under k. It panics if k is 1<<64-1.
 func (m *Map[V]) Set(k uint64, v V) { *m.Put(k) = v }
 
 // Put returns a pointer to the value stored under k, first storing the
 // zero value if there is none. The pointer is valid until the next Set,
-// Put or Delete. It panics if k is Reserved.
+// Put or Delete. It panics if k is 1<<64-1.
 func (m *Map[V]) Put(k uint64) *V {
-	if k == Reserved {
+	if k == reserved {
 		panic("intmap: the reserved key")
 	}
 	s := k + 1

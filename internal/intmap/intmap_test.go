@@ -66,7 +66,7 @@ func TestMatchesGoMap(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 16; i++ {
-		if k := rng.Uint64(); k != Reserved {
+		if k := rng.Uint64(); k != reserved {
 			pool = append(pool, k)
 		}
 	}
@@ -137,10 +137,10 @@ func TestDeleteInsideWrappedRun(t *testing.T) {
 func TestReservedKey(t *testing.T) {
 	var m Map[int]
 	m.Set(1, 1)
-	if m.Has(Reserved) || m.Ptr(Reserved) != nil {
+	if m.Has(reserved) || m.Ptr(reserved) != nil {
 		t.Fatal("the reserved key reads as present")
 	}
-	m.Delete(Reserved)
+	m.Delete(reserved)
 	if m.Len() != 1 {
 		t.Fatal("deleting the reserved key changed the map")
 	}
@@ -149,7 +149,7 @@ func TestReservedKey(t *testing.T) {
 			t.Fatal("Set of the reserved key did not panic")
 		}
 	}()
-	m.Set(Reserved, 2)
+	m.Set(reserved, 2)
 }
 
 // TestSteadyStateAllocatesNothing: once a table has held n entries, gets,
