@@ -46,7 +46,7 @@ COVERFLOOR ?= 87.0
 # BENCHFILTER narrows `make bench` to a -bench regexp, e.g.
 #   make bench BENCHFILTER='Engine|Access'
 # BENCHTAG suffixes the output record so same-day runs don't collide, e.g.
-#   make bench BENCHTAG=-fastpath  ->  BENCH_<date>-fastpath.json
+#   make bench BENCHTAG=-onepath  ->  BENCH_<date>-onepath.json
 BENCHFILTER ?= .
 BENCHTAG    ?=
 BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
@@ -203,8 +203,8 @@ mcheck: build
 #   2. the differential conformance harness — golden transcripts and
 #      table-vs-controller dispatch parity in internal/coherence, the
 #      policy truth table pinning the answers each policy's features
-#      give, plus the steady-state/fast-path 0-alloc pins the refactor
-#      must not regress;
+#      give, plus the steady-state and AccessSync 0-alloc pins the
+#      refactor must not regress;
 #   3. the 4-policy transition-coverage matrix (the checker reads each
 #      policy's own table, so there is no second copy to compare);
 #   4. a brief run of the table-dispatch fuzzer (regression corpus runs
@@ -212,7 +212,7 @@ mcheck: build
 #   5. the exhaustive model check of all four policies (see mcheck).
 proto-verify: build
 	$(GO) test -count=1 ./internal/proto
-	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyTruthTable|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
+	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyTruthTable|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestAccessSyncZeroAlloc' ./internal/coherence
 	$(GO) test -count=1 -run 'TestTransitionCoverage' ./internal/mcheck
 	$(GO) test -run=^$$ -fuzz=FuzzTableDispatch -fuzztime=$(FUZZTIME) ./internal/mcheck
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -artifacts '$(MCHECK_ARTIFACTS)'

@@ -11,7 +11,6 @@ package repro
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"repro/internal/attack"
@@ -95,14 +94,10 @@ func BenchmarkAccessSMESI(b *testing.B)    { benchAccess(b, coherence.SMESI) }
 
 // benchAccessHit measures the L1-hit steady state: a 16 KB working set
 // (4 pages, well inside the 32 KB L1 and the 64-entry TLB) in M state,
-// so after warmup every access is a stable-state hit — the case the
-// synchronous fast path serves without touching the event engine.
-// Disable it with SWIFTDIR_NO_FASTPATH=1 to measure the event path on
-// the identical hit stream.
+// so after warmup every access is a stable-state hit: one tag-lookup
+// event through the engine, with no directory or network work.
 func benchAccessHit(b *testing.B, p coherence.Policy) {
-	cfg := core.DefaultConfig(2, p)
-	cfg.NoFastPath = os.Getenv("SWIFTDIR_NO_FASTPATH") == "1"
-	m := core.MustNewMachine(cfg)
+	m := core.MustNewMachine(core.DefaultConfig(2, p))
 	proc := m.NewProcess()
 	ctx := proc.AttachContext(0)
 	heap := proc.MmapAnon(16 << 10)

@@ -26,8 +26,7 @@
 // -j sets the number of concurrent simulation jobs (default:
 // runtime.NumCPU()). Reports are byte-identical at every worker count;
 // the per-experiment campaign accounting (wall time, busy time, speedup)
-// and fast-path split go to stderr so the report stream stays
-// deterministic.
+// goes to stderr so the report stream stays deterministic.
 //
 // A knob an experiment consumes must be positive: a selected experiment
 // that would read a zero-or-negative -scale, -samples, -bits or -passes
@@ -136,7 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var campaignTotal stats.CampaignSummary
-	var fpTotal stats.FastPathSummary
 	totalStart := time.Now()
 	failed := 0
 	for _, name := range selected {
@@ -177,24 +175,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				campaignTotal.Workers = sum.Workers
 			}
 		}
-		// Same rule for the fast-path split: observability only, stderr
-		// only, so stdout stays byte-identical with the fast path on or
-		// off (and at any -j).
-		if fp := stats.MergeFastPaths(name, rec.FastPaths()); fp.Total() > 0 {
-			fmt.Fprintln(stderr, fp.Footer())
-			fpTotal.Fast += fp.Fast
-			fpTotal.Slow += fp.Slow
-		}
 	}
 
 	if len(selected) > 1 && len(campaignTotal.Jobs) > 0 {
 		campaignTotal.Label = "all"
 		campaignTotal.Wall = time.Since(totalStart)
 		fmt.Fprintln(stderr, campaignTotal.Footer())
-	}
-	if len(selected) > 1 && fpTotal.Total() > 0 {
-		fpTotal.Label = "all"
-		fmt.Fprintln(stderr, fpTotal.Footer())
 	}
 	if failed > 0 {
 		return 1

@@ -41,8 +41,8 @@ func TestSecurityByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// Campaign and fast-path accounting go to stderr only: stdout must carry
-// no wall-clock text, stderr must carry the footers, with the -j worker
+// Campaign accounting goes to stderr only: stdout must carry no
+// wall-clock text, stderr must carry the footers, with the -j worker
 // count reaching the campaign through the experiment's recorder.
 func TestCampaignFooterOnStderrOnly(t *testing.T) {
 	for _, tc := range []struct {
@@ -50,13 +50,13 @@ func TestCampaignFooterOnStderrOnly(t *testing.T) {
 		want []string
 	}{
 		{[]string{"-exp", "sweep", "-j", "2"}, []string{"[campaign sweep]", "speedup"}},
-		{[]string{"-exp", "kernels", "-j", "2"}, []string{"[campaign kernels]", "on 2 workers", "[fastpath kernels]"}},
+		{[]string{"-exp", "kernels", "-j", "2"}, []string{"[campaign kernels]", "on 2 workers"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%v) = %d", tc.args, code)
 		}
-		if strings.Contains(stdout.String(), "[campaign") || strings.Contains(stdout.String(), "[fastpath") {
+		if strings.Contains(stdout.String(), "[campaign") {
 			t.Fatalf("%v: footer leaked onto the report stream", tc.args)
 		}
 		for _, w := range tc.want {

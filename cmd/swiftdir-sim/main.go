@@ -285,9 +285,6 @@ func runOne(prof workload.Profile, configPath, protoName string, kind workload.C
 		missRate := 1 - float64(st.LoadHits+st.StoreHits+st.SilentUpgrades)/float64(st.Loads+st.Stores)
 		fmt.Fprintf(&b, "  L1 %-2d      : %d loads, %d stores, miss rate %.2f%%, %d silent upgrades, %d explicit upgrades, %d writebacks\n",
 			l1.ID, st.Loads, st.Stores, 100*missRate, st.SilentUpgrades, st.ExplicitUpgrades, st.Writebacks)
-		fmt.Fprintf(&b, "               fast path: %d fast hits, %d via event engine (%.1f%% fast)\n",
-			st.FastHits, st.SlowPath,
-			100*float64(st.FastHits)/float64(st.FastHits+st.SlowPath))
 	}
 	bs := m.Sys.BankStatsTotal()
 	fmt.Fprintf(&b, "  directory  : %d requests, %d LLC-served, %d forwards (3-hop), %d invalidations, %d upgrade acks, %d recalls\n",

@@ -236,16 +236,12 @@ func TestTwoLevelRecallPreservesData(t *testing.T) {
 
 // The concurrent stress workload (overlapping chains per core, heavy
 // cross-cluster sharing) drains clean with every access completed and
-// the invariants intact, on the event path and with the fast path on.
+// the invariants intact.
 func TestTwoLevelConcurrentWorkload(t *testing.T) {
 	for _, p := range Policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			for _, noFast := range []bool{true, false} {
-				cfg := clusterTestConfig(p, 8, 4)
-				cfg.NoFastPath = noFast
-				runConcurrentWorkload(t, cfg, 4242, 150)
-			}
+			runConcurrentWorkload(t, clusterTestConfig(p, 8, 4), 4242, 150)
 		})
 	}
 }
@@ -270,11 +266,7 @@ func meshClusterConfig(p Policy, cores, clusters, w, h int) SystemConfig {
 
 // The same stress workload on a two-level machine over a 4x2 mesh.
 func TestTwoLevelMeshConcurrentWorkload(t *testing.T) {
-	for _, noFast := range []bool{true, false} {
-		cfg := meshClusterConfig(SwiftDir, 16, 4, 4, 2)
-		cfg.NoFastPath = noFast
-		runConcurrentWorkload(t, cfg, 2026, 100)
-	}
+	runConcurrentWorkload(t, meshClusterConfig(SwiftDir, 16, 4, 4, 2), 2026, 100)
 }
 
 // A 64-core, 8-cluster machine on an 8x4 mesh — the scale the flat

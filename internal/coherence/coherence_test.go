@@ -218,6 +218,21 @@ func TestSilentUpgrade(t *testing.T) {
 		if s.L1s[0].Stats.SilentUpgrades != 1 {
 			t.Errorf("%s: silent upgrade not counted", p.Name())
 		}
+		// The M line now serves loads and stores in L1Tag cycles.
+		base := s.L1s[0].Stats
+		if r := s.AccessSync(0, blockA, false, false, 0); r.Latency != tm.L1Tag || r.Value != 7 || r.Served != ServedL1 {
+			t.Errorf("%s: load hit on M = %+v, want value 7 from the L1 in %d cycles", p.Name(), r, tm.L1Tag)
+		}
+		if r := s.AccessSync(0, blockA, true, false, 8); r.Latency != tm.L1Tag || r.Value != 8 || r.Served != ServedL1 {
+			t.Errorf("%s: store hit on M = %+v, want value 8 at the L1 in %d cycles", p.Name(), r, tm.L1Tag)
+		}
+		if r := s.AccessSync(0, blockA, false, false, 0); r.Value != 8 {
+			t.Errorf("%s: store hit not visible: loaded %#x, want 8", p.Name(), r.Value)
+		}
+		if st := s.L1s[0].Stats; st.Loads != base.Loads+2 || st.Stores != base.Stores+1 ||
+			st.LoadHits != base.LoadHits+2 || st.StoreHits != base.StoreHits+1 {
+			t.Errorf("%s: hit counters %+v, base %+v", p.Name(), st, base)
+		}
 		quiesceAndCheck(t, s)
 	}
 }
@@ -432,6 +447,56 @@ func TestUpgradeRace(t *testing.T) {
 		if r.Value != 0xC0 && r.Value != 0xC1 {
 			t.Fatalf("%s: final value %#x", p.Name(), r.Value)
 		}
+	}
+}
+
+// TestMidUpgradeWAR is the write-after-read litmus of §III on a store that
+// needs an Upgrade: while core 0's store to a shared block is in flight, a
+// sharer's read ordered before the home bank takes the Upgrade sees the
+// old value, and a read after the invalidation sees the new one.
+func TestMidUpgradeWAR(t *testing.T) {
+	for _, p := range Policies {
+		t.Run(p.Name(), func(t *testing.T) {
+			s := newTestSystem(t, p, 2)
+			const old, new_ = uint64(0xAA), uint64(0xBB)
+			s.AccessSync(0, blockA, true, false, old)
+			s.AccessSync(1, blockA, false, false, 0) // port 1 joins as sharer
+			s.Quiesce()
+			if st := s.L1StateOf(1, blockA); st != cache.Shared {
+				t.Fatalf("setup: port 1 state %v, want S", st)
+			}
+
+			storeDone := false
+			s.Submit(0, Access{Addr: blockA, Write: true, Value: new_,
+				Done: func(AccessResult) { storeDone = true }})
+			s.Eng.RunFor(s.Timing.L1Tag + 1) // tag lookup done, Upgrade in the network
+			if s.L1s[0].OutstandingMisses() != 1 {
+				t.Fatal("store is not in flight")
+			}
+
+			var read AccessResult
+			readDone := false
+			s.Submit(1, Access{Addr: blockA, Done: func(r AccessResult) { read, readDone = r, true }})
+			s.Eng.RunWhile(func() bool { return !readDone })
+			if b := s.bankFor(blockA); b.busy.Len() != 0 || b.pins != 0 {
+				t.Fatal("home bank took the Upgrade before the sharer's read completed")
+			}
+			if read.Value != old {
+				t.Fatalf("pre-serialization read saw %#x, want old value %#x", read.Value, old)
+			}
+
+			s.Quiesce()
+			if !storeDone {
+				t.Fatal("store never completed")
+			}
+			if st := s.L1StateOf(1, blockA); st != cache.Invalid {
+				t.Fatalf("sharer kept state %v after upgrade, want I", st)
+			}
+			if got := s.AccessSync(1, blockA, false, false, 0); got.Value != new_ {
+				t.Fatalf("post-upgrade read saw %#x, want %#x", got.Value, new_)
+			}
+			quiesceAndCheck(t, s)
+		})
 	}
 }
 

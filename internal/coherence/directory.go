@@ -127,8 +127,8 @@ type bank struct {
 	busy   intmap.Map[*txn]
 	// image is this bank's slice of the shadow memory: blocks homed here.
 	image intmap.Map[uint64]
-	// pins counts the pins held on this bank's lines (see pin), so the
-	// fast path reads a line's pin count only while some pin is held.
+	// pins counts the pins held on this bank's lines (see pin), so
+	// pinnedAddrs walks the lines only while some pin is held.
 	pins int
 
 	txnFree []*txn // recycled transactions
@@ -256,15 +256,6 @@ func (b *bank) unpin(addr cache.Addr) {
 	}
 	e.Pins--
 	b.pins--
-}
-
-// pinned reports whether addr's line holds a pin.
-func (b *bank) pinned(addr cache.Addr) bool {
-	if b.pins == 0 {
-		return false
-	}
-	e := b.entry(addr)
-	return e != nil && e.Pins != 0
 }
 
 // Handle dispatches the bank's payload events (see the op constants in

@@ -40,20 +40,18 @@ func msgCarrying(op uint8) bool {
 }
 
 // handlerName renders an event handler for the dump: this system's L1s,
-// banks, hubs, and fast-path completions by role, anything else by type.
+// banks and hubs by role, anything else by type.
 func (s *System) handlerName(h sim.Handler) string {
-	id, sysID := s.handlerID(h), s.numL1+len(s.banks)
+	id, banksEnd := s.handlerID(h), s.numL1+len(s.banks)
 	switch {
 	case id < 0:
 		return fmt.Sprintf("%T", h)
 	case id < s.numL1:
 		return fmt.Sprintf("L1(%d)", id)
-	case id < sysID:
+	case id < banksEnd:
 		return fmt.Sprintf("bank(%d)", id-s.numL1)
-	case id == sysID:
-		return "system"
 	}
-	return fmt.Sprintf("hub(%d)", id-sysID-1)
+	return fmt.Sprintf("hub(%d)", id-banksEnd)
 }
 
 // DumpState renders the structured failure diagnostic the issue's
@@ -73,9 +71,7 @@ func (s *System) DumpState() string {
 			return
 		}
 		name := "?"
-		if _, isSys := h.(*System); isSys && p.Op == sysOpFastDone {
-			name = "SysFastDone"
-		} else if int(p.Op) < len(opNames) && opNames[p.Op] != "" {
+		if int(p.Op) < len(opNames) && opNames[p.Op] != "" {
 			name = opNames[p.Op]
 		}
 		fmt.Fprintf(&sb, "  +%-6d %-9s %-17s", rel, s.handlerName(h), name)

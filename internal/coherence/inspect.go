@@ -143,9 +143,8 @@ func (m Msg) appendFingerprint(emit func(uint64)) {
 }
 
 // handlerID maps an event handler of this system to a stable small
-// integer by role: L1 i -> i, bank j -> numL1+j, the System itself (fast
-// path completions) -> numL1+len(banks), hub c -> numL1+len(banks)+1+c.
-// Handlers of other components map to -1.
+// integer by role: L1 i -> i, bank j -> numL1+j, hub c ->
+// numL1+len(banks)+c. Handlers of other components map to -1.
 func (s *System) handlerID(h sim.Handler) int {
 	switch v := h.(type) {
 	case *L1:
@@ -156,13 +155,9 @@ func (s *System) handlerID(h sim.Handler) int {
 		if v.sys == s {
 			return s.numL1 + v.id
 		}
-	case *System:
-		if v == s {
-			return s.numL1 + len(s.banks)
-		}
 	case *hub:
 		if v.sys == s {
-			return s.numL1 + len(s.banks) + 1 + v.id
+			return s.numL1 + len(s.banks) + v.id
 		}
 	}
 	return -1

@@ -135,13 +135,6 @@ type L1Stats struct {
 	FwdsServed          uint64 // forwarded requests answered for the directory
 	Invalidations       uint64 // lines dropped on Inv/FwdGETX/recall
 	Prefetches          uint64 // next-line prefetches issued
-
-	// Fast-path split: FastHits counts accesses completed synchronously by
-	// TryFastAccess; SlowPath counts accesses submitted to the event path
-	// via Request. FastHits+SlowPath is the total CPU-side access count.
-	// Both are observability-only and excluded from report byte-identity.
-	FastHits uint64
-	SlowPath uint64
 }
 
 // L1 is a private cache controller. It owns a set-associative array, an
@@ -312,81 +305,7 @@ func (l *L1) Request(a Access) {
 	} else {
 		l.Stats.Loads++
 	}
-	l.Stats.SlowPath++
 	l.eng.ScheduleEvent(l.timing.L1Tag, l, sim.Payload{Op: opL1Process, A: uint64(l.putAccess(a))})
-}
-
-// tryFast attempts to complete a stable-state hit synchronously, mutating
-// the array and statistics exactly as the event path's process() would and
-// returning the latency that path would have reported. It succeeds only
-// when nothing can observe the controller between now and the would-be
-// completion time:
-//
-//   - no MSHR is outstanding anywhere in this L1 (so no data fill can
-//     Install — and re-stamp the LRU clock — inside the window);
-//   - no access is parked in the slot pool (an earlier tag lookup or
-//     deferred translation would probe the array inside the window);
-//   - the block's LLC bank has no busy transaction and no pinned grant for
-//     the block, so no invalidation, recall, forward, or upgrade ack that
-//     could touch this block is in flight;
-//   - the line is resident in a state that satisfies the access without
-//     any protocol transition other than a policy-approved silent upgrade.
-//
-// Any message for a *different* block that is already in flight to this L1
-// commutes with the hit (Invalidate and the Fwd/Downgrade handlers never
-// touch the replacement clock), so the mutation may safely happen at
-// submission time instead of L1Tag cycles later.
-func (l *L1) tryFast(a *Access) (AccessResult, bool) {
-	if l.mshrs.Len() != 0 || len(l.accFree) != len(l.accs) {
-		return AccessResult{}, false
-	}
-	block := l.arr.BlockAddr(a.Addr)
-	b := l.sys.bankFor(block)
-	if b.busy.Len() != 0 || b.pinned(block) {
-		return AccessResult{}, false
-	}
-	ln := l.arr.Lookup(block)
-	if ln == nil {
-		return AccessResult{}, false
-	}
-	if a.Write {
-		switch ln.State {
-		case cache.Modified:
-			// In-place store, no transition.
-		case cache.Exclusive:
-			if !l.policy.SilentUpgrade(ln.WP) {
-				return AccessResult{}, false // EM^A round trip (S-MESI)
-			}
-		default:
-			return AccessResult{}, false // S/O/F store needs an Upgrade
-		}
-	}
-	l.arr.Probe(block) // array stats + LRU touch, as process() does
-	value := ln.Data
-	if a.Write {
-		l.Stats.Stores++
-		l.Stats.StoreHits++
-		if ln.State == cache.Exclusive {
-			l.Stats.SilentUpgrades++
-			ln.State = cache.Modified
-		}
-		l.applyStore(ln, block, a)
-		// A store reports its own value even when a younger same-core
-		// store already wrote the block, exactly as the event path does.
-		value = a.Value
-	} else {
-		l.Stats.Loads++
-		l.Stats.LoadHits++
-	}
-	l.Stats.FastHits++
-	l.eng.Progress()
-	return AccessResult{
-		Latency: a.Extra + l.timing.L1Tag,
-		Value:   value,
-		Served:  ServedL1,
-		Write:   a.Write,
-		WP:      a.WP,
-	}, true
 }
 
 // applyStore writes a store's value into its resident line — unless an

@@ -98,11 +98,6 @@ type SystemConfig struct {
 	// directory, byte-identical to a build without this field.
 	Clusters int
 
-	// NoFastPath disables the synchronous hit fast path, forcing every
-	// access through the event engine. The fast path is byte-identical by
-	// construction; the knob exists so equivalence tests can prove it.
-	NoFastPath bool
-
 	// Faults, if non-nil, threads the fault injector through the timing
 	// layers: extra endpoint-port occupancy per message on the crossbar
 	// (or, on a mesh, extra hold time per directed link), extra bank-local
@@ -186,7 +181,6 @@ type System struct {
 	net       *interconnect.Mesh
 	faults    *fault.Injector
 	numL1     int
-	noFast    bool
 
 	// Two-level directory state: hubs are the per-cluster directories
 	// (empty when flat), localsPer the cluster width. twoLevel gates the
@@ -201,9 +195,12 @@ type System struct {
 	lastMsgs [msgTailN]TraceEvent
 	msgPos   uint64
 
-	// Cached AccessSync fast-path completion state (see Handle).
-	fpDone bool
-	fpCond func() bool
+	// Cached AccessSync probe state, so repeated synchronous probes reuse
+	// one callback pair instead of allocating closures per access.
+	syncOut  AccessResult
+	syncDone bool
+	syncCb   func(AccessResult)
+	syncCond func() bool
 
 	// Observe, if set, sees every controller transition once the receiver
 	// has dispatched it: each delivered coherence message, and each CPU
@@ -238,7 +235,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Mem:    dram.New(cfg.DRAM),
 		mapper: cache.NewBankMapper(cfg.Banks, cfg.LLCParams.BlockSize),
 		numL1:  cfg.NumL1,
-		noFast: cfg.NoFastPath,
 	}
 	numHubs := 0
 	if cfg.Clusters > 1 {
@@ -383,90 +379,38 @@ func (s *System) Submit(port int, a Access) {
 	s.L1s[port].Request(a)
 }
 
-// TryFastAccess attempts to complete a stable-state L1 hit synchronously:
-// on success the array, LRU, and statistics have been updated exactly as
-// the event path would have, and the returned latency is the one the event
-// path would have reported — without a single event scheduled. The caller
-// owns completion: it must account the latency (and invoke any callback)
-// itself. Non-trivial cases — miss, transient state, upgrade that needs
-// the directory, a busy or pinned bank, pre-charged translation latency,
-// or a timing configuration in which a message issued this cycle could
-// land inside the hit window — return ok=false, and the caller falls back
-// to Submit.
-func (s *System) TryFastAccess(port int, a Access) (AccessResult, bool) {
-	if s.noFast || a.Extra != 0 {
-		return AccessResult{}, false
-	}
-	if s.Timing.L1Tag >= s.Timing.Hop {
-		// The network's minimum delivery delay is Hop, so with
-		// L1Tag < Hop nothing sent at or after submission time can reach
-		// the L1 at or before the would-be completion time. Exotic
-		// timing sweeps that violate this stay on the event path.
-		return AccessResult{}, false
-	}
-	return s.L1s[port].tryFast(&a)
-}
-
-// sysOpFastDone is the System's only payload op: an AccessSync fast-path
-// completion point.
-const sysOpFastDone uint8 = 1
-
-// Handle implements sim.Handler for the AccessSync fast path: the single
-// completion event it schedules stands in for the event path's opL1Process
-// at the same (cycle, seq), so engine stepping is byte-identical.
-func (s *System) Handle(p sim.Payload) {
-	if p.Op != sysOpFastDone {
-		panic(fmt.Sprintf("coherence: system: unknown payload op %d", p.Op))
-	}
-	s.fpDone = true
-}
-
 // AccessSync submits an access and runs the engine until it completes,
 // returning the result. It is the probe interface the attack framework
 // and the protocol tests use.
 func (s *System) AccessSync(port int, addr cache.Addr, write bool, wp bool, value uint64) AccessResult {
-	if r, ok := s.TryFastAccess(port, Access{Addr: addr, Write: write, WP: wp, Value: value}); ok {
-		if s.Eng.Pending() == 0 {
-			// Nothing else in flight: skip the event engine entirely and
-			// advance the clock to the completion time.
-			s.Eng.RunTo(s.Eng.Now() + r.Latency)
-			return r
+	if s.syncCb == nil {
+		s.syncCb = func(r AccessResult) {
+			s.syncOut = r
+			s.syncDone = true
 		}
-		// In-flight background work (writeback tails, queued wakeups):
-		// schedule one completion event where the event path would have
-		// scheduled its tag-lookup event, so the engine stops at exactly
-		// the same point.
-		s.fpDone = false
-		if s.fpCond == nil {
-			s.fpCond = func() bool { return !s.fpDone }
-		}
-		s.Eng.ScheduleEvent(r.Latency, s, sim.Payload{Op: sysOpFastDone})
-		s.Eng.RunWhile(s.fpCond)
-		return r
+		s.syncCond = func() bool { return !s.syncDone }
 	}
-	var out AccessResult
-	done := false
-	s.Submit(port, Access{
-		Addr: addr, Write: write, WP: wp, Value: value,
-		Done: func(r AccessResult) { out = r; done = true },
-	})
-	s.Eng.RunWhile(func() bool { return !done })
-	if !done {
+	s.syncDone = false
+	s.Submit(port, Access{Addr: addr, Write: write, WP: wp, Value: value, Done: s.syncCb})
+	s.Eng.RunWhile(s.syncCond)
+	if !s.syncDone {
 		panic("coherence: access did not complete (event queue drained)")
 	}
-	return out
+	return s.syncOut
 }
 
 // Quiesce drains all in-flight activity.
 func (s *System) Quiesce() { s.Eng.Run() }
 
-// FastPathTotals sums the fast/slow access split over all L1 controllers.
+// FastPathTotals returns 0 and the CPU-side access count summed over all
+// L1 controllers: every access takes the event path. It remains only
+// because the repository benchmark (benchmark/) reads it, and goes with
+// the next change to that benchmark.
 func (s *System) FastPathTotals() (fast, slow uint64) {
 	for _, l1 := range s.L1s {
-		fast += l1.Stats.FastHits
-		slow += l1.Stats.SlowPath
+		slow += l1.Stats.Loads + l1.Stats.Stores
 	}
-	return fast, slow
+	return 0, slow
 }
 
 // BankStatsTotal sums statistics over all banks.

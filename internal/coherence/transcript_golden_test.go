@@ -45,8 +45,7 @@ type tscenario struct {
 
 // transcriptConfig: tiny caches over one bank so evictions, recalls and
 // writeback races appear within a few dozen accesses; short unjittered
-// timings so race windows interleave; no fast path so every access is an
-// observed examination.
+// timings so race windows interleave.
 func transcriptConfig(p Policy) SystemConfig {
 	return SystemConfig{
 		NumL1:     3,
@@ -56,9 +55,8 @@ func transcriptConfig(p Policy) SystemConfig {
 		Timing: Timing{
 			L1Tag: 1, Hop: 2, LLCTag: 3, RemoteL1Service: 4, RecallPenalty: 5,
 		},
-		Policy:     p,
-		DRAM:       dram.DDR3_1600_8x8(),
-		NoFastPath: true,
+		Policy: p,
+		DRAM:   dram.DDR3_1600_8x8(),
 	}
 }
 

@@ -106,12 +106,6 @@ type Config struct {
 	// see coherence.PrefetchMode for the naive mode's security hazard).
 	Prefetch coherence.PrefetchMode `json:"prefetch"`
 
-	// NoFastPath forces every access through the event engine, disabling
-	// the synchronous L1-hit fast path (see DESIGN.md §5). Semantics and
-	// statistics are identical either way; the knob exists for the
-	// fast-vs-slow equivalence tests.
-	NoFastPath bool `json:"no_fast_path,omitempty"`
-
 	// Faults, if non-nil, attaches a deterministic timing-fault injector
 	// to the hierarchy (DESIGN.md §7). Runtime-only: it does not
 	// serialize with the configuration — replays reconstruct it from the
@@ -244,17 +238,16 @@ func (c Config) Validate() error {
 // 2i+1 its I-cache, both coherent peers of the banked LLC.
 func (c Config) coherenceConfig() coherence.SystemConfig {
 	cfg := coherence.SystemConfig{
-		NumL1:      2 * c.Cores,
-		L1Params:   c.L1,
-		LLCParams:  c.L2Bank,
-		Banks:      c.Cores,
-		Timing:     c.Timing,
-		Policy:     c.Protocol,
-		DRAM:       c.DRAM,
-		Prefetch:   c.Prefetch,
-		NoFastPath: c.NoFastPath,
-		Faults:     c.Faults,
-		Clusters:   c.Clusters,
+		NumL1:     2 * c.Cores,
+		L1Params:  c.L1,
+		LLCParams: c.L2Bank,
+		Banks:     c.Cores,
+		Timing:    c.Timing,
+		Policy:    c.Protocol,
+		DRAM:      c.DRAM,
+		Prefetch:  c.Prefetch,
+		Faults:    c.Faults,
+		Clusters:  c.Clusters,
 	}
 	if c.Topology == "mesh" {
 		cfg.Topology = "mesh"

@@ -47,7 +47,8 @@ type retiredKeys struct {
 // architecture or prefetch names are errors, and so is a nonzero retired
 // key (see retiredKeys); a missing protocol defaults to SwiftDir. Other
 // unknown keys are ignored, so configurations written by older builds
-// (which recorded "shards" and "prefault") still load.
+// (which recorded "shards", "prefault" and "no_fast_path", none of which
+// changed a result) still load.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var w configWire
 	if err := json.Unmarshal(data, &w); err != nil {

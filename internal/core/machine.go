@@ -185,11 +185,6 @@ type Context struct {
 	subs    []ctxSubmit
 	subFree []int32
 
-	// Slot pool for fast-path completions: the single ctxOpFastDone event
-	// carries a slot index to the (callback, result) pair.
-	fds     []ctxFastDone
-	fdsFree []int32
-
 	// Cached AccessSync probe state, so repeated synchronous probes reuse
 	// one callback pair instead of allocating closures per access.
 	syncOut  coherence.AccessResult
@@ -216,20 +211,8 @@ type ctxSubmit struct {
 	acc  coherence.Access
 }
 
-// ctxFastDone is a completed fast-path access awaiting its completion
-// cycle: the callback fires at the same (cycle, seq) the event path's tag
-// lookup would have completed at.
-type ctxFastDone struct {
-	done func(coherence.AccessResult)
-	res  coherence.AccessResult
-}
-
-const (
-	// ctxOpSubmit: the translation delay elapsed, submit the parked access.
-	ctxOpSubmit uint8 = 1
-	// ctxOpFastDone: a fast-path hit's latency elapsed, deliver the result.
-	ctxOpFastDone uint8 = 2
-)
+// ctxOpSubmit: the translation delay elapsed, submit the parked access.
+const ctxOpSubmit uint8 = 1
 
 // Handle dispatches the context's payload events.
 func (c *Context) Handle(p sim.Payload) {
@@ -240,14 +223,6 @@ func (c *Context) Handle(p sim.Payload) {
 		c.subs[i] = ctxSubmit{} // drop the Done reference held by the slot
 		c.subFree = append(c.subFree, i)
 		c.m.Sys.Submit(s.port, s.acc)
-	case ctxOpFastDone:
-		i := int32(p.A)
-		f := c.fds[i]
-		c.fds[i] = ctxFastDone{}
-		c.fdsFree = append(c.fdsFree, i)
-		if f.done != nil {
-			f.done(f.res)
-		}
 	default:
 		panic(fmt.Sprintf("core: context on core %d: unknown payload op %d", c.Core, p.Op))
 	}
@@ -263,18 +238,6 @@ func (c *Context) putSubmit(port int, acc coherence.Access) int32 {
 	}
 	c.subs = append(c.subs, ctxSubmit{port: port, acc: acc})
 	return int32(len(c.subs) - 1)
-}
-
-// putFastDone parks a fast-path completion in the slot pool.
-func (c *Context) putFastDone(done func(coherence.AccessResult), r coherence.AccessResult) int32 {
-	if n := len(c.fdsFree); n > 0 {
-		i := c.fdsFree[n-1]
-		c.fdsFree = c.fdsFree[:n-1]
-		c.fds[i] = ctxFastDone{done: done, res: r}
-		return i
-	}
-	c.fds = append(c.fds, ctxFastDone{done: done, res: r})
-	return int32(len(c.fds) - 1)
 }
 
 // Engine returns the machine's event engine, which CPU models built on
@@ -314,50 +277,10 @@ func (c *Context) submitTranslated(port int, res mmu.Result, write bool, value u
 	c.Engine().ScheduleEvent(pre, c, sim.Payload{Op: ctxOpSubmit, A: uint64(c.putSubmit(port, acc))})
 }
 
-// fastSubmit attempts the synchronous hit fast path for a translated
-// access. Eligibility beyond System.TryFastAccess's own checks: no
-// pre-charge latency (pre == 0 — a clean TLB outcome on a VIPT or VIVT
-// L1) and no earlier access of this context still parked in its
-// pre-charge delay (its later array probe must not observe the fast hit's
-// mutation out of order). On success the completion callback is delivered
-// by a single ctxOpFastDone event occupying the exact (cycle, seq) slot
-// the event path's tag-lookup event would have, so engine interleaving is
-// byte-identical; when sync is set and the engine is otherwise idle, even
-// that event is skipped and the clock advances directly.
-func (c *Context) fastSubmit(port int, res mmu.Result, write bool, value uint64, seq uint64,
-	pre sim.Cycle, done func(coherence.AccessResult), sync bool) bool {
-	if pre != 0 || len(c.subFree) != len(c.subs) {
-		return false
-	}
-	r, ok := c.m.Sys.TryFastAccess(port, coherence.Access{
-		Addr:  cache.Addr(res.PAddr),
-		Write: write,
-		WP:    res.WriteProtected,
-		Value: value,
-		Seq:   seq,
-	})
-	if !ok {
-		return false
-	}
-	if sync && c.m.Sys.Eng.Pending() == 0 {
-		c.m.Sys.Eng.RunTo(c.m.Now() + r.Latency)
-		if done != nil {
-			done(r)
-		}
-		return true
-	}
-	c.Engine().ScheduleEvent(r.Latency, c, sim.Payload{Op: ctxOpFastDone, A: uint64(c.putFastDone(done, r))})
-	return true
-}
-
 // Access translates v and submits the access to this core's L1 D-cache.
 // The translation result's R/W bit rides along as the access's WP flag —
 // the hitchhiking of §IV-B. done may be nil.
 func (c *Context) Access(v mmu.VAddr, write bool, value uint64, done func(coherence.AccessResult)) error {
-	return c.access(v, write, value, done, false)
-}
-
-func (c *Context) access(v mmu.VAddr, write bool, value uint64, done func(coherence.AccessResult), sync bool) error {
 	res, tlbHit, err := c.DTLB.Translate(c.Proc.AS, v, write)
 	if err != nil {
 		return err
@@ -371,9 +294,6 @@ func (c *Context) access(v mmu.VAddr, write bool, value uint64, done func(cohere
 	pre, missExtra := c.translationTiming(res, tlbHit)
 	if c.m.Cfg.WalkThroughCaches && !tlbHit {
 		c.walkAndSubmit(v, c.dataPort(), res, write, value, seq, pre, missExtra, done)
-		return nil
-	}
-	if c.fastSubmit(c.dataPort(), res, write, value, seq, pre, done, sync) {
 		return nil
 	}
 	c.submitTranslated(c.dataPort(), res, write, value, seq, pre, missExtra, done)
@@ -391,9 +311,6 @@ func (c *Context) Fetch(v mmu.VAddr, done func(coherence.AccessResult)) error {
 	pre, missExtra := c.translationTiming(res, tlbHit)
 	if c.m.Cfg.WalkThroughCaches && !tlbHit {
 		c.walkAndSubmit(v, c.instPort(), res, false, 0, 0, pre, missExtra, done)
-		return nil
-	}
-	if c.fastSubmit(c.instPort(), res, false, 0, 0, pre, done, false) {
 		return nil
 	}
 	c.submitTranslated(c.instPort(), res, false, 0, 0, pre, missExtra, done)
@@ -438,7 +355,7 @@ func (c *Context) AccessSync(v mmu.VAddr, write bool, value uint64) (coherence.A
 		c.syncCond = func() bool { return !c.syncDone }
 	}
 	c.syncDone = false
-	err := c.access(v, write, value, c.syncCb, true)
+	err := c.Access(v, write, value, c.syncCb)
 	if err != nil {
 		return coherence.AccessResult{}, err
 	}

@@ -7,27 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Two registry experiments running at the same time on separate
-// recorders each see only their own campaign jobs and fast-path splits —
-// the isolation overlapping server jobs rely on.
+// recorders each see only their own campaign jobs — the isolation
+// overlapping server jobs rely on.
 func TestConcurrentRunsUseSeparateRecorders(t *testing.T) {
 	runs := []struct {
 		name   string
 		params Params
-		jobs   string   // campaign job-name prefix
-		labels []string // fast-path label prefixes
+		jobs   string // campaign job-name prefix
 	}{
-		{"kernels", Params{WSKB: 4}, "kernels/", nil},
-		{"fig10a", Params{Passes: 1}, "fig10/", nil},
-	}
-	for _, k := range workload.Kernels() {
-		runs[0].labels = append(runs[0].labels, k.Name+"/")
-	}
-	for _, a := range workload.WARApps() {
-		runs[1].labels = append(runs[1].labels, a.Name+"/")
+		{"kernels", Params{WSKB: 4}, "kernels/"},
+		{"fig10a", Params{Passes: 1}, "fig10/"},
 	}
 
 	recs := make([]*stats.Recorder, len(runs))
@@ -46,14 +38,6 @@ func TestConcurrentRunsUseSeparateRecorders(t *testing.T) {
 	}
 	wg.Wait()
 
-	hasPrefix := func(s string, prefixes []string) bool {
-		for _, p := range prefixes {
-			if strings.HasPrefix(s, p) {
-				return true
-			}
-		}
-		return false
-	}
 	for i, r := range runs {
 		sum := stats.MergeCampaigns(r.name, recs[i].Campaigns())
 		if len(sum.Jobs) != 9 || sum.Workers != 2 {
@@ -62,15 +46,6 @@ func TestConcurrentRunsUseSeparateRecorders(t *testing.T) {
 		for _, j := range sum.Jobs {
 			if !strings.HasPrefix(j.Name, r.jobs) {
 				t.Errorf("%s recorder holds foreign job %q", r.name, j.Name)
-			}
-		}
-		fps := recs[i].FastPaths()
-		if len(fps) != 9 {
-			t.Errorf("%s: %d fast-path splits, want 9", r.name, len(fps))
-		}
-		for _, fp := range fps {
-			if !hasPrefix(fp.Label, r.labels) {
-				t.Errorf("%s recorder holds foreign fast-path label %q", r.name, fp.Label)
 			}
 		}
 	}

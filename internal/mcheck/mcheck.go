@@ -211,8 +211,7 @@ func (c *Config) sysConfig() coherence.SystemConfig {
 			CPUCyclesPerDRAMCycleNum: 1, CPUCyclesPerDRAMCycleDen: 1,
 			FrontendLatency: 1,
 		},
-		Prefetch:   coherence.PrefetchOff,
-		NoFastPath: true, // every access rides the engine, so Step sees it
+		Prefetch: coherence.PrefetchOff,
 	}
 }
 

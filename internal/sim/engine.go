@@ -378,9 +378,8 @@ func (e *Engine) RunFor(d Cycle) Cycle { return e.RunUntil(e.now + d) }
 
 // RunTo is RunUntil with an unconditional clock advance: after executing
 // every event with timestamp <= t, the clock lands exactly on t even if
-// the queue drained first. Synchronous callers that complete work without
-// scheduling events (the coherence fast path) use it so simulated time
-// passes identically to the event path.
+// the queue drained first, so a caller can set the clock of an engine
+// with nothing scheduled.
 func (e *Engine) RunTo(t Cycle) Cycle {
 	e.RunUntil(t)
 	if e.now < t {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/coherence"
@@ -131,9 +132,10 @@ func TestScaledBundleReplays(t *testing.T) {
 	checkReplay(t, bundle, recorded)
 }
 
-// Bundles written by older builds record "shards" and "prefault" in
-// config.json. Those keys name a removed engine mode that never changed
-// results, so such a bundle must still decode and replay.
+// Bundles written by older builds record "shards", "prefault" and
+// "no_fast_path" in config.json. Those keys name removed engine modes
+// that never changed results, so such a bundle must still decode, as the
+// same configuration, and replay.
 func TestLegacyShardedBundleReplays(t *testing.T) {
 	bundle, recorded := recordScaledFailure(t)
 	path := filepath.Join(bundle, fault.BundleConfigFile)
@@ -141,16 +143,22 @@ func TestLegacyShardedBundleReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := bytes.Replace(data, []byte("{"), []byte(`{"shards":4,"prefault":true,`), 1)
+	legacy := bytes.Replace(data, []byte("{"), []byte(`{"shards":4,"prefault":true,"no_fast_path":true,`), 1)
 	if bytes.Equal(legacy, data) {
 		t.Fatal("config.json has no object to extend")
 	}
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var cfg core.Config
+	var cfg, want core.Config
 	if err := json.Unmarshal(legacy, &cfg); err != nil {
 		t.Fatalf("legacy config.json does not decode: %v", err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("legacy keys changed the decoded config:\n%+v\nwant\n%+v", cfg, want)
 	}
 	if cfg.Cores != 64 || cfg.Protocol != coherence.SwiftDir {
 		t.Errorf("legacy config decoded %d cores of %v, want 64 of SwiftDir", cfg.Cores, cfg.Protocol)

@@ -58,7 +58,7 @@ func (s CacheSnapshot) HitRate() float64 {
 }
 
 // Footer renders the one-line cache accounting (the CLI/log sibling of
-// the campaign and fastpath footers).
+// the campaign footer).
 func (s CacheSnapshot) Footer() string {
 	return fmt.Sprintf("[cache] %d hits, %d misses (%.1f%% hit rate), %d deduped, %d runs, %d evicted, %d corrupt, %d disk errors",
 		s.Hits, s.Misses, 100*s.HitRate(), s.Dedups, s.Runs, s.Evictions, s.Corrupt, s.DiskErrors)

@@ -7,10 +7,9 @@ import (
 
 // Recorder is one run's accounting, carried on the run's
 // context.Context: the campaign pool size going in, and the campaign
-// summaries and fast-path splits coming out. Every campaign and
-// workload runner under that context reports into it, so runs on
-// separate recorders never see each other's numbers, however they
-// overlap. A run without one uses runtime.NumCPU() workers, and a nil
+// summaries coming out. Every campaign under that context reports into
+// it, so runs on separate recorders never see each other's numbers,
+// however they overlap. A run without one uses runtime.NumCPU() workers, and a nil
 // *Recorder retains nothing. The methods are safe for concurrent use.
 type Recorder struct {
 	// Workers is the campaign pool size; 0 means runtime.NumCPU(). Set
@@ -19,7 +18,6 @@ type Recorder struct {
 
 	mu        sync.Mutex
 	campaigns []CampaignSummary
-	fastPaths []FastPathSummary
 }
 
 type recorderKey struct{}
@@ -49,16 +47,6 @@ func (r *Recorder) RecordCampaign(s CampaignSummary) {
 	r.mu.Unlock()
 }
 
-// RecordFastPath appends one run's fast-path split.
-func (r *Recorder) RecordFastPath(s FastPathSummary) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.fastPaths = append(r.fastPaths, s)
-	r.mu.Unlock()
-}
-
 // Campaigns returns the recorded campaign summaries in completion order.
 func (r *Recorder) Campaigns() []CampaignSummary {
 	if r == nil {
@@ -69,12 +57,8 @@ func (r *Recorder) Campaigns() []CampaignSummary {
 	return append([]CampaignSummary(nil), r.campaigns...)
 }
 
-// FastPaths returns the recorded fast-path splits in completion order.
-func (r *Recorder) FastPaths() []FastPathSummary {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]FastPathSummary(nil), r.fastPaths...)
-}
+// TakeFastPaths does nothing: every access takes the event path, so there
+// is no fast-path split to take. It remains only because benchmark/sim.go,
+// which the repository benchmark builds from this tree, still calls it;
+// delete it together with that call in the next change to the benchmark.
+func TakeFastPaths() {}

@@ -25,8 +25,7 @@ func TestRecorderOnContext(t *testing.T) {
 			t.Fatalf("RecorderFrom(%v) = %v, want nil", c, none)
 		}
 		none.RecordCampaign(CampaignSummary{Label: "x"})
-		none.RecordFastPath(FastPathSummary{Label: "x"})
-		if none.Campaigns() != nil || none.FastPaths() != nil {
+		if none.Campaigns() != nil {
 			t.Error("nil recorder retained something")
 		}
 	}
@@ -44,21 +43,16 @@ func TestRecorderConcurrentRecords(t *testing.T) {
 			defer wg.Done()
 			label := fmt.Sprint(i)
 			rec.RecordCampaign(CampaignSummary{Label: label})
-			rec.RecordFastPath(FastPathSummary{Label: label, Fast: 1})
 			_ = rec.Campaigns()
-			_ = rec.FastPaths()
 		}()
 	}
 	wg.Wait()
-	sums, fps := rec.Campaigns(), rec.FastPaths()
-	if len(sums) != n || len(fps) != n {
-		t.Fatalf("recorded %d campaigns and %d splits, want %d each", len(sums), len(fps), n)
+	sums := rec.Campaigns()
+	if len(sums) != n {
+		t.Fatalf("recorded %d campaigns, want %d", len(sums), n)
 	}
-	fps[0].Label = "mutated"
-	if rec.FastPaths()[0].Label == "mutated" {
-		t.Error("FastPaths returned the recorder's own slice")
-	}
-	if MergeFastPaths("all", fps).Fast != n {
-		t.Error("a split went missing")
+	sums[0].Label = "mutated"
+	if rec.Campaigns()[0].Label == "mutated" {
+		t.Error("Campaigns returned the recorder's own slice")
 	}
 }

@@ -116,7 +116,6 @@ func RunKernel(ctx context.Context, k Kernel, protocol coherence.Policy, kind CP
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	recordFastPath(k.Name, protocol.Name(), m)
 	res := Result{
 		Benchmark:  k.Name,
 		Protocol:   protocol.Name(),

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/fault"
-	"repro/internal/stats"
 )
 
 func TestKernelsWellFormed(t *testing.T) {
@@ -96,29 +95,5 @@ func TestRunKernelCancelled(t *testing.T) {
 	v := fault.AsViolation(recovered)
 	if v == nil || v.Kind != fault.KindCancelled {
 		t.Fatalf("recovered %v (%T), want a %q violation", recovered, recovered, fault.KindCancelled)
-	}
-}
-
-// RunKernel and RunMultiprogram record their fast-path split on the
-// recorder their ctx carries, one entry per run under the run's label.
-func TestRunnersRecordFastPathOnContext(t *testing.T) {
-	rec := &stats.Recorder{}
-	ctx := stats.WithRecorder(context.Background(), rec)
-	k, _ := KernelByName("gups")
-	if _, err := RunKernel(ctx, k, coherence.SwiftDir, TimingSimpleCPU, 16<<10); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := ProfileByName("mcf")
-	if _, err := RunMultiprogram(ctx, []Profile{p.Scale(0.01)}, coherence.MESI, TimingSimpleCPU); err != nil {
-		t.Fatal(err)
-	}
-	got := rec.FastPaths()
-	if len(got) != 2 || got[0].Label != "gups/SwiftDir" || got[1].Label != "mix(mcf)/MESI" {
-		t.Fatalf("recorded %+v, want gups/SwiftDir then mix(mcf)/MESI", got)
-	}
-	for _, fp := range got {
-		if fp.Total() == 0 {
-			t.Errorf("%s: empty split", fp.Label)
-		}
 	}
 }

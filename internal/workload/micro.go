@@ -58,7 +58,6 @@ func RunReadOnly(ctx context.Context, amount int, protocol coherence.Policy, kin
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	recordFastPath(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
 	return Result{
 		Benchmark:  fmt.Sprintf("readonly-%d", amount),
 		Protocol:   protocol.Name(),
@@ -191,7 +190,6 @@ func RunWAR(ctx context.Context, app WARApp, protocol coherence.Policy, kind CPU
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	recordFastPath(app.Name, protocol.Name(), m)
 	return Result{
 		Benchmark:  app.Name,
 		Protocol:   protocol.Name(),

@@ -67,7 +67,6 @@ func RunMultiprogram(ctx context.Context, profiles []Profile, protocol coherence
 		return Result{}, fmt.Errorf("multiprogram [%s] on %s: %w",
 			strings.Join(names, ","), protocol.Name(), err)
 	}
-	recordFastPath("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "mix(" + strings.Join(names, "+") + ")",
 		Protocol:   protocol.Name(),

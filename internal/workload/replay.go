@@ -109,7 +109,6 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	recordFastPath("replay", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "replay",
 		Protocol:   protocol.Name(),

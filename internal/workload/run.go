@@ -9,20 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/mmu"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
-
-// recordFastPath records the machine's fast/slow access split (DESIGN.md
-// §5) under the run's label on the stats.Recorder its Config.Context
-// carries, if any, for the report footers. Every runner calls it after
-// its invariant check so the split covers exactly the accesses the
-// Result reports.
-func recordFastPath(benchmark, protocol string, m *core.Machine) {
-	fast, slow := m.Sys.FastPathTotals()
-	stats.RecorderFrom(m.Cfg.Context).RecordFastPath(stats.FastPathSummary{
-		Label: benchmark + "/" + protocol, Fast: fast, Slow: slow,
-	})
-}
 
 // CPUKind selects the execution model.
 type CPUKind string
@@ -115,7 +102,6 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", p.Name, cfg.Protocol.Name(), err)
 	}
-	recordFastPath(p.Name, cfg.Protocol.Name(), m)
 
 	res := Result{
 		Benchmark:  p.Name,
