@@ -9,8 +9,9 @@ import (
 // context.Context: the campaign pool size going in, and the campaign
 // summaries coming out. Every campaign under that context reports into
 // it, so runs on separate recorders never see each other's numbers,
-// however they overlap. A run without one uses runtime.NumCPU() workers, and a nil
-// *Recorder retains nothing. The methods are safe for concurrent use.
+// however they overlap. A run without one uses runtime.NumCPU()
+// workers, and a nil *Recorder retains nothing. The methods are safe for
+// concurrent use.
 type Recorder struct {
 	// Workers is the campaign pool size; 0 means runtime.NumCPU(). Set
 	// it before the run starts.
