@@ -290,27 +290,10 @@ func (a *Array) nextRand() uint64 {
 }
 
 // Victim selects the line to evict from addr's set: an invalid way if one
-// exists, otherwise the least recently used line. The returned line is
-// still resident; the caller is responsible for writeback/invalidations
-// before calling Install.
-func (a *Array) Victim(addr Addr) *Line {
-	set := a.carve(a.SetIndex(addr))
-	for i := range set {
-		if !set[i].State.Valid() {
-			return &set[i]
-		}
-	}
-	if a.params.Replacement == Random {
-		return &set[a.nextRand()%uint64(len(set))]
-	}
-	var victim *Line
-	for i := range set {
-		if victim == nil || set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	return victim
-}
+// exists, otherwise the replacement policy's choice (VictimFiltered with
+// no way blocked). The returned line is still resident; the caller is
+// responsible for writeback/invalidations before calling Install.
+func (a *Array) Victim(addr Addr) *Line { return a.VictimFiltered(addr, nil) }
 
 // VictimFiltered is Victim restricted to lines not rejected by blocked,
 // which sees each valid way's block address and line. It returns nil if

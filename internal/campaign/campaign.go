@@ -149,7 +149,7 @@ func runPanicHook(hook func(*PanicError), pe *PanicError) (err error) {
 // Cancellation is cooperative: once ctx is done, jobs not yet picked up
 // by a worker are skipped — their error carries the context's cause —
 // while jobs already running finish (or abort themselves, when their
-// machines carry a cancel token).
+// machines are built on ctx).
 func Collect[T any](ctx context.Context, jobs []Job[T]) ([]T, error) {
 	if ctx.Done() != nil {
 		guarded := make([]Job[T], len(jobs))

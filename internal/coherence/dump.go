@@ -26,6 +26,7 @@ var opNames = [...]string{
 	opBankFetchIssue: "BankFetchIssue", opBankInstall: "BankInstall",
 	opHubUp: "HubUp", opHubDown: "HubDown",
 	opHubInv: "HubInv", opBankSendStageHub: "BankSendStageHub",
+	opL1Arrive: "L1Arrive",
 }
 
 // msgCarrying reports whether op's payload encodes a full Msg (so the
@@ -65,11 +66,7 @@ func (s *System) DumpState() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== system state at cycle %d ===\n", s.Eng.Now())
 
-	renderEvent := func(rel sim.Cycle, h sim.Handler, p sim.Payload, isClosure bool) {
-		if isClosure {
-			fmt.Fprintf(&sb, "  +%-6d closure\n", rel)
-			return
-		}
+	renderEvent := func(rel sim.Cycle, h sim.Handler, p sim.Payload) {
 		name := "?"
 		if int(p.Op) < len(opNames) && opNames[p.Op] != "" {
 			name = opNames[p.Op]

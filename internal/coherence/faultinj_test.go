@@ -209,7 +209,7 @@ func TestParkedHubMessageKeepsItsHub(t *testing.T) {
 	for s.Eng.Step() && inj.Stats.HubFaults == 0 {
 	}
 	parked := 0
-	s.Eng.ForEachPending(func(_ sim.Cycle, h sim.Handler, p sim.Payload, _ bool) {
+	s.Eng.ForEachPending(func(_ sim.Cycle, h sim.Handler, p sim.Payload) {
 		if p.Op != opHubUp {
 			return
 		}

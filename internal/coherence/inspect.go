@@ -114,14 +114,8 @@ func (s *System) AppendFingerprint(emit func(uint64)) {
 	// The engine's tie order (insertion order for equal deadlines) decides
 	// which of two same-cycle events runs first, and ForEachPending keeps
 	// it, so iteration order is part of the fingerprint.
-	s.Eng.ForEachPending(func(rel sim.Cycle, hd sim.Handler, p sim.Payload, isClosure bool) {
+	s.Eng.ForEachPending(func(rel sim.Cycle, hd sim.Handler, p sim.Payload) {
 		emit(uint64(rel))
-		if isClosure {
-			// The controllers schedule no closures; mark one anyway so
-			// it at least perturbs the fingerprint.
-			emit(0xC105C105C105C105)
-			return
-		}
 		emit(uint64(uint8(int8(s.handlerID(hd)))))
 		emit(p.A)
 		emit(p.B)

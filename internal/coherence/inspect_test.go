@@ -86,7 +86,7 @@ func withEvents(s *System, edit func(rel *sim.Cycle, h *sim.Handler, p *sim.Payl
 		p   sim.Payload
 	}
 	var evs []event
-	s.Eng.ForEachPending(func(rel sim.Cycle, h sim.Handler, p sim.Payload, _ bool) {
+	s.Eng.ForEachPending(func(rel sim.Cycle, h sim.Handler, p sim.Payload) {
 		evs = append(evs, event{rel, h, p})
 	})
 	last := &evs[len(evs)-1]
@@ -305,10 +305,11 @@ func TestAppendFingerprintCoversState(t *testing.T) {
 	}
 }
 
-// TestFingerprintFramingKeepsStatesApart pins the two words that encode
-// no state of their own, only where one record ends: the queue length
-// ahead of a transaction's queued requests, and the marker a closure
-// event emits in place of a handler and payload. Without them each pair
+// TestFingerprintFramingKeepsStatesApart pins where one record ends in
+// the fingerprint: the queue length ahead of a transaction's queued
+// requests, a word that encodes no state of its own, and the seven words
+// every pending event emits, closure events included (a closure is a
+// handler of its own with a zero payload). Without that framing each pair
 // of states below would fingerprint alike.
 func TestFingerprintFramingKeepsStatesApart(t *testing.T) {
 	s := MustNewSystem(testConfig(MESI, 4))
@@ -346,7 +347,8 @@ func TestFingerprintFramingKeepsStatesApart(t *testing.T) {
 		t.Error("queued requests fingerprint like a second transaction")
 	}
 
-	// One payload event against closures due at its words.
+	// One payload event against closures due at its words: each closure
+	// emits its own seven words, so the streams cannot coincide.
 	event := words(nil, func(e *sim.Engine) {
 		e.ScheduleEvent(1, s.L1s[3], sim.Payload{A: 3, B: 3, Y: 5, Aux: 5, Op: 5})
 	})

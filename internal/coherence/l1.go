@@ -60,10 +60,10 @@ type Access struct {
 	// miss path (§IV-B of the paper).
 	MissPenalty sim.Cycle
 
-	// Extra is latency the submitter already spent (e.g. translation
-	// charged before the access reached the L1); it is added to the
-	// reported Latency without being simulated again.
-	Extra sim.Cycle
+	// Delay is how many cycles the access takes to reach the L1 (the
+	// translation charged before the lookup); the tag lookup starts when
+	// it ends, and the reported Latency counts it.
+	Delay sim.Cycle
 
 	// Done is invoked exactly once at completion. It may be nil.
 	Done func(AccessResult)
@@ -167,7 +167,7 @@ type L1 struct {
 	storeSeqs intmap.Map[uint64]
 
 	mshrFree []*mshr  // recycled MSHRs
-	accs     []Access // slots for accesses riding tag-lookup/translation events
+	accs     []Access // slots for accesses riding delay/tag-lookup/translation events
 	accFree  []int32  // free slot indexes
 
 	prefetch PrefetchMode
@@ -210,8 +210,8 @@ func (l *L1) toDir(m Msg) {
 func (l *L1) toL1(dst int, m Msg) { l.sys.toL1(l.ID, dst, m.payload(opL1Recv)) }
 
 // putAccess parks an in-flight access in the slot pool and returns its
-// index; takeAccess releases the slot. The pool exists so tag-lookup and
-// deferred-translation events can carry the access (its Done closure
+// index; takeAccess releases the slot. The pool exists so delay, tag-lookup
+// and deferred-translation events can carry the access (its Done closure
 // included) without capturing it in a per-event closure.
 func (l *L1) putAccess(a Access) int32 {
 	if n := len(l.accFree); n > 0 {
@@ -261,6 +261,8 @@ func (l *L1) Handle(p sim.Payload) {
 	switch p.Op {
 	case opL1Recv:
 		l.sys.deliver(msgFromPayload(p), l.ID)
+	case opL1Arrive:
+		l.arrive(int32(p.A))
 	case opL1Process:
 		l.process(l.takeAccess(int32(p.A)))
 	case opL1ProcessMiss:
@@ -296,16 +298,26 @@ func (l *L1) Array() *cache.Array { return l.arr }
 // OutstandingMisses returns the number of active MSHRs.
 func (l *L1) OutstandingMisses() int { return l.mshrs.Len() }
 
-// Request submits a CPU access. The L1 tag lookup cost is charged before
-// the access is examined.
+// Request submits a CPU access. It reaches the L1 a.Delay cycles later,
+// and the L1 tag lookup cost is charged before the access is examined.
 func (l *L1) Request(a Access) {
 	a.start = l.eng.Now()
-	if a.Write {
+	i := l.putAccess(a)
+	if a.Delay > 0 {
+		l.eng.ScheduleEvent(a.Delay, l, sim.Payload{Op: opL1Arrive, A: uint64(i)})
+		return
+	}
+	l.arrive(i)
+}
+
+// arrive counts the parked access in slot i and starts its tag lookup.
+func (l *L1) arrive(i int32) {
+	if l.accs[i].Write {
 		l.Stats.Stores++
 	} else {
 		l.Stats.Loads++
 	}
-	l.eng.ScheduleEvent(l.timing.L1Tag, l, sim.Payload{Op: opL1Process, A: uint64(l.putAccess(a))})
+	l.eng.ScheduleEvent(l.timing.L1Tag, l, sim.Payload{Op: opL1Process, A: uint64(i)})
 }
 
 // applyStore writes a store's value into its resident line — unless an
@@ -786,7 +798,7 @@ func (l *L1) ForceInvalidate(block cache.Addr) (data uint64, dirty, had bool) {
 func (l *L1) complete(a Access, value uint64, served ServedBy) {
 	l.eng.Progress()
 	res := AccessResult{
-		Latency: l.eng.Now() - a.start + a.Extra,
+		Latency: l.eng.Now() - a.start,
 		Value:   value,
 		Served:  served,
 		Write:   a.Write,

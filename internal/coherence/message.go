@@ -118,6 +118,8 @@ const (
 	opHubDown          // bank/owner -> hub: record and deliver a message to a local L1 (Z = dst)
 	opHubInv           // home -> hub: multicast Inv to the recorded locals, aggregate acks
 	opBankSendStageHub // bank-local latency elapsed; enter the fabric toward a hub (Z = cluster)
+
+	opL1Arrive // an access's Delay elapsed; count it and start its tag lookup
 )
 
 // Msg flag bits packed into sim.Payload.F.

@@ -114,8 +114,8 @@ func stepUntilPending(t *testing.T, s *System, match func(h sim.Handler, p sim.P
 	t.Helper()
 	for {
 		found := false
-		s.Eng.ForEachPending(func(_ sim.Cycle, h sim.Handler, p sim.Payload, isClosure bool) {
-			found = found || (!isClosure && match(h, p))
+		s.Eng.ForEachPending(func(_ sim.Cycle, h sim.Handler, p sim.Payload) {
+			found = found || match(h, p)
 		})
 		if found {
 			return

@@ -42,7 +42,7 @@ func TestMachineCancelAbortsMidRun(t *testing.T) {
 	}
 
 	// Identical machine whose context is cancelled mid-run. The context
-	// fires the machine's token from its own goroutine; the event waits
+	// sets the machine's stop flag from its own goroutine; the event waits
 	// for it so the abort lands at a deterministic point.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
@@ -51,7 +51,7 @@ func TestMachineCancelAbortsMidRun(t *testing.T) {
 	m := MustNewMachine(cfg)
 	m.Engine().Schedule(sim.Cycle(horizon/2), func() {
 		cancel(errors.New("client went away"))
-		for deadline := time.Now().Add(10 * time.Second); !m.cancel.Requested() && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(10 * time.Second); !m.stop.Load() && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
 	})
@@ -90,8 +90,8 @@ func TestMachineCancelAbsentByDefault(t *testing.T) {
 	cfg := DefaultConfig(1, coherence.MESI)
 	cfg.Context = context.Background()
 	bg := MustNewMachine(cfg)
-	if m.cancel != nil || bg.cancel != nil {
-		t.Fatal("a nil or background context armed a cancel token")
+	if m.stop != nil || bg.stop != nil {
+		t.Fatal("a nil or background context armed a stop flag")
 	}
 	cancelWorkload(m)
 	if err := m.CheckInvariants(); err != nil {
@@ -110,7 +110,7 @@ func TestMachineCancelUnfiredIsByteIdentical(t *testing.T) {
 	cfg := DefaultConfig(1, coherence.MESI)
 	cfg.Context = ctx
 	m := MustNewMachine(cfg)
-	if m.cancel == nil {
+	if m.stop == nil {
 		t.Fatal("a cancellable context did not arm the machine")
 	}
 	cancelWorkload(m)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -21,8 +23,9 @@ type Machine struct {
 	processes []*Process
 	contexts  []*Context
 
-	// cancel is the token bound to Cfg.Context, nil when unarmed.
-	cancel *sim.Cancel
+	// stop is the engine's stop flag, set when Cfg.Context is done; nil
+	// when the context can never be cancelled.
+	stop *atomic.Bool
 }
 
 // NewMachine builds a machine from cfg.
@@ -34,8 +37,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Watchdog.Enabled() {
-		sys.Eng.ArmWatchdog(cfg.Watchdog, func(ti sim.TripInfo) {
+	var stop *atomic.Bool
+	ctx := cfg.Context
+	if ctx != nil && ctx.Done() != nil {
+		// The binding lives until ctx is done; a flag set after the
+		// machine finished is never observed.
+		stop = new(atomic.Bool)
+		context.AfterFunc(ctx, func() { stop.Store(true) })
+	}
+	if stop != nil || cfg.Watchdog.Enabled() {
+		sys.Eng.Arm(stop, cfg.Watchdog, func(ti sim.TripInfo) {
+			if ti.Bound == sim.BoundStop {
+				panic(&fault.Violation{
+					Kind:      fault.KindCancelled,
+					Cycle:     uint64(ti.Now),
+					Component: "cancel",
+					Msg: fmt.Sprintf("run cancelled: %v (%d events executed, %d pending)",
+						context.Cause(ctx), ti.Executed, ti.Pending),
+					Dump: "-- cancellation pending snapshot --\n" + ti.PendingDump + sys.DumpState(),
+				})
+			}
 			panic(&fault.Violation{
 				Kind:      fault.KindLiveness,
 				Cycle:     uint64(ti.Now),
@@ -46,29 +67,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 			})
 		})
 	}
-	var tok *sim.Cancel
-	if ctx := cfg.Context; ctx != nil && ctx.Done() != nil {
-		// The binding lives until ctx is done; a token that fires after
-		// the machine finished is never observed.
-		tok = sim.CancelFromContext(ctx)
-		sys.Eng.ArmCancel(tok, func(ci sim.CancelInfo) {
-			panic(&fault.Violation{
-				Kind:      fault.KindCancelled,
-				Cycle:     uint64(ci.Now),
-				Component: "cancel",
-				Msg: fmt.Sprintf("run cancelled: %s (%d events executed, %d pending)",
-					ci.Reason, ci.Executed, ci.Pending),
-				Dump: "-- cancellation pending snapshot --\n" + ci.PendingDump + sys.DumpState(),
-			})
-		})
-	}
 	pm := mmu.NewPhysMem(0)
 	return &Machine{
-		Cfg:    cfg,
-		Sys:    sys,
-		PM:     pm,
-		KSM:    mmu.NewKSM(pm),
-		cancel: tok,
+		Cfg:  cfg,
+		Sys:  sys,
+		PM:   pm,
+		KSM:  mmu.NewKSM(pm),
+		stop: stop,
 	}, nil
 }
 
@@ -179,12 +184,6 @@ type Context struct {
 	DTLB *mmu.TLB
 	ITLB *mmu.TLB
 
-	// Slot pool for accesses whose translation latency is charged before
-	// submission; the pre-delay event carries a slot index instead of a
-	// captured closure.
-	subs    []ctxSubmit
-	subFree []int32
-
 	// Cached AccessSync probe state, so repeated synchronous probes reuse
 	// one callback pair instead of allocating closures per access.
 	syncOut  coherence.AccessResult
@@ -205,41 +204,6 @@ type Context struct {
 	CoWs         uint64
 }
 
-// ctxSubmit is a parked (port, access) pair awaiting its pre-charge delay.
-type ctxSubmit struct {
-	port int
-	acc  coherence.Access
-}
-
-// ctxOpSubmit: the translation delay elapsed, submit the parked access.
-const ctxOpSubmit uint8 = 1
-
-// Handle dispatches the context's payload events.
-func (c *Context) Handle(p sim.Payload) {
-	switch p.Op {
-	case ctxOpSubmit:
-		i := int32(p.A)
-		s := c.subs[i]
-		c.subs[i] = ctxSubmit{} // drop the Done reference held by the slot
-		c.subFree = append(c.subFree, i)
-		c.m.Sys.Submit(s.port, s.acc)
-	default:
-		panic(fmt.Sprintf("core: context on core %d: unknown payload op %d", c.Core, p.Op))
-	}
-}
-
-// putSubmit parks a pending submission in the slot pool.
-func (c *Context) putSubmit(port int, acc coherence.Access) int32 {
-	if n := len(c.subFree); n > 0 {
-		i := c.subFree[n-1]
-		c.subFree = c.subFree[:n-1]
-		c.subs[i] = ctxSubmit{port: port, acc: acc}
-		return i
-	}
-	c.subs = append(c.subs, ctxSubmit{port: port, acc: acc})
-	return int32(len(c.subs) - 1)
-}
-
 // Engine returns the machine's event engine, which CPU models built on
 // this context schedule their ticks on.
 func (c *Context) Engine() *sim.Engine { return c.m.Sys.Eng }
@@ -258,23 +222,16 @@ func (c *Context) instPort() int { return 2*c.Core + 1 }
 // lookup, missExtra only if the access misses the L1 (VIVT).
 func (c *Context) submitTranslated(port int, res mmu.Result, write bool, value uint64, seq uint64,
 	pre, missExtra sim.Cycle, done func(coherence.AccessResult)) {
-	acc := coherence.Access{
+	c.m.Sys.Submit(port, coherence.Access{
 		Addr:        cache.Addr(res.PAddr),
 		Write:       write,
 		WP:          res.WriteProtected,
 		Value:       value,
 		Seq:         seq,
 		MissPenalty: missExtra,
-		// Report the access latency as the core sees it: translation
-		// time included.
-		Extra: pre,
-		Done:  done,
-	}
-	if pre == 0 {
-		c.m.Sys.Submit(port, acc)
-		return
-	}
-	c.Engine().ScheduleEvent(pre, c, sim.Payload{Op: ctxOpSubmit, A: uint64(c.putSubmit(port, acc))})
+		Delay:       pre,
+		Done:        done,
+	})
 }
 
 // Access translates v and submits the access to this core's L1 D-cache.

@@ -170,28 +170,23 @@ func Fig6(ctx context.Context, samples int) Fig6Data {
 // Load_WP and Load(S) distributions coincide; only MESI's E-state path is
 // shifted. A done ctx aborts the run as in Fig6.
 func Fig6Jitter(ctx context.Context, samples int) Fig6Data {
-	d := Fig6Data{
-		LoadWP: &stats.Histogram{},
-		LoadS:  &stats.Histogram{},
-		LoadE:  &stats.Histogram{},
-	}
-	measure := func(p coherence.Policy, wp bool, h *stats.Histogram, makeShared bool) {
+	// measure times core 0's loads of library lines core 1 (and, when
+	// shared, core 2) loaded first, while core 3 streams its heap as
+	// background chatter.
+	measure := func(p coherence.Policy, lib string, libSeed uint64, pages int, chatterSeed uint64, shared bool) *stats.Histogram {
 		cfg := core.DefaultConfig(4, p)
 		cfg.Timing.LinkOccupancy = 2
 		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		proc := m.NewProcess()
-		lib := mmu.NewFile("fig6j.so", 0x616)
-		pages := 2*samples/63 + 2
-		base := proc.MmapLibrary(lib, pages*mmu.PageSize)
+		base := proc.MmapLibrary(mmu.NewFile(lib, libSeed), pages*mmu.PageSize)
 		c0 := proc.AttachContext(0)
 		c1 := proc.AttachContext(1)
 		c2 := proc.AttachContext(2)
 		noise := proc.AttachContext(3)
 		noiseHeap := proc.MmapAnon(1 << 20)
 
-		// Background chatter: core 3 streams its heap continuously.
-		rng := sim.NewRNG(0xBA5E)
+		rng := sim.NewRNG(chatterSeed)
 		var chatter func(n int)
 		chatter = func(n int) {
 			if n == 0 {
@@ -204,61 +199,26 @@ func Fig6Jitter(ctx context.Context, samples int) Fig6Data {
 		}
 		chatter(100 * samples)
 
-		addr := func(i int) (mmu.VAddr, mmu.VAddr) {
-			page, line := i/63, i%63+1
-			return base + mmu.VAddr(page*mmu.PageSize+line*64),
-				base + mmu.VAddr(page*mmu.PageSize)
-		}
-		for i := 0; i < samples; i++ {
-			v, warm := addr(i)
-			c1.MustAccessSync(v, false, 0)
-			if makeShared {
-				c2.MustAccessSync(v, false, 0)
-			}
-			c0.MustAccessSync(warm, false, 0)
-			r := c0.MustAccessSync(v, false, 0)
-			h.Add(r.Latency)
-		}
-		_ = wp
-	}
-	// SwiftDir WP loads (inherently shared), MESI S-state, MESI E-state.
-	measureWP := func(h *stats.Histogram) {
-		cfg := core.DefaultConfig(4, coherence.SwiftDir)
-		cfg.Timing.LinkOccupancy = 2
-		cfg.Context = ctx
-		m := core.MustNewMachine(cfg)
-		proc := m.NewProcess()
-		lib := mmu.NewFile("fig6j-wp.so", 0x617)
-		pages := samples/63 + 2
-		base := proc.MmapLibrary(lib, pages*mmu.PageSize)
-		c0, c1 := proc.AttachContext(0), proc.AttachContext(1)
-		noise := proc.AttachContext(3)
-		noiseHeap := proc.MmapAnon(1 << 20)
-		rng := sim.NewRNG(0xBA5F)
-		var chatter func(n int)
-		chatter = func(n int) {
-			if n == 0 {
-				return
-			}
-			v := noiseHeap + mmu.VAddr(rng.Intn(1<<14))*64
-			_ = noise.Access(v, rng.Bool(0.3), rng.Uint64(), func(coherence.AccessResult) {
-				chatter(n - 1)
-			})
-		}
-		chatter(100 * samples)
+		h := &stats.Histogram{}
 		for i := 0; i < samples; i++ {
 			page, line := i/63, i%63+1
 			v := base + mmu.VAddr(page*mmu.PageSize+line*64)
-			warm := base + mmu.VAddr(page*mmu.PageSize)
 			c1.MustAccessSync(v, false, 0)
-			c0.MustAccessSync(warm, false, 0)
+			if shared {
+				c2.MustAccessSync(v, false, 0)
+			}
+			c0.MustAccessSync(base+mmu.VAddr(page*mmu.PageSize), false, 0) // TLB warm
 			r := c0.MustAccessSync(v, false, 0)
 			h.Add(r.Latency)
 		}
+		return h
 	}
-	measureWP(d.LoadWP)
-	measure(coherence.MESI, false, d.LoadS, true)
-	measure(coherence.MESI, false, d.LoadE, false)
+	// SwiftDir WP loads (inherently shared), MESI S-state, MESI E-state.
+	d := Fig6Data{
+		LoadWP: measure(coherence.SwiftDir, "fig6j-wp.so", 0x617, samples/63+2, 0xBA5F, false),
+		LoadS:  measure(coherence.MESI, "fig6j.so", 0x616, 2*samples/63+2, 0xBA5E, true),
+		LoadE:  measure(coherence.MESI, "fig6j.so", 0x616, 2*samples/63+2, 0xBA5E, false),
+	}
 	d.Rendered = stats.RenderCDF(
 		"Figure 6 (contended interconnect): CDF of coherence request latency (cycles)",
 		[]string{"Load_WP(L1I&L2S) SwiftDir", "Load(L1I&L2S) MESI", "Load(L1I&L2E) MESI"},

@@ -199,8 +199,8 @@ func (e *InvalidParamsError) Error() string {
 // done ctx aborts cancellation-aware experiments at their next executed
 // event, as a panic with a *fault.Violation of kind "cancelled" — the
 // same convention, so existing recover fences classify it. The report of
-// an uncancelled run is byte-identical whatever ctx is: the cancel token
-// rides the engine's existing watchdog check and injects no events.
+// an uncancelled run is byte-identical whatever ctx is: the machine's stop
+// flag rides the engine's one run-guard check and injects no events.
 func (e Experiment) Run(ctx context.Context, p Params) string {
 	return e.run(ctx, e.Normalize(p))
 }

@@ -405,10 +405,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		// The grace period is over: abort in-flight simulations (their
-		// machines carry cancel tokens parented on baseCtx) and wait for
-		// the workers to unwind. Aborted jobs fail with a typed
-		// cancellation and are never cached.
+		// The grace period is over: abort in-flight simulations (each
+		// machine's stop flag is bound to a context parented on baseCtx)
+		// and wait for the workers to unwind. Aborted jobs fail with a
+		// typed cancellation and are never cached.
 		s.baseCancel(fmt.Errorf("server draining: %w", context.Cause(ctx)))
 		<-done
 		return fmt.Errorf("server: drain deadline hit; in-flight jobs aborted")

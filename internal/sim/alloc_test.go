@@ -42,6 +42,32 @@ func TestScheduleEventZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScheduleClosureZeroAlloc pins Schedule at zero allocations beyond
+// the closure itself: the func value is stored as the event's handler
+// without boxing.
+func TestScheduleClosureZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	n := 2 * ringSize // warm the slab
+	var tick func()
+	tick = func() {
+		if n > 0 {
+			n--
+			e.Schedule(1, tick)
+		}
+	}
+	e.Schedule(1, tick)
+	e.Run()
+
+	allocs := testing.AllocsPerRun(200, func() {
+		n = 64
+		e.Schedule(1, tick)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule+dispatch of a built closure allocates %.1f allocs per 65-event run, want 0", allocs)
+	}
+}
+
 // TestOverflowSteadyStateZeroAlloc pins the overflow tier: once the heap
 // slice has grown, far-future scheduling and migration allocate nothing.
 func TestOverflowSteadyStateZeroAlloc(t *testing.T) {

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // tickHandler reschedules itself and counts executions — a healthy,
@@ -21,32 +19,19 @@ func (h *tickHandler) Handle(p Payload) {
 	h.eng.ScheduleEvent(1, h, p)
 }
 
+// Arming with no stop flag and a disabled config disarms the guard: a set
+// flag armed before is no longer observed, and the engine stays runnable.
 func TestCancelNilTokenIsInert(t *testing.T) {
-	var c *Cancel
-	c.Request("ignored")
-	if c.Requested() || c.Reason() != "" {
-		t.Error("nil token reports a fired state")
-	}
-	// Arming nil disarms; the engine must stay runnable.
 	eng := NewEngine()
-	eng.ArmCancel(nil, nil)
+	var stop atomic.Bool
+	stop.Store(true)
+	eng.Arm(&stop, WatchdogConfig{}, func(TripInfo) { t.Fatal("disarmed guard tripped") })
+	eng.Arm(nil, WatchdogConfig{}, nil)
 	done := false
 	eng.Schedule(5, func() { done = true })
 	eng.Run()
 	if !done {
-		t.Error("engine with disarmed cancel did not run")
-	}
-}
-
-func TestCancelOneShotReason(t *testing.T) {
-	c := NewCancel()
-	if c.Requested() {
-		t.Fatal("fresh token already fired")
-	}
-	c.Request("first")
-	c.Request("second")
-	if !c.Requested() || c.Reason() != "first" {
-		t.Errorf("Reason() = %q, want the first request to win", c.Reason())
+		t.Error("engine with a disarmed guard did not run")
 	}
 }
 
@@ -58,7 +43,7 @@ type cancelAbort struct{}
 
 // recoverCancelAbort swallows a cancelAbort panic and re-panics anything
 // else. Use as `defer recoverCancelAbort(t)` around a run expected to be
-// torn down by a panicking cancel trip.
+// torn down by a panicking trip.
 func recoverCancelAbort(t *testing.T) {
 	t.Helper()
 	if r := recover(); r != nil {
@@ -68,103 +53,88 @@ func recoverCancelAbort(t *testing.T) {
 	}
 }
 
-// The sequential engine: a token fired mid-run must trip at the next
-// event boundary with the executed count so far and a watchdog-style
-// pending dump, then disarm. The trip aborts by panicking, as the
-// production wiring does.
+// A stop flag set inside an event must trip at the next event boundary
+// with the executed count so far and a pending dump naming the parked
+// handler, then disarm. The trip aborts by panicking, as the production
+// wiring does.
 func TestCancelAbortsSequentialRun(t *testing.T) {
 	eng := NewEngine()
-	c := NewCancel()
-	var info *CancelInfo
-	eng.ArmCancel(c, func(ci CancelInfo) { info = &ci; panic(cancelAbort{}) })
+	var stop atomic.Bool
+	var info *TripInfo
+	eng.Arm(&stop, WatchdogConfig{}, func(ti TripInfo) { info = &ti; panic(cancelAbort{}) })
 
 	h := &tickHandler{eng: eng}
 	eng.ScheduleEvent(0, h, Payload{Op: 9, A: 0xbeef})
-	eng.Schedule(50, func() { c.Request("client went away") })
+	var setAt uint64
+	eng.Schedule(50, func() { stop.Store(true); setAt = eng.Executed() })
 	func() {
 		defer recoverCancelAbort(t)
 		eng.RunUntil(200)
 	}()
 
 	if info == nil {
-		t.Fatal("cancel never tripped")
+		t.Fatal("stop flag never tripped")
 	}
-	if info.Reason != "client went away" {
-		t.Errorf("reason = %q", info.Reason)
+	if info.Bound != BoundStop {
+		t.Errorf("bound = %d, want BoundStop", info.Bound)
 	}
-	if info.Executed == 0 || h.n == 0 {
-		t.Error("trip before any event executed")
-	}
-	if h.n > 60 {
-		t.Errorf("handler ran %d times after a cycle-50 cancel", h.n)
+	if info.Executed != setAt || info.Now != 50 {
+		t.Errorf("tripped at cycle %d after %d events; the flag was set at cycle 50 by event %d",
+			info.Now, info.Executed, setAt)
 	}
 	if info.Pending != 1 || !strings.Contains(info.PendingDump, "tickHandler") {
 		t.Errorf("pending dump missing the parked workload:\n%s", info.PendingDump)
 	}
-	// The trip disarmed the token; running on must not re-fire.
+	// The trip disarmed the guard; running on must not re-fire.
 	info = nil
 	eng.RunUntil(300)
 	if info != nil {
-		t.Error("disarmed cancel tripped again")
+		t.Error("disarmed guard tripped again")
+	}
+	if h.n < 250 {
+		t.Errorf("handler ran %d times by cycle 300, want the run to go on after the trip", h.n)
 	}
 }
 
-// Cancellation and the watchdog ride one frame: arming both (in either
-// order) keeps both live, a fired token wins the check site, and
-// re-arming the watchdog must not drop the token.
+// A stop flag and a budget armed in one call each trip as their own
+// bound: the flag on a healthy run, the event and cycle budgets on
+// progress-free ones. Whichever trips first disarms the whole guard, so
+// each run trips exactly once.
 func TestCancelComposesWithWatchdog(t *testing.T) {
-	eng := NewEngine()
-	c := NewCancel()
-	var cancelled, tripped bool
-	eng.ArmCancel(c, func(CancelInfo) { cancelled = true })
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 1 << 40}, func(TripInfo) { tripped = true })
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 1 << 40}, func(TripInfo) { tripped = true }) // re-arm keeps the token
+	run := func(cfg WatchdogConfig, newHandler func(*Engine) Handler, stopAt Cycle) TripInfo {
+		eng := NewEngine()
+		var stop atomic.Bool
+		var got []TripInfo
+		eng.Arm(&stop, cfg, func(ti TripInfo) { got = append(got, ti) })
+		eng.ScheduleEvent(0, newHandler(eng), Payload{})
+		eng.Schedule(stopAt, func() { stop.Store(true) })
+		eng.RunUntil(400)
+		if len(got) != 1 {
+			t.Fatalf("%d trips, want exactly 1: %+v", len(got), got)
+		}
+		return got[0]
+	}
+	tick := func(e *Engine) Handler { return &tickHandler{eng: e} }
+	wedge := func(e *Engine) Handler { return &wedgeHandler{eng: e} }
+	sparse := func(e *Engine) Handler { return &sparseHandler{eng: e} }
 
-	h := &tickHandler{eng: eng}
-	eng.ScheduleEvent(0, h, Payload{})
-	eng.Schedule(10, func() { c.Request("deadline") })
-	eng.RunUntil(100)
-	if !cancelled {
-		t.Error("token armed alongside a watchdog never tripped")
+	budget := WatchdogConfig{MaxEvents: 25, MaxCycles: 1 << 20}
+	if ti := run(budget, tick, 100); ti.Bound != BoundStop || ti.Now != 100 {
+		t.Errorf("stop flag on a healthy run: bound %d at cycle %d, want BoundStop at 100", ti.Bound, ti.Now)
 	}
-	if tripped {
-		t.Error("watchdog tripped below budget")
+	if ti := run(budget, wedge, 200); ti.Bound != BoundEvents || ti.EventsSinceProgress != budget.MaxEvents {
+		t.Errorf("event budget on a wedge: bound %d after %d events, want BoundEvents after %d",
+			ti.Bound, ti.EventsSinceProgress, budget.MaxEvents)
 	}
-
-	// And the reverse: a watchdog trip must leave an armed token live.
-	eng2 := NewEngine()
-	c2 := NewCancel()
-	var cancelled2 bool
-	trips := 0
-	eng2.ArmCancel(c2, func(CancelInfo) { cancelled2 = true })
-	eng2.ArmWatchdog(WatchdogConfig{MaxEvents: 25}, func(TripInfo) { trips++ })
-	w := &wedgeHandler{eng: eng2}
-	eng2.ScheduleEvent(0, w, Payload{})
-	eng2.Schedule(200, func() { c2.Request("after the trip") })
-	eng2.RunUntil(400)
-	if trips == 0 {
-		t.Fatal("watchdog never tripped on the wedge")
-	}
-	if !cancelled2 {
-		t.Error("cancel token was dropped by the watchdog trip")
+	cycles := WatchdogConfig{MaxCycles: 50}
+	if ti := run(cycles, sparse, 300); ti.Bound != BoundCycles || ti.CyclesSinceProgress < cycles.MaxCycles {
+		t.Errorf("cycle budget on a sparse timer: bound %d after %d cycles, want BoundCycles after >= %d",
+			ti.Bound, ti.CyclesSinceProgress, cycles.MaxCycles)
 	}
 }
 
-func TestCancelFromContext(t *testing.T) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	c := CancelFromContext(ctx)
-	if c.Requested() {
-		t.Fatal("token fired before the context")
-	}
-	cancel(errors.New("job deadline exceeded"))
-	// AfterFunc runs on its own goroutine; poll with a generous deadline.
-	for d := time.Now().Add(10 * time.Second); !c.Requested() && time.Now().Before(d); {
-		time.Sleep(time.Millisecond)
-	}
-	if !c.Requested() {
-		t.Fatal("token never fired after context cancellation")
-	}
-	if got := c.Reason(); !strings.Contains(got, "job deadline exceeded") {
-		t.Errorf("reason = %q, want the context cause", got)
-	}
-}
+// sparseHandler reschedules itself 20 cycles out without marking
+// progress: few events, many cycles.
+type sparseHandler struct{ eng *Engine }
+
+func (s *sparseHandler) Handle(p Payload) { s.eng.ScheduleEvent(20, s, p) }

@@ -8,14 +8,18 @@
 // scheduled for the same cycle, so two runs with the same inputs produce
 // identical event interleavings and therefore identical statistics.
 //
-// Two scheduling interfaces coexist:
+// Every event is a (Handler, Payload) pair: the handler is a long-lived
+// component (an L1 controller, an LLC bank) and the payload is a
+// fixed-size value struct carried inside the event slot, so
+// ScheduleEvent/ScheduleEventAt allocate nothing in steady state.
+// Schedule/ScheduleAt take a closure for cold paths and store it as the
+// handler of a zero payload; only a capturing closure itself allocates.
 //
-//   - Schedule/ScheduleAt take a closure. Convenient, but every capturing
-//     closure is a heap allocation at the call site.
-//   - ScheduleEvent/ScheduleEventAt take a (Handler, Payload) pair: the
-//     handler is a long-lived component (an L1 controller, an LLC bank)
-//     and the payload is a fixed-size value struct carried inside the
-//     event slot, so scheduling allocates nothing in steady state.
+// One optional run guard (Arm, guard.go) ends a run early: when a stop
+// flag set from another goroutine is observed, or when a watchdog budget
+// of events or cycles passes without a Progress mark. The pop loop tests
+// one pointer for it, so an unguarded run pays a single nil check per
+// event and a guarded one an atomic load.
 //
 // Storage is a calendar queue: a ring of per-cycle FIFO buckets covering
 // the near future, with a slice-backed binary min-heap as the overflow
@@ -35,7 +39,7 @@ import (
 // Cycle is a point in simulated time, measured in processor clock cycles.
 type Cycle uint64
 
-// Payload is the fixed-size argument carried by a handler-based event.
+// Payload is the fixed-size argument carried by every event.
 // Components pack their message or request state into it (see
 // coherence.Msg's codec) instead of capturing it in a closure. Field
 // meaning is owner-defined; Op conventionally discriminates the action
@@ -54,12 +58,16 @@ type Handler interface {
 	Handle(p Payload)
 }
 
-// event is a unit of scheduled work: either a closure (fn) or a
-// (handler, payload) pair.
+// closure adapts a func() to Handler for Schedule. A func value is
+// pointer-shaped, so storing one in a Handler allocates nothing.
+type closure func()
+
+func (f closure) Handle(Payload) { f() }
+
+// event is a unit of scheduled work: a handler and its payload.
 type event struct {
 	when Cycle
 	seq  uint64
-	fn   func()
 	h    Handler
 	p    Payload
 }
@@ -105,9 +113,9 @@ type Engine struct {
 	// current cycle advances and their horizon opens.
 	overflow []event
 
-	// wd is the armed liveness watchdog, or nil. See watchdog.go. Kept as
-	// a single pointer so the disarmed hot path pays one nil check.
-	wd *watchdog
+	// g is the armed run guard, or nil. See guard.go. Kept as a single
+	// pointer so the disarmed hot path pays one nil check.
+	g *guard
 }
 
 // NewEngine returns an engine with time set to cycle 0.
@@ -129,15 +137,7 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
-	e.seq++
-	e.pending++
-	when := e.now + delay
-	if delay >= ringSize {
-		e.overflowPush(event{when: when, seq: e.seq, fn: fn})
-		return
-	}
-	ev := e.enqueueNear(when)
-	ev.when, ev.seq, ev.fn = when, e.seq, fn
+	e.ScheduleEvent(delay, closure(fn), Payload{})
 }
 
 // ScheduleAt enqueues fn at an absolute cycle, which must not be in the
@@ -150,8 +150,8 @@ func (e *Engine) ScheduleAt(when Cycle, fn func()) {
 }
 
 // ScheduleEvent enqueues a (handler, payload) event delay cycles from now.
-// This is the zero-allocation path: the payload is stored by value in the
-// event slot and the handler is an existing component pointer.
+// It allocates nothing: the payload is stored by value in the event slot
+// and the handler is an existing component pointer.
 func (e *Engine) ScheduleEvent(delay Cycle, h Handler, p Payload) {
 	if h == nil {
 		panic("sim: ScheduleEvent called with nil handler")
@@ -265,8 +265,8 @@ func (e *Engine) advanceTo(t Cycle) {
 }
 
 // popRun executes the next event of the current cycle's bucket. The
-// executed slot is zeroed and freed before the event runs, so no
-// fn/handler reference outlives its event.
+// executed slot is zeroed and freed before the event runs, so no handler
+// reference outlives its event.
 func (e *Engine) popRun() {
 	idx := uint32(e.now) & ringMask
 	b := &e.ring[idx]
@@ -282,13 +282,9 @@ func (e *Engine) popRun() {
 	e.free = i
 	e.pending--
 	e.executed++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.Handle(ev.p)
-	}
-	if e.wd != nil {
-		e.checkWatchdog()
+	ev.h.Handle(ev.p)
+	if e.g != nil {
+		e.check()
 	}
 }
 
@@ -313,11 +309,10 @@ func (e *Engine) Step() bool { return e.step() }
 
 // ForEachPending visits every pending event in execution order — (when,
 // seq), the order Run would execute them — reporting each event's delay
-// relative to Now, its handler and payload, and whether it is a closure
-// event (closure events carry no inspectable payload). The engine must not
-// be mutated during iteration. Model checkers use this to fold the event
-// queue into a canonical state fingerprint.
-func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload, isClosure bool)) {
+// relative to Now, its handler and payload. The engine must not be mutated
+// during iteration. Model checkers use this to fold the event queue into a
+// canonical state fingerprint.
+func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload)) {
 	if e.pending == 0 {
 		return
 	}
@@ -331,7 +326,7 @@ func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload, isClosu
 	sortEvents(evs)
 	for i := range evs {
 		ev := &evs[i]
-		fn(ev.when-e.now, ev.h, ev.p, ev.fn != nil)
+		fn(ev.when-e.now, ev.h, ev.p)
 	}
 }
 
@@ -441,7 +436,7 @@ func (e *Engine) overflowPop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // zero the vacated slot: no retained fn/handler refs
+	h[n] = event{} // zero the vacated slot: no retained handler refs
 	h = h[:n]
 	i := 0
 	for {

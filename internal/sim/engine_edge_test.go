@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // recorder collects the payloads it handles, tagged with the cycle.
@@ -193,10 +194,18 @@ func TestRunUntilMigratesOverflow(t *testing.T) {
 	}
 }
 
-// Executed slots must be zeroed: a drained engine retains no function or
-// handler references in its slab or overflow heap (they would pin
-// otherwise-dead object graphs for the lifetime of the engine), and every
-// bucket is empty.
+// An event slot holds (when, seq, handler, payload) and nothing else, so
+// the slab packs 64 bytes a slot.
+func TestEventSlotIs64Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event slot is %d bytes, want 64", got)
+	}
+}
+
+// Executed slots must be zeroed: a drained engine retains no handler
+// references, closures included, in its slab or overflow heap (they would
+// pin otherwise-dead object graphs for the lifetime of the engine), and
+// every bucket is empty.
 func TestReleasedSlotsAreZeroed(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
@@ -219,7 +228,7 @@ func TestReleasedSlotsAreZeroed(t *testing.T) {
 	}
 	full := e.slab[:cap(e.slab)]
 	for j := range full {
-		if full[j].fn != nil || full[j].h != nil {
+		if full[j].h != nil {
 			t.Fatalf("slab slot %d retains a reference after release", j)
 		}
 		if full[j].when != 0 || full[j].seq != 0 || full[j].p != (Payload{}) {
@@ -228,7 +237,7 @@ func TestReleasedSlotsAreZeroed(t *testing.T) {
 	}
 	full = e.overflow[:cap(e.overflow)]
 	for j := range full {
-		if full[j].fn != nil || full[j].h != nil {
+		if full[j].h != nil {
 			t.Fatalf("overflow slot %d retains a reference after release", j)
 		}
 	}

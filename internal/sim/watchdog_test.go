@@ -18,7 +18,7 @@ func (w *wedgeHandler) Handle(p Payload) {
 func TestWatchdogTripsOnWedge(t *testing.T) {
 	eng := NewEngine()
 	var trip *TripInfo
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 100}, func(ti TripInfo) {
+	eng.Arm(nil, WatchdogConfig{MaxEvents: 100}, func(ti TripInfo) {
 		trip = &ti
 	})
 	w := &wedgeHandler{eng: eng}
@@ -49,7 +49,7 @@ func TestWatchdogTripsOnWedge(t *testing.T) {
 func TestWatchdogTripsOnCycleBudget(t *testing.T) {
 	eng := NewEngine()
 	var tripped bool
-	eng.ArmWatchdog(WatchdogConfig{MaxCycles: 500}, func(ti TripInfo) {
+	eng.Arm(nil, WatchdogConfig{MaxCycles: 500}, func(ti TripInfo) {
 		tripped = true
 		if ti.CyclesSinceProgress < 500 {
 			t.Errorf("tripped after %d cycles, want >= 500", ti.CyclesSinceProgress)
@@ -67,7 +67,7 @@ func TestWatchdogTripsOnCycleBudget(t *testing.T) {
 
 func TestWatchdogProgressResetsBudget(t *testing.T) {
 	eng := NewEngine()
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 50, MaxCycles: 1_000}, func(ti TripInfo) {
+	eng.Arm(nil, WatchdogConfig{MaxEvents: 50, MaxCycles: 1_000}, func(ti TripInfo) {
 		t.Fatalf("false positive: %+v", ti)
 	})
 	// A healthy loop: every event marks progress, so neither budget is
@@ -89,29 +89,22 @@ func TestWatchdogProgressResetsBudget(t *testing.T) {
 
 func TestWatchdogDisarm(t *testing.T) {
 	eng := NewEngine()
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 10}, func(ti TripInfo) {
+	eng.Arm(nil, WatchdogConfig{MaxEvents: 10}, func(ti TripInfo) {
 		t.Fatal("disarmed watchdog tripped")
 	})
-	eng.DisarmWatchdog()
+	eng.Arm(nil, WatchdogConfig{}, nil)
 	w := &wedgeHandler{eng: eng}
 	eng.ScheduleEvent(0, w, Payload{})
 	eng.RunUntil(100)
-
-	// Arming with a disabled config is also a disarm.
-	eng.ArmWatchdog(WatchdogConfig{MaxEvents: 10}, func(ti TripInfo) {
-		t.Fatal("config-disabled watchdog tripped")
-	})
-	eng.ArmWatchdog(WatchdogConfig{}, nil)
-	eng.RunUntil(200)
 }
 
 func TestWatchdogNilTripPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ArmWatchdog(enabled, nil) did not panic")
+			t.Fatal("Arm(nil, enabled, nil) did not panic")
 		}
 	}()
-	NewEngine().ArmWatchdog(WatchdogConfig{MaxEvents: 1}, nil)
+	NewEngine().Arm(nil, WatchdogConfig{MaxEvents: 1}, nil)
 }
 
 func TestWatchdogRearmAfterTrip(t *testing.T) {
@@ -119,7 +112,7 @@ func TestWatchdogRearmAfterTrip(t *testing.T) {
 	trips := 0
 	var arm func()
 	arm = func() {
-		eng.ArmWatchdog(WatchdogConfig{MaxEvents: 20}, func(TripInfo) {
+		eng.Arm(nil, WatchdogConfig{MaxEvents: 20}, func(TripInfo) {
 			trips++
 			if trips < 3 {
 				arm()
