@@ -23,7 +23,10 @@ import (
 // features the 16 do not: socket distance (numa), port occupancy
 // (fig6jitter) and mesh routing beside crossbar rows (scale); their
 // hashes were captured on the separate crossbar model before it became
-// the one-router mesh.
+// the one-router mesh. The ten after them cover the rest of the registry
+// at small parameters; their hashes were captured before the experiment
+// layer's runners, covert channels, campaign grids and Table V system
+// builders were folded into one implementation each.
 var goldenCases = []struct {
 	name  string
 	heavy bool // skipped under -short
@@ -48,6 +51,16 @@ var goldenCases = []struct {
 	{"numa", false, func(context.Context) string { return NUMA() }},
 	{"fig6jitter", false, func(ctx context.Context) string { return Fig6Jitter(ctx, 64).Rendered }},
 	{"scale", false, func(ctx context.Context) string { return Scale(ctx) }},
+	{"table5", false, func(context.Context) string { return Table5() }},
+	{"table4", false, func(context.Context) string { _, s := Table4(); return s }},
+	{"fig4", false, func(context.Context) string { return Fig4() }},
+	{"fig5", false, func(context.Context) string { return Fig5() }},
+	{"fig6", false, func(ctx context.Context) string { return Fig6(ctx, 64).Rendered }},
+	{"futurework", false, func(context.Context) string { return FutureWork(8) }},
+	{"prefetch", false, func(context.Context) string { return Prefetch(32) }},
+	{"overhead", false, func(context.Context) string { return Overhead(4) }},
+	{"arbitration", false, func(ctx context.Context) string { return Arbitration(ctx, 32) }},
+	{"scale-attack", false, func(ctx context.Context) string { return ScaleAttack(ctx, 32) }},
 }
 
 const goldenPath = "testdata/golden_reports.json"
