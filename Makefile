@@ -10,6 +10,8 @@
 #   make test-filters— every `go test -run` regex in CI and here selects
 #                      at least one test (CI)
 #   make fmt-check   — every tracked Go file is gofmt-clean (CI)
+#   make doc-symbols — every backticked `pkg.Name` in DESIGN.md, README.md
+#                      and EXPERIMENTS.md resolves with go doc (CI)
 #   make serve       — build and run the swiftdir-serve HTTP front end
 #   make serve-e2e   — boot a server, submit the same batch twice, assert
 #                      the second pass is 100% cache hits, byte-identical
@@ -56,7 +58,7 @@ BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
 #   make benchdiff BENCHBASE=BENCH_2026-08-05.json
 BENCHBASE ?= $(lastword $(sort $(filter-out %-shards-final.json,$(wildcard BENCH_*.json))))
 
-.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate bench-module test-filters fmt-check serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
+.PHONY: check build test vet race bench bench-smoke benchdiff bench-gate bench-module test-filters fmt-check doc-symbols serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
 
 check: vet test race
 
@@ -137,6 +139,13 @@ fmt-check:
 	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@echo "gofmt ok"
+
+# Docs gate: a backticked `pkg.Name` (or `pkg.Type.Field`) in the design
+# docs whose pkg is under internal/ must resolve with
+# `go doc ./internal/pkg Name`; a trailing `*` matches by prefix. Catches
+# prose that names a renamed or deleted symbol.
+doc-symbols:
+	./scripts/check-doc-symbols.sh
 
 # Run the simulation service locally. Knobs:
 #   make serve SERVE_ADDR=:9090 SERVE_CACHEDIR=/var/tmp/swiftdir-cache

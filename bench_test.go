@@ -496,7 +496,7 @@ func BenchmarkAblation_Ewp(b *testing.B) {
 
 func BenchmarkFutureWork_FastCoW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := experiments.FutureWork(64); len(out) == 0 {
+		if out := experiments.FutureWork(context.Background(), 64); len(out) == 0 {
 			b.Fatal("empty future-work report")
 		}
 	}

@@ -21,6 +21,7 @@ package attack
 import (
 	"fmt"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/mmu"
 	"repro/internal/sim"
@@ -36,14 +37,18 @@ const (
 
 // Channel is a configured covert channel across two colluding processes.
 type Channel struct {
-	m *Machine
+	m *core.Machine
 
 	// Sender threads on two cores (thread B creates the S state).
 	senderA, senderB *core.Context
 	// Receiver thread on a third core.
 	receiver *core.Context
 
-	senderABase, senderBBase, receiverBase mmu.VAddr
+	senderBase, receiverBase mmu.VAddr
+
+	// fetch sends and probes with instruction fetches instead of data
+	// loads (NewTextChannel).
+	fetch bool
 
 	// Threshold separating "fast" (LLC, S) from "slow" (remote, E)
 	// loads, placed midway between the two calibrated service times.
@@ -62,43 +67,77 @@ type Channel struct {
 // the global Threshold for lines i < len(t).
 func (c *Channel) SetThresholds(t []sim.Cycle) { c.thresholds = t }
 
-// Machine wraps a core.Machine prepared for the attack: a shared library
-// mapped into a sender process (two threads on cores 0 and 1) and a
-// receiver process (core 2).
-type Machine struct {
-	M   *core.Machine
-	Lib *mmu.File
+// parties is the setup every channel of this package shares: a fresh
+// machine with two processes, the first running threads on cores 0 and 1
+// and the second one thread on core 2.
+type parties struct {
+	m          *core.Machine
+	p, q       *core.Process
+	p0, p1, q2 *core.Context
+
+	// pages is the number of pages holding capacity payload lines, and
+	// length the bytes of a mapping of them plus one page.
+	pages, length int
+	// threshold sits midway between the LLC-served (S) and the
+	// three-hop (E) load latency.
+	threshold sim.Cycle
 }
 
-// NewChannel builds the covert channel on a fresh machine with the given
-// protocol. The machine needs at least 3 cores (one per colluding thread
-// role); capacity is the number of bits transmittable before lines run
-// out.
-func NewChannel(cfg core.Config, capacityBits int) (*Channel, error) {
+func newParties(cfg core.Config, capacity int) (parties, error) {
 	if cfg.Cores < 3 {
-		return nil, fmt.Errorf("attack: covert channel needs >=3 cores, have %d", cfg.Cores)
+		return parties{}, fmt.Errorf("attack: channel needs >=3 cores, have %d", cfg.Cores)
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {
+		return parties{}, err
+	}
+	pages := (capacity + linesPerPage - 1) / linesPerPage
+	p, q := m.NewProcess(), m.NewProcess()
+	return parties{
+		m: m, p: p, q: q,
+		p0: p.AttachContext(0), p1: p.AttachContext(1), q2: q.AttachContext(2),
+		pages:     pages,
+		length:    (pages + 1) * mmu.PageSize,
+		threshold: (cfg.Timing.LLCLoadLatency() + cfg.Timing.RemoteLoadLatency()) / 2,
+	}, nil
+}
+
+// channel returns the covert channel of the parties: the first process
+// sends, the second receives. The caller maps the shared region.
+func (pt parties) channel() *Channel {
+	return &Channel{m: pt.m, senderA: pt.p0, senderB: pt.p1, receiver: pt.q2, Threshold: pt.threshold}
+}
+
+// NewChannel builds the covert channel on a fresh machine with the given
+// protocol, over a shared library mapped into both processes. The
+// machine needs at least 3 cores (one per colluding thread role);
+// capacity is the number of bits transmittable before lines run out.
+func NewChannel(cfg core.Config, capacityBits int) (*Channel, error) {
+	return newLibraryChannel(cfg, capacityBits, mmu.NewFile("libshared.so", 0x11B), false)
+}
+
+// NewTextChannel builds the covert channel over instruction fetches of
+// shared library CODE rather than data loads. Library text is mapped
+// PROT_READ|PROT_EXEC / MAP_SHARED — write-protected — and instruction
+// cache lines are coherent peers of the hierarchy, so executing
+// (fetching) a library function drives the same E/S state machine the
+// data channel exploits. SwiftDir's GETS_WP applies to instruction
+// fetches unchanged: text lines are pinned in S and the fetch-timing
+// channel closes with the same constant LLC latency. Its results are
+// labelled "<protocol>/ifetch".
+func NewTextChannel(cfg core.Config, capacityBits int) (*Channel, error) {
+	return newLibraryChannel(cfg, capacityBits, mmu.NewFile("libcrypto.so.text", 0x7E), true)
+}
+
+func newLibraryChannel(cfg core.Config, capacityBits int, lib *mmu.File, fetch bool) (*Channel, error) {
+	pt, err := newParties(cfg, capacityBits)
+	if err != nil {
 		return nil, err
 	}
-	lib := mmu.NewFile("libshared.so", 0x11B)
-
-	pages := (capacityBits + linesPerPage - 1) / linesPerPage
-	length := (pages + 1) * mmu.PageSize
-
-	sender := m.NewProcess()
-	receiver := m.NewProcess()
-	ch := &Channel{
-		m:         &Machine{M: m, Lib: lib},
-		senderA:   sender.AttachContext(0),
-		senderB:   sender.AttachContext(1),
-		receiver:  receiver.AttachContext(2),
-		Threshold: (cfg.Timing.LLCLoadLatency() + cfg.Timing.RemoteLoadLatency()) / 2,
-	}
-	ch.senderABase = sender.MmapLibrary(lib, length)
-	ch.senderBBase = ch.senderABase // same address space, same mapping
-	ch.receiverBase = receiver.MmapLibrary(lib, length)
+	ch := pt.channel()
+	ch.fetch = fetch
+	ch.senderBase = pt.p.MmapLibrary(lib, pt.length)
+	ch.receiverBase = pt.q.MmapLibrary(lib, pt.length)
 	return ch, nil
 }
 
@@ -115,30 +154,39 @@ func pageAddr(base mmu.VAddr, i int) mmu.VAddr {
 	return base + mmu.VAddr((i/linesPerPage)*mmu.PageSize)
 }
 
+// read runs one synchronous read of v by ctx: a data load, or an
+// instruction fetch on a fetch channel.
+func (c *Channel) read(ctx *core.Context, v mmu.VAddr) (coherence.AccessResult, error) {
+	if c.fetch {
+		return ctx.FetchSync(v)
+	}
+	return ctx.AccessSync(v, false, 0)
+}
+
 // Transmit encodes one bit into line i's coherence state:
 //
 //	bit 1: a single cold access from sender thread A (state E under MESI)
 //	bit 0: accesses from both sender threads (state S)
 func (c *Channel) Transmit(i int, bit bool) error {
-	if _, err := c.senderA.AccessSync(lineAddr(c.senderABase, i), false, 0); err != nil {
+	if _, err := c.read(c.senderA, lineAddr(c.senderBase, i)); err != nil {
 		return err
 	}
 	if !bit {
-		if _, err := c.senderB.AccessSync(lineAddr(c.senderBBase, i), false, 0); err != nil {
+		if _, err := c.read(c.senderB, lineAddr(c.senderBase, i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Probe times the receiver's load of line i and decodes the bit. The
+// Probe times the receiver's read of line i and decodes the bit. The
 // receiver first touches the page's warming line so the payload
 // measurement is a pure cache-coherence latency.
 func (c *Channel) Probe(i int) (bit bool, latency sim.Cycle, err error) {
-	if _, err := c.receiver.AccessSync(pageAddr(c.receiverBase, i), false, 0); err != nil {
+	if _, err := c.read(c.receiver, pageAddr(c.receiverBase, i)); err != nil {
 		return false, 0, err
 	}
-	r, err := c.receiver.AccessSync(lineAddr(c.receiverBase, i), false, 0)
+	r, err := c.read(c.receiver, lineAddr(c.receiverBase, i))
 	if err != nil {
 		return false, 0, err
 	}
@@ -213,10 +261,13 @@ func (r Result) KbpsAt(ghz float64) float64 {
 // the bit error rate and the observed E/S latency gap.
 func (c *Channel) Run(nBits int, seed uint64) (Result, error) {
 	rng := sim.NewRNG(seed)
-	res := Result{Protocol: c.m.M.Cfg.Protocol.Name(), Bits: nBits}
+	res := Result{Protocol: c.m.Cfg.Protocol.Name(), Bits: nBits}
+	if c.fetch {
+		res.Protocol += "/ifetch"
+	}
 	var sum1, sum0 float64
 	var n1, n0 int
-	start := c.m.M.Now()
+	start := c.m.Now()
 	for i := 0; i < nBits; i++ {
 		sent := rng.Bool(0.5)
 		if err := c.Transmit(i, sent); err != nil {
@@ -248,7 +299,7 @@ func (c *Channel) Run(nBits int, seed uint64) (Result, error) {
 	res.BER = float64(res.Errors) / float64(nBits)
 	res.Gap = res.MeanLatency1 - res.MeanLatency0
 	res.Leaked = res.BER < 0.25
-	res.TotalCycles = c.m.M.Now() - start
+	res.TotalCycles = c.m.Now() - start
 	res.CyclesPerBit = float64(res.TotalCycles) / float64(nBits)
 	return res, nil
 }

@@ -14,44 +14,28 @@ import (
 // write-protected frames; the E/S channel then runs over the merged
 // lines exactly as over a shared library.
 func NewDedupChannel(cfg core.Config, capacityBits int) (*Channel, error) {
-	if cfg.Cores < 3 {
-		return nil, fmt.Errorf("attack: covert channel needs >=3 cores, have %d", cfg.Cores)
-	}
-	m, err := core.NewMachine(cfg)
+	pt, err := newParties(cfg, capacityBits)
 	if err != nil {
 		return nil, err
 	}
-
-	pages := (capacityBits + linesPerPage - 1) / linesPerPage
-	length := (pages + 1) * mmu.PageSize
-
-	sender := m.NewProcess()
-	receiver := m.NewProcess()
-	ch := &Channel{
-		m:         &Machine{M: m},
-		senderA:   sender.AttachContext(0),
-		senderB:   sender.AttachContext(1),
-		receiver:  receiver.AttachContext(2),
-		Threshold: (cfg.Timing.LLCLoadLatency() + cfg.Timing.RemoteLoadLatency()) / 2,
-	}
-	ch.senderABase = sender.MmapAnon(length)
-	ch.senderBBase = ch.senderABase
-	ch.receiverBase = receiver.MmapAnon(length)
+	ch := pt.channel()
+	ch.senderBase = pt.p.MmapAnon(pt.length)
+	ch.receiverBase = pt.q.MmapAnon(pt.length)
 
 	// Both processes fill their pages with the same pre-agreed content.
-	for pg := 0; pg <= pages; pg++ {
+	for pg := 0; pg <= pt.pages; pg++ {
 		content := 0xDED0_0000 + uint64(pg)
-		if err := sender.AS.WritePage(ch.senderABase+mmu.VAddr(pg)*mmu.PageSize, content); err != nil {
+		if err := pt.p.AS.WritePage(ch.senderBase+mmu.VAddr(pg)*mmu.PageSize, content); err != nil {
 			return nil, err
 		}
-		if err := receiver.AS.WritePage(ch.receiverBase+mmu.VAddr(pg)*mmu.PageSize, content); err != nil {
+		if err := pt.q.AS.WritePage(ch.receiverBase+mmu.VAddr(pg)*mmu.PageSize, content); err != nil {
 			return nil, err
 		}
 	}
 	// The KSM daemon merges and write-protects; stale writable TLB
 	// entries are shot down (as write_protect_page does via the kernel).
-	if merged := m.KSM.Scan(); merged < pages {
-		return nil, fmt.Errorf("attack: KSM merged only %d of %d pages", merged, pages)
+	if merged := pt.m.KSM.Scan(); merged < pt.pages {
+		return nil, fmt.Errorf("attack: KSM merged only %d of %d pages", merged, pt.pages)
 	}
 	ch.senderA.DTLB.Flush()
 	ch.senderB.DTLB.Flush()

@@ -35,29 +35,20 @@ type SideChannel struct {
 // NewSideChannel builds the scenario on a fresh machine (needs >=3 cores:
 // two attacker threads and the victim).
 func NewSideChannel(cfg core.Config, trials int) (*SideChannel, error) {
-	if cfg.Cores < 3 {
-		return nil, fmt.Errorf("attack: side channel needs >=3 cores, have %d", cfg.Cores)
-	}
-	m, err := core.NewMachine(cfg)
+	pt, err := newParties(cfg, trials)
 	if err != nil {
 		return nil, err
 	}
 	lib := mmu.NewFile("libvictim.so", 0x51DE)
-	pages := (trials + linesPerPage - 1) / linesPerPage
-	length := (pages + 1) * mmu.PageSize
-
-	attacker := m.NewProcess()
-	victim := m.NewProcess()
-	sc := &SideChannel{
-		attacker1: attacker.AttachContext(0),
-		attacker2: attacker.AttachContext(1),
-		victim:    victim.AttachContext(2),
-		Threshold: (cfg.Timing.LLCLoadLatency() + cfg.Timing.RemoteLoadLatency()) / 2,
-		m:         m,
-	}
-	sc.attackerBase = attacker.MmapLibrary(lib, length)
-	sc.victimBase = victim.MmapLibrary(lib, length)
-	return sc, nil
+	return &SideChannel{
+		attacker1:    pt.p0,
+		attacker2:    pt.p1,
+		victim:       pt.q2,
+		attackerBase: pt.p.MmapLibrary(lib, pt.length),
+		victimBase:   pt.q.MmapLibrary(lib, pt.length),
+		Threshold:    pt.threshold,
+		m:            pt.m,
+	}, nil
 }
 
 // Trial runs one detection round on line i. victimAccesses controls
@@ -97,11 +88,19 @@ type SideResult struct {
 
 // Run performs trials rounds with randomized victim behaviour.
 func (s *SideChannel) Run(trials int, seed uint64) (SideResult, error) {
+	return infer(s.m.Cfg.Protocol.Name(), trials, seed, s.Trial)
+}
+
+// infer runs trials detection rounds, victim behaviour drawn from seed:
+// trial(i, victim) plays round i, in which the victim acts if victim is
+// true, and returns the attacker's verdict. The result scores the
+// verdicts against the truth.
+func infer(protocol string, trials int, seed uint64, trial func(i int, victim bool) (bool, error)) (SideResult, error) {
 	rng := sim.NewRNG(seed)
-	res := SideResult{Protocol: s.m.Cfg.Protocol.Name(), Trials: trials}
+	res := SideResult{Protocol: protocol, Trials: trials}
 	for i := 0; i < trials; i++ {
 		truth := rng.Bool(0.5)
-		got, err := s.Trial(i, truth)
+		got, err := trial(i, truth)
 		if err != nil {
 			return res, err
 		}

@@ -96,22 +96,9 @@ func (w *WriteChannel) Trial(i int, victimHasContent bool) (detected bool, err e
 // Run performs trials rounds with randomized victim behaviour and returns
 // the inference accuracy.
 func (w *WriteChannel) Run(seed uint64) (SideResult, error) {
-	rng := sim.NewRNG(seed)
-	res := SideResult{Protocol: w.m.Cfg.Protocol.Name(), Trials: w.pages}
+	protocol := w.m.Cfg.Protocol.Name()
 	if w.m.Cfg.FastCoWWrites {
-		res.Protocol += "+FastCoW"
+		protocol += "+FastCoW"
 	}
-	for i := 0; i < w.pages; i++ {
-		truth := rng.Bool(0.5)
-		got, err := w.Trial(i, truth)
-		if err != nil {
-			return res, err
-		}
-		if got == truth {
-			res.Correct++
-		}
-	}
-	res.Accuracy = float64(res.Correct) / float64(res.Trials)
-	res.Works = res.Accuracy > 0.75
-	return res, nil
+	return infer(protocol, w.pages, seed, w.Trial)
 }

@@ -184,8 +184,9 @@ type Context struct {
 	DTLB *mmu.TLB
 	ITLB *mmu.TLB
 
-	// Cached AccessSync probe state, so repeated synchronous probes reuse
-	// one callback pair instead of allocating closures per access.
+	// Cached AccessSync/FetchSync probe state, so repeated synchronous
+	// probes reuse one callback pair instead of allocating closures per
+	// access.
 	syncOut  coherence.AccessResult
 	syncDone bool
 	syncCb   func(coherence.AccessResult)
@@ -304,6 +305,17 @@ func (c *Context) walkAndSubmit(v mmu.VAddr, port int, res mmu.Result, write boo
 // one request; the probe interface used by the attack framework, the
 // microbenchmarks, and tests.
 func (c *Context) AccessSync(v mmu.VAddr, write bool, value uint64) (coherence.AccessResult, error) {
+	return c.awaitSync(c.Access(v, write, value, c.startSync()))
+}
+
+// FetchSync is AccessSync for an instruction fetch (see Fetch).
+func (c *Context) FetchSync(v mmu.VAddr) (coherence.AccessResult, error) {
+	return c.awaitSync(c.Fetch(v, c.startSync()))
+}
+
+// startSync returns the cached completion callback of a synchronous
+// probe, armed for one request.
+func (c *Context) startSync() func(coherence.AccessResult) {
 	if c.syncCb == nil {
 		c.syncCb = func(r coherence.AccessResult) {
 			c.syncOut = r
@@ -312,7 +324,12 @@ func (c *Context) AccessSync(v mmu.VAddr, write bool, value uint64) (coherence.A
 		c.syncCond = func() bool { return !c.syncDone }
 	}
 	c.syncDone = false
-	err := c.Access(v, write, value, c.syncCb)
+	return c.syncCb
+}
+
+// awaitSync runs the engine until the probe submitted with startSync's
+// callback completes; err is the submission's translation error.
+func (c *Context) awaitSync(err error) (coherence.AccessResult, error) {
 	if err != nil {
 		return coherence.AccessResult{}, err
 	}

@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // AblationEwp compares SwiftDir against the E_wp alternative the paper
@@ -24,31 +21,22 @@ func AblationEwp(ctx context.Context, bits int) string {
 
 	// Security: both must close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(ctx, covertJobs(
-		[]coherence.Policy{coherence.SwiftDir, coherence.SwiftDirEwp}, "ablation", bits, 0xEE)) {
-		b.WriteString(line)
-	}
+	b.WriteString(covertLines(ctx, "ablation", []coherence.Policy{coherence.SwiftDir, coherence.SwiftDirEwp}, bits, 0xEE))
 
 	// Traffic: messages per protocol on a WP-read-heavy workload.
 	b.WriteString("\nCoherence traffic on a shared-read workload (messages delivered):\n")
 	tb := stats.NewTable("", "protocol", "GETS_WP", "Data", "Data_Excl", "Downgrade", "Fwd_GETS", "total")
-	var jobs []campaign.Job[[]any]
-	for _, p := range []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SwiftDirEwp, coherence.SMESI} {
-		jobs = append(jobs, campaign.Job[[]any]{
-			Name: "ablation/traffic/" + p.Name(),
-			Run: func() ([]any, error) {
-				s := trafficSystem(p)
-				return []any{p.Name(),
-					s.MsgCount(coherence.MsgGETSWP),
-					s.MsgCount(coherence.MsgData),
-					s.MsgCount(coherence.MsgDataExclusive),
-					s.MsgCount(coherence.MsgDowngrade),
-					s.MsgCount(coherence.MsgFwdGETS),
-					s.TotalMessages()}, nil
-			},
-		})
-	}
-	for _, row := range campaign.MustCollect(ctx, jobs) {
+	protos := []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SwiftDirEwp, coherence.SMESI}
+	for _, row := range byPolicy(ctx, "ablation/traffic", protos, func(p coherence.Policy) ([]any, error) {
+		s := trafficSystem(p)
+		return []any{p.Name(),
+			s.MsgCount(coherence.MsgGETSWP),
+			s.MsgCount(coherence.MsgData),
+			s.MsgCount(coherence.MsgDataExclusive),
+			s.MsgCount(coherence.MsgDowngrade),
+			s.MsgCount(coherence.MsgFwdGETS),
+			s.TotalMessages()}, nil
+	}) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -60,15 +48,7 @@ func AblationEwp(ctx context.Context, bits int) string {
 // trafficSystem runs a fixed two-core shared-read-then-WAR workload and
 // returns the quiesced system for traffic inspection.
 func trafficSystem(p coherence.Policy) *coherence.System {
-	s := coherence.MustNewSystem(coherence.SystemConfig{
-		NumL1:     2,
-		L1Params:  core.DefaultConfig(2, p).L1,
-		LLCParams: core.DefaultConfig(2, p).L2Bank,
-		Banks:     2,
-		Timing:    coherence.DefaultTiming(),
-		Policy:    p,
-		DRAM:      core.DefaultConfig(2, p).DRAM,
-	})
+	s := coherence.MustNewSystem(tableV(p, 2, 2))
 	// 64 shared write-protected lines read by both cores...
 	for i := 0; i < 64; i++ {
 		addr := cache.Addr(0x100000 + i*64)
@@ -93,25 +73,18 @@ func Traffic(ctx context.Context) string {
 	tb := stats.NewTable(
 		"Coherence traffic: messages delivered on a mixed shared-read + WAR workload",
 		"protocol", "GETS", "GETS_WP", "Upgrade", "Upgrade_ACK", "Fwd_GETS", "WB_Data", "Downgrade", "total")
-	var jobs []campaign.Job[[]any]
-	for _, p := range coherence.AllPolicies {
-		jobs = append(jobs, campaign.Job[[]any]{
-			Name: "traffic/" + p.Name(),
-			Run: func() ([]any, error) {
-				s := trafficSystem(p)
-				return []any{p.Name(),
-					s.MsgCount(coherence.MsgGETS),
-					s.MsgCount(coherence.MsgGETSWP),
-					s.MsgCount(coherence.MsgUpgrade),
-					s.MsgCount(coherence.MsgUpgradeAck),
-					s.MsgCount(coherence.MsgFwdGETS),
-					s.MsgCount(coherence.MsgWBData),
-					s.MsgCount(coherence.MsgDowngrade),
-					s.TotalMessages()}, nil
-			},
-		})
-	}
-	for _, row := range campaign.MustCollect(ctx, jobs) {
+	for _, row := range byPolicy(ctx, "traffic", coherence.AllPolicies, func(p coherence.Policy) ([]any, error) {
+		s := trafficSystem(p)
+		return []any{p.Name(),
+			s.MsgCount(coherence.MsgGETS),
+			s.MsgCount(coherence.MsgGETSWP),
+			s.MsgCount(coherence.MsgUpgrade),
+			s.MsgCount(coherence.MsgUpgradeAck),
+			s.MsgCount(coherence.MsgFwdGETS),
+			s.MsgCount(coherence.MsgWBData),
+			s.MsgCount(coherence.MsgDowngrade),
+			s.TotalMessages()}, nil
+	}) {
 		tb.AddRowF(row...)
 	}
 	return tb.Render()
@@ -121,14 +94,6 @@ func Traffic(ctx context.Context) string {
 // rejected design also avoids the WAR slowdown (its cost is complexity and
 // traffic, not WAR latency).
 func AblationWAR(ctx context.Context, passes int) string {
-	tb := stats.NewTable(
-		"Ablation: WAR execution time normalized to MESI (DerivO3CPU)",
-		"application", "MESI", "SwiftDir", "SwiftDir-Ewp", "S-MESI")
-	apps := workload.WARApps()
-	protos := []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SwiftDirEwp, coherence.SMESI}
-	metrics := warMetrics(ctx, "ablation", apps, protos, workload.DerivO3CPU, passes)
-	for i, app := range apps {
-		tb.AddRowF(normalizedWARRow(app.Name, metrics[i*len(protos):(i+1)*len(protos)])...)
-	}
-	return tb.Render()
+	return warTable(ctx, "ablation", "Ablation: WAR execution time normalized to MESI (DerivO3CPU)",
+		[]coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SwiftDirEwp, coherence.SMESI}, passes)
 }

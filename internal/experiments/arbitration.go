@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -31,10 +29,8 @@ func Arbitration(ctx context.Context, bits int) string {
 	// the channel — Phase-Priority leaks like MESI, SwiftDir still does
 	// not. Protection lives in the transition relation alone.
 	b.WriteString("Covert channel (arbitration is security-orthogonal):\n")
-	protos := []coherence.Policy{coherence.MESI, coherence.PhasePriority, coherence.SwiftDir}
-	for _, line := range campaign.MustCollect(ctx, covertJobs(protos, "arbitration", bits, 0x9AB)) {
-		b.WriteString(line)
-	}
+	b.WriteString(covertLines(ctx, "arbitration",
+		[]coherence.Policy{coherence.MESI, coherence.PhasePriority, coherence.SwiftDir}, bits, 0x9AB))
 
 	// 2. Contended hot line: each round a non-owning writer opens a long
 	// busy window (its GETX needs the old owner's copy forwarded), the
@@ -44,16 +40,8 @@ func Arbitration(ctx context.Context, bits int) string {
 	// promotes it ahead of the queued reads.
 	b.WriteString("\nContended hot-line mix (2 writers + 2 readers, 96 rounds):\n")
 	tb := stats.NewTable("", "protocol", "cycles", "mean store lat", "queued wakeups", "promotions")
-	var jobs []campaign.Job[[]any]
-	for _, p := range []coherence.Policy{coherence.MESI, coherence.PhasePriority} {
-		jobs = append(jobs, campaign.Job[[]any]{
-			Name: "arbitration/contended/" + p.Name(),
-			Run: func() ([]any, error) {
-				return contendedMix(p, 96), nil
-			},
-		})
-	}
-	for _, row := range campaign.MustCollect(ctx, jobs) {
+	for _, row := range byPolicy(ctx, "arbitration/contended", []coherence.Policy{coherence.MESI, coherence.PhasePriority},
+		func(p coherence.Policy) ([]any, error) { return contendedMix(p, 96), nil }) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
@@ -68,16 +56,8 @@ func Arbitration(ctx context.Context, bits int) string {
 // returns the report row: protocol, total cycles, mean store latency,
 // queued wakeups, and arbiter promotions.
 func contendedMix(p coherence.Policy, rounds int) []any {
-	cfg := core.DefaultConfig(4, p)
-	s := coherence.MustNewSystem(coherence.SystemConfig{
-		NumL1:     4,
-		L1Params:  cfg.L1,
-		LLCParams: cfg.L2Bank,
-		Banks:     1, // one bank so every access contends on one queue
-		Timing:    coherence.DefaultTiming(),
-		Policy:    p,
-		DRAM:      cfg.DRAM,
-	})
+	// One bank, so every access contends on one queue.
+	s := coherence.MustNewSystem(tableV(p, 4, 1))
 	const a = cache.Addr(0x200040)
 	var storeLat, stores, token uint64
 	record := func(res coherence.AccessResult) {

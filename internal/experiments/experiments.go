@@ -9,10 +9,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/mmu"
@@ -24,6 +24,23 @@ import (
 // protocols in the paper's presentation order: baseline first, then the
 // contribution, then the prior defense.
 var protocols = []coherence.Policy{coherence.MESI, coherence.SwiftDir, coherence.SMESI}
+
+// tableV returns a bare flat hierarchy under p with the Table V L1, LLC
+// bank, timing and DRAM: l1s L1 controllers and banks LLC banks on the
+// crossbar. Callers set any further field (prefetcher, mesh) on the
+// returned value.
+func tableV(p coherence.Policy, l1s, banks int) coherence.SystemConfig {
+	cfg := core.DefaultConfig(1, p)
+	return coherence.SystemConfig{
+		NumL1:     l1s,
+		L1Params:  cfg.L1,
+		LLCParams: cfg.L2Bank,
+		Banks:     banks,
+		Timing:    cfg.Timing,
+		Policy:    p,
+		DRAM:      cfg.DRAM,
+	}
+}
 
 // Table5 renders the experiment setup.
 func Table5() string {
@@ -237,84 +254,32 @@ func Security(ctx context.Context, bits, trials int) (results []attack.Result, s
 	var b strings.Builder
 	b.WriteString("Security: E/S coherence timing-channel attacks (§V-A)\n\n")
 	b.WriteString("Covert channel (sender modulates E/S, receiver times loads):\n")
-
-	type covertOut struct {
-		res  attack.Result
-		text string
-	}
-	var covertJobs []campaign.Job[covertOut]
-	for _, p := range protocols {
-		covertJobs = append(covertJobs, campaign.Job[covertOut]{
-			Name: "security/covert/" + p.Name(),
-			Run: func() (covertOut, error) {
-				cfg := core.DefaultConfig(4, p)
-				cfg.Context = ctx
-				ch, err := attack.NewChannel(cfg, bits)
-				if err != nil {
-					return covertOut{}, err
-				}
-				r, err := ch.Run(bits, 0xC0F3)
-				if err != nil {
-					return covertOut{}, err
-				}
-				var cb strings.Builder
-				cb.WriteString("  " + r.Describe() + "\n")
-				if r.Leaked {
-					fmt.Fprintf(&cb, "            leak rate: %.0f Kbps at 3 GHz (%.0f cycles/bit, idealized lockstep;\n",
-						r.KbpsAt(3.0), r.CyclesPerBit)
-					cb.WriteString("            the paper's 700~1,100 Kbps includes sender/receiver synchronization)\n")
-				}
-				return covertOut{res: r, text: cb.String()}, nil
-			},
-		})
-	}
-	for _, out := range campaign.MustCollect(ctx, covertJobs) {
-		results = append(results, out.res)
-		b.WriteString(out.text)
+	for _, r := range covert(ctx, "security/covert", attack.NewChannel, protocols, bits, 0xC0F3) {
+		results = append(results, r)
+		b.WriteString("  " + r.Describe() + "\n")
+		if r.Leaked {
+			fmt.Fprintf(&b, "            leak rate: %.0f Kbps at 3 GHz (%.0f cycles/bit, idealized lockstep;\n",
+				r.KbpsAt(3.0), r.CyclesPerBit)
+			b.WriteString("            the paper's 700~1,100 Kbps includes sender/receiver synchronization)\n")
+		}
 	}
 
 	b.WriteString("\nInstruction-fetch channel (bits executed from shared library code):\n")
-	var textJobs []campaign.Job[string]
-	for _, p := range protocols {
-		textJobs = append(textJobs, campaign.Job[string]{
-			Name: "security/textchannel/" + p.Name(),
-			Run: func() (string, error) {
-				cfg := core.DefaultConfig(4, p)
-				cfg.Context = ctx
-				tc, err := attack.NewTextChannel(cfg, bits/4)
-				if err != nil {
-					return "", err
-				}
-				r, err := tc.Run(bits/4, 0x1F)
-				if err != nil {
-					return "", err
-				}
-				return "  " + r.Describe() + "\n", nil
-			},
-		})
-	}
-	for _, line := range campaign.MustCollect(ctx, textJobs) {
-		b.WriteString(line)
+	for _, r := range covert(ctx, "security/textchannel", attack.NewTextChannel, protocols, bits/4, 0x1F) {
+		b.WriteString("  " + r.Describe() + "\n")
 	}
 
 	b.WriteString("\nSide channel (attacker infers victim accesses):\n")
-	var sideJobs []campaign.Job[attack.SideResult]
-	for _, p := range protocols {
-		sideJobs = append(sideJobs, campaign.Job[attack.SideResult]{
-			Name: "security/side/" + p.Name(),
-			Run: func() (attack.SideResult, error) {
-				cfg := core.DefaultConfig(4, p)
-				cfg.Context = ctx
-				sc, err := attack.NewSideChannel(cfg, trials)
-				if err != nil {
-					return attack.SideResult{}, err
-				}
-				return sc.Run(trials, 0x51DE)
-			},
-		})
-	}
-	for _, r := range campaign.MustCollect(ctx, sideJobs) {
-		sides = append(sides, r)
+	sides = byPolicy(ctx, "security/side", protocols, func(p coherence.Policy) (attack.SideResult, error) {
+		cfg := core.DefaultConfig(4, p)
+		cfg.Context = ctx
+		sc, err := attack.NewSideChannel(cfg, trials)
+		if err != nil {
+			return attack.SideResult{}, err
+		}
+		return sc.Run(trials, 0x51DE)
+	})
+	for _, r := range sides {
 		b.WriteString("  " + r.Describe() + "\n")
 	}
 	return results, sides, b.String()
@@ -336,39 +301,16 @@ type SuiteRow struct {
 // after collection, on results in submission order. A done ctx aborts
 // every benchmark machine and skips jobs not yet started.
 func runSuite(ctx context.Context, profiles []workload.Profile, kind workload.CPUKind, useIPC bool, scale float64) []SuiteRow {
-	var jobs []campaign.Job[float64]
-	for _, p := range profiles {
-		sp := p.Scale(scale)
-		for _, proto := range protocols {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: p.Name + "/" + proto.Name(),
-				Run: func() (float64, error) {
-					r, err := workload.Run(ctx, sp, proto, kind)
-					if err != nil {
-						return 0, err
-					}
-					if useIPC {
-						return r.IPC, nil
-					}
-					return float64(r.ExecCycles), nil
-				},
-			})
+	return suite(ctx, "", profiles, profileName, func(p workload.Profile, proto coherence.Policy) (float64, error) {
+		r, err := workload.Run(ctx, p.Scale(scale), proto, kind)
+		if useIPC {
+			return r.IPC, err
 		}
-	}
-	metrics := campaign.MustCollect(ctx, jobs)
-
-	var rows []SuiteRow
-	for i, p := range profiles {
-		base := metrics[i*len(protocols)] // protocols[0] is MESI
-		rows = append(rows, SuiteRow{
-			Benchmark: p.Name,
-			MESI:      100,
-			SwiftDir:  stats.Normalize(metrics[i*len(protocols)+1], base),
-			SMESI:     stats.Normalize(metrics[i*len(protocols)+2], base),
-		})
-	}
-	return rows
+		return float64(r.ExecCycles), err
+	})
 }
+
+func profileName(p workload.Profile) string { return p.Name }
 
 func renderSuite(title, metric string, rows []SuiteRow) string {
 	tb := stats.NewTable(title, "benchmark", "MESI", "SwiftDir", "S-MESI")
@@ -406,33 +348,10 @@ var Fig9Amounts = []int{1000, 2000, 3000, 4000, 5000}
 // Fig9 reproduces the read-only shared-data sweep (normalized execution
 // time, lower is better).
 func Fig9(ctx context.Context, amounts []int) ([]SuiteRow, string) {
-	var jobs []campaign.Job[float64]
-	for _, n := range amounts {
-		for _, proto := range protocols {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: fmt.Sprintf("fig9/%d/%s", n, proto.Name()),
-				Run: func() (float64, error) {
-					r, err := workload.RunReadOnly(ctx, n, proto, workload.DerivO3CPU)
-					if err != nil {
-						return 0, err
-					}
-					return float64(r.ExecCycles), nil
-				},
-			})
-		}
-	}
-	metrics := campaign.MustCollect(ctx, jobs)
-
-	var rows []SuiteRow
-	for i, n := range amounts {
-		base := metrics[i*len(protocols)]
-		rows = append(rows, SuiteRow{
-			Benchmark: fmt.Sprintf("%d", n),
-			MESI:      100,
-			SwiftDir:  stats.Normalize(metrics[i*len(protocols)+1], base),
-			SMESI:     stats.Normalize(metrics[i*len(protocols)+2], base),
-		})
-	}
+	rows := suite(ctx, "fig9/", amounts, strconv.Itoa, func(n int, proto coherence.Policy) (float64, error) {
+		r, err := workload.RunReadOnly(ctx, n, proto, workload.DerivO3CPU)
+		return float64(r.ExecCycles), err
+	})
 	return rows, renderSuite(
 		"Figure 9: Multi-threaded read-only benchmarks - normalized execution time vs amount of shared data",
 		"execution time", rows)
@@ -442,34 +361,10 @@ func Fig9(ctx context.Context, amounts []int) ([]SuiteRow, string) {
 // CPU model (normalized execution time, lower is better). The paper's
 // Figure 10(a) uses TimingSimpleCPU and 10(b) DerivO3CPU.
 func Fig10(ctx context.Context, kind workload.CPUKind, passes int) ([]SuiteRow, string) {
-	apps := workload.WARApps()
-	var jobs []campaign.Job[float64]
-	for _, app := range apps {
-		for _, proto := range protocols {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: fmt.Sprintf("fig10/%s/%s", app.Name, proto.Name()),
-				Run: func() (float64, error) {
-					r, err := workload.RunWAR(ctx, app, proto, kind, passes)
-					if err != nil {
-						return 0, err
-					}
-					return float64(r.ExecCycles), nil
-				},
-			})
-		}
-	}
-	metrics := campaign.MustCollect(ctx, jobs)
-
-	var rows []SuiteRow
-	for i, app := range apps {
-		base := metrics[i*len(protocols)]
-		rows = append(rows, SuiteRow{
-			Benchmark: app.Name,
-			MESI:      100,
-			SwiftDir:  stats.Normalize(metrics[i*len(protocols)+1], base),
-			SMESI:     stats.Normalize(metrics[i*len(protocols)+2], base),
-		})
-	}
+	rows := suite(ctx, "fig10/", workload.WARApps(), appName, func(app workload.WARApp, proto coherence.Policy) (float64, error) {
+		r, err := workload.RunWAR(ctx, app, proto, kind, passes)
+		return float64(r.ExecCycles), err
+	})
 	sub := "(a) TimingSimpleCPU"
 	if kind == workload.DerivO3CPU {
 		sub = "(b) DerivO3CPU"

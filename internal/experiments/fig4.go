@@ -5,20 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/dram"
 )
-
-func fig4System(p coherence.Policy) *coherence.System {
-	return coherence.MustNewSystem(coherence.SystemConfig{
-		NumL1:     3,
-		L1Params:  cache.Params{Name: "L1", SizeBytes: 32 << 10, Ways: 4, BlockSize: 64},
-		LLCParams: cache.Params{Name: "LLC", SizeBytes: 2 << 20, Ways: 16, BlockSize: 64},
-		Banks:     1,
-		Timing:    coherence.DefaultTiming(),
-		Policy:    p,
-		DRAM:      dram.DDR3_1600_8x8(),
-	})
-}
 
 // Fig4 renders the paper's Figure 4 protocol diagrams as live message
 // transcripts: each panel is executed on the real protocol engine and the
@@ -29,7 +16,7 @@ func Fig4() string {
 	b.WriteString("Figure 4: SwiftDir coherence, as executed message transcripts\n\n")
 
 	panel := func(title string, p coherence.Policy, setup, measure func(s *coherence.System)) {
-		s := fig4System(p)
+		s := coherence.MustNewSystem(tableV(p, 3, 1))
 		if setup != nil {
 			setup(s)
 			s.Quiesce()

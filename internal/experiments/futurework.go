@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/attack"
@@ -14,8 +15,9 @@ import (
 // threat-model discussion (§II-B): handling copy-on-write page faults as
 // write misses completed through a dedicated write buffer. Two effects
 // are measured: the dedup write-timing side channel (Bosman et al.)
-// closes, and CoW-write-intensive execution accelerates.
-func FutureWork(trials int) string {
+// closes, and CoW-write-intensive execution accelerates. A done ctx
+// aborts its machines mid-simulation.
+func FutureWork(ctx context.Context, trials int) string {
 	var b strings.Builder
 	b.WriteString("Future work (§II-B): copy-on-write faults as write misses\n\n")
 
@@ -23,6 +25,7 @@ func FutureWork(trials int) string {
 	for _, fast := range []bool{false, true} {
 		cfg := core.DefaultConfig(2, coherence.SwiftDir)
 		cfg.FastCoWWrites = fast
+		cfg.Context = ctx
 		w, err := attack.NewWriteChannel(cfg, trials)
 		if err != nil {
 			panic(err)
@@ -39,6 +42,7 @@ func FutureWork(trials int) string {
 	for _, fast := range []bool{false, true} {
 		cfg := core.DefaultConfig(1, coherence.SwiftDir)
 		cfg.FastCoWWrites = fast
+		cfg.Context = ctx
 		m := core.MustNewMachine(cfg)
 		lib := mmu.NewFile("fw.so", 0xF0)
 		p := m.NewProcess()

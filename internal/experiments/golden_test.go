@@ -56,7 +56,7 @@ var goldenCases = []struct {
 	{"fig4", false, func(context.Context) string { return Fig4() }},
 	{"fig5", false, func(context.Context) string { return Fig5() }},
 	{"fig6", false, func(ctx context.Context) string { return Fig6(ctx, 64).Rendered }},
-	{"futurework", false, func(context.Context) string { return FutureWork(8) }},
+	{"futurework", false, func(ctx context.Context) string { return FutureWork(ctx, 8) }},
 	{"prefetch", false, func(context.Context) string { return Prefetch(32) }},
 	{"overhead", false, func(context.Context) string { return Overhead(4) }},
 	{"arbitration", false, func(ctx context.Context) string { return Arbitration(ctx, 32) }},

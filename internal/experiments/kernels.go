@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/campaign"
+	"repro/internal/coherence"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -21,24 +21,13 @@ func KernelStudy(ctx context.Context, wsKB int) string {
 		"Memory kernels: IPC by protocol (single core, DerivO3CPU)",
 		"kernel", "MESI", "SwiftDir", "S-MESI")
 	kernels := workload.Kernels()
-	var jobs []campaign.Job[float64]
-	for _, k := range kernels {
-		for _, p := range protocols {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: "kernels/" + k.Name + "/" + p.Name(),
-				Run: func() (float64, error) {
-					r, err := workload.RunKernel(ctx, k, p, workload.DerivO3CPU, wsKB<<10)
-					if err != nil {
-						return 0, err
-					}
-					return r.IPC, nil
-				},
-			})
-		}
-	}
-	ipc := campaign.MustCollect(ctx, jobs)
+	ipc := grid(ctx, "kernels/", kernels, func(k workload.Kernel) string { return k.Name }, protocols,
+		func(k workload.Kernel, p coherence.Policy) (float64, error) {
+			r, err := workload.RunKernel(ctx, k, p, workload.DerivO3CPU, wsKB<<10)
+			return r.IPC, err
+		})
 	for i, k := range kernels {
-		tb.AddRowF(k.Name, ipc[i*len(protocols)], ipc[i*len(protocols)+1], ipc[i*len(protocols)+2])
+		tb.AddRowF(k.Name, ipc[i][0], ipc[i][1], ipc[i][2])
 	}
 	return tb.Render()
 }

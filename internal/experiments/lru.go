@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -22,53 +21,42 @@ import (
 func AblationLRU(ctx context.Context, scale float64) string {
 	memBound := []string{"mcf", "bwaves", "cactuBSSN", "lbm", "wrf", "cam4"}
 
-	normIPC := func(name string, repl cache.ReplPolicy, proto coherence.Policy) float64 {
-		p, ok := workload.ProfileByName(name)
-		if !ok {
-			panic("unknown benchmark " + name)
-		}
-		cfg := core.DefaultConfig(1, proto)
-		cfg.Context = ctx
-		cfg.L2Bank.Replacement = repl
-		// The mem-bound working sets (384-512 KB) must overflow the LLC
-		// for replacement policy to matter at this scale; a 256 KB bank
-		// keeps the benchmarks LLC-pressured as their full-size inputs
-		// pressure the 2 MB bank.
-		cfg.L2Bank.SizeBytes = 256 << 10
-		r, _, err := workload.RunDetailed(p.Scale(scale), cfg, workload.DerivO3CPU)
-		if err != nil {
-			panic(err)
-		}
-		return r.IPC
-	}
-
-	// Four independent simulations per benchmark: {LRU, Random} ×
-	// {S-MESI, MESI}. Flatten the grid into one campaign.
-	cells := []struct {
+	// Four independent simulations per benchmark: {LRU, Random} LLC ×
+	// {S-MESI, MESI}, one grid row per (benchmark, replacement) pair.
+	type row struct {
+		bench string
 		repl  cache.ReplPolicy
-		proto coherence.Policy
-	}{
-		{cache.LRU, coherence.SMESI}, {cache.LRU, coherence.MESI},
-		{cache.Random, coherence.SMESI}, {cache.Random, coherence.MESI},
 	}
-	var jobs []campaign.Job[float64]
+	var rows []row
 	for _, name := range memBound {
-		for _, c := range cells {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: fmt.Sprintf("lru/%s/%v/%s", name, c.repl, c.proto.Name()),
-				Run:  func() (float64, error) { return normIPC(name, c.repl, c.proto), nil },
-			})
-		}
+		rows = append(rows, row{name, cache.LRU}, row{name, cache.Random})
 	}
-	ipc := campaign.MustCollect(ctx, jobs)
+	ipc := grid(ctx, "lru/", rows, func(r row) string { return r.bench + "/" + r.repl.String() },
+		[]coherence.Policy{coherence.SMESI, coherence.MESI},
+		func(r row, proto coherence.Policy) (float64, error) {
+			p, ok := workload.ProfileByName(r.bench)
+			if !ok {
+				return 0, fmt.Errorf("unknown benchmark %s", r.bench)
+			}
+			cfg := core.DefaultConfig(1, proto)
+			cfg.Context = ctx
+			cfg.L2Bank.Replacement = r.repl
+			// The mem-bound working sets (384-512 KB) must overflow the
+			// LLC for replacement policy to matter at this scale; a
+			// 256 KB bank keeps the benchmarks LLC-pressured as their
+			// full-size inputs pressure the 2 MB bank.
+			cfg.L2Bank.SizeBytes = 256 << 10
+			res, _, err := workload.RunDetailed(p.Scale(scale), cfg, workload.DerivO3CPU)
+			return res.IPC, err
+		})
 
 	tb := stats.NewTable(
 		"Ablation (§V-B): S-MESI's LRU-retention side effect, normalized IPC over MESI (x100)",
 		"benchmark", "S-MESI w/ LRU LLC", "S-MESI w/ Random LLC")
 	var lru, rnd []float64
 	for i, name := range memBound {
-		l := stats.Normalize(ipc[i*4+0], ipc[i*4+1])
-		r := stats.Normalize(ipc[i*4+2], ipc[i*4+3])
+		l := stats.Normalize(ipc[2*i][0], ipc[2*i][1])
+		r := stats.Normalize(ipc[2*i+1][0], ipc[2*i+1][1])
 		lru = append(lru, l)
 		rnd = append(rnd, r)
 		tb.AddRowF(name, l, r)

@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // MSIStudy evaluates the naive fix the paper's design implicitly argues
@@ -26,42 +23,26 @@ func MSIStudy(ctx context.Context, bits, passes int) string {
 
 	// 1. Security: all three defenses close the covert channel.
 	b.WriteString("Covert channel:\n")
-	for _, line := range campaign.MustCollect(ctx, covertJobs(protos, "msi", bits, 0x351)) {
-		b.WriteString(line)
-	}
+	b.WriteString(covertLines(ctx, "msi", protos, bits, 0x351))
 
 	// 2. The private read-then-write tax: N private lines, load then
 	// store each. MESI and SwiftDir upgrade silently; MSI and S-MESI pay
 	// a round trip per line.
 	b.WriteString("\nPrivate read-then-write microbenchmark (128 lines):\n")
 	tb := stats.NewTable("", "protocol", "cycles", "Upgrade msgs", "silent upgrades")
-	var rmwJobs []campaign.Job[[]any]
-	for _, p := range protos {
-		rmwJobs = append(rmwJobs, campaign.Job[[]any]{
-			Name: "msi/rmw/" + p.Name(),
-			Run: func() ([]any, error) {
-				sys, cycles := privateRMW(p, 128)
-				return []any{p.Name(), cycles,
-					sys.MsgCount(coherence.MsgUpgrade),
-					sys.L1s[0].Stats.SilentUpgrades}, nil
-			},
-		})
-	}
-	for _, row := range campaign.MustCollect(ctx, rmwJobs) {
+	for _, row := range byPolicy(ctx, "msi/rmw", protos, func(p coherence.Policy) ([]any, error) {
+		sys, cycles := privateRMW(p, 128)
+		return []any{p.Name(), cycles,
+			sys.MsgCount(coherence.MsgUpgrade),
+			sys.L1s[0].Stats.SilentUpgrades}, nil
+	}) {
 		tb.AddRowF(row...)
 	}
 	b.WriteString(tb.Render())
 
 	// 3. WAR applications (Figure 10's workloads) with MSI added.
 	b.WriteString("\nWAR execution time normalized to MESI (DerivO3CPU):\n")
-	wt := stats.NewTable("", "application", "MESI", "MSI", "S-MESI", "SwiftDir")
-	apps := workload.WARApps()
-	warProtos := []coherence.Policy{coherence.MESI, coherence.MSI, coherence.SMESI, coherence.SwiftDir}
-	metrics := warMetrics(ctx, "msi", apps, warProtos, workload.DerivO3CPU, passes)
-	for i, app := range apps {
-		wt.AddRowF(normalizedWARRow(app.Name, metrics[i*len(warProtos):(i+1)*len(warProtos)])...)
-	}
-	b.WriteString(wt.Render())
+	b.WriteString(warTable(ctx, "msi", "", []coherence.Policy{coherence.MESI, coherence.MSI, coherence.SMESI, coherence.SwiftDir}, passes))
 	b.WriteString("\nMSI buys MESI-grade security at S-MESI-grade (or worse) cost, paid on\n")
 	b.WriteString("all data; SwiftDir pays nothing because the protected data are exactly\n")
 	b.WriteString("those that cannot be written.\n")
@@ -71,16 +52,7 @@ func MSIStudy(ctx context.Context, bits, passes int) string {
 // privateRMW loads then stores n private lines on core 0 and returns the
 // quiesced system plus total cycles.
 func privateRMW(p coherence.Policy, n int) (*coherence.System, int) {
-	cfg := core.DefaultConfig(2, p)
-	s := coherence.MustNewSystem(coherence.SystemConfig{
-		NumL1:     2,
-		L1Params:  cfg.L1,
-		LLCParams: cfg.L2Bank,
-		Banks:     2,
-		Timing:    coherence.DefaultTiming(),
-		Policy:    p,
-		DRAM:      cfg.DRAM,
-	})
+	s := coherence.MustNewSystem(tableV(p, 2, 2))
 	total := 0
 	for i := 0; i < n; i++ {
 		addr := cache.Addr(0x400000 + i*64)

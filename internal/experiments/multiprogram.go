@@ -4,8 +4,7 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/campaign"
-	"repro/internal/stats"
+	"repro/internal/coherence"
 	"repro/internal/workload"
 )
 
@@ -22,37 +21,15 @@ func Multiprogram(ctx context.Context, scale float64) ([]SuiteRow, string) {
 	}
 	sort.Strings(names)
 
-	var jobs []campaign.Job[float64]
-	for _, name := range names {
-		var progs []workload.Profile
-		for _, p := range mixes[name] {
-			progs = append(progs, p.Scale(scale))
-		}
-		for _, proto := range protocols {
-			jobs = append(jobs, campaign.Job[float64]{
-				Name: "multiprogram/" + name + "/" + proto.Name(),
-				Run: func() (float64, error) {
-					r, err := workload.RunMultiprogram(ctx, progs, proto, workload.DerivO3CPU)
-					if err != nil {
-						return 0, err
-					}
-					return float64(r.ExecCycles), nil
-				},
-			})
-		}
-	}
-	metrics := campaign.MustCollect(ctx, jobs)
-
-	var rows []SuiteRow
-	for i, name := range names {
-		base := metrics[i*len(protocols)]
-		rows = append(rows, SuiteRow{
-			Benchmark: name,
-			MESI:      100,
-			SwiftDir:  stats.Normalize(metrics[i*len(protocols)+1], base),
-			SMESI:     stats.Normalize(metrics[i*len(protocols)+2], base),
+	rows := suite(ctx, "multiprogram/", names, func(name string) string { return name },
+		func(name string, proto coherence.Policy) (float64, error) {
+			var progs []workload.Profile
+			for _, p := range mixes[name] {
+				progs = append(progs, p.Scale(scale))
+			}
+			r, err := workload.RunMultiprogram(ctx, progs, proto, workload.DerivO3CPU)
+			return float64(r.ExecCycles), err
 		})
-	}
 	return rows, renderSuite(
 		"Multiprogrammed SPEC mixes (4 processes, shared libc) - normalized execution time (lower is better)",
 		"execution time", rows)

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -19,25 +17,12 @@ import (
 // write-protected data is served by the block's (fixed) home LLC bank,
 // so the latency is independent of the prior accessor entirely.
 func NUMA() string {
-	mk := func(p coherence.Policy) coherence.SystemConfig {
+	probe := func(p coherence.Policy, owner int) sim.Cycle {
 		// Cores 0-1 and bank 0 on socket 0, cores 2-3 and bank 1 on
 		// socket 1.
-		return coherence.SystemConfig{
-			NumL1:      4,
-			L1Params:   core.DefaultConfig(4, p).L1,
-			LLCParams:  core.DefaultConfig(4, p).L2Bank,
-			Banks:      2,
-			Timing:     coherence.DefaultTiming(),
-			Policy:     p,
-			DRAM:       dram.DDR3_1600_8x8(),
-			Topology:   "mesh",
-			MeshW:      2,
-			MeshH:      1,
-			MeshPerHop: 40,
-		}
-	}
-	probe := func(p coherence.Policy, owner int) sim.Cycle {
-		s := coherence.MustNewSystem(mk(p))
+		cfg := tableV(p, 4, 2)
+		cfg.Topology, cfg.MeshW, cfg.MeshH, cfg.MeshPerHop = "mesh", 2, 1, 40
+		s := coherence.MustNewSystem(cfg)
 		block := cache.Addr(0x20000) // home bank 0 (socket 0)
 		s.AccessSync(owner, block, false, true, 0)
 		s.Quiesce()

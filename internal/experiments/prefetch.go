@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -44,16 +42,8 @@ func Prefetch(bits int) string {
 // under the naive mode), bit 0 = both sender threads (the second demand
 // miss forces the pair to S). The receiver probes line 2k+1.
 func prefetchChannel(mode coherence.PrefetchMode, bits int) (lineState string, mean1, mean0, ber float64) {
-	cfg := coherence.SystemConfig{
-		NumL1:     3,
-		L1Params:  core.DefaultConfig(4, coherence.SwiftDir).L1,
-		LLCParams: core.DefaultConfig(4, coherence.SwiftDir).L2Bank,
-		Banks:     1,
-		Timing:    coherence.DefaultTiming(),
-		Policy:    coherence.SwiftDir,
-		DRAM:      dram.DDR3_1600_8x8(),
-		Prefetch:  mode,
-	}
+	cfg := tableV(coherence.SwiftDir, 3, 1)
+	cfg.Prefetch = mode
 	s := coherence.MustNewSystem(cfg)
 	tm := cfg.Timing
 	threshold := (tm.LLCLoadLatency() + tm.RemoteLoadLatency()) / 2

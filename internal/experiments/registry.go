@@ -72,12 +72,17 @@ type Experiment struct {
 	// where the experiment needs more than 1 (zero fields mean 1).
 	min Params
 
-	// run renders the report for normalized Params. Cancellation-aware
-	// experiments hand ctx to every machine they build
-	// (core.Config.Context), so a done context aborts the simulations
-	// mid-run with a typed "cancelled" violation. Every experiment that
-	// fans out over the campaign pool also skips its queued jobs once ctx
-	// is done; a job already running finishes.
+	// run renders the report for normalized Params. Each experiment a
+	// knob sizes hands ctx to every machine it builds at that size
+	// (core.Config.Context), so a done context aborts the simulation
+	// mid-run with a typed "cancelled" violation. Two sized experiments
+	// cannot: prefetch and snoop drive bare coherence.System and
+	// snoop.System engines, which take no context. The rest run to
+	// completion because they are fixed-size: the unsized experiments
+	// and the fixed phases of sized ones (ablation's traffic table, msi's
+	// read-then-write table, arbitration's contended mix). Every
+	// experiment that fans out over the campaign pool also skips its
+	// queued jobs once ctx is done.
 	run func(ctx context.Context, p Params) string
 }
 
@@ -242,7 +247,7 @@ var registry = []Experiment{
 		}},
 	{Name: "traffic", Title: "interconnect message breakdown", run: func(ctx context.Context, _ Params) string { return Traffic(ctx) }},
 	{Name: "futurework", Title: "fast CoW sharing study", uses: usesBits, min: Params{Bits: 4},
-		run: func(_ context.Context, p Params) string { return FutureWork(p.Bits / 4) }},
+		run: func(ctx context.Context, p Params) string { return FutureWork(ctx, p.Bits/4) }},
 	{Name: "moesi", Title: "MOESI/MESIF family study", uses: usesBits | usesPasses,
 		run: func(ctx context.Context, p Params) string { return MOESIStudy(ctx, p.Bits/4, p.Passes) }},
 	{Name: "snoop", Title: "snooping-bus comparison", uses: usesBits,

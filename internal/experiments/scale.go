@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -131,24 +131,11 @@ func runScaleWorkload(s *coherence.System, cores int) scaleRow {
 // diameter rather than the core count, and SwiftDir's traffic advantage
 // survives scaling.
 func Scale(ctx context.Context) string {
-	type cell struct {
-		geom scaleGeom
-		p    coherence.Policy
-		row  scaleRow
-	}
-	var jobs []campaign.Job[cell]
-	for _, g := range scaleGeoms() {
-		for _, p := range protocols {
-			g, p := g, p
-			jobs = append(jobs, campaign.Job[cell]{
-				Name: fmt.Sprintf("scale/%d-%s/%s", g.cores, g.topology, p.Name()),
-				Run: func() (cell, error) {
-					s := scaleSystem(p, g)
-					return cell{geom: g, p: p, row: runScaleWorkload(s, g.cores)}, nil
-				},
-			})
-		}
-	}
+	geoms := scaleGeoms()
+	rows := grid(ctx, "scale/", geoms, func(g scaleGeom) string { return fmt.Sprintf("%d-%s", g.cores, g.topology) },
+		protocols, func(g scaleGeom, p coherence.Policy) (scaleRow, error) {
+			return runScaleWorkload(scaleSystem(p, g), g.cores), nil
+		})
 
 	var b strings.Builder
 	b.WriteString("Scaling study: per-core sharing mix on growing machines\n")
@@ -159,22 +146,23 @@ func Scale(ctx context.Context) string {
 		"Mean latency (cycles) and interconnect traffic by machine size",
 		"cores", "network", "directory", "protocol",
 		"WP read", "shared read", "shared store", "messages", "msg/access", "avg hops")
-	for _, c := range campaign.MustCollect(ctx, jobs) {
-		g, r := c.geom, c.row
-		network, hops := g.topology, "-"
-		if g.topology == "mesh" {
-			w, h := core.MeshDims(g.cores)
-			network = fmt.Sprintf("mesh %dx%d", w, h)
-			hops = fmt.Sprintf("%.2f", r.avgHops)
+	for i, g := range geoms {
+		for j, r := range rows[i] {
+			network, hops := g.topology, "-"
+			if g.topology == "mesh" {
+				w, h := core.MeshDims(g.cores)
+				network = fmt.Sprintf("mesh %dx%d", w, h)
+				hops = fmt.Sprintf("%.2f", r.avgHops)
+			}
+			dir := "flat"
+			if g.clusters > 1 {
+				dir = fmt.Sprintf("2-level/%d", g.clusters)
+			}
+			tb.AddRowF(g.cores, network, dir, protocols[j].Name(),
+				fmt.Sprintf("%.1f", r.wpRead), fmt.Sprintf("%.1f", r.grpRead),
+				fmt.Sprintf("%.1f", r.store), r.messages,
+				fmt.Sprintf("%.2f", float64(r.messages)/float64(r.accesses)), hops)
 		}
-		dir := "flat"
-		if g.clusters > 1 {
-			dir = fmt.Sprintf("2-level/%d", g.clusters)
-		}
-		tb.AddRowF(g.cores, network, dir, c.p.Name(),
-			fmt.Sprintf("%.1f", r.wpRead), fmt.Sprintf("%.1f", r.grpRead),
-			fmt.Sprintf("%.1f", r.store), r.messages,
-			fmt.Sprintf("%.2f", float64(r.messages)/float64(r.accesses)), hops)
 	}
 	b.WriteString(tb.Render())
 	b.WriteString("\nThe two-level directory adds hub hops to every miss (higher absolute\n")
@@ -208,48 +196,38 @@ func ScaleAttack(ctx context.Context, bits int) string {
 	const seed = 0xA77AC4
 	sizes := []int{4, 16, 64}
 	type cell struct {
-		cores int
-		p     coherence.Policy
 		r     attack.Result
 		naive int // errors under the global threshold
 	}
-	var jobs []campaign.Job[cell]
-	for _, cores := range sizes {
-		for _, p := range protocols {
-			cores, p := cores, p
-			jobs = append(jobs, campaign.Job[cell]{
-				Name: fmt.Sprintf("scale-attack/%d/%s", cores, p.Name()),
-				Run: func() (cell, error) {
-					cfg := scaleAttackConfig(cores, p)
-					th, err := attack.CalibrateThresholds(cfg, bits)
-					if err != nil {
-						return cell{}, err
-					}
-					ch, err := attack.NewChannel(cfg, bits)
-					if err != nil {
-						return cell{}, err
-					}
-					ch.SetThresholds(th)
-					r, err := ch.Run(bits, seed)
-					if err != nil {
-						return cell{}, err
-					}
-					naive := 0
-					for _, lat := range r.Latencies1 {
-						if lat <= ch.Threshold {
-							naive++
-						}
-					}
-					for _, lat := range r.Latencies0 {
-						if lat > ch.Threshold {
-							naive++
-						}
-					}
-					return cell{cores: cores, p: p, r: r, naive: naive}, nil
-				},
-			})
+	cells := grid(ctx, "scale-attack/", sizes, strconv.Itoa, protocols, func(cores int, p coherence.Policy) (cell, error) {
+		cfg := scaleAttackConfig(cores, p)
+		cfg.Context = ctx
+		th, err := attack.CalibrateThresholds(cfg, bits)
+		if err != nil {
+			return cell{}, err
 		}
-	}
+		ch, err := attack.NewChannel(cfg, bits)
+		if err != nil {
+			return cell{}, err
+		}
+		ch.SetThresholds(th)
+		r, err := ch.Run(bits, seed)
+		if err != nil {
+			return cell{}, err
+		}
+		naive := 0
+		for _, lat := range r.Latencies1 {
+			if lat <= ch.Threshold {
+				naive++
+			}
+		}
+		for _, lat := range r.Latencies0 {
+			if lat > ch.Threshold {
+				naive++
+			}
+		}
+		return cell{r: r, naive: naive}, nil
+	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Covert channel vs machine scale (%d bits, mesh + two-level directory)\n\n", bits)
@@ -257,17 +235,19 @@ func ScaleAttack(ctx context.Context, bits int) string {
 		"Bit error rate by attacker sophistication",
 		"cores", "network", "protocol", "gap (cyc)",
 		"BER naive", "BER calibrated", "Kbps@3GHz", "verdict")
-	for _, c := range campaign.MustCollect(ctx, jobs) {
-		w, h := core.MeshDims(c.cores)
-		verdict := "CLOSED"
-		if c.r.Leaked {
-			verdict = "OPEN"
+	for i, cores := range sizes {
+		w, h := core.MeshDims(cores)
+		for _, c := range cells[i] {
+			verdict := "CLOSED"
+			if c.r.Leaked {
+				verdict = "OPEN"
+			}
+			tb.AddRowF(cores, fmt.Sprintf("mesh %dx%d", w, h), c.r.Protocol,
+				fmt.Sprintf("%.1f", c.r.Gap),
+				fmt.Sprintf("%.3f", float64(c.naive)/float64(c.r.Bits)),
+				fmt.Sprintf("%.3f", c.r.BER),
+				fmt.Sprintf("%.1f", c.r.KbpsAt(3.0)), verdict)
 		}
-		tb.AddRowF(c.cores, fmt.Sprintf("mesh %dx%d", w, h), c.r.Protocol,
-			fmt.Sprintf("%.1f", c.r.Gap),
-			fmt.Sprintf("%.3f", float64(c.naive)/float64(c.r.Bits)),
-			fmt.Sprintf("%.3f", c.r.BER),
-			fmt.Sprintf("%.1f", c.r.KbpsAt(3.0)), verdict)
 	}
 	b.WriteString(tb.Render())
 	b.WriteString("\nA rising naive BER at scale is distance noise, not security: per-line\n")

@@ -32,7 +32,7 @@ func TestSnoopStudyShape(t *testing.T) {
 }
 
 func TestFutureWorkShape(t *testing.T) {
-	out := FutureWork(64)
+	out := FutureWork(context.Background(), 64)
 	if !strings.Contains(out, "VULNERABLE") || !strings.Contains(out, "DEFENDED") {
 		t.Fatalf("future-work study incomplete:\n%s", out)
 	}

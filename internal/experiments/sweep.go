@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/coherence"
-	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -64,15 +63,10 @@ func TimingSweep(ctx context.Context) string {
 // state, for write-protected data — the covert channel's raw signal.
 func probeGap(p coherence.Policy, tm coherence.Timing) sim.Cycle {
 	mk := func() *coherence.System {
-		return coherence.MustNewSystem(coherence.SystemConfig{
-			NumL1:     4,
-			L1Params:  cache.Params{Name: "L1", SizeBytes: 32 << 10, Ways: 4, BlockSize: 64},
-			LLCParams: cache.Params{Name: "LLC", SizeBytes: 1 << 20, Ways: 8, BlockSize: 64},
-			Banks:     1,
-			Timing:    tm,
-			Policy:    p,
-			DRAM:      dram.DDR3_1600_8x8(),
-		})
+		cfg := tableV(p, 4, 1)
+		cfg.LLCParams.SizeBytes, cfg.LLCParams.Ways = 1<<20, 8
+		cfg.Timing = tm
+		return coherence.MustNewSystem(cfg)
 	}
 	const addr = cache.Addr(0x7000)
 

@@ -101,29 +101,12 @@ func RunKernel(ctx context.Context, k Kernel, protocol coherence.Policy, kind CP
 	if bytes < 4096 {
 		return Result{}, fmt.Errorf("workload: kernel working set %d too small", bytes)
 	}
-	cfg := core.DefaultConfig(1, protocol)
-	cfg.Context = ctx
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	proc := m.NewProcess()
-	heap := proc.MmapAnon(bytes)
-	hw := proc.AttachContext(0)
-	rng := sim.NewRNG(0x6E12)
-	c := newCPU(kind, hw, &cpu.SliceTrace{Instrs: k.trace(heap, bytes, rng)}, nil)
-	cycles := cpu.Run(m, []cpu.CPU{c})
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Benchmark:  k.Name,
-		Protocol:   protocol.Name(),
-		CPU:        kind,
-		ExecCycles: cycles,
-		Instrs:     c.Stats().Instructions,
-		IPC:        c.Stats().IPC(),
-		PerThread:  []cpu.Stats{c.Stats()},
-	}
-	return res, nil
+	r, _, err := run(machineFor(ctx, 1, protocol), k.Name, kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		proc := m.NewProcess()
+		heap := proc.MmapAnon(bytes)
+		hw := proc.AttachContext(0)
+		rng := sim.NewRNG(0x6E12)
+		return []cpu.CPU{newCPU(kind, hw, &cpu.SliceTrace{Instrs: k.trace(heap, bytes, rng)}, nil)}, nil
+	})
+	return r, err
 }

@@ -22,50 +22,37 @@ func RunReadOnly(ctx context.Context, amount int, protocol coherence.Policy, kin
 	if amount <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive shared-data amount %d", amount)
 	}
-	cfg := core.DefaultConfig(2, protocol)
-	cfg.Context = ctx
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	proc := m.NewProcess()
-	lib := mmu.NewFile("readonly.so", 0xF19)
-	// Lines are spread one per 64B block; size up to the next page.
-	bytes := (amount*64 + mmu.PageSize - 1) / mmu.PageSize * mmu.PageSize
-	shared := proc.MmapLibrary(lib, bytes)
+	r, _, err := run(machineFor(ctx, 2, protocol), fmt.Sprintf("readonly-%d", amount), kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		proc := m.NewProcess()
+		lib := mmu.NewFile("readonly.so", 0xF19)
+		// Lines are spread one per 64B block; size up to the next page.
+		bytes := (amount*64 + mmu.PageSize - 1) / mmu.PageSize * mmu.PageSize
+		shared := proc.MmapLibrary(lib, bytes)
 
-	loop := func() *cpu.SliceTrace {
-		tr := &cpu.SliceTrace{}
-		for i := 0; i < amount; i++ {
-			tr.Instrs = append(tr.Instrs,
-				cpu.Instr{Op: cpu.OpLoad, Addr: shared + mmu.VAddr(i*64)},
-				cpu.Instr{Op: cpu.OpInt, Dep1: 1}, // consume the value
-				cpu.Instr{Op: cpu.OpInt},          // loop counter
-				cpu.Instr{Op: cpu.OpBranch, Dep1: 1},
-			)
+		loop := func() *cpu.SliceTrace {
+			tr := &cpu.SliceTrace{}
+			for i := 0; i < amount; i++ {
+				tr.Instrs = append(tr.Instrs,
+					cpu.Instr{Op: cpu.OpLoad, Addr: shared + mmu.VAddr(i*64)},
+					cpu.Instr{Op: cpu.OpInt, Dep1: 1}, // consume the value
+					cpu.Instr{Op: cpu.OpInt},          // loop counter
+					cpu.Instr{Op: cpu.OpBranch, Dep1: 1},
+				)
+			}
+			return tr
 		}
-		return tr
-	}
 
-	bar := cpu.NewBarrier(m.Engine(), 2)
-	accessor := loop()
-	accessor.Instrs = append(accessor.Instrs, cpu.Instr{Op: cpu.OpBarrier})
-	reaccessor := &cpu.SliceTrace{Instrs: append([]cpu.Instr{{Op: cpu.OpBarrier}}, loop().Instrs...)}
+		bar := cpu.NewBarrier(m.Engine(), 2)
+		accessor := loop()
+		accessor.Instrs = append(accessor.Instrs, cpu.Instr{Op: cpu.OpBarrier})
+		reaccessor := &cpu.SliceTrace{Instrs: append([]cpu.Instr{{Op: cpu.OpBarrier}}, loop().Instrs...)}
 
-	c0 := newCPU(kind, proc.AttachContext(0), accessor, bar)
-	c1 := newCPU(kind, proc.AttachContext(1), reaccessor, bar)
-	cycles := cpu.Run(m, []cpu.CPU{c0, c1})
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Benchmark:  fmt.Sprintf("readonly-%d", amount),
-		Protocol:   protocol.Name(),
-		CPU:        kind,
-		ExecCycles: cycles,
-		Instrs:     cpu.TotalInstructions([]cpu.CPU{c0, c1}),
-		PerThread:  []cpu.Stats{c0.Stats(), c1.Stats()},
-	}, nil
+		return []cpu.CPU{
+			newCPU(kind, proc.AttachContext(0), accessor, bar),
+			newCPU(kind, proc.AttachContext(1), reaccessor, bar),
+		}, nil
+	})
+	return r, err
 }
 
 // WARApp is one of the Figure 10 write-after-read intensive applications.
@@ -165,38 +152,22 @@ func RunWAR(ctx context.Context, app WARApp, protocol coherence.Policy, kind CPU
 	if passes <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive pass count")
 	}
-	cfg := core.DefaultConfig(1, protocol)
-	cfg.Context = ctx
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	proc := m.NewProcess()
-	heap := proc.MmapAnon(WARArrayKB * 1024)
-	blocks := WARArrayKB * 1024 / 64
-	rng := sim.NewRNG(0xA44)
+	r, _, err := run(machineFor(ctx, 1, protocol), app.Name, kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		proc := m.NewProcess()
+		heap := proc.MmapAnon(WARArrayKB * 1024)
+		blocks := WARArrayKB * 1024 / 64
+		rng := sim.NewRNG(0xA44)
 
-	// Warm pass: demand paging + memory fetches, excluded from timing.
-	warm := &cpu.SliceTrace{Instrs: app.trace(heap, blocks, rng)}
-	hw := proc.AttachContext(0)
-	cpu.Run(m, []cpu.CPU{newCPU(kind, hw, warm, nil)})
+		// Warm pass: demand paging + memory fetches, excluded from timing.
+		warm := &cpu.SliceTrace{Instrs: app.trace(heap, blocks, rng)}
+		hw := proc.AttachContext(0)
+		cpu.Run(m, []cpu.CPU{newCPU(kind, hw, warm, nil)})
 
-	var instrs []cpu.Instr
-	for p := 0; p < passes; p++ {
-		instrs = append(instrs, app.trace(heap, blocks, rng)...)
-	}
-	c := newCPU(kind, hw, &cpu.SliceTrace{Instrs: instrs}, nil)
-	cycles := cpu.Run(m, []cpu.CPU{c})
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Benchmark:  app.Name,
-		Protocol:   protocol.Name(),
-		CPU:        kind,
-		ExecCycles: cycles,
-		Instrs:     c.Stats().Instructions,
-		IPC:        c.Stats().IPC(),
-		PerThread:  []cpu.Stats{c.Stats()},
-	}, nil
+		var instrs []cpu.Instr
+		for p := 0; p < passes; p++ {
+			instrs = append(instrs, app.trace(heap, blocks, rng)...)
+		}
+		return []cpu.CPU{newCPU(kind, hw, &cpu.SliceTrace{Instrs: instrs}, nil)}, nil
+	})
+	return r, err
 }

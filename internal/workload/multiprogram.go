@@ -24,63 +24,39 @@ func RunMultiprogram(ctx context.Context, profiles []Profile, protocol coherence
 	if len(profiles) == 0 {
 		return Result{}, fmt.Errorf("workload: no programs")
 	}
-	cores := 1
-	for cores < len(profiles) {
-		cores *= 2
-	}
-	cfg := core.DefaultConfig(cores, protocol)
-	cfg.Context = ctx
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// One shared library for everyone (libc, in the paper's story).
-	libc := mmu.NewFile("libc.so.6", 0x11BC)
-
-	rng := sim.NewRNG(0xA11)
-	cpus := make([]cpu.CPU, 0, len(profiles))
 	names := make([]string, 0, len(profiles))
-	for i, p := range profiles {
+	for _, p := range profiles {
 		if err := p.Validate(); err != nil {
 			return Result{}, err
 		}
 		if p.Threads != 1 {
 			return Result{}, fmt.Errorf("workload: multiprogram profile %s must be single-threaded", p.Name)
 		}
-		proc := m.NewProcess()
-		hw := proc.AttachContext(i)
-		heap := proc.MmapAnon(p.WorkingSetKB * 1024)
-		var shared mmu.VAddr
-		if p.SharedKB > 0 {
-			shared = proc.MmapLibrary(libc, p.SharedKB*1024)
-		}
-		gp := p
-		gp.BarrierEvery = 0
-		gen := newGenerator(gp, heap, shared, rng.Uint64())
-		cpus = append(cpus, newCPU(kind, hw, gen, nil))
 		names = append(names, p.Name)
 	}
+	name := "mix(" + strings.Join(names, "+") + ")"
+	r, _, err := run(machineFor(ctx, len(profiles), protocol), name, kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		// One shared library for everyone (libc, in the paper's story).
+		libc := mmu.NewFile("libc.so.6", 0x11BC)
 
-	cycles := cpu.Run(m, cpus)
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, fmt.Errorf("multiprogram [%s] on %s: %w",
-			strings.Join(names, ","), protocol.Name(), err)
-	}
-	res := Result{
-		Benchmark:  "mix(" + strings.Join(names, "+") + ")",
-		Protocol:   protocol.Name(),
-		CPU:        kind,
-		ExecCycles: cycles,
-		Instrs:     cpu.TotalInstructions(cpus),
-	}
-	for _, c := range cpus {
-		res.PerThread = append(res.PerThread, c.Stats())
-	}
-	if cycles > 0 {
-		res.IPC = float64(res.Instrs) / float64(cycles) / float64(len(profiles))
-	}
-	return res, nil
+		rng := sim.NewRNG(0xA11)
+		cpus := make([]cpu.CPU, 0, len(profiles))
+		for i, p := range profiles {
+			proc := m.NewProcess()
+			hw := proc.AttachContext(i)
+			heap := proc.MmapAnon(p.WorkingSetKB * 1024)
+			var shared mmu.VAddr
+			if p.SharedKB > 0 {
+				shared = proc.MmapLibrary(libc, p.SharedKB*1024)
+			}
+			gp := p
+			gp.BarrierEvery = 0
+			gen := newGenerator(gp, heap, shared, rng.Uint64())
+			cpus = append(cpus, newCPU(kind, hw, gen, nil))
+		}
+		return cpus, nil
+	})
+	return r, err
 }
 
 // SPECRateMixes returns representative 4-program mixes in the style of

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -23,14 +24,15 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 	if len(threads) == 0 {
 		return Result{}, fmt.Errorf("workload: empty trace")
 	}
-	cores := 1
-	for cores < len(threads) {
-		cores *= 2
-	}
-	m, err := core.NewMachine(core.DefaultConfig(cores, protocol))
-	if err != nil {
-		return Result{}, err
-	}
+	r, _, err := run(machineFor(context.TODO(), len(threads), protocol), "replay", kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		return replayThreads(m, threads, kind)
+	})
+	return r, err
+}
+
+// replayThreads maps the recorded layout into a fresh process of m and
+// builds one CPU per recorded thread.
+func replayThreads(m *core.Machine, threads [][]cpu.Instr, kind CPUKind) ([]cpu.CPU, error) {
 	proc := m.NewProcess()
 
 	// Reconstruct the layout: one fixed anonymous region per contiguous
@@ -75,7 +77,7 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 		length := int(r.hi-base) + mmu.PageSize
 		if err := proc.AS.MmapFixed(base, length,
 			mmu.ProtRead|mmu.ProtWrite, mmu.MapPrivate|mmu.MapAnonymous, nil, 0); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	if shared != nil {
@@ -84,7 +86,7 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 		lib := mmu.NewFile("replay.so", 0x4E71A)
 		if err := proc.AS.MmapFixed(base, length,
 			mmu.ProtRead|mmu.ProtExec, mmu.MapShared, lib, 0); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 
@@ -105,22 +107,5 @@ func Replay(threads [][]cpu.Instr, protocol coherence.Policy, kind CPUKind) (Res
 		ctx := proc.AttachContext(t)
 		cpus = append(cpus, newCPU(kind, ctx, &cpu.SliceTrace{Instrs: instrs}, bar))
 	}
-	cycles := cpu.Run(m, cpus)
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Benchmark:  "replay",
-		Protocol:   protocol.Name(),
-		CPU:        kind,
-		ExecCycles: cycles,
-		Instrs:     cpu.TotalInstructions(cpus),
-	}
-	for _, c := range cpus {
-		res.PerThread = append(res.PerThread, c.Stats())
-	}
-	if cycles > 0 {
-		res.IPC = float64(res.Instrs) / float64(cycles) / float64(len(threads))
-	}
-	return res, nil
+	return cpus, nil
 }

@@ -47,13 +47,7 @@ type Result struct {
 // rounded up to a power of two), mirroring the paper's setup. A done
 // ctx aborts the simulation (see core.Config.Context).
 func Run(ctx context.Context, p Profile, protocol coherence.Policy, kind CPUKind) (Result, error) {
-	cores := 1
-	for cores < p.Threads {
-		cores *= 2
-	}
-	cfg := core.DefaultConfig(cores, protocol)
-	cfg.Context = ctx
-	r, _, err := RunDetailed(p, cfg, kind)
+	r, _, err := RunDetailed(p, machineFor(ctx, p.Threads, protocol), kind)
 	return r, err
 }
 
@@ -68,43 +62,69 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		return Result{}, nil, fmt.Errorf("workload %s: %d threads need >= as many cores, have %d",
 			p.Name, p.Threads, cfg.Cores)
 	}
+	return run(cfg, p.Name, kind, func(m *core.Machine) ([]cpu.CPU, error) {
+		proc := m.NewProcess()
+
+		var shared mmu.VAddr
+		if p.SharedKB > 0 {
+			lib := mmu.NewFile(p.Name+".so", p.Seed^0x5EED)
+			shared = proc.MmapLibrary(lib, p.SharedKB*1024)
+		}
+
+		var bar *cpu.Barrier
+		if p.Threads > 1 && p.BarrierEvery > 0 {
+			bar = cpu.NewBarrier(m.Engine(), p.Threads)
+		}
+
+		cpus := make([]cpu.CPU, 0, p.Threads)
+		rng := sim.NewRNG(p.Seed)
+		for t := 0; t < p.Threads; t++ {
+			ctx := proc.AttachContext(t)
+			heap := proc.MmapAnon(p.WorkingSetKB * 1024)
+			gp := p
+			if bar == nil {
+				gp.BarrierEvery = 0
+			}
+			gen := newGenerator(gp, heap, shared, rng.Uint64())
+			cpus = append(cpus, newCPU(kind, ctx, gen, bar))
+		}
+		return cpus, nil
+	})
+}
+
+// machineFor returns the Table V machine for threads threads, one per
+// core, with the core count rounded up to a power of two; ctx, if it can
+// be cancelled, aborts the machine's simulation.
+func machineFor(ctx context.Context, threads int, protocol coherence.Policy) core.Config {
+	cores := 1
+	for cores < threads {
+		cores *= 2
+	}
+	cfg := core.DefaultConfig(cores, protocol)
+	cfg.Context = ctx
+	return cfg
+}
+
+// run is the path every runner shares: it builds the machine from cfg,
+// lets setup map memory and build one CPU per thread (setup may run warm
+// passes on the machine first), runs the CPUs to completion, checks the
+// hierarchy's invariants, and fills the Result. IPC is per thread:
+// instructions over execution cycles over the thread count.
+func run(cfg core.Config, name string, kind CPUKind, setup func(*core.Machine) ([]cpu.CPU, error)) (Result, *core.Machine, error) {
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	proc := m.NewProcess()
-
-	var shared mmu.VAddr
-	if p.SharedKB > 0 {
-		lib := mmu.NewFile(p.Name+".so", p.Seed^0x5EED)
-		shared = proc.MmapLibrary(lib, p.SharedKB*1024)
+	cpus, err := setup(m)
+	if err != nil {
+		return Result{}, nil, err
 	}
-
-	var bar *cpu.Barrier
-	if p.Threads > 1 && p.BarrierEvery > 0 {
-		bar = cpu.NewBarrier(m.Engine(), p.Threads)
-	}
-
-	cpus := make([]cpu.CPU, 0, p.Threads)
-	rng := sim.NewRNG(p.Seed)
-	for t := 0; t < p.Threads; t++ {
-		ctx := proc.AttachContext(t)
-		heap := proc.MmapAnon(p.WorkingSetKB * 1024)
-		gp := p
-		if bar == nil {
-			gp.BarrierEvery = 0
-		}
-		gen := newGenerator(gp, heap, shared, rng.Uint64())
-		cpus = append(cpus, newCPU(kind, ctx, gen, bar))
-	}
-
 	cycles := cpu.Run(m, cpus)
 	if err := m.CheckInvariants(); err != nil {
-		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", p.Name, cfg.Protocol.Name(), err)
+		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", name, cfg.Protocol.Name(), err)
 	}
-
 	res := Result{
-		Benchmark:  p.Name,
+		Benchmark:  name,
 		Protocol:   cfg.Protocol.Name(),
 		CPU:        kind,
 		ExecCycles: cycles,
@@ -114,16 +134,7 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		res.PerThread = append(res.PerThread, c.Stats())
 	}
 	if cycles > 0 {
-		res.IPC = float64(res.Instrs) / float64(cycles) / float64(p.Threads)
+		res.IPC = float64(res.Instrs) / float64(cycles) / float64(len(cpus))
 	}
 	return res, m, nil
-}
-
-// MustRun is Run for callers with static inputs.
-func MustRun(p Profile, protocol coherence.Policy, kind CPUKind) Result {
-	r, err := Run(context.Background(), p, protocol, kind)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mmu"
 	"repro/internal/sim"
@@ -237,8 +238,14 @@ func TestRunMultiThreadedSmoke(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	p := SPEC2017()[4].Scale(0.02)
-	a := MustRun(p, coherence.SMESI, TimingSimpleCPU)
-	b := MustRun(p, coherence.SMESI, TimingSimpleCPU)
+	a, err := Run(context.Background(), p, coherence.SMESI, TimingSimpleCPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(context.Background(), p, coherence.SMESI, TimingSimpleCPU)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.ExecCycles != b.ExecCycles || a.Instrs != b.Instrs {
 		t.Fatalf("nondeterministic: %v vs %v", a.ExecCycles, b.ExecCycles)
 	}
@@ -319,3 +326,48 @@ func TestNewCPUPanicsOnUnknownKind(t *testing.T) {
 
 var _ = mmu.PageSize // keep import for readability of addresses above
 var _ = sim.NewRNG
+
+// Every runner reports IPC the same way: committed instructions over
+// execution cycles, per thread.
+func TestIPCIsPerThreadForEveryRunner(t *testing.T) {
+	ctx := context.Background()
+	spec := SPEC2017()[0].Scale(0.001)
+	parsec := PARSEC3()[0].Scale(0.001)
+	kernel, _ := KernelByName("gups")
+	trace, err := Record(parsec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mix []Profile
+	for _, p := range SPECRateMixes()["compute"] {
+		mix = append(mix, p.Scale(0.001))
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"Run", func() (Result, error) { return Run(ctx, parsec, coherence.MESI, DerivO3CPU) }},
+		{"RunDetailed", func() (Result, error) {
+			r, _, err := RunDetailed(spec, core.DefaultConfig(2, coherence.MESI), TimingSimpleCPU)
+			return r, err
+		}},
+		{"RunKernel", func() (Result, error) { return RunKernel(ctx, kernel, coherence.MESI, DerivO3CPU, 16<<10) }},
+		{"RunReadOnly", func() (Result, error) { return RunReadOnly(ctx, 100, coherence.MESI, DerivO3CPU) }},
+		{"RunWAR", func() (Result, error) { return RunWAR(ctx, WARApps()[0], coherence.MESI, TimingSimpleCPU, 1) }},
+		{"RunMultiprogram", func() (Result, error) { return RunMultiprogram(ctx, mix, coherence.MESI, DerivO3CPU) }},
+		{"Replay", func() (Result, error) { return Replay(trace, coherence.MESI, TimingSimpleCPU) }},
+	} {
+		r, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.ExecCycles == 0 || len(r.PerThread) == 0 {
+			t.Fatalf("%s: empty run (%d cycles, %d threads)", tc.name, r.ExecCycles, len(r.PerThread))
+		}
+		want := float64(r.Instrs) / float64(r.ExecCycles) / float64(len(r.PerThread))
+		if r.IPC != want {
+			t.Errorf("%s: IPC %v, want %d instrs / %d cycles / %d threads = %v",
+				tc.name, r.IPC, r.Instrs, r.ExecCycles, len(r.PerThread), want)
+		}
+	}
+}
