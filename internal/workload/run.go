@@ -37,7 +37,7 @@ type Result struct {
 	CPU        CPUKind
 	ExecCycles sim.Cycle
 	Instrs     uint64
-	IPC        float64
+	IPC        float64 // per thread: Instrs / ExecCycles / len(PerThread)
 	PerThread  []cpu.Stats
 }
 
@@ -108,8 +108,7 @@ func machineFor(ctx context.Context, threads int, protocol coherence.Policy) cor
 // run is the path every runner shares: it builds the machine from cfg,
 // lets setup map memory and build one CPU per thread (setup may run warm
 // passes on the machine first), runs the CPUs to completion, checks the
-// hierarchy's invariants, and fills the Result. IPC is per thread:
-// instructions over execution cycles over the thread count.
+// hierarchy's invariants, and fills the Result.
 func run(cfg core.Config, name string, kind CPUKind, setup func(*core.Machine) ([]cpu.CPU, error)) (Result, *core.Machine, error) {
 	m, err := core.NewMachine(cfg)
 	if err != nil {
