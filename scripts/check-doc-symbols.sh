@@ -26,7 +26,7 @@ while read -r ref; do
 	elif go doc "./internal/$pkg" "$name" >/dev/null 2>&1; then
 		continue
 	fi
-	echo "unresolved doc symbol: \`$ref\` (in $(grep -l -F "\`$ref\`" "${docs[@]}" | tr '\n' ' '| sed 's/ $//'))"
+	echo "unresolved doc symbol: \`$ref\` (in $(grep -l -F "$ref" "${docs[@]}" | tr '\n' ' ' | sed 's/ $//'))"
 	fail=1
 done < <(grep -ohE '`\*?[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_.]*\*?`' "${docs[@]}" |
 	tr -d '`' | sed 's/^\*//' | sort -u)
